@@ -31,13 +31,13 @@ from .evolution import (
     uccsd_excitations,
 )
 from .fermion import (
+    ExcitationTerm,
     FermionError,
     HamiltonianTerms,
     controlled_single,
     double,
     generator_pauli,
     higher_excitation,
-    local_pauli,
     single,
 )
 from .integrals import IntegralError, h3plus_builtin, parse_integrals, term_list
@@ -53,7 +53,7 @@ from .synth import (
     compile_single_excitation,
     compile_symmetrized,
 )
-from .verify import VerifyError, circuit_unitary, dense_sum, generator_unitary
+from .verify import VerifyError, circuit_unitary, generator_unitary
 
 # Published totals the demos reproduce for the bundled three-center cation.
 REFERENCE_COUNTS = {
@@ -103,114 +103,166 @@ def _tolerance(args) -> float:
         raise UsageError(f"IONSYNTH_TOL: not a number: {raw!r}")
 
 
-def _exact_exp(matrix: np.ndarray, angle: float) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(matrix)
-    return (evecs * np.exp(-1j * angle * evals)) @ evecs.conj().T
+# --- op table ---------------------------------------------------------------------
+#
+# One builder per compile op.  A builder reads the op's operands through
+# get(key) -> str, in the metadata form compile records, and returns the
+# ordered (generator, angle) factors the circuit realizes together with a
+# function that compiles that circuit for a register width (None: the
+# smallest that holds the operator).  compile records exactly the operands the
+# builder read, so verify can rebuild the factors from the file alone.
 
 
-def _increasing(flag: str, modes: tuple[int, ...], size: int) -> tuple[int, ...]:
-    if len(modes) != size:
-        raise UsageError(f"{flag}: expected {size} modes, got {len(modes)}")
+class _OperandError(ValueError):
+    """Malformed operand; the message starts with its key."""
+
+
+def _values(get, key: str, kind=float, count: int | None = None) -> tuple:
+    text = get(key)
+    try:
+        values = tuple(kind(x) for x in text.split(","))
+    except ValueError:
+        raise _OperandError(f"{key}: expected comma-separated {kind.__name__} values, got {text!r}")
+    if count is not None and len(values) != count:
+        raise _OperandError(f"{key}: expected {count} values, got {len(values)}")
+    return values
+
+
+def _theta(get) -> float:
+    return _values(get, "theta", float, 1)[0]
+
+
+def _modes(get, size: int) -> tuple[int, ...]:
+    modes = _values(get, "orbitals", int, size)
     if list(modes) != sorted(set(modes)):
-        raise UsageError(
-            f"{flag}: modes must be strictly increasing, got {','.join(map(str, modes))}"
-        )
+        listed = ",".join(map(str, modes))
+        raise _OperandError(f"orbitals: modes must be strictly increasing, got {listed}")
     return modes
 
 
-def _flag(value: bool) -> str:
-    return "yes" if value else "no"
+def _symmetrized(term, theta: float):
+    return [(term, theta)], lambda n: compile_symmetrized(term, theta, n_qubits=n)
+
+
+def _rotation(get, sym: bool):
+    string, theta = from_label(get("string")), _theta(get)
+    return [(string, theta / 2.0)], lambda n: compile_pauli_rotation(string, theta)
+
+
+def _single(get, sym: bool):
+    p, q = _modes(get, 2)
+    theta, axis = _theta(get), get("axis")
+    term = single(p, q, symmetrized=sym)
+    if sym:
+        return _symmetrized(term, theta)
+    return [(term, theta)], lambda n: compile_single_excitation(term, theta, axis=axis, n_qubits=n)
+
+
+def _double(get, sym: bool):
+    p, q, r, s = _modes(get, 4)
+    if sym:
+        return _symmetrized(double(p, q, r, s, symmetrized=True), _theta(get))
+    angles = _values(get, "angles", float, 3)
+    factors = list(zip((double(p, q, r, s), double(p, r, q, s), double(p, s, q, r)), angles))
+    return factors, lambda n: compile_double_block(p, q, r, s, angles, n_qubits=n)
+
+
+def _coupled(get, sym: bool):
+    p, q, r, s = _modes(get, 4)
+    theta = _theta(get)
+    factors = [(double(p, q, r, s), theta), (double(p, s, r, q), theta)]
+    return factors, lambda n: compile_coupled_exchange(p, q, r, s, theta, n_qubits=n)
+
+
+def _controlled(get, sym: bool):
+    p, q = _modes(get, 2)
+    j = _values(get, "control", int, 1)[0]
+    theta, variant = _theta(get), get("variant")
+    term = controlled_single(p, q, j, symmetrized=sym)
+    if sym:
+        return _symmetrized(term, theta)
+    return [(term, theta)], lambda n: compile_controlled_single(
+        p, q, j, theta, variant=variant, n_qubits=n
+    )
+
+
+def _higher(get, sym: bool):
+    sub, sup = _values(get, "sub", int), _values(get, "sup", int)
+    theta = _theta(get)
+    term = higher_excitation(sub, sup, symmetrized=sym)
+    if sym:
+        return _symmetrized(term, theta)
+    return [(term, theta)], lambda n: compile_higher_excitation(term, theta, n_qubits=n)
+
+
+def _mixed(get, sym: bool):
+    p, q, r, s = _modes(get, 4)
+    theta = _theta(get)
+    term = double(p, q, r, s)
+    return [(term, theta)], lambda n: compile_mixed_cnot(term, theta, n_qubits=n)
+
+
+_OPS = {
+    "rotation": _rotation,
+    "single": _single,
+    "double": _double,
+    "coupled": _coupled,
+    "controlled": _controlled,
+    "higher": _higher,
+    "mixed": _mixed,
+}
+
+
+def _product(factors, n_qubits: int) -> np.ndarray:
+    """Ordered product of exp(-i angle G) over (G, angle); the first factor acts first."""
+    u = np.eye(1 << n_qubits, dtype=complex)
+    for g, angle in factors:
+        if isinstance(g, ExcitationTerm):
+            g = generator_pauli(g, n_qubits)
+        if g.width != n_qubits:
+            raise VerifyError(f"generator {g!r} acts on {g.width} qubits, not {n_qubits}")
+        u = generator_unitary(g, angle).matrix @ u
+    return u
 
 
 # --- compile ----------------------------------------------------------------------
 
 
-def _build_circuit(args):
-    op = args.op
-    n = args.n_qubits
-    theta = args.theta
-    meta = {"cli_op": op, "symmetrized": _flag(args.symmetrized)}
-    if op == "rotation":
-        if args.string is None:
-            raise UsageError("--string is required for --op rotation")
-        p = from_label(args.string)
-        c = compile_pauli_rotation(p, theta)
-        meta.update({"string": args.string, "theta": repr(theta)})
-    elif op == "single":
-        p, q = _increasing("--orbitals", _orbitals(args), 2)
-        term = single(p, q, symmetrized=args.symmetrized)
-        if args.symmetrized:
-            c = compile_symmetrized(term, theta, n_qubits=n)
-        else:
-            c = compile_single_excitation(term, theta, axis=args.axis, n_qubits=n)
-        meta.update({"orbitals": f"{p},{q}", "theta": repr(theta), "axis": args.axis})
-    elif op == "double":
-        p, q, r, s = _increasing("--orbitals", _orbitals(args), 4)
-        if args.symmetrized:
-            c = compile_symmetrized(double(p, q, r, s, symmetrized=True), theta, n_qubits=n)
-            meta.update({"orbitals": f"{p},{q},{r},{s}", "theta": repr(theta)})
-        else:
-            angles = _floats("--angles", args.angles) if args.angles else (theta, 0.0, 0.0)
-            if len(angles) != 3:
-                raise UsageError(f"--angles: expected three numbers, got {len(angles)}")
-            c = compile_double_block(p, q, r, s, angles, n_qubits=n)
-            meta.update(
-                {
-                    "orbitals": f"{p},{q},{r},{s}",
-                    "angles": ",".join(repr(a) for a in angles),
-                }
-            )
-    elif op == "coupled":
-        p, q, r, s = _increasing("--orbitals", _orbitals(args), 4)
-        c = compile_coupled_exchange(p, q, r, s, theta, n_qubits=n)
-        meta.update({"orbitals": f"{p},{q},{r},{s}", "theta": repr(theta)})
-    elif op == "controlled":
-        p, q = _increasing("--orbitals", _orbitals(args), 2)
-        if args.control is None:
-            raise UsageError("--control is required for --op controlled")
-        if args.symmetrized:
-            term = controlled_single(p, q, args.control, symmetrized=True)
-            c = compile_symmetrized(term, theta, n_qubits=n)
-        else:
-            c = compile_controlled_single(p, q, args.control, theta, variant=args.variant, n_qubits=n)
-        meta.update(
-            {
-                "orbitals": f"{p},{q}",
-                "control": str(args.control),
-                "theta": repr(theta),
-                "variant": args.variant,
-            }
-        )
-    elif op == "higher":
-        if not args.sub or not args.sup:
-            raise UsageError("--sub and --sup are required for --op higher")
-        sub = _ints("--sub", args.sub)
-        sup = _ints("--sup", args.sup)
-        term = higher_excitation(sub, sup, symmetrized=args.symmetrized)
-        if args.symmetrized:
-            c = compile_symmetrized(term, theta, n_qubits=n)
-        else:
-            c = compile_higher_excitation(term, theta, n_qubits=n)
-        meta.update({"sub": args.sub, "sup": args.sup, "theta": repr(theta)})
-    elif op == "mixed":
-        p, q, r, s = _increasing("--orbitals", _orbitals(args), 4)
-        c = compile_mixed_cnot(double(p, q, r, s), theta, n_qubits=n)
-        meta.update({"orbitals": f"{p},{q},{r},{s}", "theta": repr(theta)})
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown op {op!r}")
-    merged = dict(c.metadata)
-    merged.update(meta)
-    return type(c)(c.n_qubits, c.gates, merged)
-
-
-def _orbitals(args) -> tuple[int, ...]:
-    if not args.orbitals:
-        raise UsageError("--orbitals is required for this op")
-    return _ints("--orbitals", args.orbitals)
+def _canonical(text: str, kind) -> str:
+    """Comma list as compile records it; unparsable text is left for the builder to reject."""
+    try:
+        return ",".join(repr(kind(x)) for x in text.split(","))
+    except ValueError:
+        return text
 
 
 def _cmd_compile(args) -> int:
-    c = _build_circuit(args)
+    operands = {
+        "orbitals": _canonical(args.orbitals, int) if args.orbitals else None,
+        "theta": repr(args.theta),
+        "angles": _canonical(args.angles or f"{args.theta!r},0.0,0.0", float),
+        "control": None if args.control is None else str(args.control),
+        "variant": args.variant,
+        "axis": args.axis,
+        "sub": args.sub or None,
+        "sup": args.sup or None,
+        "string": args.string,
+    }
+    used: dict[str, str] = {}
+
+    def get(key: str) -> str:
+        if operands[key] is None:
+            raise UsageError(f"--{key} is required for --op {args.op}")
+        used[key] = operands[key]
+        return operands[key]
+
+    try:
+        _, build = _OPS[args.op](get, args.symmetrized)
+    except _OperandError as exc:
+        raise UsageError(f"--{exc}")
+    c = build(args.n_qubits).with_metadata(
+        cli_op=args.op, symmetrized="yes" if args.symmetrized else "no", **used
+    )
     text = serialize(c)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -236,86 +288,26 @@ def _read_circuit(path: str):
         raise InputError(f"{path}: {exc}")
 
 
-def _meta(c, key: str) -> str:
-    try:
-        return c.metadata[key]
-    except KeyError:
-        raise InputError(f"circuit metadata lacks {key!r}; was it written by compile?")
-
-
-def _meta_floats(c, key: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in _meta(c, key).split(","))
-    except ValueError:
-        raise InputError(f"circuit metadata {key!r} is not a number list")
-
-
-def _meta_ints(c, key: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in _meta(c, key).split(","))
-    except ValueError:
-        raise InputError(f"circuit metadata {key!r} is not an integer list")
-
-
-def _declared_unitary(c) -> np.ndarray:
-    """Rebuild the generator exponential recorded in compile metadata."""
-    op = _meta(c, "cli_op")
-    n = c.n_qubits
-    sym = c.metadata.get("symmetrized") == "yes"
-    if op == "rotation":
-        target = from_label(_meta(c, "string"))
-        if target.width != n:
-            raise InputError(
-                f"metadata string width {target.width} does not match circuit width {n}"
-            )
-        theta = _meta_floats(c, "theta")[0]
-        return generator_unitary(target, theta / 2.0).matrix
-    if op == "single":
-        p, q = _meta_ints(c, "orbitals")
-        theta = _meta_floats(c, "theta")[0]
-        g = generator_pauli(single(p, q, symmetrized=sym), n)
-        return generator_unitary(g, theta).matrix
-    if op == "double":
-        modes = _meta_ints(c, "orbitals")
-        if sym:
-            theta = _meta_floats(c, "theta")[0]
-            g = generator_pauli(double(*modes, symmetrized=True), n)
-            return generator_unitary(g, theta).matrix
-        angles = _meta_floats(c, "angles")
-        p, q, r, s = modes
-        u = np.eye(1 << n, dtype=complex)
-        for t, a in zip((double(p, q, r, s), double(p, r, q, s), double(p, s, q, r)), angles):
-            u = generator_unitary(generator_pauli(t, n), a).matrix @ u
-        return u
-    if op == "coupled":
-        p, q, r, s = _meta_ints(c, "orbitals")
-        theta = _meta_floats(c, "theta")[0]
-        u = generator_unitary(generator_pauli(double(p, q, r, s), n), theta).matrix
-        return generator_unitary(generator_pauli(double(p, s, r, q), n), theta).matrix @ u
-    if op == "controlled":
-        p, q = _meta_ints(c, "orbitals")
-        j = _meta_ints(c, "control")[0]
-        theta = _meta_floats(c, "theta")[0]
-        g = generator_pauli(controlled_single(p, q, j, symmetrized=sym), n)
-        return generator_unitary(g, theta).matrix
-    if op == "higher":
-        sub = _meta_ints(c, "sub")
-        sup = _meta_ints(c, "sup")
-        theta = _meta_floats(c, "theta")[0]
-        g = generator_pauli(higher_excitation(sub, sup, symmetrized=sym), n)
-        return generator_unitary(g, theta).matrix
-    if op == "mixed":
-        modes = _meta_ints(c, "orbitals")
-        theta = _meta_floats(c, "theta")[0]
-        return generator_unitary(generator_pauli(double(*modes), n), theta).matrix
-    raise InputError(f"circuit metadata declares unknown op {op!r}")
-
-
 def _cmd_verify(args) -> int:
     c = _read_circuit(args.circuit)
     tol = _tolerance(args)
+
+    def get(key: str) -> str:
+        try:
+            return c.metadata[key]
+        except KeyError:
+            raise InputError(
+                f"{args.circuit}: circuit metadata lacks {key!r}; was it written by compile?"
+            )
+
+    op = get("cli_op")
+    if op not in _OPS:
+        raise InputError(f"{args.circuit}: circuit metadata declares unknown op {op!r}")
     try:
-        target = _declared_unitary(c)
+        factors, _ = _OPS[op](get, c.metadata.get("symmetrized") == "yes")
+        target = _product(factors, c.n_qubits)
+    except _OperandError as exc:
+        raise InputError(f"{args.circuit}: circuit metadata {exc}")
     except (FermionError, PauliError, VerifyError) as exc:
         raise InputError(f"{args.circuit}: {exc}")
     u = circuit_unitary(c).matrix
@@ -447,20 +439,6 @@ def _cmd_trotter(args) -> int:
 # --- demos ------------------------------------------------------------------------
 
 
-def _ordered_product(terms: HamiltonianTerms, dt: float, groups) -> np.ndarray:
-    n = 1 << terms.n_modes
-    diagonal = float(terms.constant) * np.eye(n, dtype=complex)
-    for lt in terms.local_terms:
-        diagonal += dense_sum(local_pauli(lt, terms.n_modes))
-    u = _exact_exp(diagonal, dt)
-    for group in groups:
-        block = np.zeros((n, n), dtype=complex)
-        for t in group:
-            block += dense_sum(generator_pauli(t, terms.n_modes))
-        u = _exact_exp(block, dt) @ u
-    return u
-
-
 def _report_oracle(defect: float, tol: float, out: dict | None) -> bool:
     passed = defect <= tol
     if out is not None:
@@ -491,9 +469,7 @@ def _demo_uccsd(tol: float, structured: bool) -> tuple[bool, dict]:
         print(f"MS: {ms} (baseline {baseline}, factor {factor:.1f})")
         print(f"reference: MS {REFERENCE_COUNTS['uccsd']} "
               f"(baseline {REFERENCE_COUNTS['uccsd_baseline']})")
-    v = np.eye(64, dtype=complex)
-    for t, theta in zip(uccsd_excitations(spec), spec.parameters):
-        v = generator_unitary(generator_pauli(t, 6), theta).matrix @ v
+    v = _product(zip(uccsd_excitations(spec), spec.parameters), 6)
     defect = float(np.linalg.norm(circuit_unitary(layer).matrix - v))
     passed = _report_oracle(defect, tol, out if structured else None)
     passed = passed and ms == REFERENCE_COUNTS["uccsd"] and baseline == REFERENCE_COUNTS["uccsd_baseline"]
@@ -530,7 +506,10 @@ def _demo_trotter(dt: float, tol: float, structured: bool) -> tuple[bool, dict]:
               f"(string-by-string {REFERENCE_COUNTS['trotter_string_by_string']}, "
               f"naive {REFERENCE_COUNTS['trotter_naive']})")
     step = build_trotter_step(terms, TrotterConfig(dt))
-    v = _ordered_product(terms, dt, fusion_groups(terms.excitation_terms))
+    n, reality = terms.n_modes, terms.reality
+    blocks = [HamiltonianTerms(n, reality, terms.constant, terms.local_terms, ())]
+    blocks += [HamiltonianTerms(n, reality, 0.0, (), g) for g in fusion_groups(terms.excitation_terms)]
+    v = _product([(b.pauli_sum(), dt) for b in blocks], n)
     defect = float(np.linalg.norm(circuit_unitary(step).matrix - v))
     passed = _report_oracle(defect, tol, out if structured else None)
     passed = passed and (ms, sbs, naive) == (
@@ -581,7 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--op",
         required=True,
-        choices=("rotation", "single", "double", "coupled", "controlled", "higher", "mixed"),
+        choices=tuple(_OPS),
     )
     p.add_argument("--orbitals", help="comma-separated mode list, strictly increasing")
     p.add_argument("--theta", type=float, default=0.0)
@@ -672,3 +651,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

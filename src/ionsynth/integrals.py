@@ -16,6 +16,7 @@ indices zero marking the constant shift.  The <im> column is only legal in
 complex tables.  Blank lines and text after '#' are ignored.
 """
 
+import cmath
 from importlib import resources
 
 from .fermion import (
@@ -26,8 +27,6 @@ from .fermion import (
     double,
     split_hamiltonian,
 )
-
-HamiltonianTermList = HamiltonianTerms
 
 _CONFLICT_TOL = 1e-12
 
@@ -54,6 +53,13 @@ class SymmetryConflictError(IntegralError):
         )
         self.new_key = new_key
         self.old_key = old_key
+
+
+def _finite(value) -> complex:
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise IntegralError(f"value {value} is not finite")
+    return value
 
 
 def _one_body_orbit(p, q, reality):
@@ -106,7 +112,7 @@ class IntegralTable:
             raise IntegralError("need at least one mode")
         self.n_modes = int(n_modes)
         self.reality = reality
-        self.constant = float(constant)
+        self.constant = _finite(constant).real
         self._one: dict[tuple, complex] = {}
         self._two: dict[tuple, complex] = {}
         # original input tuple per representative, for conflict messages
@@ -134,7 +140,7 @@ class IntegralTable:
         self._sources[rep] = key
 
     def set_one_body(self, p: int, q: int, value) -> None:
-        value = complex(value)
+        value = _finite(value)
         self._check_modes((p, q))
         if self.reality == "real" and abs(value.imag) > _CONFLICT_TOL:
             raise IntegralError("real table cannot hold an imaginary part")
@@ -142,7 +148,7 @@ class IntegralTable:
                     _one_body_orbit(p, q, self.reality))
 
     def set_two_body(self, p: int, q: int, r: int, s: int, value) -> None:
-        value = complex(value)
+        value = _finite(value)
         self._check_modes((p, q, r, s))
         if self.reality == "real" and abs(value.imag) > _CONFLICT_TOL:
             raise IntegralError("real table cannot hold an imaginary part")
@@ -226,6 +232,7 @@ def parse_integrals(document: str) -> IntegralTable:
             )
         try:
             if p == q == r == s == 0:
+                _finite(value)
                 if abs(value.imag) > _CONFLICT_TOL:
                     raise IntegralError("constant shift must be real")
                 if constant_seen and abs(table.constant - value.real) > _CONFLICT_TOL:
@@ -253,7 +260,7 @@ def parse_integrals(document: str) -> IntegralTable:
     return table
 
 
-def term_list(table: IntegralTable) -> HamiltonianTermList:
+def term_list(table: IntegralTable) -> HamiltonianTerms:
     """Weighted generator decomposition of the table's Hamiltonian."""
     return split_hamiltonian(table)
 
@@ -266,7 +273,7 @@ def h3plus_table() -> IntegralTable:
     return parse_integrals(text)
 
 
-def h3plus_builtin() -> HamiltonianTermList:
+def h3plus_builtin() -> HamiltonianTerms:
     """Prebuilt H3+ term list in the alternating spin-orbital convention.
 
     Mode order is alpha0, beta0, alpha1, beta1, alpha2, beta2 for the three

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .circuit import CNOT, MS, Circuit, Clifford1, CRz, Gate, GlobalPhase, Rz, Rzz
-from .pauli import PauliString, PauliSum, from_label
+from .pauli import PauliString, PauliSum
 
 __all__ = [
     "DenseOperator",
@@ -320,20 +319,3 @@ def assert_equivalent(u, v, mode: str = "exact", tol: float = 1e-10) -> Equivale
         distance = float(np.linalg.norm(a - lam * b))
         return EquivalenceReport(distance <= tol, distance, mode, tol, lam)
     raise VerifyError(f"unknown mode {mode!r}")
-
-
-@lru_cache(maxsize=None)
-def _cached_generator_key(label_blob: str, width: int, angle: float) -> DenseOperator:
-    terms = []
-    for line in label_blob.splitlines():
-        re_c, im_c, label = line.split(" ", 2)
-        terms.append((complex(float(re_c), float(im_c)), from_label(label)))
-    return generator_unitary(PauliSum.from_terms(width, terms), angle)
-
-
-def cached_generator_unitary(g: PauliSum, angle: float) -> DenseOperator:
-    """Memoized generator_unitary keyed on the canonical term list."""
-    blob = "\n".join(
-        f"{c.real!r} {c.imag!r} {s.label()}" for c, s in g.terms
-    )
-    return _cached_generator_key(blob, g.width, float(angle))

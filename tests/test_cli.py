@@ -1,6 +1,9 @@
 """End-to-end runs of the command-line interface through cli.run."""
 
 import json
+import runpy
+import sys
+import warnings
 
 import pytest
 
@@ -106,6 +109,27 @@ def test_verify_structured_output(tmp_path, capsys):
     assert report["distance"] < 1e-12
 
 
+VERIFY_BAD_METADATA = [
+    (["--op", "single", "--orbitals", "0,2"], {"orbitals": "0,x"}, "orbitals"),
+    (["--op", "single", "--orbitals", "0,2"], {"theta": "abc"}, "theta"),
+    (["--op", "double", "--orbitals", "0,1,2,3"], {"angles": "0.3,0.1"}, "angles"),
+    (["--op", "single", "--orbitals", "0,2"], {"cli_op": "triple"}, "triple"),
+    (["--op", "rotation", "--string", "XZ"], {"string": "XZY"}, "XZY"),
+]
+
+
+@pytest.mark.parametrize("compile_args, edit, named", VERIFY_BAD_METADATA,
+                         ids=[case[2] for case in VERIFY_BAD_METADATA])
+def test_verify_rejects_bad_metadata(compile_args, edit, named, tmp_path, capsys):
+    path = tmp_path / "edited.circ"
+    assert run(["compile", *compile_args, "--theta", "0.3", "-o", str(path)]) == 0
+    c = deserialize(path.read_text())
+    path.write_text(serialize(c.with_metadata(**edit)))
+    capsys.readouterr()
+    assert run(["verify", "--circuit", str(path)]) == 3
+    assert named in capsys.readouterr().err
+
+
 def test_verify_without_metadata_is_input_error(tmp_path, capsys):
     path = tmp_path / "raw.circ"
     path.write_text(serialize(Circuit(1, (Rz(0, 0.3),), {})))
@@ -190,6 +214,14 @@ def test_trotter_rejects_malformed_integrals(tmp_path, capsys):
     assert str(path) in err
 
 
+def test_trotter_rejects_non_finite_integrals_with_line(tmp_path, capsys):
+    path = tmp_path / "inf.ints"
+    path.write_text("norb 2 reality real\n0.5 1 1 0 0\ninf 1 2 0 0\n")
+    assert run(["trotter", "--dt", "0.1", "--integrals", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "line 3" in err
+
+
 def test_demo_uccsd_report_line(capsys):
     assert run(["demo", "h3plus", "--uccsd"]) == 0
     out = capsys.readouterr().out
@@ -231,3 +263,14 @@ def test_env_var_supplies_default_tolerance(tmp_path, capsys, monkeypatch):
     rc = run(["verify", "--circuit", str(path)])
     assert rc == 2
     assert "IONSYNTH_TOL" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_main(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["ionsynth"])
+    with warnings.catch_warnings():
+        # the module is already imported by this file; runpy warns on re-execution
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("ionsynth.cli", run_name="__main__")
+    assert info.value.code == 2
+    capsys.readouterr()

@@ -177,6 +177,45 @@ def test_parse_conflicting_lines_rejected():
         parse_integrals("norb 2 reality real\n0.1 0 0 0 0\n0.2 0 0 0 0\n")
 
 
+
+def test_parse_rejects_nan_diagonal_entry():
+    # abs(nan) compares false against the drop threshold, so a NaN on the
+    # diagonal would otherwise vanish from the term list without a word
+    with pytest.raises(IntegralParseError) as info:
+        parse_integrals("norb 2 reality real\nnan 1 1 0 0\n")
+    assert info.value.line_no == 2
+    assert "not finite" in str(info.value)
+
+
+def test_parse_rejects_nan_before_conflicting_partner():
+    # NaN compares false against the conflict tolerance too; the NaN line
+    # itself must fail before its symmetry partner can be accepted
+    with pytest.raises(IntegralParseError) as info:
+        parse_integrals("norb 2 reality real\nnan 1 2 0 0\n0.3 2 1 0 0\n")
+    assert info.value.line_no == 2
+
+
+def test_parse_rejects_infinite_entry_with_line():
+    for text in ("norb 2 reality real\ninf 1 2 0 0\n",
+                 "norb 2 reality complex\n0.1 -inf 1 2 0 0\n",
+                 "norb 2 reality real\n-inf 1 2 1 2\n",
+                 "norb 2 reality real\ninf 0 0 0 0\n"):
+        with pytest.raises(IntegralParseError) as info:
+            parse_integrals(text)
+        assert info.value.line_no == 2, text
+
+
+def test_table_setters_and_constant_reject_non_finite():
+    table = IntegralTable(3, "complex")
+    with pytest.raises(IntegralError):
+        table.set_one_body(0, 1, float("nan"))
+    with pytest.raises(IntegralError):
+        table.set_two_body(0, 1, 2, 0, complex(0.1, float("inf")))
+    with pytest.raises(IntegralError):
+        IntegralTable(3, "real", constant=float("-inf"))
+    assert table.one_body == {} and table.two_body == {}
+
+
 # --- term lists ------------------------------------------------------------
 
 def test_zero_table_gives_empty_list():

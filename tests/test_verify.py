@@ -26,7 +26,6 @@ from ionsynth.verify import (
     DenseOperator,
     VerifyError,
     assert_equivalent,
-    cached_generator_unitary,
     circuit_unitary,
     dense_pauli,
     dense_sum,
@@ -338,15 +337,6 @@ def test_non_hermitian_generator_rejected():
     g = PauliSum.from_terms(1, [(1j, from_label("X"))])
     with pytest.raises(VerifyError):
         generator_unitary(g, 0.1)
-
-
-def test_cached_generator_unitary_hits_cache():
-    g = PauliSum.from_terms(2, [(0.5, from_label("YX")), (-0.5, from_label("XY"))])
-    first = cached_generator_unitary(g, 0.4)
-    second = cached_generator_unitary(g, 0.4)
-    assert first is second
-    direct = generator_unitary(g, 0.4)
-    assert np.abs(first.matrix - direct.matrix).max() == 0.0
 
 
 # --- assert_equivalent -----------------------------------------------------
