@@ -90,7 +90,6 @@ from .pauli import (
 from .synth import (
     MS_SQUARE_TABLE,
     SynthesisError,
-    SynthesisPlan,
     baseline_string_by_string,
     compile_controlled_single,
     compile_coupled_exchange,
@@ -141,7 +140,7 @@ __all__ = [
     "IntegralTable", "parse_integrals", "term_list", "h3plus_table",
     "h3plus_builtin",
     # synth
-    "SynthesisError", "SynthesisPlan", "MS_SQUARE_TABLE",
+    "SynthesisError", "MS_SQUARE_TABLE",
     "ms_square_phase_exponent", "compile_pauli_rotation",
     "compile_single_excitation", "compile_double_block",
     "compile_coupled_exchange", "compile_controlled_single",

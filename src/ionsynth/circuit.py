@@ -232,9 +232,6 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def extended(self, gates: Iterator[Gate] | tuple[Gate, ...] | list[Gate]) -> "Circuit":
-        return Circuit(self.n_qubits, (*self.gates, *gates), self.metadata)
-
     def with_metadata(self, **entries: str) -> "Circuit":
         meta = {**self.metadata, **{k: str(v) for k, v in entries.items()}}
         return Circuit(self.n_qubits, self.gates, meta)
@@ -327,8 +324,8 @@ def cost(c: Circuit, tau: float = 1.0) -> CostReport:
     Depth is greedy disjoint-qubit layering in program order; gates on
     disjoint qubit sets share a layer, GlobalPhase occupies none.
     """
-    if tau <= 0:
-        raise CircuitError(f"tau must be positive, got {tau}")
+    if not (math.isfinite(tau) and tau > 0):
+        raise CircuitError(f"tau must be positive and finite, got {tau}")
     total = 0.0
     for g in c:
         if isinstance(g, MS):

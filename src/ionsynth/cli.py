@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -75,6 +76,17 @@ class InputError(Exception):
     """Unreadable or malformed input file; exits 3."""
 
 
+def _finite(text: str) -> float:
+    """A finite float: the type of every real-valued flag and list entry."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _ints(flag: str, text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
@@ -86,9 +98,9 @@ def _floats(flag: str, text: str) -> tuple[float, ...]:
     if text == "":
         return ()
     try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError:
-        raise UsageError(f"{flag}: expected comma-separated numbers, got {text!r}")
+        return tuple(_finite(x) for x in text.split(","))
+    except argparse.ArgumentTypeError:
+        raise UsageError(f"{flag}: expected comma-separated finite numbers, got {text!r}")
 
 
 def _tolerance(args) -> float:
@@ -98,9 +110,9 @@ def _tolerance(args) -> float:
     if raw is None:
         return 1e-9
     try:
-        return float(raw)
-    except ValueError:
-        raise UsageError(f"IONSYNTH_TOL: not a number: {raw!r}")
+        return _finite(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"IONSYNTH_TOL: {exc}")
 
 
 # --- op table ---------------------------------------------------------------------
@@ -117,19 +129,20 @@ class _OperandError(ValueError):
     """Malformed operand; the message starts with its key."""
 
 
-def _values(get, key: str, kind=float, count: int | None = None) -> tuple:
+def _values(get, key: str, kind=_finite, count: int | None = None) -> tuple:
     text = get(key)
     try:
         values = tuple(kind(x) for x in text.split(","))
-    except ValueError:
-        raise _OperandError(f"{key}: expected comma-separated {kind.__name__} values, got {text!r}")
+    except (ValueError, argparse.ArgumentTypeError):
+        noun = "integers" if kind is int else "finite numbers"
+        raise _OperandError(f"{key}: expected comma-separated {noun}, got {text!r}")
     if count is not None and len(values) != count:
         raise _OperandError(f"{key}: expected {count} values, got {len(values)}")
     return values
 
 
 def _theta(get) -> float:
-    return _values(get, "theta", float, 1)[0]
+    return _values(get, "theta", _finite, 1)[0]
 
 
 def _modes(get, size: int) -> tuple[int, ...]:
@@ -162,7 +175,7 @@ def _double(get, sym: bool):
     p, q, r, s = _modes(get, 4)
     if sym:
         return _symmetrized(double(p, q, r, s, symmetrized=True), _theta(get))
-    angles = _values(get, "angles", float, 3)
+    angles = _values(get, "angles", _finite, 3)
     factors = list(zip((double(p, q, r, s), double(p, r, q, s), double(p, s, q, r)), angles))
     return factors, lambda n: compile_double_block(p, q, r, s, angles, n_qubits=n)
 
@@ -563,7 +576,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=tuple(_OPS),
     )
     p.add_argument("--orbitals", help="comma-separated mode list, strictly increasing")
-    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--theta", type=_finite, default=0.0)
     p.add_argument("--angles", help="three pairing angles for --op double")
     p.add_argument("--axis", choices=("xx", "yy"), default="xx")
     p.add_argument("--variant", choices=("a", "b"), default="a")
@@ -578,7 +591,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="recheck a circuit file against its metadata")
     p.add_argument("--circuit", required=True)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=_finite)
     _add_format(p)
     p.set_defaults(handler=_cmd_verify)
 
@@ -589,7 +602,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cost", help="duration report for a circuit file")
     p.add_argument("--circuit", required=True)
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--tau", type=_finite, default=1.0)
     _add_format(p)
     p.set_defaults(handler=_cmd_cost)
 
@@ -605,7 +618,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trotter", help="build one Trotter step of a Hamiltonian")
     p.add_argument("--integrals", help="integral table file (default: bundled h3plus)")
-    p.add_argument("--dt", type=float, required=True)
+    p.add_argument("--dt", type=_finite, required=True)
     p.add_argument("--orbital-class", choices=("real", "complex"))
     p.add_argument("--scheduling", choices=("parallelized", "baseline"), default="parallelized")
     p.add_argument("--output", "-o")
@@ -616,8 +629,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("system", choices=("h3plus",))
     p.add_argument("--uccsd", action="store_true")
     p.add_argument("--trotter", action="store_true")
-    p.add_argument("--dt", type=float, default=0.1)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--dt", type=_finite, default=0.1)
+    p.add_argument("--tol", type=_finite)
     _add_format(p)
     p.set_defaults(handler=_cmd_demo)
 

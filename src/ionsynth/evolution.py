@@ -1,16 +1,18 @@
 """Application circuits: UCCSD ansatz layers and first-order Trotter steps.
 
-This module assembles whole-algorithm circuits out of the per-term block
-compilers in synth.  A Trotter step factors the Hamiltonian into its exact
-term exponentials in a fixed order: the diagonal part first (a global phase
-plus Rz / Rzz rotations, which is exact since everything commutes), then one
-block per excitation family.  Under the parallelized schedule, permutation
-partners that share a four-mode window ride a single double-excitation block,
-and controlled excitations with the same core and the same effective MS
-window share one sandwich with their CRz rotations interleaved.  The baseline
-schedule compiles every term on its own: per-term blocks for the real orbital
-class, string-by-string for the complex class, with controlled terms always
-spending one CRz sandwich per core string.
+A Trotter step factors the Hamiltonian into its exact term exponentials in a
+fixed order: the diagonal part first (a global phase plus Rz / Rzz rotations,
+which is exact since everything commutes), then the excitation terms, one
+fusion group at a time.  Every group goes through the single group lowering
+in synth, which wraps symmetrized terms in S_j ... S_j&dagger;, gives
+controlled singles one shared CRz sandwich and lowers everything else as star
+layers over the group's combined string pool.  The parallelized schedule
+groups terms with ``fusion_groups``: doubles on one four-mode window ride one
+double-excitation block, controlled singles with the same core and effective
+MS window share one sandwich.  The baseline schedule makes every term its own
+group and keeps two differences: controlled terms spend one CRz sandwich per
+core string, and the complex orbital class goes string by string.  A UCCSD
+layer lowers each excitation as a group of one.
 
 First-order Trotter semantics make the term order part of the contract, so
 everything here is deterministic: excitation terms keep their canonical
@@ -19,29 +21,13 @@ ordering and fused groups sit at the position of their first member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import MS, Circuit, Clifford1, CRz, Gate, GlobalPhase, Rz, Rzz
-from .fermion import (
-    ExcitationTerm,
-    HamiltonianTerms,
-    double,
-    local_equivalence_conjugate,
-    local_pauli,
-    single,
-)
-from .synth import (
-    _controlled_halves,
-    _rotation_pairs,
-    _sandwich,
-    baseline_string_by_string,
-    compile_controlled_single,
-    compile_single_excitation,
-    compile_double_block,
-    compile_symmetrized,
-)
+from .circuit import Circuit, Clifford1, Gate, GlobalPhase, Rz, Rzz
+from .fermion import ExcitationTerm, HamiltonianTerms, double, local_pauli, single
+from .synth import _lower_group, baseline_string_by_string
 from .verify import circuit_unitary, dense_sum
 
 
@@ -138,31 +124,6 @@ def uccsd_excitations(spec: AnsatzSpec) -> tuple[ExcitationTerm, ...]:
     return tuple(singles + doubles)
 
 
-def _double_slot(t: ExcitationTerm) -> tuple[int, float]:
-    """Map a double onto its pairing slot within the sorted window."""
-    w = t.modes
-    partitions = (
-        ({w[0], w[1]}, {w[2], w[3]}),
-        ({w[0], w[2]}, {w[1], w[3]}),
-        ({w[0], w[3]}, {w[1], w[2]}),
-    )
-    sub, sup = set(t.sub), set(t.sup)
-    for i, (first, second) in enumerate(partitions):
-        if sub == first and sup == second:
-            return i, 1.0
-        if sub == second and sup == first:
-            return i, -1.0
-    raise EvolutionError(f"modes {t.sub}/{t.sup} do not partition window {w}")
-
-
-def _double_term_block(t: ExcitationTerm, theta: float, width: int) -> Circuit:
-    """One antisymmetrized double as a four-MS window block."""
-    slot, sign = _double_slot(t)
-    angles = [0.0, 0.0, 0.0]
-    angles[slot] = sign * t.coefficient * theta
-    return compile_double_block(*t.modes, tuple(angles), n_qubits=width)
-
-
 def build_uccsd_layer(spec: AnsatzSpec, scheduling: str = "parallelized") -> Circuit:
     """One first-order product layer exp(-i theta_1 G_1) ... exp(-i theta_k G_k).
 
@@ -176,12 +137,9 @@ def build_uccsd_layer(spec: AnsatzSpec, scheduling: str = "parallelized") -> Cir
     gates: list[Gate] = []
     for t, theta in zip(terms, spec.parameters):
         if scheduling == "baseline":
-            block = baseline_string_by_string(t, theta, n_qubits=spec.n_modes)
-        elif t.kind == "single":
-            block = compile_single_excitation(t, theta, n_qubits=spec.n_modes)
+            gates.extend(baseline_string_by_string(t, theta, n_qubits=spec.n_modes).gates)
         else:
-            block = _double_term_block(t, theta, spec.n_modes)
-        gates.extend(block.gates)
+            gates.extend(_lower_group([(t, theta)], spec.n_modes))
     return Circuit(spec.n_modes, tuple(gates), {"op": f"uccsd_{scheduling}"})
 
 
@@ -231,101 +189,6 @@ def fusion_groups(terms) -> tuple[tuple[ExcitationTerm, ...], ...]:
     return tuple(tuple(keyed[k]) for k in order)
 
 
-def _fused_double_gates(group, dt: float, width: int) -> list[Gate]:
-    window = group[0].modes
-    symmetrized = group[0].symmetrized
-    angles = [0.0, 0.0, 0.0]
-    for t in group:
-        twin = replace(t, symmetrized=False)
-        wrap_sign = 1
-        if symmetrized:
-            _, wrap_sign = local_equivalence_conjugate(twin, window[0])
-        slot, slot_sign = _double_slot(twin)
-        angles[slot] += slot_sign * wrap_sign * t.coefficient * dt
-    block = compile_double_block(*window, tuple(angles), n_qubits=width)
-    if symmetrized:
-        return [Clifford1(window[0], "S"), *block.gates, Clifford1(window[0], "SDG")]
-    return list(block.gates)
-
-
-def _controlled_member_circuit(t: ExcitationTerm, dt: float, width: int) -> Circuit:
-    if t.symmetrized:
-        return compile_symmetrized(t, dt, n_qubits=width)
-    return compile_controlled_single(
-        t.sub[0], t.sup[0], t.control, t.coefficient * dt, n_qubits=width
-    )
-
-
-def _fused_controlled_gates(group, dt: float, width: int) -> list[Gate]:
-    """Splice the CRz rotations of same-core terms into one shared sandwich."""
-    circuits = [_controlled_member_circuit(t, dt, width) for t in group]
-    base = list(circuits[0].gates)
-    skeleton = [g for g in base if not isinstance(g, CRz)]
-    extras: list[Gate] = []
-    for c in circuits[1:]:
-        if [g for g in c.gates if not isinstance(g, CRz)] != skeleton:
-            raise EvolutionError("fused controlled terms disagree on the sandwich")
-        extras.extend(g for g in c.gates if isinstance(g, CRz))
-    cut = next(
-        i
-        for i, g in enumerate(base)
-        if isinstance(g, MS) and g.direction == "backward"
-    )
-    return base[:cut] + extras + base[cut:]
-
-
-def _controlled_per_string_gates(t: ExcitationTerm, dt: float, width: int) -> list[Gate]:
-    """Baseline lowering: one CRz sandwich per control-free core string."""
-    twin = t
-    angle = dt
-    wrap: list[Gate] = []
-    unwrap: list[Gate] = []
-    if t.symmetrized:
-        twin = replace(t, symmetrized=False)
-        j = t.sub[0]
-        _, sign = local_equivalence_conjugate(twin, j)
-        angle = sign * dt
-        wrap = [Clifford1(j, "S")]
-        unwrap = [Clifford1(j, "SDG")]
-    plain, _ = _controlled_halves(twin, width)
-    gates = list(wrap)
-    for o, c, s in _rotation_pairs(plain, twin.sub[0], twin.sup[0]):
-        _, layer = _sandwich(
-            width, s.support(), "xx", [(o, angle * c, s)], control=twin.control
-        )
-        gates.extend(layer)
-    gates.extend(unwrap)
-    return gates
-
-
-def _single_term_gates(t: ExcitationTerm, dt: float, width: int, naive: bool) -> list[Gate]:
-    """Baseline per-term lowering of one excitation."""
-    if t.kind == "controlled_single":
-        return _controlled_per_string_gates(t, dt, width)
-    if naive:
-        return list(baseline_string_by_string(t, dt, n_qubits=width).gates)
-    if t.symmetrized:
-        return list(compile_symmetrized(t, dt, n_qubits=width).gates)
-    if t.kind == "single":
-        return list(compile_single_excitation(t, dt, n_qubits=width).gates)
-    if t.kind == "double":
-        return list(_double_term_block(t, dt, width).gates)
-    raise EvolutionError(f"cannot schedule kind {t.kind}")
-
-
-def _parallel_group_gates(group, dt: float, width: int) -> list[Gate]:
-    t = group[0]
-    if t.kind == "double":
-        return _fused_double_gates(group, dt, width)
-    if t.kind == "controlled_single":
-        return _fused_controlled_gates(group, dt, width)
-    if t.kind == "single":
-        if t.symmetrized:
-            return list(compile_symmetrized(t, dt, n_qubits=width).gates)
-        return list(compile_single_excitation(t, dt, n_qubits=width).gates)
-    raise EvolutionError(f"cannot schedule kind {t.kind}")
-
-
 def _diagonal_gates(terms: HamiltonianTerms, dt: float, width: int) -> list[Gate]:
     """Exact lowering of the commuting diagonal part: phase, Rz, Rzz."""
     phase = float(terms.constant)
@@ -354,16 +217,24 @@ def build_trotter_step(terms: HamiltonianTerms, cfg: TrotterConfig) -> Circuit:
     """
     if cfg.orbital_class == "real" and terms.reality != "real":
         raise EvolutionError("real-orbital scheduling needs a real Hamiltonian")
+    for t in terms.excitation_terms:
+        if t.kind not in ("single", "double", "controlled_single"):
+            raise EvolutionError(f"cannot schedule kind {t.kind}")
     width = terms.n_modes
     dt = cfg.time_step
-    gates = _diagonal_gates(terms, dt, width)
-    if cfg.scheduling == "parallelized":
-        for group in fusion_groups(terms.excitation_terms):
-            gates.extend(_parallel_group_gates(group, dt, width))
+    parallel = cfg.scheduling == "parallelized"
+    naive = not parallel and cfg.orbital_class == "complex"
+    if parallel:
+        groups = fusion_groups(terms.excitation_terms)
     else:
-        naive = cfg.orbital_class == "complex"
-        for t in terms.excitation_terms:
-            gates.extend(_single_term_gates(t, dt, width, naive))
+        groups = tuple((t,) for t in terms.excitation_terms)
+    gates = _diagonal_gates(terms, dt, width)
+    for group in groups:
+        if naive and group[0].kind != "controlled_single":
+            gates.extend(baseline_string_by_string(group[0], dt, n_qubits=width).gates)
+        else:
+            pairs = [(t, dt) for t in group]
+            gates.extend(_lower_group(pairs, width, per_string=not parallel))
     return Circuit(width, tuple(gates), {"op": f"trotter_{cfg.scheduling}"})
 
 

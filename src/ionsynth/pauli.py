@@ -318,11 +318,6 @@ class PauliSum:
             raise PauliError("width mismatch")
         return PauliSum.from_terms(self.width, (*self.terms, *other.terms))
 
-    def scaled(self, factor: complex) -> "PauliSum":
-        return PauliSum.from_terms(
-            self.width, ((factor * c, s) for c, s in self.terms)
-        )
-
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return all(abs(c.imag) <= tol for c, _ in self.terms)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .circuit import (
     CNOT,
@@ -45,7 +45,6 @@ from .pauli import (
 
 __all__ = [
     "SynthesisError",
-    "SynthesisPlan",
     "MS_SQUARE_TABLE",
     "ms_square_phase_exponent",
     "compile_pauli_rotation",
@@ -87,52 +86,6 @@ _PUSH_PERM = {name: _letter_perm(name) for name in _ALPHABET}
 _PULL_PERM = {
     name: {v: k for k, v in perm.items()} for name, perm in _PUSH_PERM.items()
 }
-
-
-@dataclass(frozen=True)
-class SynthesisPlan:
-    """One MS-pair layer: window, dressing and signed rotation angles.
-
-    ``rz_assignments`` maps rotation qubits to their final signed angles; the
-    (-1)^m factor the MS conjugation introduces on an n = 2m (+1) window is
-    already folded in, never absorbed silently elsewhere.  ``control`` is set
-    when the rotations are emitted as CRz gates, ``zz_rotations`` holds
-    multi-qubit diagonal rotations (realized as CNOT ladders around an Rz).
-    """
-
-    qubit_window: tuple[int, ...]
-    parity: int
-    axis: str
-    rz_assignments: tuple[tuple[int, float], ...]
-    dressing: tuple[Gate, ...]
-    control: int | None = None
-    zz_rotations: tuple[tuple[tuple[int, ...], float], ...] = ()
-
-    def __post_init__(self) -> None:
-        window = tuple(self.qubit_window)
-        if sorted(set(window)) != list(window):
-            raise SynthesisError(f"window must be sorted and duplicate-free: {window}")
-        object.__setattr__(self, "qubit_window", window)
-        n = len(window)
-        if self.parity != n // 2:
-            raise SynthesisError(f"parity {self.parity} inconsistent with window size {n}")
-        if self.axis not in ("xx", "yy"):
-            raise SynthesisError(f"axis must be 'xx' or 'yy', got {self.axis!r}")
-        rz = tuple((int(q), float(a)) for q, a in self.rz_assignments)
-        object.__setattr__(self, "rz_assignments", rz)
-        qubits = [q for q, _ in rz]
-        if len(set(qubits)) != len(qubits):
-            raise SynthesisError("duplicate rotation qubit in plan")
-        if not set(qubits) <= set(window):
-            raise SynthesisError(f"rotation qubits {qubits} outside window {window}")
-        if len(rz) > n:
-            raise SynthesisError("more rotations than window qubits")
-        if self.control is not None and self.control in window:
-            raise SynthesisError("control qubit must sit outside the MS window")
-
-    @property
-    def angles(self) -> dict[int, float]:
-        return dict(self.rz_assignments)
 
 
 # --- exact Heisenberg transport ----------------------------------------------
@@ -191,11 +144,11 @@ def _local_dressing(
 ) -> list[Gate]:
     """Per-qubit Clifford words turning MS-conjugated Z's into the targets."""
     bases = {}
-    for t, _, _ in requests:
+    for t, _, _, _ in requests:
         z = PauliString(width, {t: "Z"})
         bases[t] = conjugate_by_ms(z, axis, window, inverse=True) if len(window) > 1 else z
     rows: dict[int, dict[str, str]] = {k: {} for k in window}
-    for t, _, target in requests:
+    for t, _, target, _ in requests:
         base = bases[t]
         for k in window:
             b, want = base.letter(k), target.letter(k)
@@ -276,8 +229,8 @@ def _entangled_dressing(
     of Z_{t_i} through [D, MS] lands on +-s_i.  Composed from two reductions
     onto the same Z targets.
     """
-    targets = [t for t, _, _ in requests]
-    layer = [s for _, _, s in requests]
+    targets = [t for t, _, _, _ in requests]
+    layer = [s for _, _, s, _ in requests]
     bases = [
         conjugate_by_ms(PauliString(width, {t: "Z"}), axis, window, inverse=True)
         for t in targets
@@ -301,17 +254,17 @@ def _sandwich(
     requests,
     *,
     dressing: list[Gate] | None = None,
-    control: int | None = None,
     keep_zero: bool = True,
     zz_requests=(),
-) -> tuple[SynthesisPlan, list[Gate]]:
+) -> list[Gate]:
     """One dressed MS pair realizing exp(-i sum_t 2 w_t S_t) rotations.
 
-    ``requests`` is a sequence of (rotation qubit, weight, target string); the
-    emitted Rz angle is 2 * weight * sign with the sign read off the exact
-    pullback, i.e. exp(-i angle/2 E_t) == exp(-i weight S_t) per rotation.
-    With ``control`` set the rotations become CRz and each contributes the
-    (S_t - Z_control S_t)/2 pair at twice the angle.
+    ``requests`` is a sequence of (rotation qubit, weight, target string,
+    control); the emitted Rz angle is 2 * weight * sign with the sign read off
+    the exact pullback, i.e. exp(-i angle/2 E_t) == exp(-i weight S_t) per
+    rotation.  A request with a control qubit becomes a CRz that contributes
+    the (S_t - Z_control S_t)/2 pair at twice the angle.  Rotations are
+    emitted in request order.
     """
     window = tuple(sorted(window))
     n = len(window)
@@ -321,16 +274,17 @@ def _sandwich(
     if n > 1:
         prefix.append(MS(axis, "forward", window))
 
-    rz_entries: list[tuple[int, float]] = []
-    for t, weight, target in requests:
+    rotations: list[Gate] = []
+    for t, weight, target, control in requests:
+        if control in window:
+            raise SynthesisError(f"control qubit {control} sits inside the MS window {window}")
         e = _pullback(PauliString(width, {t: "Z"}), prefix)
         sign = _sign_against(e, target)
         factor = 4.0 if control is not None else 2.0
         angle = factor * weight * sign
         if not keep_zero and angle == 0.0:
             continue
-        rz_entries.append((t, angle))
-    rz_entries.sort()
+        rotations.append(CRz(control, t, angle) if control is not None else Rz(t, angle))
 
     zz_entries: list[tuple[tuple[int, ...], float]] = []
     for qs, weight, target in zz_requests:
@@ -339,25 +293,13 @@ def _sandwich(
         sign = _sign_against(e, target)
         zz_entries.append((qs, 2.0 * weight * sign))
 
-    plan = SynthesisPlan(
-        qubit_window=window,
-        parity=n // 2,
-        axis=axis,
-        rz_assignments=tuple(rz_entries),
-        dressing=tuple(dressing),
-        control=control,
-        zz_rotations=tuple(zz_entries),
-    )
-
-    gates: list[Gate] = list(prefix)
-    for q, angle in rz_entries:
-        gates.append(CRz(control, q, angle) if control is not None else Rz(q, angle))
+    gates: list[Gate] = [*prefix, *rotations]
     for qs, angle in zz_entries:
         gates.extend(_zz_ladder(qs, angle))
     if n > 1:
         gates.append(MS(axis, "backward", window))
     gates.extend(inverse(g) for g in reversed(dressing))
-    return plan, gates
+    return gates
 
 
 # --- generator pools ------------------------------------------------------------
@@ -438,7 +380,7 @@ def _excitation_layers(
     *,
     keep_zero: bool = True,
     axis: str = "xx",
-) -> tuple[list[SynthesisPlan], list[Gate]]:
+) -> list[Gate]:
     """Star layers plus, where local words cannot pack the pool, CNOT layers.
 
     The first layer diagonalizes the strings one letter away from the all-X
@@ -448,7 +390,6 @@ def _excitation_layers(
     diagonalized jointly with CNOT-assisted dressing around a single MS pair.
     """
     weights, strings, modes, interior, window = _pool(terms_with_angles, width)
-    plans: list[SynthesisPlan] = []
     gates: list[Gate] = []
     covered: set[frozenset] = set()
 
@@ -462,14 +403,10 @@ def _excitation_layers(
             target = _star_target(width, modes, interior, center, flipped, o)
             key = frozenset(target.letters.items())
             star_keys.append(key)
-            requests.append((o, weights.get(key, 0.0), target))
+            requests.append((o, weights.get(key, 0.0), target, None))
         if all(k in covered for k in star_keys):
             continue
-        plan, layer_gates = _sandwich(
-            width, window, star_axis, requests, keep_zero=keep_zero
-        )
-        plans.append(plan)
-        gates.extend(layer_gates)
+        gates.extend(_sandwich(width, window, star_axis, requests, keep_zero=keep_zero))
         covered.update(star_keys)
 
     remaining = [k for k in weights if k not in covered]
@@ -488,14 +425,12 @@ def _excitation_layers(
             requests = []
             for i, w in enumerate(layer_words):
                 key = by_word[w]
-                requests.append((modes[i], weights[key], strings[key]))
+                requests.append((modes[i], weights[key], strings[key], None))
             dressing = _entangled_dressing(width, window, "xx", requests)
-            plan, layer_gates = _sandwich(
-                width, window, "xx", requests, dressing=dressing, keep_zero=keep_zero
+            gates.extend(
+                _sandwich(width, window, "xx", requests, dressing=dressing, keep_zero=keep_zero)
             )
-            plans.append(plan)
-            gates.extend(layer_gates)
-    return plans, gates
+    return gates
 
 
 # --- public compilers -----------------------------------------------------------
@@ -526,8 +461,8 @@ def compile_pauli_rotation(p: PauliString, phi: float) -> Circuit:
     target = p.with_phase(1)
     support = target.support()
     rotation_qubit = support[0]
-    requests = [(rotation_qubit, signed_phi / 2.0, target)]
-    _, gates = _sandwich(p.width, support, "xx", requests)
+    requests = [(rotation_qubit, signed_phi / 2.0, target, None)]
+    gates = _sandwich(p.width, support, "xx", requests)
     return Circuit(p.width, gates, {"op": "pauli_rotation"})
 
 
@@ -540,7 +475,7 @@ def compile_single_excitation(
     if axis not in ("xx", "yy"):
         raise SynthesisError(f"axis must be 'xx' or 'yy', got {axis!r}")
     width = _register_width(t.modes, n_qubits)
-    _, gates = _excitation_layers([(t, float(theta))], width, axis=axis)
+    gates = _excitation_layers([(t, float(theta))], width, axis=axis)
     return Circuit(width, gates, {"op": "single_excitation"})
 
 
@@ -561,7 +496,7 @@ def compile_double_block(
         raise SynthesisError("double block takes three pairing angles")
     pairs = [double(p, q, r, s), double(p, r, q, s), double(p, s, q, r)]
     width = _register_width((p, q, r, s), n_qubits)
-    _, gates = _excitation_layers(list(zip(pairs, angles)), width)
+    gates = _excitation_layers(list(zip(pairs, angles)), width)
     return Circuit(width, gates, {"op": "double_block"})
 
 
@@ -573,7 +508,7 @@ def compile_coupled_exchange(
         raise SynthesisError(f"orbitals must be strictly increasing, got {(p, q, r, s)}")
     terms = [(double(p, q, r, s), float(theta)), (double(p, s, r, q), float(theta))]
     width = _register_width((p, q, r, s), n_qubits)
-    _, gates = _excitation_layers(terms, width, keep_zero=False)
+    gates = _excitation_layers(terms, width, keep_zero=False)
     return Circuit(width, gates, {"op": "coupled_exchange"})
 
 
@@ -597,23 +532,41 @@ def _rotation_pairs(entries, p: int, q: int):
     return out
 
 
-def _compile_controlled_term(t: ExcitationTerm, theta: float, variant: str, width: int):
-    p, q, j = t.sub[0], t.sup[0], t.control
-    plain, dressed = _controlled_halves(t, width)
-    if variant == "a":
-        requests = [(o, float(theta) * c, s) for o, c, s in _rotation_pairs(plain, p, q)]
+def _lower_group(
+    pairs, width: int, *, conjugation_mode: int | None = None, per_string: bool = False
+) -> list[Gate]:
+    """Gates for one fusion group: commuting same-shape (term, angle) pairs.
+
+    Symmetrized terms become their antisymmetrized twins wrapped in S_j ...
+    S_j&dagger;; j is the first creation mode, where every sign is +1, unless
+    ``conjugation_mode`` names another.  Controlled singles share one CRz
+    sandwich on the control-free core window (``per_string`` spends one per
+    core string instead).  Everything else becomes the star and CNOT-assisted
+    layers of the combined string pool.
+    """
+    head = pairs[0][0]
+    if head.symmetrized:
+        j = head.sub[0] if conjugation_mode is None else conjugation_mode
+        twins = []
+        for t, theta in pairs:
+            twin = replace(t, symmetrized=False)
+            image, sign = local_equivalence_conjugate(twin, j)
+            if not image.symmetrized:
+                raise SynthesisError(f"mode {j} does not couple to the generator")
+            twins.append((twin, sign * theta))
+        inner = _lower_group(twins, width, per_string=per_string)
+        return [Clifford1(j, "S"), *inner, Clifford1(j, "SDG")]
+    if head.kind == "controlled_single":
+        requests = []
+        for t, theta in pairs:
+            plain, _ = _controlled_halves(t, width)
+            for o, c, s in _rotation_pairs(plain, t.sub[0], t.sup[0]):
+                requests.append((o, theta * c, s, t.control))
         window = requests[0][2].support()
-        _, gates = _sandwich(width, window, "xx", requests, control=j)
-        return gates
-    if variant == "b":
-        gates: list[Gate] = []
-        for half in (dressed, plain):
-            requests = [(o, float(theta) * c, s) for o, c, s in _rotation_pairs(half, p, q)]
-            window = requests[0][2].support()
-            _, layer = _sandwich(width, window, "xx", requests)
-            gates.extend(layer)
-        return gates
-    raise SynthesisError(f"variant must be 'a' or 'b', got {variant!r}")
+        if per_string:
+            return [g for r in requests for g in _sandwich(width, window, "xx", [r])]
+        return _sandwich(width, window, "xx", requests)
+    return _excitation_layers(pairs, width)
 
 
 def compile_controlled_single(
@@ -634,7 +587,16 @@ def compile_controlled_single(
     except FermionError as exc:
         raise SynthesisError(str(exc)) from exc
     width = _register_width((p, q, j), n_qubits)
-    gates = _compile_controlled_term(t, theta, variant, width)
+    if variant == "a":
+        gates = _lower_group([(t, float(theta))], width)
+    elif variant == "b":
+        plain, dressed = _controlled_halves(t, width)
+        gates = []
+        for half in (dressed, plain):
+            requests = [(o, float(theta) * c, s, None) for o, c, s in _rotation_pairs(half, p, q)]
+            gates.extend(_sandwich(width, requests[0][2].support(), "xx", requests))
+    else:
+        raise SynthesisError(f"variant must be 'a' or 'b', got {variant!r}")
     return Circuit(width, gates, {"op": f"controlled_single_{variant}"})
 
 
@@ -658,9 +620,9 @@ def compile_higher_excitation(
     """
     _expect_antisym(t, "higher")
     width = _register_width(t.modes, n_qubits)
-    plans, gates = _excitation_layers([(t, float(theta))], width)
+    gates = _excitation_layers([(t, float(theta))], width)
     budget = higher_order_ms_count(len(t.sub))
-    spent = 2 * len(plans)
+    spent = sum(isinstance(g, MS) for g in gates)
     if spent != budget:
         raise SynthesisError(f"packing used {spent} MS gates, budget is {budget}")
     return Circuit(width, gates, {"op": "higher_excitation"})
@@ -681,23 +643,8 @@ def compile_symmetrized(
     """
     if not t.symmetrized:
         raise SynthesisError("term is already antisymmetrized; compile it directly")
-    twin = replace(t, symmetrized=False)
-    j = t.sub[0] if conjugation_mode is None else conjugation_mode
-    image, sign = local_equivalence_conjugate(twin, j)
-    if not image.symmetrized:
-        raise SynthesisError(f"mode {j} does not couple to the generator")
     width = _register_width(t.modes, n_qubits)
-    inner_theta = sign * float(theta)
-    if twin.kind == "single":
-        inner = compile_single_excitation(twin, inner_theta, n_qubits=width)
-    elif twin.kind == "controlled_single":
-        inner = Circuit(width, _compile_controlled_term(twin, inner_theta, "a", width))
-    elif twin.kind in ("double", "higher"):
-        _, gates = _excitation_layers([(twin, inner_theta)], width)
-        inner = Circuit(width, gates)
-    else:  # pragma: no cover - the kinds above are exhaustive
-        raise SynthesisError(f"cannot compile kind {twin.kind}")
-    gates = [Clifford1(j, "S"), *inner.gates, Clifford1(j, "SDG")]
+    gates = _lower_group([(t, float(theta))], width, conjugation_mode=conjugation_mode)
     return Circuit(width, gates, {"op": "symmetrized"})
 
 
@@ -784,9 +731,9 @@ def compile_mixed_cnot(t: ExcitationTerm, theta: float, n_qubits: int | None = N
     zz_requests = []
     for o in modes:
         one_y = _star_target(width, modes, interior, "X", "Y", o)
-        requests.append((o, weights.get(frozenset(one_y.letters.items()), 0.0), one_y))
+        requests.append((o, weights.get(frozenset(one_y.letters.items()), 0.0), one_y, None))
         one_x = _star_target(width, modes, interior, "Y", "X", o)
         triple = tuple(m for m in modes if m != o)
         zz_requests.append((triple, weights.get(frozenset(one_x.letters.items()), 0.0), one_x))
-    _, gates = _sandwich(width, window, "xx", requests, zz_requests=zz_requests)
+    gates = _sandwich(width, window, "xx", requests, zz_requests=zz_requests)
     return Circuit(width, gates, {"op": "mixed_cnot"})

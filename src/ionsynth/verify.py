@@ -93,9 +93,6 @@ class DenseOperator:
         m = self.matrix
         return float(np.linalg.norm(m.conj().T @ m - np.eye(self.dimension)))
 
-    def dagger(self) -> "DenseOperator":
-        return DenseOperator(self.matrix.conj().T)
-
 
 def _as_matrix(op) -> np.ndarray:
     if isinstance(op, DenseOperator):

@@ -147,6 +147,13 @@ def test_cost_square_root_time_model():
         cost(c, tau=0.0)
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_cost_rejects_non_finite_tau(tau):
+    c = Circuit(2, (MS("xx", "forward", (0, 1)),))
+    with pytest.raises(CircuitError):
+        cost(c, tau=tau)
+
+
 def test_depth_greedy_layering():
     # Disjoint single-qubit gates share a layer; overlapping gates stack.
     c = Circuit(4, (Rz(0, 0.1), Rz(1, 0.1), Rz(2, 0.1), Rz(0, 0.2)))

@@ -115,6 +115,7 @@ VERIFY_BAD_METADATA = [
     (["--op", "double", "--orbitals", "0,1,2,3"], {"angles": "0.3,0.1"}, "angles"),
     (["--op", "single", "--orbitals", "0,2"], {"cli_op": "triple"}, "triple"),
     (["--op", "rotation", "--string", "XZ"], {"string": "XZY"}, "XZY"),
+    (["--op", "single", "--orbitals", "0,2"], {"theta": "nan"}, "finite"),
 ]
 
 
@@ -128,6 +129,38 @@ def test_verify_rejects_bad_metadata(compile_args, edit, named, tmp_path, capsys
     capsys.readouterr()
     assert run(["verify", "--circuit", str(path)]) == 3
     assert named in capsys.readouterr().err
+
+
+NON_FINITE_ARGV = {
+    "compile-theta-nan": ["compile", "--op", "single", "--orbitals", "0,2", "--theta", "nan"],
+    "compile-theta-minus-inf": ["compile", "--op", "single", "--orbitals", "0,2",
+                                "--theta=-inf"],
+    "compile-angles-nan": ["compile", "--op", "double", "--orbitals", "0,1,2,3",
+                           "--angles", "nan,0,0"],
+    "uccsd-parameters-nan": ["uccsd", "--modes", "4", "--occupied", "0,1", "--virtual", "2,3",
+                             "--parameters", "nan,0,0"],
+    "trotter-dt-nan": ["trotter", "--dt", "nan"],
+    "trotter-dt-inf": ["trotter", "--dt", "inf"],
+    "demo-dt-nan": ["demo", "h3plus", "--uccsd", "--dt", "nan"],
+    "demo-tol-inf": ["demo", "h3plus", "--uccsd", "--tol", "inf"],
+}
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_ARGV.values(), ids=NON_FINITE_ARGV.keys())
+def test_non_finite_argv_is_usage_error(argv, capsys):
+    assert run(argv) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--tau", "--tol"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_report_flags_are_usage_errors(flag, value, tmp_path, capsys):
+    path = tmp_path / "s.circ"
+    run(["compile", "--op", "single", "--orbitals", "0,1", "--theta", "0.4",
+         "-o", str(path)])
+    command = "cost" if flag == "--tau" else "verify"
+    assert run([command, "--circuit", str(path), flag, value]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_verify_without_metadata_is_input_error(tmp_path, capsys):
@@ -259,10 +292,11 @@ def test_env_var_supplies_default_tolerance(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("IONSYNTH_TOL", "1e-20")
     assert run(["verify", "--circuit", str(path)]) == 1
     capsys.readouterr()
-    monkeypatch.setenv("IONSYNTH_TOL", "not-a-number")
-    rc = run(["verify", "--circuit", str(path)])
-    assert rc == 2
-    assert "IONSYNTH_TOL" in capsys.readouterr().err
+    for bad in ("not-a-number", "nan", "inf"):
+        monkeypatch.setenv("IONSYNTH_TOL", bad)
+        rc = run(["verify", "--circuit", str(path)])
+        assert rc == 2
+        assert "IONSYNTH_TOL" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs_main(monkeypatch, capsys):

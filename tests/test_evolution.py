@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionsynth.circuit import MS, Circuit, GlobalPhase, Rz, Rzz, count
 from ionsynth.evolution import (
@@ -59,6 +61,10 @@ def ordered_product(terms, dt, groups):
 
 def per_term_groups(terms):
     return tuple((t,) for t in terms.excitation_terms)
+
+
+# MS gates per parallelized block, keyed by the kind of the group's terms
+BLOCK_MS = {"double": 4, "controlled_single": 2, "single": 2}
 
 
 # --- domain types ---------------------------------------------------------------
@@ -187,11 +193,61 @@ def test_trotter_ms_counts_pin_the_three_schedules():
 
 
 def test_trotter_parallel_count_matches_the_per_block_ledger():
-    per_group = {"double": 4, "controlled_single": 2, "single": 2}
     groups = fusion_groups(H3.excitation_terms)
-    expected = sum(per_group[g[0].kind] for g in groups)
+    expected = sum(BLOCK_MS[g[0].kind] for g in groups)
     c = build_trotter_step(nonlocal_part(H3), TrotterConfig(0.1))
     assert count(c).ms_total == expected == 26
+
+
+@st.composite
+def fusable_terms(draw):
+    """A random excitation table on at most 6 modes whose fusion groups are wide.
+
+    Doubles come as several pairings of one window; controlled singles as one
+    core with several controls, inside and outside the core, so a group can
+    reach 4 members.  Complex tables mix in symmetrized partners.
+    """
+    n = draw(st.integers(4, 6))
+    reality = draw(st.sampled_from(("real", "complex")))
+    coefficient = st.builds(
+        lambda sign, size: sign * size,
+        st.sampled_from((-1.0, 1.0)),
+        st.floats(0.05, 1.0),
+    )
+    symmetrized = st.booleans() if reality == "complex" else st.just(False)
+    terms = []
+    for family in draw(st.lists(st.sampled_from(("single", "double", "controlled")),
+                                min_size=1, max_size=4)):
+        sym = draw(symmetrized)
+        if family == "single":
+            p, q = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            terms.append(single(p, q, draw(coefficient), symmetrized=sym))
+        elif family == "double":
+            w = sorted(draw(st.lists(st.integers(0, n - 1), min_size=4, max_size=4,
+                                     unique=True)))
+            pairings = [(w[0], w[1], w[2], w[3]), (w[0], w[2], w[1], w[3]),
+                        (w[0], w[3], w[1], w[2])]
+            for pairing in draw(st.lists(st.sampled_from(pairings), min_size=1, max_size=3,
+                                         unique=True)):
+                terms.append(double(*pairing, draw(coefficient), symmetrized=sym))
+        else:
+            p, q = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                        unique=True)))
+            others = [j for j in range(n) if j not in (p, q)]
+            for j in draw(st.lists(st.sampled_from(others), min_size=1, max_size=4,
+                                   unique=True)):
+                terms.append(controlled_single(p, q, j, draw(coefficient), symmetrized=sym))
+    return HamiltonianTerms.assemble(n, reality, 0.0, (), terms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(terms=fusable_terms(), dt=st.floats(0.01, 0.3))
+def test_parallel_step_is_the_product_over_fusion_groups(terms, dt):
+    groups = fusion_groups(terms.excitation_terms)
+    c = build_trotter_step(terms, TrotterConfig(dt, orbital_class=terms.reality))
+    v = ordered_product(terms, dt, groups)
+    assert np.linalg.norm(circuit_unitary(c).matrix - v) < 1e-9
+    assert count(c).ms_total == sum(BLOCK_MS[g[0].kind] for g in groups)
 
 
 def test_trotter_step_matches_the_ordered_product():

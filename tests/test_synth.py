@@ -30,7 +30,7 @@ from ionsynth.pauli import PauliString, from_label
 from ionsynth.synth import (
     MS_SQUARE_TABLE,
     SynthesisError,
-    SynthesisPlan,
+    _sandwich,
     baseline_string_by_string,
     compile_controlled_single,
     compile_coupled_exchange,
@@ -70,32 +70,6 @@ def assert_exact(c, generator, angle, tol=1e-10):
 
 def term_unitary(t, theta, width):
     return generator_unitary(generator_pauli(t, width), theta).matrix
-
-
-# --- synthesis plans ----------------------------------------------------------
-
-
-def test_plan_accepts_consistent_layer():
-    p = SynthesisPlan((0, 1, 3), 1, "xx", ((0, 0.5), (3, -0.5)), ())
-    assert p.angles == {0: 0.5, 3: -0.5}
-    assert p.control is None
-
-
-def test_plan_rejects_inconsistent_layers():
-    with pytest.raises(SynthesisError):
-        SynthesisPlan((1, 0), 1, "xx", (), ())
-    with pytest.raises(SynthesisError):
-        SynthesisPlan((0, 1, 1), 1, "xx", (), ())
-    with pytest.raises(SynthesisError):
-        SynthesisPlan((0, 1), 3, "xx", (), ())
-    with pytest.raises(SynthesisError):
-        SynthesisPlan((0, 1), 1, "zz", (), ())
-    with pytest.raises(SynthesisError):
-        SynthesisPlan((0, 1), 1, "xx", ((2, 0.1),), ())
-    with pytest.raises(SynthesisError):
-        SynthesisPlan((0, 1), 1, "xx", ((0, 0.1), (0, 0.2)), ())
-    with pytest.raises(SynthesisError):
-        SynthesisPlan((0, 1), 1, "xx", (), (), control=1)
 
 
 # --- plain Pauli rotations ----------------------------------------------------
@@ -332,6 +306,12 @@ def test_controlled_variant_b_spends_two_sandwiches():
     e = compile_controlled_single(0, 2, 1, 0.31, variant="b")
     assert [g.qubits for g in ms_gates(e)] == [(0, 1, 2)] * 2 + [(0, 2)] * 2
     assert_exact(e, generator_pauli(controlled_single(0, 2, 1), 3), 0.31)
+
+
+def test_sandwich_refuses_a_control_inside_its_window():
+    target = PauliString(3, {0: "X", 2: "Y"})
+    with pytest.raises(SynthesisError):
+        _sandwich(3, (0, 2), "xx", [(0, 0.1, target, 2)])
 
 
 def test_controlled_both_variants_match_the_oracle_everywhere():
