@@ -76,31 +76,29 @@ class InputError(Exception):
     """Unreadable or malformed input file; exits 3."""
 
 
-def _finite(text: str) -> float:
-    """A finite float: the type of every real-valued flag and list entry."""
+def _number(text: str, accept, noun: str) -> float:
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    if not (math.isfinite(value) and accept(value)):
+        raise argparse.ArgumentTypeError(f"expected a {noun} number, got {text!r}")
     return value
 
 
-def _ints(flag: str, text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise UsageError(f"{flag}: expected comma-separated integers, got {text!r}")
+def _finite(text: str) -> float:
+    """A finite float: the type of every real-valued flag and list entry."""
+    return _number(text, lambda v: True, "finite")
 
 
-def _floats(flag: str, text: str) -> tuple[float, ...]:
-    if text == "":
-        return ()
-    try:
-        return tuple(_finite(x) for x in text.split(","))
-    except argparse.ArgumentTypeError:
-        raise UsageError(f"{flag}: expected comma-separated finite numbers, got {text!r}")
+def _positive(text: str) -> float:
+    """A positive finite float: the type of --tau."""
+    return _number(text, lambda v: v > 0, "positive finite")
+
+
+def _non_negative(text: str) -> float:
+    """A non-negative finite float: the type of --tol and IONSYNTH_TOL."""
+    return _number(text, lambda v: v >= 0, "non-negative finite")
 
 
 def _tolerance(args) -> float:
@@ -110,7 +108,7 @@ def _tolerance(args) -> float:
     if raw is None:
         return 1e-9
     try:
-        return _finite(raw)
+        return _non_negative(raw)
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"IONSYNTH_TOL: {exc}")
 
@@ -373,15 +371,15 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_uccsd(args) -> int:
+    get = vars(args).__getitem__
     try:
-        spec = AnsatzSpec(
-            args.modes,
-            _ints("--occupied", args.occupied) if args.occupied else (),
-            _ints("--virtual", args.virtual) if args.virtual else (),
-            _floats("--parameters", args.parameters),
+        occupied, virtual, parameters = (
+            _values(get, key, kind) if get(key) else ()
+            for key, kind in (("occupied", int), ("virtual", int), ("parameters", _finite))
         )
-    except EvolutionError as exc:
-        raise UsageError(str(exc))
+    except _OperandError as exc:
+        raise UsageError(f"--{exc}")
+    spec = AnsatzSpec(args.modes, occupied, virtual, parameters)
     layer = build_uccsd_layer(spec, scheduling=args.scheduling)
     rep = count(layer)
     if args.format == "structured":
@@ -591,7 +589,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="recheck a circuit file against its metadata")
     p.add_argument("--circuit", required=True)
-    p.add_argument("--tol", type=_finite)
+    p.add_argument("--tol", type=_non_negative)
     _add_format(p)
     p.set_defaults(handler=_cmd_verify)
 
@@ -602,7 +600,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cost", help="duration report for a circuit file")
     p.add_argument("--circuit", required=True)
-    p.add_argument("--tau", type=_finite, default=1.0)
+    p.add_argument("--tau", type=_positive, default=1.0)
     _add_format(p)
     p.set_defaults(handler=_cmd_cost)
 
@@ -630,7 +628,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--uccsd", action="store_true")
     p.add_argument("--trotter", action="store_true")
     p.add_argument("--dt", type=_finite, default=0.1)
-    p.add_argument("--tol", type=_finite)
+    p.add_argument("--tol", type=_non_negative)
     _add_format(p)
     p.set_defaults(handler=_cmd_demo)
 
@@ -648,16 +646,10 @@ def run(argv=None) -> int:
         return 2
     try:
         return args.handler(args)
-    except UsageError as exc:
+    except (UsageError, SynthesisError, FermionError, EvolutionError, PauliError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SynthesisError, FermionError, EvolutionError, PauliError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ParseError, SchemaError, IntegralError, CircuitError, VerifyError) as exc:
+    except (InputError, ParseError, SchemaError, IntegralError, CircuitError, VerifyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

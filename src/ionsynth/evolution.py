@@ -52,6 +52,8 @@ class AnsatzSpec:
     parameters: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if self.n_modes < 0:
+            raise EvolutionError(f"negative mode count {self.n_modes}")
         occ = tuple(int(m) for m in self.occupied)
         vir = tuple(int(m) for m in self.virtual)
         object.__setattr__(self, "occupied", occ)

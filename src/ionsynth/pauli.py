@@ -8,15 +8,23 @@ matrices used elsewhere for verification.
 Conjugation conventions
 -----------------------
 ``conjugate_by_clifford`` and ``conjugate_by_ms`` return the Heisenberg-picture
-image U p U†.  For the targeted MS gate the forward direction means
-U = exp(-i pi/4 sum_{j<k in S} A_j A_k) with A = X or Y; the backward gate is
-its inverse.  Since all pair terms commute, conjugation factorizes into a
-product of single-pair updates: a string anticommuting with a pair term A_jA_k
-picks up i * (A_jA_k) forward (-i backward) and is left alone otherwise.
+image U p U†.  For the targeted MS gate on the window W the forward direction
+means U = exp(-i pi/4 sum_{j<k in W} A_j A_k) with A = X or Y; the backward
+gate is its inverse.  The pair terms commute with each other, and A_jA_k
+anticommutes with p exactly when one of j, k lies in S, the window qubits
+where p's letter is neither I nor A.  Each such pair maps p to i p A_jA_k
+forward (-i backward), so with a = |S| and r = |W| - a the image is
+
+    U p U† = (±i)^(a r) p A_T,   T = {q in S : r odd} ∪ {q in W - S : a odd},
+
+which is p itself when a r = 0.  A Clifford gate is given by the images of X
+and Z on each of its qubits; a string's image is the product of its letters'
+images, with Y = iXZ.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -48,64 +56,28 @@ _LETTER_PRODUCT: dict[tuple[str, str], tuple[complex, str]] = {
     ("X", "Z"): (-1j, "Y"),
 }
 
-# Heisenberg images U p U† for the supported single-qubit Cliffords,
-# letter -> (phase, letter).  Derived once from the dense 2x2 forms; the unit
-# tests re-derive every row against that oracle.
-_CLIFFORD1_ACTION: dict[str, dict[str, tuple[complex, str]]] = {
-    "H": {"X": (1, "Z"), "Y": (-1, "Y"), "Z": (1, "X")},
-    "S": {"X": (1, "Y"), "Y": (-1, "X"), "Z": (1, "Z")},
-    "SDG": {"X": (-1, "Y"), "Y": (1, "X"), "Z": (1, "Z")},
-    # sqrt(X) = exp(-i pi/4 X):  Y -> Z,  Z -> -Y
-    "SX": {"X": (1, "X"), "Y": (1, "Z"), "Z": (-1, "Y")},
-    "SXDG": {"X": (1, "X"), "Y": (-1, "Z"), "Z": (1, "Y")},
-    "X": {"X": (1, "X"), "Y": (-1, "Y"), "Z": (-1, "Z")},
-    "Y": {"X": (-1, "X"), "Y": (1, "Y"), "Z": (-1, "Z")},
-    "Z": {"X": (-1, "X"), "Y": (-1, "Y"), "Z": (1, "Z")},
+# Heisenberg images U P U† of the generators of each supported Clifford: for
+# the gate's k-th qubit, the images of X_k and Z_k as labels over the gate's
+# qubits in the order they are passed (control first for CNOT).
+_GENERATOR_IMAGES: dict[str, tuple[tuple[str, str], ...]] = {
+    "H": (("Z", "X"),),
+    "S": (("Y", "Z"),),
+    "SDG": (("-Y", "Z"),),
+    # sqrt(X) = exp(-i pi/4 X):  Z -> -Y
+    "SX": (("X", "-Y"),),
+    "SXDG": (("X", "Y"),),
+    "X": (("X", "-Z"),),
+    "Y": (("-X", "-Z"),),
+    "Z": (("-X", "Z"),),
+    "CNOT": (("XX", "ZI"), ("IX", "ZZ")),
+    "CZ": (("XZ", "ZI"), ("ZX", "IZ")),
 }
 
-CLIFFORD1_NAMES = tuple(_CLIFFORD1_ACTION)
-CLIFFORD2_NAMES = ("CNOT", "CZ")
+CLIFFORD1_NAMES = tuple(n for n, images in _GENERATOR_IMAGES.items() if len(images) == 1)
+CLIFFORD2_NAMES = tuple(n for n, images in _GENERATOR_IMAGES.items() if len(images) == 2)
 
-# Two-qubit Clifford images on (control, target) letter pairs, "I" allowed.
-# (a, b) -> (phase, a', b').  Generated from the dense 4x4 conjugation and
-# frozen here; tests regenerate the full table.
-_CNOT_ACTION: dict[tuple[str, str], tuple[complex, str, str]] = {
-    ("I", "I"): (1, "I", "I"),
-    ("I", "X"): (1, "I", "X"),
-    ("I", "Y"): (1, "Z", "Y"),
-    ("I", "Z"): (1, "Z", "Z"),
-    ("X", "I"): (1, "X", "X"),
-    ("X", "X"): (1, "X", "I"),
-    ("X", "Y"): (1, "Y", "Z"),
-    ("X", "Z"): (-1, "Y", "Y"),
-    ("Y", "I"): (1, "Y", "X"),
-    ("Y", "X"): (1, "Y", "I"),
-    ("Y", "Y"): (-1, "X", "Z"),
-    ("Y", "Z"): (1, "X", "Y"),
-    ("Z", "I"): (1, "Z", "I"),
-    ("Z", "X"): (1, "Z", "X"),
-    ("Z", "Y"): (1, "I", "Y"),
-    ("Z", "Z"): (1, "I", "Z"),
-}
-
-_CZ_ACTION: dict[tuple[str, str], tuple[complex, str, str]] = {
-    ("I", "I"): (1, "I", "I"),
-    ("I", "X"): (1, "Z", "X"),
-    ("I", "Y"): (1, "Z", "Y"),
-    ("I", "Z"): (1, "I", "Z"),
-    ("X", "I"): (1, "X", "Z"),
-    ("X", "X"): (1, "Y", "Y"),
-    ("X", "Y"): (-1, "Y", "X"),
-    ("X", "Z"): (1, "X", "I"),
-    ("Y", "I"): (1, "Y", "Z"),
-    ("Y", "X"): (-1, "X", "Y"),
-    ("Y", "Y"): (1, "X", "X"),
-    ("Y", "Z"): (1, "Y", "I"),
-    ("Z", "I"): (1, "Z", "I"),
-    ("Z", "X"): (1, "I", "X"),
-    ("Z", "Y"): (1, "I", "Y"),
-    ("Z", "Z"): (1, "Z", "Z"),
-}
+# Powers of i, indexed by the exponent mod 4.
+_I_POWERS = (1, 1j, -1, -1j)
 
 
 class PauliError(ValueError):
@@ -218,6 +190,30 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
     return PauliString(a.width, letters, phase)
 
 
+def _derive_action(images: tuple[tuple[str, str], ...]) -> dict[str, tuple[complex, str]]:
+    """letters -> (phase, letters) over the gate's qubits, from its generator images.
+
+    Conjugation is multiplicative, so a string's image is the product of its
+    letters' images, with Y = iXZ.
+    """
+    gens = [(from_label(x), from_label(z)) for x, z in images]
+    action = {}
+    for letters in itertools.product("IXYZ", repeat=len(images)):
+        out = identity_string(len(images))
+        for letter, (x, z) in zip(letters, gens):
+            if letter in "XY":
+                out = multiply(out, x)
+            if letter in "YZ":
+                out = multiply(out, z)
+            if letter == "Y":
+                out = out.with_phase(1j * out.phase)
+        action["".join(letters)] = (out.phase, "".join(map(out.letter, range(out.width))))
+    return action
+
+
+_CLIFFORD_ACTIONS = {name: _derive_action(images) for name, images in _GENERATOR_IMAGES.items()}
+
+
 def conjugate_by_clifford(
     p: PauliString, gate: str, qubits: tuple[int, ...] | Iterable[int]
 ) -> PauliString:
@@ -228,31 +224,16 @@ def conjugate_by_clifford(
     """
     qubits = tuple(qubits)
     name = gate.upper()
-    if name in _CLIFFORD1_ACTION:
-        if len(qubits) != 1:
-            raise PauliError(f"{name} acts on one qubit, got {qubits}")
-        (q,) = qubits
-        letter = p.letters.get(q)
-        if letter is None:
-            return p
-        factor, new = _CLIFFORD1_ACTION[name][letter]
-        letters = dict(p.letters)
-        letters[q] = new
-        return PauliString(p.width, letters, _check_phase(p.phase * factor))
-    if name in ("CNOT", "CX", "CZ"):
-        if len(qubits) != 2 or qubits[0] == qubits[1]:
-            raise PauliError(f"{name} needs two distinct qubits, got {qubits}")
-        c, t = qubits
-        table = _CZ_ACTION if name == "CZ" else _CNOT_ACTION
-        factor, lc, lt = table[(p.letter(c), p.letter(t))]
-        letters = dict(p.letters)
-        for q, letter in ((c, lc), (t, lt)):
-            if letter == "I":
-                letters.pop(q, None)
-            else:
-                letters[q] = letter
-        return PauliString(p.width, letters, _check_phase(p.phase * factor))
-    raise PauliError(f"unsupported Clifford gate {gate!r}")
+    action = _CLIFFORD_ACTIONS.get(name)
+    if action is None:
+        raise PauliError(f"unsupported Clifford gate {gate!r}")
+    arity = len(_GENERATOR_IMAGES[name])
+    if len(qubits) != arity or len(set(qubits)) != arity:
+        raise PauliError(f"{name} acts on {arity} distinct qubit(s), got {qubits}")
+    factor, image = action["".join(map(p.letter, qubits))]
+    letters = dict(p.letters)
+    letters.update(zip(qubits, image))
+    return PauliString(p.width, letters, p.phase * factor)
 
 
 def conjugate_by_ms(
@@ -274,14 +255,14 @@ def conjugate_by_ms(
     letter = {"xx": "X", "yy": "Y"}.get(axis.lower())
     if letter is None:
         raise PauliError(f"MS axis must be 'xx' or 'yy', got {axis!r}")
-    unit = -1j if inverse else 1j
-    out = p
-    for i, j in ((qs[a], qs[b]) for a in range(len(qs)) for b in range(a + 1, len(qs))):
-        pair = PauliString(p.width, {i: letter, j: letter})
-        if not out.commutes_with(pair):
-            product = multiply(out, pair)
-            out = product.with_phase(_check_phase(unit * product.phase))
-    return out
+    # moved and flipped are the sets S and T of the module docstring
+    moved = {q for q in qs if p.letter(q) not in ("I", letter)}
+    a, r = len(moved), len(qs) - len(moved)
+    if a * r == 0:
+        return p
+    flipped = {q: letter for q in qs if (r if q in moved else a) % 2}
+    turns = -a * r if inverse else a * r
+    return multiply(p, PauliString(p.width, flipped, _I_POWERS[turns % 4]))
 
 
 @dataclass(frozen=True)

@@ -145,8 +145,7 @@ def _local_dressing(
     """Per-qubit Clifford words turning MS-conjugated Z's into the targets."""
     bases = {}
     for t, _, _, _ in requests:
-        z = PauliString(width, {t: "Z"})
-        bases[t] = conjugate_by_ms(z, axis, window, inverse=True) if len(window) > 1 else z
+        bases[t] = conjugate_by_ms(PauliString(width, {t: "Z"}), axis, window, inverse=True)
     rows: dict[int, dict[str, str]] = {k: {} for k in window}
     for t, _, target, _ in requests:
         base = bases[t]

@@ -143,6 +143,7 @@ NON_FINITE_ARGV = {
     "trotter-dt-inf": ["trotter", "--dt", "inf"],
     "demo-dt-nan": ["demo", "h3plus", "--uccsd", "--dt", "nan"],
     "demo-tol-inf": ["demo", "h3plus", "--uccsd", "--tol", "inf"],
+    "demo-tol-negative": ["demo", "h3plus", "--uccsd", "--tol", "-1"],
 }
 
 
@@ -152,8 +153,10 @@ def test_non_finite_argv_is_usage_error(argv, capsys):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--tau", "--tol"])
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "value, flag",
+    [(v, f) for f in ("--tau", "--tol") for v in ("nan", "inf", "-1")] + [("0", "--tau")],
+)
 def test_non_finite_report_flags_are_usage_errors(flag, value, tmp_path, capsys):
     path = tmp_path / "s.circ"
     run(["compile", "--op", "single", "--orbitals", "0,1", "--theta", "0.4",
@@ -230,6 +233,22 @@ def test_uccsd_rejects_overlapping_spaces(capsys):
     capsys.readouterr()
 
 
+UCCSD_BAD_ARGV = {
+    "modes-negative": (["--modes", "-1"], "negative mode count -1"),
+    "occupied-not-integer": (["--modes", "4", "--occupied", "x"],
+                             "--occupied: expected comma-separated integers, got 'x'"),
+    "parameters-not-finite": (["--modes", "4", "--occupied", "0,1", "--virtual", "2,3",
+                               "--parameters", "0.1,x"],
+                              "--parameters: expected comma-separated finite numbers, got '0.1,x'"),
+}
+
+
+@pytest.mark.parametrize("argv, message", UCCSD_BAD_ARGV.values(), ids=UCCSD_BAD_ARGV.keys())
+def test_uccsd_bad_argv_is_usage_error(argv, message, capsys):
+    assert run(["uccsd", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_trotter_builtin_parallelized_count(capsys):
     assert run(["trotter", "--dt", "0.1", "--format", "structured"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -292,7 +311,7 @@ def test_env_var_supplies_default_tolerance(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("IONSYNTH_TOL", "1e-20")
     assert run(["verify", "--circuit", str(path)]) == 1
     capsys.readouterr()
-    for bad in ("not-a-number", "nan", "inf"):
+    for bad in ("not-a-number", "nan", "inf", "-1"):
         monkeypatch.setenv("IONSYNTH_TOL", bad)
         rc = run(["verify", "--circuit", str(path)])
         assert rc == 2

@@ -119,12 +119,13 @@ def test_phase_group_closed():
 
 @pytest.mark.parametrize("gate", sorted(GATE_MATS))
 def test_single_qubit_clifford_conjugation_matches_dense(gate):
-    u = GATE_MATS[gate]
-    for letter in "XYZ":
-        p = PauliString(1, {0: letter})
-        got = conjugate_by_clifford(p, gate, (0,))
-        expected = u @ dense(p) @ u.conj().T
-        np.testing.assert_allclose(dense(got), expected, atol=1e-14)
+    # on a lone qubit, and on each qubit of three, where the other letters stay
+    for width, q in ((1, 0), (3, 0), (3, 1), (3, 2)):
+        u = embed(GATE_MATS[gate], (q,), width)
+        for p in all_strings(width):
+            got = conjugate_by_clifford(p, gate, (q,))
+            expected = u @ dense(p) @ u.conj().T
+            np.testing.assert_allclose(dense(got), expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("gate", ["CNOT", "CZ"])
@@ -152,8 +153,15 @@ def test_clifford_conjugation_spec_examples():
 
 
 def test_clifford_rejects_unknown_gate():
+    for gate in ("T", "CX"):
+        with pytest.raises(PauliError):
+            conjugate_by_clifford(from_label("XX"), gate, (0, 1))
+
+
+@pytest.mark.parametrize("gate, qubits", [("H", (0, 1)), ("CNOT", (1, 1)), ("CZ", (0,))])
+def test_clifford_rejects_wrong_qubit_count(gate, qubits):
     with pytest.raises(PauliError):
-        conjugate_by_clifford(from_label("X"), "T", (0,))
+        conjugate_by_clifford(from_label("XYZ"), gate, qubits)
 
 
 @pytest.mark.parametrize("axis", ["xx", "yy"])
@@ -218,6 +226,49 @@ def test_ms_spec_examples():
 def test_ms_empty_set_rejected():
     with pytest.raises(PauliError):
         conjugate_by_ms(from_label("Z"), "xx", ())
+    with pytest.raises(PauliError):
+        conjugate_by_ms(from_label("ZZ"), "xx", (0, 2))
+    with pytest.raises(PauliError):
+        conjugate_by_ms(from_label("ZZ"), "zz", (0, 1))
+
+
+def ms_pair_loop(p: PauliString, axis: str, qubits, inverse: bool = False) -> PauliString:
+    """MS conjugation one pair term at a time: the reference the closed form is checked against."""
+    letter = "X" if axis == "xx" else "Y"
+    unit = -1j if inverse else 1j
+    out = p
+    for i, j in itertools.combinations(sorted(set(qubits)), 2):
+        pair = PauliString(p.width, {i: letter, j: letter})
+        if not out.commutes_with(pair):
+            product = multiply(out, pair)
+            out = product.with_phase(unit * product.phase)
+    return out
+
+
+@pytest.mark.parametrize("axis", ["xx", "yy"])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_ms_closed_form_matches_pair_loop(axis, inverse):
+    # a counts the window qubits whose letter anticommutes with the axis
+    # letter and r the rest; every a from 0 to |W| is drawn with every phase,
+    # so a = 0, r = 0 and each parity pair of (a, r) occur.
+    rng = np.random.default_rng(11)
+    axis_letter = "X" if axis == "xx" else "Y"
+    movers = [c for c in "XYZ" if c != axis_letter]
+    shapes = set()
+    for width in range(1, 19):
+        for _ in range(3):
+            size = int(rng.integers(1, width + 1))
+            window = rng.choice(width, size=size, replace=False).tolist()
+            for a, phase in itertools.product(range(size + 1), (1, -1, 1j, -1j)):
+                letters = {q: "IXYZ"[rng.integers(0, 4)] for q in range(width)}
+                for k, q in enumerate(window):
+                    letters[q] = (movers if k < a else ("I", axis_letter))[rng.integers(0, 2)]
+                p = PauliString(width, {q: c for q, c in letters.items() if c != "I"}, phase)
+                got = conjugate_by_ms(p, axis, window, inverse=inverse)
+                assert got == ms_pair_loop(p, axis, window, inverse), (p.label(), window)
+                r = size - a
+                shapes.add("a=0" if a == 0 else "r=0" if r == 0 else (a % 2, r % 2))
+    assert shapes == {"a=0", "r=0", (0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def test_ms_forward_backward_invert():
