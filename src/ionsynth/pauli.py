@@ -230,6 +230,8 @@ def conjugate_by_clifford(
     arity = len(_GENERATOR_IMAGES[name])
     if len(qubits) != arity or len(set(qubits)) != arity:
         raise PauliError(f"{name} acts on {arity} distinct qubit(s), got {qubits}")
+    if min(qubits) < 0 or max(qubits) >= p.width:
+        raise PauliError(f"{name} qubits {qubits} outside width {p.width}")
     factor, image = action["".join(map(p.letter, qubits))]
     letters = dict(p.letters)
     letters.update(zip(qubits, image))

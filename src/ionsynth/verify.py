@@ -18,6 +18,31 @@ Conventions, fixed package-wide:
     exp(-i pi/4 sum_{j<k in W} A_j A_k), A = X or Y by axis.  The untargeted
     form exp(-i pi/8 (sum_{j in W} A_j)^2) differs from it by the global phase
     e^{-i pi |W| / 8}; circuit_unitary exposes it via ms_form="squared".
+
+Kernels.  Every result is the full matrix, computed without sampling or
+truncation; the speed comes from doing less arithmetic, not other arithmetic.
+  1. Idle-qubit factoring.  A qubit that no gate touches carries the identity,
+     so circuit_unitary simulates only the touched qubits (GlobalPhase touches
+     none) and returns U' (x) I, reordered into the register by one reshape
+     and transpose.  The embedding multiplies by exact ones and zeros.
+  2. Strided in-place gate updates.  U' is updated in place, never rebuilt:
+     Rz, CRz, Rzz, the MS diagonal and the S phases of the yy basis scale
+     rows; Clifford1 mixes the two half-views u.reshape(2**q, 2, -1)[:, b]
+     of its qubit by its 2x2 matrix; CNOT permutes rows; the MS basis change
+     is the Hadamard butterfly (a, b) -> (a + b, a - b) per window qubit,
+     whose 2^-|W| normalization is an exact power of two folded into the MS
+     diagonal.  Each is the gate's dense embedding times U' with the
+     known-zero terms left out.
+  3. Signed-permutation targets.  A Pauli string is a signed permutation
+     |i> -> phase(i) |i XOR flip>, so a product of commuting factors
+     cos I - i sin M(S) is a sum over flip masks of such matrices.  The
+     product route keeps one column-coefficient vector per flip mask, updates
+     it once per factor and scatters it once into a zeroed matrix; entries
+     with different flip masks never share a position, so the scatter adds
+     nothing.  The eight strings of a double excitation share one flip mask,
+     so its exponential holds two vectors.
+The dense cap MAX_QUBITS applies to the register width, however few qubits
+a circuit touches.
 """
 
 from __future__ import annotations
@@ -27,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CNOT, MS, Circuit, Clifford1, CRz, Gate, GlobalPhase, Rz, Rzz
+from .circuit import CNOT, MS, Circuit, Clifford1, CRz, Gate, GlobalPhase, Rz, Rzz, gate_qubits
 from .pauli import PauliString, PauliSum
 
 __all__ = [
@@ -55,9 +80,6 @@ _GATE1 = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
 
 
 class VerifyError(ValueError):
@@ -102,7 +124,7 @@ def _as_matrix(op) -> np.ndarray:
 
 def _parity(values: np.ndarray) -> np.ndarray:
     v = values.copy()
-    for shift in (8, 4, 2, 1):
+    for shift in (32, 16, 8, 4, 2, 1):
         v ^= v >> shift
     return v & 1
 
@@ -150,64 +172,54 @@ def dense_sum(g: PauliSum) -> np.ndarray:
 
 # --- circuit unitaries -----------------------------------------------------
 
-def _apply_local(u: np.ndarray, gate: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """u <- embed(gate on qubits) @ u, acting on the row index of u."""
-    k = len(qubits)
-    dim = 1 << n
-    t = u.reshape((2,) * n + (dim,))
-    g = gate.reshape((2,) * (2 * k))
-    t = np.tensordot(g, t, axes=(tuple(range(k, 2 * k)), qubits))
-    order = list(qubits) + [ax for ax in range(n) if ax not in qubits] + [n]
-    t = np.transpose(t, np.argsort(order))
-    return t.reshape(dim, dim)
-
-
 def _bit_values(n: int, q: int) -> np.ndarray:
     return (np.arange(1 << n) >> (n - 1 - q)) & 1
 
 
-def _ms_diagonal(n: int, gate: MS, ms_form: str) -> np.ndarray:
-    """Diagonal of the MS gate in the per-qubit A-eigenbasis of its window."""
-    s = np.zeros(1 << n, dtype=np.int64)
-    for q in gate.qubits:
-        s += 1 - 2 * _bit_values(n, q)
-    w = len(gate.qubits)
-    if ms_form == "targeted":
-        exponent = (s * s - w) / 2.0
-    elif ms_form == "squared":
-        exponent = (s * s) / 2.0
-    else:
-        raise VerifyError(f"unknown ms_form {ms_form!r}")
-    unit = -1j if gate.direction == "forward" else 1j
-    return np.exp(unit * (math.pi / 4.0) * exponent)
+def _butterfly(u: np.ndarray, q: int) -> None:
+    """Rows (a, b) of qubit q of a C-contiguous u become (a + b, a - b): sqrt(2) H."""
+    a, b = u.reshape(1 << q, 2, -1).swapaxes(0, 1)
+    diff = a - b
+    a += b
+    b[...] = diff
 
 
-def _apply_gate(u: np.ndarray, g: Gate, n: int, ms_form: str) -> np.ndarray:
+def _apply_gate(u: np.ndarray, g: Gate, local: dict[int, int], ms_form: str) -> None:
+    """u <- G u in place; ``local`` maps register qubits to those of u."""
+    n = len(local)
     if isinstance(g, MS):
-        basis = _GATE1["H"] if g.axis == "xx" else _GATE1["S"] @ _GATE1["H"]
-        for q in g.qubits:
-            u = _apply_local(u, basis.conj().T, (q,), n)
-        u = _ms_diagonal(n, g, ms_form)[:, None] * u
-        for q in g.qubits:
-            u = _apply_local(u, basis, (q,), n)
-        return u
-    if isinstance(g, Rz):
-        z = 1 - 2 * _bit_values(n, g.qubit)
-        return np.exp(-1j * g.angle / 2.0 * z)[:, None] * u
-    if isinstance(g, CRz):
-        c = _bit_values(n, g.control)
-        z = 1 - 2 * _bit_values(n, g.target)
-        return np.where(c == 1, np.exp(-1j * g.angle / 2.0 * z), 1.0)[:, None] * u
-    if isinstance(g, Rzz):
-        zz = (1 - 2 * _bit_values(n, g.qubit_a)) * (1 - 2 * _bit_values(n, g.qubit_b))
-        return np.exp(-1j * g.angle / 2.0 * zz)[:, None] * u
-    if isinstance(g, Clifford1):
-        return _apply_local(u, _GATE1[g.name], (g.qubit,), n)
-    if isinstance(g, CNOT):
-        return _apply_local(u, _CNOT, (g.control, g.target), n)
-    if isinstance(g, GlobalPhase):
-        return np.exp(1j * g.angle) * u
-    raise VerifyError(f"cannot simulate gate {g!r}")
+        # B D B^dagger with B = H (xx) or S H (yy) on each window qubit; each
+        # butterfly is sqrt(2) H, and D carries the 2^-|W| that undoes them
+        qubits = [local[q] for q in g.qubits]
+        s = sum(1 - 2 * _bit_values(n, q) for q in qubits)
+        exponent = (s * s - len(qubits)) / 2.0 if ms_form == "targeted" else (s * s) / 2.0
+        unit = -1j if g.direction == "forward" else 1j
+        for q in qubits:
+            if g.axis == "yy":
+                u.reshape(1 << q, 2, -1)[:, 1] *= -1j
+            _butterfly(u, q)
+        u *= (np.exp(unit * (math.pi / 4.0) * exponent) * 2.0 ** -len(qubits))[:, None]
+        for q in qubits:
+            _butterfly(u, q)
+            if g.axis == "yy":
+                u.reshape(1 << q, 2, -1)[:, 1] *= 1j
+    elif isinstance(g, (Rz, Rzz)):
+        z = np.prod([1 - 2 * _bit_values(n, local[q]) for q in gate_qubits(g)], axis=0)
+        u *= np.exp(-1j * g.angle / 2.0 * z)[:, None]
+    elif isinstance(g, CRz):
+        z = (1 - 2 * _bit_values(n, local[g.target])) * _bit_values(n, local[g.control])
+        u *= np.exp(-1j * g.angle / 2.0 * z)[:, None]
+    elif isinstance(g, Clifford1):
+        (g00, g01), (g10, g11) = _GATE1[g.name]
+        a, b = u.reshape(1 << local[g.qubit], 2, -1).swapaxes(0, 1)
+        a[...], b[...] = g00 * a + g01 * b, g10 * a + g11 * b
+    elif isinstance(g, CNOT):
+        flip = _bit_values(n, local[g.control]) << (n - 1 - local[g.target])
+        u[...] = u[np.arange(1 << n) ^ flip]
+    elif isinstance(g, GlobalPhase):
+        u *= np.exp(1j * g.angle)
+    else:
+        raise VerifyError(f"cannot simulate gate {g!r}")
 
 
 def circuit_unitary(c: Circuit, ms_form: str = "targeted") -> DenseOperator:
@@ -217,12 +229,20 @@ def circuit_unitary(c: Circuit, ms_form: str = "targeted") -> DenseOperator:
     pairwise-sum exponential on the window; "squared" is the collective
     (sum of operators)^2 exponential, identical up to a global phase.
     """
-    if c.n_qubits > MAX_QUBITS:
-        raise VerifyError(f"{c.n_qubits} qubits exceeds the dense cap of {MAX_QUBITS}")
-    u = np.eye(1 << c.n_qubits, dtype=complex)
+    n = c.n_qubits
+    if n > MAX_QUBITS:
+        raise VerifyError(f"{n} qubits exceeds the dense cap of {MAX_QUBITS}")
+    if ms_form not in ("targeted", "squared"):
+        raise VerifyError(f"unknown ms_form {ms_form!r}")
+    touched = sorted({q for g in c for q in gate_qubits(g)})
+    local = {q: i for i, q in enumerate(touched)}
+    u = np.eye(1 << len(touched), dtype=complex)
     for g in c:
-        u = _apply_gate(u, g, c.n_qubits, ms_form)
-    return DenseOperator(u)
+        _apply_gate(u, g, local, ms_form)
+    # U' (x) I lists the touched qubits first; one transpose restores 0..n-1
+    order = np.argsort(touched + [q for q in range(n) if q not in local])
+    full = np.kron(u, np.eye(1 << (n - len(touched)))).reshape((2,) * (2 * n))
+    return DenseOperator(full.transpose([*order, *(order + n)]).reshape(1 << n, 1 << n))
 
 
 # --- generator exponentials ------------------------------------------------
@@ -239,17 +259,22 @@ def _exp_product(g: PauliSum, angle: float) -> np.ndarray:
     """exp(-i angle sum c_S S) as an exact product of involution factors.
 
     Valid only when the strings commute pairwise; each factor is
-    cos(angle c) I - i sin(angle c) M(S), applied by index arithmetic.
+    cos(angle c) I - i sin(angle c) M(S), applied to {flip: column vector}.
     """
     dim = 1 << g.width
-    u = np.eye(dim, dtype=complex)
     idx = np.arange(dim)
+    columns = {0: np.ones(dim, dtype=complex)}
     for coeff, string in g.terms:
         flip, sign, y_count = _string_masks(string)
         phases = (1j ** y_count) * np.where(_parity(idx & sign), -1.0, 1.0)
-        rows = idx ^ flip
-        moved = phases[rows, None] * u[rows, :]
-        u = math.cos(angle * coeff.real) * u - 1j * math.sin(angle * coeff.real) * moved
+        cos, sin = math.cos(angle * coeff.real), math.sin(angle * coeff.real)
+        product = {f: cos * d for f, d in columns.items()}
+        for f, d in columns.items():
+            product[f ^ flip] = product.get(f ^ flip, 0) - 1j * sin * (phases[idx ^ f] * d)
+        columns = product
+    u = np.zeros((dim, dim), dtype=complex)
+    for f, d in columns.items():
+        u[idx ^ f, idx] = d
     return u
 
 
@@ -269,9 +294,9 @@ def generator_unitary(g: PauliSum | PauliString, angle: float, method: str = "au
         raise VerifyError("generator is not Hermitian (complex coefficients)")
     if method == "auto":
         method = "product" if g.strings_commute() else "spectral"
+    elif method == "product" and not g.strings_commute():
+        raise VerifyError("product route requires pairwise-commuting strings")
     if method == "product":
-        if not g.strings_commute():
-            raise VerifyError("product route requires pairwise-commuting strings")
         return DenseOperator(_exp_product(g, angle))
     if method == "spectral":
         return DenseOperator(_exp_spectral(g, angle))

@@ -164,6 +164,12 @@ def test_clifford_rejects_wrong_qubit_count(gate, qubits):
         conjugate_by_clifford(from_label("XYZ"), gate, qubits)
 
 
+@pytest.mark.parametrize("gate, qubits", [("H", (7,)), ("CNOT", (5, 7)), ("H", (-1,))])
+def test_clifford_rejects_qubit_outside_width(gate, qubits):
+    with pytest.raises(PauliError, match="outside width 3"):
+        conjugate_by_clifford(from_label("XYZ"), gate, qubits)
+
+
 @pytest.mark.parametrize("axis", ["xx", "yy"])
 @pytest.mark.parametrize("inverse", [False, True])
 def test_ms_conjugation_matches_dense_exhaustive_small(axis, inverse):

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ionsynth.circuit import (
     CNOT,
@@ -21,10 +23,12 @@ from ionsynth.circuit import (
     Rzz,
     concatenate,
 )
+from ionsynth.fermion import controlled_single, double, generator_pauli, single
 from ionsynth.pauli import PauliString, PauliSum, from_label
 from ionsynth.verify import (
     DenseOperator,
     VerifyError,
+    _parity,
     assert_equivalent,
     circuit_unitary,
     dense_pauli,
@@ -142,6 +146,100 @@ def random_circuit(n, length):
     return Circuit(n, tuple(gates))
 
 
+def _apply_local(u, gate, qubits, n):
+    """u <- embed(gate on qubits) @ u by tensordot over the full register."""
+    k = len(qubits)
+    dim = 1 << n
+    t = u.reshape((2,) * n + (dim,))
+    g = gate.reshape((2,) * (2 * k))
+    t = np.tensordot(g, t, axes=(tuple(range(k, 2 * k)), qubits))
+    order = list(qubits) + [ax for ax in range(n) if ax not in qubits] + [n]
+    t = np.transpose(t, np.argsort(order))
+    return t.reshape(dim, dim)
+
+
+def _bit_values(n, q):
+    return (np.arange(1 << n) >> (n - 1 - q)) & 1
+
+
+def _tensordot_gate(u, g, n, ms_form):
+    if isinstance(g, MS):
+        basis = CLIFF["H"] if g.axis == "xx" else CLIFF["S"] @ CLIFF["H"]
+        for q in g.qubits:
+            u = _apply_local(u, basis.conj().T, (q,), n)
+        s = sum(1 - 2 * _bit_values(n, q) for q in g.qubits)
+        w = len(g.qubits)
+        exponent = (s * s - w) / 2.0 if ms_form == "targeted" else (s * s) / 2.0
+        unit = -1j if g.direction == "forward" else 1j
+        u = np.exp(unit * (math.pi / 4.0) * exponent)[:, None] * u
+        for q in g.qubits:
+            u = _apply_local(u, basis, (q,), n)
+        return u
+    if isinstance(g, Rz):
+        z = 1 - 2 * _bit_values(n, g.qubit)
+        return np.exp(-1j * g.angle / 2.0 * z)[:, None] * u
+    if isinstance(g, CRz):
+        c = _bit_values(n, g.control)
+        z = 1 - 2 * _bit_values(n, g.target)
+        return np.where(c == 1, np.exp(-1j * g.angle / 2.0 * z), 1.0)[:, None] * u
+    if isinstance(g, Rzz):
+        zz = (1 - 2 * _bit_values(n, g.qubit_a)) * (1 - 2 * _bit_values(n, g.qubit_b))
+        return np.exp(-1j * g.angle / 2.0 * zz)[:, None] * u
+    if isinstance(g, Clifford1):
+        return _apply_local(u, CLIFF[g.name], (g.qubit,), n)
+    if isinstance(g, CNOT):
+        block = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                         dtype=complex)
+        return _apply_local(u, block, (g.control, g.target), n)
+    if isinstance(g, GlobalPhase):
+        return np.exp(1j * g.angle) * u
+    raise AssertionError(g)
+
+
+def tensordot_unitary(c, ms_form="targeted"):
+    """The full-register tensordot oracle that circuit_unitary's in-place,
+    idle-factored kernels replaced: the reference they are checked against."""
+    u = np.eye(1 << c.n_qubits, dtype=complex)
+    for g in c:
+        u = _tensordot_gate(u, g, c.n_qubits, ms_form)
+    return u
+
+
+ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+
+
+@st.composite
+def circuits_with_idle_qubits(draw):
+    """A register of 1-8 qubits whose gates touch only a drawn subset of it."""
+    n = draw(st.integers(1, 8))
+    active = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    kinds = ["phase"]
+    if active:
+        kinds += ["ms", "rz", "cl"]
+    if len(active) >= 2:
+        kinds += ["crz", "rzz", "cnot"]
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=16)):
+        pair = draw(st.permutations(active))[:2]
+        if kind == "ms":
+            window = draw(st.lists(st.sampled_from(active), unique=True, min_size=1))
+            gates.append(MS(draw(st.sampled_from(["xx", "yy"])),
+                            draw(st.sampled_from(["forward", "backward"])), window))
+        elif kind == "rz":
+            gates.append(Rz(pair[0], draw(ANGLES)))
+        elif kind == "cl":
+            gates.append(Clifford1(pair[0], draw(st.sampled_from(sorted(CLIFF)))))
+        elif kind == "crz":
+            gates.append(CRz(pair[0], pair[1], draw(ANGLES)))
+        elif kind == "rzz":
+            gates.append(Rzz(pair[0], pair[1], draw(ANGLES)))
+        elif kind == "cnot":
+            gates.append(CNOT(pair[0], pair[1]))
+        else:
+            gates.append(GlobalPhase(draw(ANGLES)))
+    return Circuit(n, tuple(gates))
+
+
 # --- circuit_unitary -------------------------------------------------------
 
 def test_empty_circuit_is_identity():
@@ -218,9 +316,24 @@ def test_circuit_outputs_are_unitary():
         assert circuit_unitary(c).unitarity_defect() < 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(circuits_with_idle_qubits(), st.sampled_from(["targeted", "squared"]))
+@example(Circuit(5), "targeted")
+@example(Circuit(4, (GlobalPhase(0.7), GlobalPhase(-2.1))), "squared")
+@example(Circuit(7, (MS("yy", "backward", (1, 4, 6)), CNOT(6, 1), Rz(4, 0.3))), "targeted")
+@example(Circuit(8, (MS("xx", "forward", (2, 3, 5)), CRz(5, 2, 1.1), Rzz(3, 5, -0.4),
+                     Clifford1(3, "SX"))), "squared")
+def test_circuit_unitary_matches_tensordot_oracle(c, ms_form):
+    fast = circuit_unitary(c, ms_form=ms_form).matrix
+    assert np.abs(fast - tensordot_unitary(c, ms_form)).max() < 1e-12
+
+
 def test_qubit_cap_enforced():
     with pytest.raises(VerifyError):
         circuit_unitary(Circuit(13))
+    # the cap is on the register, not on the qubits the gates touch
+    with pytest.raises(VerifyError):
+        circuit_unitary(Circuit(13, (CNOT(3, 11), Rz(11, 0.2))))
     with pytest.raises(VerifyError):
         DenseOperator(np.eye(2 ** 13))
 
@@ -324,6 +437,62 @@ def test_product_route_matches_spectral_route():
         assert np.abs(via_product - via_spectral).max() < 1e-12
 
 
+def _flip_masks(g):
+    return {frozenset(q for q, a in t.letters.items() if a != "Z") for _, t in g.terms}
+
+
+@st.composite
+def commuting_sums(draw):
+    """Commuting Pauli sums whose strings need not share one flip mask.
+
+    Strings come from double, single and controlled-single generators (with
+    their parity tails) and from Z-only strings, kept greedily while they
+    commute with everything kept so far.
+    """
+    n = draw(st.integers(4, 6))
+    modes = st.lists(st.integers(0, n - 1), unique=True, min_size=4, max_size=4)
+    pool = []
+    for source in draw(st.lists(st.sampled_from(["double", "single", "controlled", "z"]),
+                                min_size=2, max_size=6)):
+        p, q, r, s = draw(modes)
+        if source == "double":
+            pool += [t for _, t in generator_pauli(double(p, q, r, s), n).terms]
+        elif source == "single":
+            pool += [t for _, t in generator_pauli(single(p, q), n).terms]
+        elif source == "controlled":
+            pool += [t for _, t in generator_pauli(controlled_single(p, q, r), n).terms]
+        else:
+            support = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1))
+            pool.append(PauliString(n, {j: "Z" for j in support}))
+    kept = []
+    for string in pool:
+        if all(string.commutes_with(k) for k in kept):
+            kept.append(string)
+    sizes = st.floats(0.05, 1.0) | st.floats(-1.0, -0.05)
+    coeffs = draw(st.lists(sizes, min_size=len(kept), max_size=len(kept)))
+    g = PauliSum.from_terms(n, list(zip(coeffs, kept)))
+    assume(len(_flip_masks(g)) >= 2)
+    return g
+
+
+DOUBLE_WITH_Z = PauliSum.from_terms(5, [
+    *generator_pauli(double(0, 1, 3, 4), 5).terms,
+    (0.3, PauliString(5, {0: "Z", 1: "Z"})),
+    (-0.2, PauliString(5, {2: "Z"})),
+])
+
+
+@settings(max_examples=120, deadline=None)
+@given(commuting_sums(), st.floats(-3.0, 3.0, allow_nan=False))
+@example(DOUBLE_WITH_Z, 0.4)
+@example(DOUBLE_WITH_Z, -1.7)
+def test_sparse_product_route_matches_spectral(g, angle):
+    assert g.strings_commute() and len(_flip_masks(g)) >= 2
+    via_product = generator_unitary(g, angle, method="product").matrix
+    via_spectral = generator_unitary(g, angle, method="spectral").matrix
+    assert np.abs(via_product - via_spectral).max() < 1e-12
+
+
 def test_product_route_rejects_noncommuting():
     g = PauliSum.from_terms(1, [(1.0, from_label("X")), (1.0, from_label("Z"))])
     with pytest.raises(VerifyError):
@@ -369,3 +538,12 @@ def test_equivalence_reports_distance():
     report = assert_equivalent(np.eye(2), np.diag([1, -1]), "exact", 1e-10)
     assert not report.passed
     assert report.distance == pytest.approx(2.0)
+
+
+# --- bit helpers -----------------------------------------------------------
+
+def test_parity_folds_all_64_bits():
+    values = [0, 1, 3, 1 << 16, (1 << 16) | 1, (1 << 31) + 5, 1 << 40, (1 << 40) - 1]
+    values += [int(v) for v in RNG.integers(0, 1 << 40, 500)]
+    got = _parity(np.array(values, dtype=np.int64))
+    assert got.tolist() == [bin(v).count("1") & 1 for v in values]
