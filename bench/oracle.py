@@ -3,7 +3,7 @@
 Run from the root of a checkout:
 
     python3 bench/oracle.py --label change
-    python3 bench/oracle.py --label parent --src ../parent/src --criterion
+    python3 bench/oracle.py --label parent --src ../parent/src
 
 Each run compiles the 210 double-excitation windows (p, q, r, s) within ten
 qubits, on a register of s + 1 qubits as acceptance criterion 2 does, with
@@ -16,13 +16,13 @@ angles drawn from a fixed seed.  Per window it times four stages:
   circuit_unitary  verify.circuit_unitary of the compiled block
   distance         verify.assert_equivalent at the block tolerance 1e-10
 
-and keeps the largest Frobenius defect.  Totals and a split by register width
-are appended as one record to BENCH_oracle.json at the root of the checkout
+and keeps the largest Frobenius defect.  It then runs the measured
+checkout's criterion-2 test under pytest and keeps the elapsed time it
+reports.  Totals, a split by register width and the criterion-2 time are
+appended as one record to BENCH_oracle.json at the root of the checkout
 holding this script, with the environment and the commit of the measured
-sources.  ``--src`` measures another checkout's package with this same script;
-``--criterion`` also runs that checkout's criterion-2 test under pytest and
-records the elapsed time it reports.  Only the standard library and numpy
-are used.
+sources.  ``--src`` measures another checkout's package with this same
+script.  Only the standard library and numpy are used.
 """
 
 from __future__ import annotations
@@ -107,10 +107,13 @@ def criterion_02(checkout: Path) -> float:
 
 
 def commit_of(checkout: Path) -> str | None:
-    """HEAD of the checkout, suffixed -dirty when its working tree has changes."""
-    done = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
-                          cwd=checkout, capture_output=True, text=True, check=False)
-    return done.stdout.strip() or None
+    """HEAD of the checkout, suffixed -dirty when its src/ differs from HEAD."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True,
+                              text=True, check=False).stdout.strip()
+
+    head = git("rev-parse", "HEAD")
+    return head + ("-dirty" if git("status", "--porcelain", "--", "src") else "") if head else None
 
 
 def environment() -> dict:
@@ -130,7 +133,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True, help="name of this run's side, e.g. parent or change")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="package sources to measure")
-    parser.add_argument("--criterion", action="store_true", help="also time criterion 2 under pytest")
     args = parser.parse_args()
 
     src = args.src.resolve()
@@ -139,7 +141,7 @@ def main() -> None:
               "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
               "environment": environment()}
     record |= measure(SEED)
-    record["criterion_02_s"] = criterion_02(src.parent) if args.criterion else None
+    record["criterion_02_s"] = criterion_02(src.parent)
 
     document = json.loads(OUT.read_text()) if OUT.exists() else {
         "benchmark": "oracle stages on the 210 criterion-2 double windows", "runs": []}
@@ -148,7 +150,7 @@ def main() -> None:
     totals = record["totals"]
     print(f"{args.label}: {totals['windows']} windows in {totals['wall_s']:.1f} s; "
           + ", ".join(f"{k} {totals[k]:.2f}" for k in STAGES)
-          + f"; max defect {totals['max_defect']:.2e}; criterion 2 {record['criterion_02_s']}")
+          + f"; max defect {totals['max_defect']:.2e}; criterion 2 {record['criterion_02_s']:.1f} s")
 
 
 if __name__ == "__main__":

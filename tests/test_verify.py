@@ -301,6 +301,12 @@ def test_squared_backward_is_dagger_of_forward():
     assert np.abs(bwd - fwd.conj().T).max() < 1e-12
 
 
+def test_unknown_ms_form_rejected_with_or_without_ms():
+    for c in (Circuit(2, (Rz(0, 0.1),)), Circuit(2, (MS("xx", "forward", (0, 1)),))):
+        with pytest.raises(VerifyError, match="ms_form"):
+            circuit_unitary(c, ms_form="bogus")
+
+
 def test_concatenation_homomorphism():
     for _ in range(4):
         c1 = random_circuit(3, 5)
