@@ -28,9 +28,10 @@ truncation; the speed comes from doing less arithmetic, not other arithmetic.
   2. Strided in-place gate updates.  U' is updated in place, never rebuilt:
      Rz, CRz, Rzz, the MS diagonal and the S phases of the yy basis scale
      rows; Clifford1 mixes the two half-views u.reshape(2**q, 2, -1)[:, b]
-     of its qubit by its 2x2 matrix; CNOT permutes rows; MS is B D B^dagger
-     with D diagonal and the same 2x2 mix applying B = H (xx) or S H (yy) on
-     each window qubit.  Each is the gate's dense embedding times U' with the
+     of its qubit by its 2x2 matrix; CNOT permutes rows; the MS basis change
+     is the Hadamard butterfly (a, b) -> (a + b, a - b) per window qubit,
+     whose 2^-|W| normalization is an exact power of two folded into the MS
+     diagonal.  Each is the gate's dense embedding times U' with the
      known-zero terms left out.
   3. Signed-permutation targets.  A Pauli string is a signed permutation
      |i> -> phase(i) |i XOR flip>, so a product of commuting factors
@@ -175,28 +176,33 @@ def _bit_values(n: int, q: int) -> np.ndarray:
     return (np.arange(1 << n) >> (n - 1 - q)) & 1
 
 
-def _mix(u: np.ndarray, q: int, m: np.ndarray) -> None:
-    """u <- (m on qubit q) u in place, mixing the two half-views of qubit q."""
-    (m00, m01), (m10, m11) = m
+def _butterfly(u: np.ndarray, q: int) -> None:
+    """Rows (a, b) of qubit q of a C-contiguous u become (a + b, a - b): sqrt(2) H."""
     a, b = u.reshape(1 << q, 2, -1).swapaxes(0, 1)
-    a[...], b[...] = m00 * a + m01 * b, m10 * a + m11 * b
+    diff = a - b
+    a += b
+    b[...] = diff
 
 
 def _apply_gate(u: np.ndarray, g: Gate, local: dict[int, int], ms_form: str) -> None:
     """u <- G u in place; ``local`` maps register qubits to those of u."""
     n = len(local)
     if isinstance(g, MS):
-        # B D B^dagger with B = H (xx) or S H (yy) on each window qubit
+        # B D B^dagger with B = H (xx) or S H (yy) on each window qubit; each
+        # butterfly is sqrt(2) H, and D carries the 2^-|W| that undoes them
         qubits = [local[q] for q in g.qubits]
-        basis = _GATE1["H"] if g.axis == "xx" else _GATE1["S"] @ _GATE1["H"]
         s = sum(1 - 2 * _bit_values(n, q) for q in qubits)
         exponent = (s * s - len(qubits)) / 2.0 if ms_form == "targeted" else (s * s) / 2.0
         unit = -1j if g.direction == "forward" else 1j
         for q in qubits:
-            _mix(u, q, basis.conj().T)
-        u *= np.exp(unit * (math.pi / 4.0) * exponent)[:, None]
+            if g.axis == "yy":
+                u.reshape(1 << q, 2, -1)[:, 1] *= -1j
+            _butterfly(u, q)
+        u *= (np.exp(unit * (math.pi / 4.0) * exponent) * 2.0 ** -len(qubits))[:, None]
         for q in qubits:
-            _mix(u, q, basis)
+            _butterfly(u, q)
+            if g.axis == "yy":
+                u.reshape(1 << q, 2, -1)[:, 1] *= 1j
     elif isinstance(g, (Rz, Rzz)):
         z = np.prod([1 - 2 * _bit_values(n, local[q]) for q in gate_qubits(g)], axis=0)
         u *= np.exp(-1j * g.angle / 2.0 * z)[:, None]
@@ -204,7 +210,9 @@ def _apply_gate(u: np.ndarray, g: Gate, local: dict[int, int], ms_form: str) -> 
         z = (1 - 2 * _bit_values(n, local[g.target])) * _bit_values(n, local[g.control])
         u *= np.exp(-1j * g.angle / 2.0 * z)[:, None]
     elif isinstance(g, Clifford1):
-        _mix(u, local[g.qubit], _GATE1[g.name])
+        (g00, g01), (g10, g11) = _GATE1[g.name]
+        a, b = u.reshape(1 << local[g.qubit], 2, -1).swapaxes(0, 1)
+        a[...], b[...] = g00 * a + g01 * b, g10 * a + g11 * b
     elif isinstance(g, CNOT):
         flip = _bit_values(n, local[g.control]) << (n - 1 - local[g.target])
         u[...] = u[np.arange(1 << n) ^ flip]
