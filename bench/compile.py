@@ -1,0 +1,131 @@
+"""Stage timings of the compile path, from an integral table to a circuit file.
+
+Run from the root of a checkout:
+
+    python3 bench/compile.py --label change
+    python3 bench/compile.py --label parent --src ../parent/src
+
+Workloads: the packaged H3+ table (with the H3+ UCCSD layer, two occupied
+and four virtual spin orbitals) and the dense random real tables of 8, 10,
+12 and 14 modes that perfbench.inputs.integral_document draws from the seed
+"profile/<modes>" (with a UCCSD layer over the lowest half of the modes,
+angles from the same seed).  Per workload it times five stages:
+
+  parse               integrals.parse_integrals of the table's text
+  term_list           integrals.term_list of the parsed table
+  build_trotter_step  evolution.build_trotter_step, parallelized, real class
+  build_uccsd_layer   evolution.build_uccsd_layer, parallelized
+  serialize           circuit.serialize of the Trotter step
+
+and keeps the best of three runs of each, with the term, fusion group,
+MS and gate counts of both circuits and a SHA-256 of their serialized text,
+so two checkouts can be shown to emit the same circuits.  The record, with
+the environment and the commit of the measured sources (the rule of
+bench/oracle.py), is appended to BENCH_compile.json at the root of the
+checkout holding this script.  Only the standard library and numpy are used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import random
+import sys
+import time
+from pathlib import Path
+
+from oracle import commit_of, environment
+
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_compile.json"
+RANDOM_MODES = (8, 10, 12, 14)
+TIME_STEP = 0.1
+REPEATS = 3
+STAGES = ("parse", "term_list", "build_trotter_step", "build_uccsd_layer", "serialize")
+
+
+def workloads() -> list[tuple[str, str, tuple]]:
+    """(name, integral document, UCCSD (modes, occupied, virtual, angles)) per workload."""
+    from importlib import resources
+
+    sys.path.append(str(ROOT))  # after the measured sources
+    from perfbench.inputs import integral_document, uccsd_counts
+
+    h3 = resources.files("ionsynth").joinpath("data/h3plus.ints").read_text()
+    out = [("h3plus", h3, (6, (0, 1), (2, 3, 4, 5), tuple(0.05 * (i + 1) for i in range(8))))]
+    for n in RANDOM_MODES:
+        rng = random.Random(f"profile/{n}")
+        document = integral_document(n, rng)
+        angles = tuple(rng.uniform(-1.0, 1.0) for _ in range(sum(uccsd_counts(n, n // 2))))
+        out.append((f"random_{n}", document, (n, tuple(range(n // 2)), tuple(range(n // 2, n)), angles)))
+    return out
+
+
+def measure(name: str, document: str, uccsd: tuple) -> dict:
+    from ionsynth.circuit import count, serialize
+    from ionsynth.evolution import (
+        AnsatzSpec, TrotterConfig, build_trotter_step, build_uccsd_layer, fusion_groups,
+    )
+    from ionsynth.integrals import parse_integrals, term_list
+
+    best = dict.fromkeys(STAGES, float("inf"))
+    spec = AnsatzSpec(*uccsd)
+    for _ in range(REPEATS):
+        times = [time.perf_counter()]
+        table = parse_integrals(document)
+        times.append(time.perf_counter())
+        terms = term_list(table)
+        times.append(time.perf_counter())
+        step = build_trotter_step(terms, TrotterConfig(TIME_STEP))
+        times.append(time.perf_counter())
+        layer = build_uccsd_layer(spec)
+        times.append(time.perf_counter())
+        text = serialize(step)
+        times.append(time.perf_counter())
+        for stage, t0, t1 in zip(STAGES, times, times[1:]):
+            best[stage] = min(best[stage], t1 - t0)
+    digest = hashlib.sha256((text + serialize(layer)).encode()).hexdigest()
+    return {
+        "workload": name,
+        "n_modes": table.n_modes,
+        "local_terms": len(terms.local_terms),
+        "excitation_terms": len(terms.excitation_terms),
+        "groups": len(fusion_groups(terms.excitation_terms)),
+        "trotter_ms": count(step).ms_total,
+        "trotter_gates": len(step.gates),
+        "uccsd_excitations": len(spec.parameters),
+        "uccsd_ms": count(layer).ms_total,
+        "uccsd_gates": len(layer.gates),
+        "circuits_sha256": digest,
+        "best_s": best,
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--label", required=True, help="name of this run's side, e.g. parent or change")
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="package sources to measure")
+    args = parser.parse_args()
+
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    record = {"label": args.label, "commit": commit_of(src.parent), "repeats": REPEATS,
+              "time_step": TIME_STEP,
+              "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+              "environment": environment(), "workloads": []}
+    for name, document, uccsd in workloads():
+        row = measure(name, document, uccsd)
+        record["workloads"].append(row)
+        print(f"{args.label} {name}: {row['excitation_terms']} terms, {row['groups']} groups, "
+              f"{row['trotter_ms']} + {row['uccsd_ms']} MS; "
+              + ", ".join(f"{k} {v:.3f}" for k, v in row["best_s"].items()), flush=True)
+
+    document = json.loads(OUT.read_text()) if OUT.exists() else {
+        "benchmark": "compile stages, integral table to circuit text", "runs": []}
+    document["runs"].append(record)
+    OUT.write_text(json.dumps(document, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

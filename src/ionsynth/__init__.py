@@ -88,7 +88,6 @@ from .pauli import (
     multiply,
 )
 from .synth import (
-    MS_SQUARE_TABLE,
     SynthesisError,
     baseline_string_by_string,
     compile_controlled_single,
@@ -140,7 +139,7 @@ __all__ = [
     "IntegralTable", "parse_integrals", "term_list", "h3plus_table",
     "h3plus_builtin",
     # synth
-    "SynthesisError", "MS_SQUARE_TABLE",
+    "SynthesisError",
     "ms_square_phase_exponent", "compile_pauli_rotation",
     "compile_single_excitation", "compile_double_block",
     "compile_coupled_exchange", "compile_controlled_single",

@@ -249,9 +249,6 @@ class ExcitationTerm:
         """Identity of the generator shape, ignoring the coefficient."""
         return (self.kind, self.sub, self.sup, self.control, self.symmetrized)
 
-    def with_coefficient(self, coefficient: float) -> "ExcitationTerm":
-        return replace(self, coefficient=coefficient)
-
 
 def _sort_parity(seq: Iterable[int]) -> tuple[tuple[int, ...], int]:
     items = list(seq)
@@ -340,9 +337,6 @@ class LocalTerm:
 
     def key(self) -> tuple:
         return (self.kind, self.modes)
-
-    def with_coefficient(self, coefficient: float) -> "LocalTerm":
-        return replace(self, coefficient=coefficient)
 
 
 def density_term(p: int, coefficient: float = 1.0) -> LocalTerm:
@@ -526,11 +520,11 @@ class HamiltonianTerms:
         for lt in local_terms:
             if max(lt.modes) >= n_modes:
                 raise FermionError(f"local term {lt} exceeds {n_modes} modes")
-            acc.add_local(lt)
+            acc.add(lt)
         for et in excitation_terms:
             if max(et.modes) >= n_modes:
                 raise FermionError(f"term {et} exceeds {n_modes} modes")
-            acc.add_excitation(et)
+            acc.add(et)
         return acc.finish(n_modes, reality, float(constant))
 
 
@@ -538,23 +532,19 @@ _DROP_EPS = 1e-14
 
 
 class _Accumulator:
+    """Sums coefficients per term shape in addition order; terms are built in finish.
+
+    A key is (term class, term.key()), and term.key() lists the class's
+    fields in order up to the coefficient, so cls(*key, coefficient) rebuilds
+    the term.
+    """
+
     def __init__(self) -> None:
-        self.locals: dict[tuple, LocalTerm] = {}
-        self.excitations: dict[tuple, ExcitationTerm] = {}
+        self.weights: dict[tuple, float] = {}
 
-    def add_local(self, term: LocalTerm) -> None:
-        key = term.key()
-        if key in self.locals:
-            prev = self.locals[key]
-            term = prev.with_coefficient(prev.coefficient + term.coefficient)
-        self.locals[key] = term
-
-    def add_excitation(self, term: ExcitationTerm) -> None:
-        key = term.key()
-        if key in self.excitations:
-            prev = self.excitations[key]
-            term = prev.with_coefficient(prev.coefficient + term.coefficient)
-        self.excitations[key] = term
+    def add(self, term: LocalTerm | ExcitationTerm) -> None:
+        key = (type(term), term.key())
+        self.weights[key] = self.weights.get(key, 0.0) + term.coefficient
 
     def quartic(self, p: int, q: int, r: int, s: int, weight: float,
                 symmetrized: bool) -> None:
@@ -575,7 +565,7 @@ class _Accumulator:
                 r, s = s, r
                 sign = -sign
             # now (p,q) == (r,s); generator is coefficient * (-2 n_p n_q)
-            self.add_local(coulomb_term(p, q, weight * sign))
+            self.add(coulomb_term(p, q, weight * sign))
             return
         if len(shared) == 1:
             j = shared.pop()
@@ -586,26 +576,23 @@ class _Accumulator:
             if r == j:
                 r, s = s, r
                 sign = -sign
-            self.add_excitation(
-                controlled_single(p, r, j, weight * sign, symmetrized)
-            )
+            self.add(controlled_single(p, r, j, weight * sign, symmetrized))
             return
-        self.add_excitation(double(p, q, r, s, weight, symmetrized))
+        self.add(double(p, q, r, s, weight, symmetrized))
 
     def finish(self, n_modes: int, reality: str, constant: float) -> HamiltonianTerms:
+        terms = [cls(*key, c) for (cls, key), c in self.weights.items() if abs(c) > _DROP_EPS]
         local_order = {"density": 0, "coulomb": 1}
         locals_out = tuple(
-            t
-            for t in sorted(
-                self.locals.values(), key=lambda t: (local_order[t.kind], t.modes)
+            sorted(
+                (t for t in terms if isinstance(t, LocalTerm)),
+                key=lambda t: (local_order[t.kind], t.modes),
             )
-            if abs(t.coefficient) > _DROP_EPS
         )
         kind_order = {"single": 0, "double": 1, "controlled_single": 2, "higher": 3}
         exc_out = tuple(
-            t
-            for t in sorted(
-                self.excitations.values(),
+            sorted(
+                (t for t in terms if isinstance(t, ExcitationTerm)),
                 key=lambda t: (
                     t.modes,
                     kind_order[t.kind],
@@ -615,7 +602,6 @@ class _Accumulator:
                     t.symmetrized,
                 ),
             )
-            if abs(t.coefficient) > _DROP_EPS
         )
         return HamiltonianTerms(n_modes, reality, constant, locals_out, exc_out)
 
@@ -643,11 +629,11 @@ def split_hamiltonian(table) -> HamiltonianTerms:
             if abs(h) <= _DROP_EPS:
                 continue
             if p == q:
-                acc.add_local(density_term(p, 0.5 * h.real))
+                acc.add(density_term(p, 0.5 * h.real))
                 continue
             if table.reality == "complex" and abs(h.imag) > _DROP_EPS:
-                acc.add_excitation(single(p, q, 0.5 * h.imag, symmetrized=False))
-            acc.add_excitation(single(p, q, 0.5 * h.real, symmetrized=True))
+                acc.add(single(p, q, 0.5 * h.imag, symmetrized=False))
+            acc.add(single(p, q, 0.5 * h.real, symmetrized=True))
     quartic_indices = itertools.product(range(n), repeat=4)
     if table.reality == "real":
         for p, q, r, s in quartic_indices:

@@ -1,9 +1,22 @@
 """Exact algebra of signed Pauli strings.
 
-A string is stored sparsely (qubit -> letter) together with a phase from the
-four-element group {1, -1, 1j, -1j}.  All operations track that phase exactly;
-nothing in this module touches floating point except the letters' dense 2x2
-matrices used elsewhere for verification.
+A string on ``width`` qubits is stored as two bit masks and a phase from the
+four-element group {1, -1, 1j, -1j}: bit q of ``x`` is set when qubit q
+carries X or Y, bit q of ``z`` when it carries Z or Y.  Writing X^x Z^z for
+the product over qubits of X_q^(x_q) Z_q^(z_q), with Y = iXZ the string is
+
+    phase * i^|x & z| * X^x Z^z,
+
+where |m| counts the set bits of m.  Moving Z^(z_a) past X^(x_b) costs
+(-1)^|z_a & x_b|, so the product of two strings is
+
+    x = x_a ^ x_b,  z = z_a ^ z_b,
+    phase = p_a p_b i^(|x_a & z_a| + |x_b & z_b| - |x & z| + 2 |z_a & x_b|),
+
+and they commute exactly when |x_a & z_b ^ z_a & x_b| is even.  All
+operations track the phase exactly; nothing in this module touches floating
+point.  No other module reads the masks: strings are built from letters and
+read through ``letter``, ``support`` and ``label``.
 
 Conjugation conventions
 -----------------------
@@ -12,8 +25,9 @@ image U p U†.  For the targeted MS gate on the window W the forward direction
 means U = exp(-i pi/4 sum_{j<k in W} A_j A_k) with A = X or Y; the backward
 gate is its inverse.  The pair terms commute with each other, and A_jA_k
 anticommutes with p exactly when one of j, k lies in S, the window qubits
-where p's letter is neither I nor A.  Each such pair maps p to i p A_jA_k
-forward (-i backward), so with a = |S| and r = |W| - a the image is
+where p's letter is neither I nor A: S = W & z for A = X and W & (x ^ z) for
+A = Y.  Each such pair maps p to i p A_jA_k forward (-i backward), so with
+a = |S| and r = |W| - a the image is
 
     U p U† = (±i)^(a r) p A_T,   T = {q in S : r odd} ∪ {q in W - S : a odd},
 
@@ -24,8 +38,7 @@ images, with Y = iXZ.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -42,19 +55,9 @@ __all__ = [
 
 _PHASES = (1, -1, 1j, -1j)
 
-# Single-qubit products: (a, b) -> (phase, letter or "").  Identity handled
-# separately; the table covers the nine letter-letter cases.
-_LETTER_PRODUCT: dict[tuple[str, str], tuple[complex, str]] = {
-    ("X", "X"): (1, ""),
-    ("Y", "Y"): (1, ""),
-    ("Z", "Z"): (1, ""),
-    ("X", "Y"): (1j, "Z"),
-    ("Y", "X"): (-1j, "Z"),
-    ("Y", "Z"): (1j, "X"),
-    ("Z", "Y"): (-1j, "X"),
-    ("Z", "X"): (1j, "Y"),
-    ("X", "Z"): (-1j, "Y"),
-}
+# A qubit's letter, indexed by its x bit plus twice its z bit.
+_LETTERS = "IXZY"
+_CODES = {letter: code for code, letter in enumerate(_LETTERS)}
 
 # Heisenberg images U P U† of the generators of each supported Clifford: for
 # the gate's k-th qubit, the images of X_k and Z_k as labels over the gate's
@@ -90,73 +93,89 @@ def _check_phase(phase: complex) -> complex:
     return phase
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PauliString:
     """A signed Pauli string on ``width`` qubits.
 
-    ``letters`` maps qubit index -> letter in {X, Y, Z}; identity positions are
-    never stored, so ``len(letters)`` is the locality.
+    Built from ``letters``, a map qubit index -> letter in {I, X, Y, Z};
+    identity letters may be given or left out.
     """
 
     width: int
-    letters: Mapping[int, str] = field(default_factory=dict)
-    phase: complex = 1
+    x: int
+    z: int
+    phase: complex
 
-    def __post_init__(self) -> None:
-        _check_phase(self.phase)
-        clean: dict[int, str] = {}
-        for q, letter in self.letters.items():
-            if letter == "I":
-                continue
-            if letter not in ("X", "Y", "Z"):
+    def __init__(
+        self, width: int, letters: Mapping[int, str] | None = None, phase: complex = 1
+    ) -> None:
+        x = z = 0
+        for q, letter in (letters or {}).items():
+            code = _CODES.get(letter)
+            if code is None:
                 raise PauliError(f"invalid Pauli letter {letter!r} on qubit {q}")
-            if not (0 <= q < self.width):
-                raise PauliError(f"qubit {q} outside width {self.width}")
-            clean[q] = letter
-        object.__setattr__(self, "letters", dict(sorted(clean.items())))
-
-    # dataclass(frozen) gives eq on the dict; hashing needs a stable view
-    def __hash__(self) -> int:
-        return hash((self.width, tuple(self.letters.items()), self.phase))
+            if not code:
+                continue
+            if not 0 <= q < width:
+                raise PauliError(f"qubit {q} outside width {width}")
+            x |= (code & 1) << q
+            z |= (code >> 1) << q
+        _fill(self, width, x, z, _check_phase(phase))
 
     @property
     def locality(self) -> int:
-        return len(self.letters)
+        return (self.x | self.z).bit_count()
 
     def is_identity(self) -> bool:
-        return not self.letters
+        return not (self.x | self.z)
 
     def letter(self, q: int) -> str:
-        return self.letters.get(q, "I")
+        return _LETTERS[(self.x >> q & 1) | (self.z >> q & 1) << 1]
 
     def support(self) -> tuple[int, ...]:
-        return tuple(self.letters)
+        """Qubits with a non-identity letter, ascending."""
+        out = []
+        m = self.x | self.z
+        while m:
+            low = m & -m
+            out.append(low.bit_length() - 1)
+            m ^= low
+        return tuple(out)
 
     def with_phase(self, phase: complex) -> "PauliString":
-        return PauliString(self.width, self.letters, _check_phase(phase))
+        return _string(self.width, self.x, self.z, _check_phase(phase))
 
     def commutes_with(self, other: "PauliString") -> bool:
         if self.width != other.width:
             raise PauliError("width mismatch")
-        anti = 0
-        for q, a in self.letters.items():
-            b = other.letters.get(q)
-            if b is not None and b != a:
-                anti ^= 1
-        return anti == 0
+        return not ((self.x & other.z) ^ (self.z & other.x)).bit_count() & 1
 
     def label(self) -> str:
         """Dense text form, e.g. ``-iXIZ`` (qubit 0 leftmost)."""
         prefix = {1: "+", -1: "-", 1j: "+i", -1j: "-i"}[self.phase]
-        body = "".join(self.letter(q) for q in range(self.width))
-        return prefix + body
+        return prefix + "".join(map(self.letter, range(self.width)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PauliString({self.label()!r})"
 
 
+def _fill(s: PauliString, width: int, x: int, z: int, phase: complex) -> None:
+    set_field = object.__setattr__  # the dataclass is frozen
+    set_field(s, "width", width)
+    set_field(s, "x", x)
+    set_field(s, "z", z)
+    set_field(s, "phase", phase)
+
+
+def _string(width: int, x: int, z: int, phase: complex) -> PauliString:
+    """Unchecked constructor for masks and a phase the algebra produced."""
+    s = object.__new__(PauliString)
+    _fill(s, width, x, z, phase)
+    return s
+
+
 def identity_string(width: int) -> PauliString:
-    return PauliString(width, {})
+    return _string(width, 0, 0, 1)
 
 
 def from_label(label: str) -> PauliString:
@@ -168,46 +187,41 @@ def from_label(label: str) -> PauliString:
             phase = value
             body = body[len(prefix):]
             break
-    letters = {q: c for q, c in enumerate(body) if c != "I"}
-    return PauliString(len(body), letters, phase)
+    return PauliString(len(body), dict(enumerate(body)), phase)
 
 
 def multiply(a: PauliString, b: PauliString) -> PauliString:
     """Signed product ``a * b`` with exact phase accumulation."""
     if a.width != b.width:
         raise PauliError(f"width mismatch: {a.width} vs {b.width}")
-    phase = a.phase * b.phase
-    letters = dict(a.letters)
-    for q, lb in b.letters.items():
-        la = letters.pop(q, None)
-        if la is None:
-            letters[q] = lb
-            continue
-        factor, prod = _LETTER_PRODUCT[(la, lb)]
-        phase *= factor
-        if prod:
-            letters[q] = prod
-    return PauliString(a.width, letters, phase)
+    x, z = a.x ^ b.x, a.z ^ b.z
+    turns = (
+        (a.x & a.z).bit_count() + (b.x & b.z).bit_count() - (x & z).bit_count()
+        + 2 * (a.z & b.x).bit_count()
+    )
+    return _string(a.width, x, z, a.phase * b.phase * _I_POWERS[turns % 4])
 
 
-def _derive_action(images: tuple[tuple[str, str], ...]) -> dict[str, tuple[complex, str]]:
-    """letters -> (phase, letters) over the gate's qubits, from its generator images.
+def _derive_action(images: tuple[tuple[str, str], ...]) -> list[tuple[complex, int, int]]:
+    """Image (phase, x, z) over the gate's qubits of each letter code.
 
-    Conjugation is multiplicative, so a string's image is the product of its
-    letters' images, with Y = iXZ.
+    The code of a string on the gate's qubits holds the letter code of its
+    k-th qubit at bits 2k and 2k + 1.  Conjugation is multiplicative, so a
+    string's image is the product of its letters' images, with Y = iXZ.
     """
     gens = [(from_label(x), from_label(z)) for x, z in images]
-    action = {}
-    for letters in itertools.product("IXYZ", repeat=len(images)):
+    action = []
+    for code in range(4 ** len(images)):
         out = identity_string(len(images))
-        for letter, (x, z) in zip(letters, gens):
-            if letter in "XY":
+        for k, (x, z) in enumerate(gens):
+            bits = code >> 2 * k & 3
+            if bits & 1:
                 out = multiply(out, x)
-            if letter in "YZ":
+            if bits & 2:
                 out = multiply(out, z)
-            if letter == "Y":
+            if bits == 3:
                 out = out.with_phase(1j * out.phase)
-        action["".join(letters)] = (out.phase, "".join(map(out.letter, range(out.width))))
+        action.append((out.phase, out.x, out.z))
     return action
 
 
@@ -232,10 +246,17 @@ def conjugate_by_clifford(
         raise PauliError(f"{name} acts on {arity} distinct qubit(s), got {qubits}")
     if min(qubits) < 0 or max(qubits) >= p.width:
         raise PauliError(f"{name} qubits {qubits} outside width {p.width}")
-    factor, image = action["".join(map(p.letter, qubits))]
-    letters = dict(p.letters)
-    letters.update(zip(qubits, image))
-    return PauliString(p.width, letters, p.phase * factor)
+    x, z = p.x, p.z
+    code = 0
+    for k, q in enumerate(qubits):
+        code |= ((x >> q & 1) | (z >> q & 1) << 1) << 2 * k
+    if not code:
+        return p
+    factor, image_x, image_z = action[code]
+    for k, q in enumerate(qubits):
+        x = x & ~(1 << q) | (image_x >> k & 1) << q
+        z = z & ~(1 << q) | (image_z >> k & 1) << q
+    return _string(p.width, x, z, p.phase * factor)
 
 
 def conjugate_by_ms(
@@ -249,22 +270,27 @@ def conjugate_by_ms(
     Forward gate: exp(-i pi/4 sum_{j<k} A_j A_k), A in {X, Y} per ``axis``
     ("xx" or "yy"); ``inverse=True`` conjugates by the backward gate instead.
     """
-    qs = sorted(set(qubits))
+    qs = tuple(qubits)
     if not qs:
         raise PauliError("MS qubit set is empty")
-    if qs[0] < 0 or qs[-1] >= p.width:
-        raise PauliError(f"MS qubits {qs} outside width {p.width}")
-    letter = {"xx": "X", "yy": "Y"}.get(axis.lower())
-    if letter is None:
+    if min(qs) < 0 or max(qs) >= p.width:
+        raise PauliError(f"MS qubits {sorted(set(qs))} outside width {p.width}")
+    ax = axis.lower()
+    if ax not in ("xx", "yy"):
         raise PauliError(f"MS axis must be 'xx' or 'yy', got {axis!r}")
+    window = 0
+    for q in qs:
+        window |= 1 << q
     # moved and flipped are the sets S and T of the module docstring
-    moved = {q for q in qs if p.letter(q) not in ("I", letter)}
-    a, r = len(moved), len(qs) - len(moved)
+    moved = window & (p.z if ax == "xx" else p.x ^ p.z)
+    a = moved.bit_count()
+    r = window.bit_count() - a
     if a * r == 0:
         return p
-    flipped = {q: letter for q in qs if (r if q in moved else a) % 2}
+    flipped = (moved if r % 2 else 0) | (window & ~moved if a % 2 else 0)
     turns = -a * r if inverse else a * r
-    return multiply(p, PauliString(p.width, flipped, _I_POWERS[turns % 4]))
+    word = _string(p.width, flipped, flipped if ax == "yy" else 0, _I_POWERS[turns % 4])
+    return multiply(p, word)
 
 
 @dataclass(frozen=True)
@@ -272,8 +298,9 @@ class PauliSum:
     """A complex-weighted sum of Pauli strings, canonically merged.
 
     Terms are keyed by letter content; any phase on an input string is folded
-    into its coefficient, so stored strings always have phase +1.  Terms with
-    coefficient magnitude below 1e-15 are dropped.
+    into its coefficient, so stored strings always have phase +1.  Terms are
+    ordered by their (qubit, letter) sequences, and terms with coefficient
+    magnitude below 1e-15 are dropped.
     """
 
     width: int
@@ -283,18 +310,14 @@ class PauliSum:
     def from_terms(
         width: int, items: Iterable[tuple[complex, PauliString]]
     ) -> "PauliSum":
-        acc: dict[tuple[tuple[int, str], ...], complex] = {}
+        acc: dict[PauliString, complex] = {}
         for coeff, string in items:
             if string.width != width:
                 raise PauliError("term width mismatch")
-            key = tuple(string.letters.items())
+            key = string if string.phase == 1 else string.with_phase(1)
             acc[key] = acc.get(key, 0) + coeff * string.phase
-        merged = []
-        for key in sorted(acc):
-            c = acc[key]
-            if abs(c) > 1e-15:
-                merged.append((c, PauliString(width, dict(key))))
-        return PauliSum(width, tuple(merged))
+        merged = [(acc[s], s) for s in sorted(acc, key=_letter_order)]
+        return PauliSum(width, tuple((c, s) for c, s in merged if abs(c) > 1e-15))
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if self.width != other.width:
@@ -314,3 +337,8 @@ class PauliSum:
 
     def __len__(self) -> int:
         return len(self.terms)
+
+
+def _letter_order(s: PauliString) -> list[int]:
+    """The (qubit, letter) sequence of s as 4 * qubit + rank, with X < Y < Z."""
+    return [4 * q + 2 * (s.z >> q & 1) + ((s.x ^ s.z) >> q & 1) for q in s.support()]

@@ -45,7 +45,6 @@ from .pauli import (
 
 __all__ = [
     "SynthesisError",
-    "MS_SQUARE_TABLE",
     "ms_square_phase_exponent",
     "compile_pauli_rotation",
     "compile_single_excitation",
@@ -76,7 +75,7 @@ def _letter_perm(name: str) -> dict[str, str]:
     out = {}
     for letter in "XYZ":
         image = conjugate_by_clifford(PauliString(1, {0: letter}), name, (0,))
-        out[letter] = image.letters[0]
+        out[letter] = image.letter(0)
     return out
 
 
@@ -109,7 +108,7 @@ def _pullback(s: PauliString, gates) -> PauliString:
 
 
 def _sign_against(e: PauliString, target: PauliString) -> float:
-    if e.letters != target.letters:
+    if e.with_phase(target.phase) != target:
         raise SynthesisError(
             f"dressing failed: pulled back {e.label()}, wanted letters of {target.label()}"
         )
@@ -177,6 +176,7 @@ def _reduce_to_z(strings, targets, width: int) -> list[Gate]:
     """
     gates: list[Gate] = []
     cur = [s.with_phase(1) for s in strings]
+    pinned = [PauliString(width, {t: "Z"}) for t in targets]
 
     def emit(gate: Gate) -> None:
         gates.append(gate)
@@ -207,12 +207,11 @@ def _reduce_to_z(strings, targets, width: int) -> list[Gate]:
         for qb in cur[i].support():
             if qb != target and cur[i].letter(qb) == "Z":
                 emit(CNOT(qb, target))
-        if cur[i].letters != {target: "Z"}:
+        if cur[i].with_phase(1) != pinned[i]:
             raise SynthesisError(f"reduction left {cur[i].label()} instead of Z[{target}]")
         done.append(target)
-    for j, target in enumerate(done):
-        if cur[j].letters != {target: "Z"}:
-            raise SynthesisError("reduction disturbed an earlier pinned string")
+    if any(c.with_phase(1) != z for c, z in zip(cur, pinned)):
+        raise SynthesisError("reduction disturbed an earlier pinned string")
     return gates
 
 
@@ -306,11 +305,10 @@ def _sandwich(
 def _pool(terms_with_angles, width: int):
     """Combined real-weighted string pool of commuting generators.
 
-    Returns (weights keyed by letter maps, strings by key, letter modes,
-    interior Z letters, window).
+    Returns (weights keyed by phase-free string, letter modes, interior Z
+    letters, window).
     """
-    weights: dict[frozenset, float] = {}
-    strings: dict[frozenset, PauliString] = {}
+    weights: dict[PauliString, float] = {}
     modes = None
     interior: dict[int, str] = {}
     for term, theta in terms_with_angles:
@@ -322,17 +320,16 @@ def _pool(terms_with_angles, width: int):
         for coeff, s in generator_pauli(term, width).terms:
             if abs(coeff.imag) > 1e-12:
                 raise SynthesisError(f"non-real generator weight {coeff} on {s.label()}")
-            key = frozenset(s.letters.items())
-            weights[key] = weights.get(key, 0.0) + theta * coeff.real
-            strings[key] = s
-            for qb, letter in s.letters.items():
+            weights[s] = weights.get(s, 0.0) + theta * coeff.real
+            for qb in s.support():
+                letter = s.letter(qb)
                 if qb not in modes:
                     if interior.setdefault(qb, letter) != letter or letter != "Z":
                         raise SynthesisError("inconsistent parity letters in pool")
     if modes is None:
         raise SynthesisError("empty generator pool")
     window = tuple(sorted((*modes, *interior)))
-    return weights, strings, modes, interior, window
+    return weights, modes, interior, window
 
 
 def _star_target(width, modes, interior, center: str, flipped: str, at: int) -> PauliString:
@@ -388,43 +385,32 @@ def _excitation_layers(
     only) is grouped into independent commuting sets of up to 2N strings, each
     diagonalized jointly with CNOT-assisted dressing around a single MS pair.
     """
-    weights, strings, modes, interior, window = _pool(terms_with_angles, width)
+    weights, modes, interior, window = _pool(terms_with_angles, width)
     gates: list[Gate] = []
-    covered: set[frozenset] = set()
+    covered: set[PauliString] = set()
 
     star_axes = (axis, {"xx": "yy", "yy": "xx"}[axis])
     for star_axis in star_axes:
         center = _AXIS_LETTER[star_axis]
         flipped = "Y" if center == "X" else "X"
-        requests = []
-        star_keys = []
-        for o in modes:
-            target = _star_target(width, modes, interior, center, flipped, o)
-            key = frozenset(target.letters.items())
-            star_keys.append(key)
-            requests.append((o, weights.get(key, 0.0), target, None))
-        if all(k in covered for k in star_keys):
+        targets = [_star_target(width, modes, interior, center, flipped, o) for o in modes]
+        if all(s in covered for s in targets):
             continue
+        requests = [(o, weights.get(s, 0.0), s, None) for o, s in zip(modes, targets)]
         gates.extend(_sandwich(width, window, star_axis, requests, keep_zero=keep_zero))
-        covered.update(star_keys)
+        covered.update(targets)
 
-    remaining = [k for k in weights if k not in covered]
+    remaining = [s for s in weights if s not in covered]
     if remaining:
-        index = {m: i for i, m in enumerate(modes)}
+        def word_of(s: PauliString) -> int:
+            return sum(1 << i for i, m in enumerate(modes) if s.letter(m) == "Y")
 
-        def word_of(key: frozenset) -> int:
-            w = 0
-            for qb, letter in key:
-                if qb in index and letter == "Y":
-                    w |= 1 << index[qb]
-            return w
-
-        by_word = {word_of(k): k for k in remaining}
+        by_word = {word_of(s): s for s in remaining}
         for layer_words in _pack_words(list(by_word), 2 * len(modes)):
             requests = []
             for i, w in enumerate(layer_words):
-                key = by_word[w]
-                requests.append((modes[i], weights[key], strings[key], None))
+                s = by_word[w]
+                requests.append((modes[i], weights[s], s, None))
             dressing = _entangled_dressing(width, window, "xx", requests)
             gates.extend(
                 _sandwich(width, window, "xx", requests, dressing=dressing, keep_zero=keep_zero)
@@ -661,22 +647,6 @@ def baseline_string_by_string(
     return Circuit(width, gates, {"op": "baseline"})
 
 
-# The squared forward MS gate is a Pauli word times a phase; this table maps
-# the window size n to (k, pauli) with MS^2 = i^k * P, where P is the axis
-# letter on every window qubit when ``pauli`` and the identity otherwise.
-# Regenerated by the dense-matrix test; do not edit by hand.
-MS_SQUARE_TABLE: dict[int, tuple[int, bool]] = {
-    1: (0, False),
-    2: (3, True),
-    3: (1, False),
-    4: (2, True),
-    5: (2, False),
-    6: (1, True),
-    7: (3, False),
-    8: (0, True),
-}
-
-
 def ms_square_phase_exponent(n: int) -> tuple[int, bool]:
     """(k, pauli) with the squared n-qubit forward MS equal to i^k times
     the all-axis-letter word (pauli True) or the identity (pauli False)."""
@@ -725,14 +695,14 @@ def compile_mixed_cnot(t: ExcitationTerm, theta: float, n_qubits: int | None = N
     """
     _expect_antisym(t, "double")
     width = _register_width(t.modes, n_qubits)
-    weights, strings, modes, interior, window = _pool([(t, float(theta))], width)
+    weights, modes, interior, window = _pool([(t, float(theta))], width)
     requests = []
     zz_requests = []
     for o in modes:
         one_y = _star_target(width, modes, interior, "X", "Y", o)
-        requests.append((o, weights.get(frozenset(one_y.letters.items()), 0.0), one_y, None))
+        requests.append((o, weights.get(one_y, 0.0), one_y, None))
         one_x = _star_target(width, modes, interior, "Y", "X", o)
         triple = tuple(m for m in modes if m != o)
-        zz_requests.append((triple, weights.get(frozenset(one_x.letters.items()), 0.0), one_x))
+        zz_requests.append((triple, weights.get(one_x, 0.0), one_x))
     gates = _sandwich(width, window, "xx", requests, zz_requests=zz_requests)
     return Circuit(width, gates, {"op": "mixed_cnot"})

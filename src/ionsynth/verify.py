@@ -93,15 +93,16 @@ class DenseOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise VerifyError(f"operator must be square, got shape {m.shape}")
-        n = m.shape[0].bit_length() - 1
-        if (1 << n) != m.shape[0]:
-            raise VerifyError(f"dimension {m.shape[0]} is not a power of two")
+        # shape and cap first, so a refused operator is never copied
+        shape = np.shape(self.matrix)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise VerifyError(f"operator must be square, got shape {shape}")
+        n = shape[0].bit_length() - 1
+        if (1 << n) != shape[0]:
+            raise VerifyError(f"dimension {shape[0]} is not a power of two")
         if n > MAX_QUBITS:
             raise VerifyError(f"{n} qubits exceeds the dense cap of {MAX_QUBITS}")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
 
     @property
     def dimension(self) -> int:
@@ -136,7 +137,8 @@ def _string_masks(p: PauliString) -> tuple[int, int, int]:
     """
     n = p.width
     flip = sign = y_count = 0
-    for q, letter in p.letters.items():
+    for q in p.support():
+        letter = p.letter(q)
         bit = 1 << (n - 1 - q)
         if letter != "Z":
             flip |= bit

@@ -36,7 +36,6 @@ from ionsynth.fermion import (
 from ionsynth.integrals import IntegralTable, h3plus_builtin, h3plus_table, term_list
 from ionsynth.pauli import PauliString, PauliSum, from_label
 from ionsynth.synth import (
-    MS_SQUARE_TABLE,
     baseline_string_by_string,
     compile_controlled_single,
     compile_coupled_exchange,
@@ -111,10 +110,11 @@ def test_criterion_02_double_excitation_contract():
         width = s + 1
         c = compile_double_block(p, q, r, s, angles, n_qubits=width)
         ms_ok = ms_ok and count(c).ms_total == 4
-        v = np.eye(1 << width, dtype=complex)
         pairings = (double(p, q, r, s), double(p, r, q, s), double(p, s, q, r))
-        for t, a in zip(pairings, angles):
-            v = _term_unitary(t, width, a) @ v
+        factors = (_term_unitary(t, width, a) for t, a in zip(pairings, angles))
+        v = next(factors)
+        for factor in factors:
+            v = factor @ v
         worst = max(worst, _defect(c, v))
         if index % 21 == 0:
             # full-register embedding is the tensor extension by identity
@@ -432,7 +432,6 @@ def _sign_table_defect():
     worst = 0.0
     for n in range(1, 9):
         k, pauli = ms_square_phase_exponent(n)
-        assert MS_SQUARE_TABLE[n] == (k, pauli)
         for axis, letter in (("xx", "X"), ("yy", "Y")):
             u = circuit_unitary(Circuit(n, (MS(axis, "forward", tuple(range(n))),))).matrix
             word = from_label(letter * n) if pauli else PauliString(n, {})

@@ -2,13 +2,16 @@
 
 Every conjugation rule frozen in ionsynth.pauli is re-derived here against a
 small dense-matrix oracle built from 2x2 kron products, independent of the
-package's own verification module.
+package's own verification module.  Strings wider than a machine word are
+checked against a letter-by-letter reference on plain letter lists.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionsynth.pauli import (
     PauliString,
@@ -325,3 +328,126 @@ def test_string_invariants():
         PauliString(2, {0: "Q"})
     with pytest.raises(PauliError):
         PauliString(2, {0: "X"}, phase=0.5)
+
+
+# --- wide strings against a letter-by-letter reference -----------------------
+
+# One-qubit products: (a, b) -> (phase, letter) with a * b = phase * letter.
+LETTER_PRODUCT = {
+    ("X", "X"): (1, "I"),
+    ("Y", "Y"): (1, "I"),
+    ("Z", "Z"): (1, "I"),
+    ("X", "Y"): (1j, "Z"),
+    ("Y", "X"): (-1j, "Z"),
+    ("Y", "Z"): (1j, "X"),
+    ("Z", "Y"): (-1j, "X"),
+    ("Z", "X"): (1j, "Y"),
+    ("X", "Z"): (-1j, "Y"),
+}
+PHASES = (1, -1, 1j, -1j)
+
+
+def letter_product(a: str, b: str) -> tuple[complex, str]:
+    if a == "I" or b == "I":
+        return 1, b if a == "I" else a
+    return LETTER_PRODUCT[(a, b)]
+
+
+def ref_string(letters: list[str], phase: complex) -> PauliString:
+    return PauliString(len(letters), dict(enumerate(letters)), phase)
+
+
+def ref_multiply(a, b):
+    (la, pa), (lb, pb) = a, b
+    phase, out = pa * pb, []
+    for x, y in zip(la, lb):
+        factor, letter = letter_product(x, y)
+        phase *= factor
+        out.append(letter)
+    return out, phase
+
+
+def ref_commutes(la: list[str], lb: list[str]) -> bool:
+    return sum(x != "I" and y != "I" and x != y for x, y in zip(la, lb)) % 2 == 0
+
+
+def ref_ms(letters: list[str], phase: complex, axis: str, window, inverse: bool):
+    """One pair term at a time, each touching only its two letters."""
+    letters = list(letters)
+    axis_letter = "X" if axis == "xx" else "Y"
+    for i, j in itertools.combinations(sorted(window), 2):
+        if sum(letters[k] not in ("I", axis_letter) for k in (i, j)) % 2:
+            phase *= -1j if inverse else 1j
+            for k in (i, j):
+                factor, letters[k] = letter_product(letters[k], axis_letter)
+                phase *= factor
+    return letters, phase
+
+
+CNOT_MAT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+CLIFFORD_MATS = {**GATE_MATS, "CNOT": CNOT_MAT, "CZ": np.diag([1, 1, 1, -1]).astype(complex)}
+
+
+def ref_clifford(letters: list[str], phase: complex, gate: str, qubits):
+    """Splice the dense image of the gate's letters back into the string."""
+    u = CLIFFORD_MATS[gate]
+    local = u @ dense(ref_string([letters[q] for q in qubits], 1)) @ u.conj().T
+    for image in itertools.product("IXYZ", repeat=len(qubits)):
+        overlap = np.trace(dense(ref_string(list(image), 1)).conj().T @ local) / len(local)
+        if abs(overlap) > 0.5:
+            out = list(letters)
+            for q, letter in zip(qubits, image):
+                out[q] = letter
+            return out, phase * complex(round(overlap.real), round(overlap.imag))
+    raise AssertionError("Clifford image is not a signed Pauli string")
+
+
+@st.composite
+def wide_strings(draw, count: int):
+    width = draw(st.integers(1, 130))
+    letters = st.lists(st.sampled_from("IXYZ"), min_size=width, max_size=width)
+    return [(draw(letters), draw(st.sampled_from(PHASES))) for _ in range(count)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_strings(2))
+def test_wide_multiply_and_commute_match_letter_reference(pair):
+    a, b = pair
+    sa, sb = ref_string(*a), ref_string(*b)
+    assert multiply(sa, sb) == ref_string(*ref_multiply(a, b))
+    assert sa.commutes_with(sb) == ref_commutes(a[0], b[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_strings(1), st.data())
+def test_wide_conjugation_matches_letter_reference(strings, data):
+    ((letters, phase),) = strings
+    width = len(letters)
+    p = ref_string(letters, phase)
+    gate = data.draw(st.sampled_from(sorted(CLIFFORD_MATS) if width > 1 else sorted(GATE_MATS)))
+    arity = 2 if gate in ("CNOT", "CZ") else 1
+    qubits = tuple(data.draw(st.permutations(range(width)))[:arity])
+    got = conjugate_by_clifford(p, gate, qubits)
+    assert got == ref_string(*ref_clifford(letters, phase, gate, qubits))
+    axis = data.draw(st.sampled_from(["xx", "yy"]))
+    inverse = data.draw(st.booleans())
+    window = data.draw(st.sets(st.integers(0, width - 1), min_size=1))
+    got = conjugate_by_ms(p, axis, window, inverse=inverse)
+    assert got == ref_string(*ref_ms(letters, phase, axis, window, inverse))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_strings(2))
+def test_wide_label_round_trip_and_equal_strings_hash_equal(pair):
+    (letters, phase), (other, _) = pair
+    prefix = {1: "+", -1: "-", 1j: "+i", -1j: "-i"}[phase]
+    label = prefix + "".join(letters)
+    p = ref_string(letters, phase)
+    assert p.label() == label
+    assert from_label(label) == p
+    sparse = PauliString(len(letters), {q: c for q, c in enumerate(letters) if c != "I"}, phase)
+    t = ref_string(other, 1)
+    twice = multiply(multiply(p, t), t)  # t * t is the identity
+    assert sparse == p == twice
+    assert len({hash(p), hash(sparse), hash(twice), hash(from_label(label))}) == 1
+    assert {p: 0, sparse: 1, twice: 2} == {p: 2}

@@ -28,7 +28,6 @@ from ionsynth.fermion import (
 )
 from ionsynth.pauli import PauliString, from_label
 from ionsynth.synth import (
-    MS_SQUARE_TABLE,
     SynthesisError,
     _sandwich,
     baseline_string_by_string,
@@ -482,7 +481,6 @@ def test_ms_square_table_regenerates_from_dense_matrices():
     for n in range(1, 9):
         window = tuple(range(n))
         k, pauli = ms_square_phase_exponent(n)
-        assert MS_SQUARE_TABLE[n] == (k, pauli)
         for axis, letter in (("xx", "X"), ("yy", "Y")):
             u = circuit_unitary(Circuit(n, (MS(axis, "forward", window),))).matrix
             word = from_label(letter * n) if pauli else PauliString(n, {})

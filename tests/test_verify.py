@@ -444,7 +444,7 @@ def test_product_route_matches_spectral_route():
 
 
 def _flip_masks(g):
-    return {frozenset(q for q, a in t.letters.items() if a != "Z") for _, t in g.terms}
+    return {frozenset(q for q in t.support() if t.letter(q) != "Z") for _, t in g.terms}
 
 
 @st.composite
