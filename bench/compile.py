@@ -9,17 +9,21 @@ Workloads: the packaged H3+ table (with the H3+ UCCSD layer, two occupied
 and four virtual spin orbitals) and the dense random real tables of 8, 10,
 12 and 14 modes that perfbench.inputs.integral_document draws from the seed
 "profile/<modes>" (with a UCCSD layer over the lowest half of the modes,
-angles from the same seed).  Per workload it times five stages:
+angles from the same seed).  Per workload it times eight stages:
 
   parse               integrals.parse_integrals of the table's text
   term_list           integrals.term_list of the parsed table
   build_trotter_step  evolution.build_trotter_step, parallelized, real class
   build_uccsd_layer   evolution.build_uccsd_layer, parallelized
   serialize           circuit.serialize of the Trotter step
+  deserialize         circuit.deserialize of that text
+  count               circuit.count of the Trotter step
+  cost                circuit.cost of the Trotter step
 
-and keeps the best of three runs of each, with the term, fusion group,
-MS and gate counts of both circuits and a SHA-256 of their serialized text,
-so two checkouts can be shown to emit the same circuits.  The record, with
+and keeps the best of three runs of each, with the term and fusion group
+counts, the MS, CNOT, single-qubit, gate and depth totals of both circuits
+and a SHA-256 of their serialized text, so two checkouts can be shown to
+emit the same circuits.  The record, with
 the environment and the commit of the measured sources (the rule of
 bench/oracle.py), is appended to BENCH_compile.json at the root of the
 checkout holding this script.  Only the standard library and numpy are used.
@@ -42,7 +46,8 @@ OUT = ROOT / "BENCH_compile.json"
 RANDOM_MODES = (8, 10, 12, 14)
 TIME_STEP = 0.1
 REPEATS = 3
-STAGES = ("parse", "term_list", "build_trotter_step", "build_uccsd_layer", "serialize")
+STAGES = ("parse", "term_list", "build_trotter_step", "build_uccsd_layer", "serialize",
+          "deserialize", "count", "cost")
 
 
 def workloads() -> list[tuple[str, str, tuple]]:
@@ -62,8 +67,18 @@ def workloads() -> list[tuple[str, str, tuple]]:
     return out
 
 
+def totals(prefix: str, circuit) -> dict:
+    """Gate totals and depth of one circuit, keyed by prefix."""
+    from ionsynth.circuit import cost, count
+
+    report = count(circuit)
+    return {f"{prefix}_ms": report.ms_total, f"{prefix}_cnot": report.cnot,
+            f"{prefix}_single_qubit": report.single_qubit, f"{prefix}_gates": len(circuit.gates),
+            f"{prefix}_depth": cost(circuit).sequential_depth}
+
+
 def measure(name: str, document: str, uccsd: tuple) -> dict:
-    from ionsynth.circuit import count, serialize
+    from ionsynth.circuit import cost, count, deserialize, serialize
     from ionsynth.evolution import (
         AnsatzSpec, TrotterConfig, build_trotter_step, build_uccsd_layer, fusion_groups,
     )
@@ -83,6 +98,12 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
         times.append(time.perf_counter())
         text = serialize(step)
         times.append(time.perf_counter())
+        deserialize(text)
+        times.append(time.perf_counter())
+        count(step)
+        times.append(time.perf_counter())
+        cost(step)
+        times.append(time.perf_counter())
         for stage, t0, t1 in zip(STAGES, times, times[1:]):
             best[stage] = min(best[stage], t1 - t0)
     digest = hashlib.sha256((text + serialize(layer)).encode()).hexdigest()
@@ -92,11 +113,9 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
         "local_terms": len(terms.local_terms),
         "excitation_terms": len(terms.excitation_terms),
         "groups": len(fusion_groups(terms.excitation_terms)),
-        "trotter_ms": count(step).ms_total,
-        "trotter_gates": len(step.gates),
+        **totals("trotter", step),
         "uccsd_excitations": len(spec.parameters),
-        "uccsd_ms": count(layer).ms_total,
-        "uccsd_gates": len(layer.gates),
+        **totals("uccsd", layer),
         "circuits_sha256": digest,
         "best_s": best,
     }

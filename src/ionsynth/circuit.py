@@ -7,13 +7,30 @@ GlobalPhase so rewrite passes can stay phase-exact.
 
 Time convention: ``Circuit.gates`` is ordered first-acting-first; the dense
 unitary of a circuit is the reversed matrix product (see ionsynth.verify).
+
+Circuit files (format v1) are line based: the header ``ionsynth-circuit v1``,
+one ``qubits <n>`` line, at most one ``meta <key> <value>`` line per key
+(the key one token, the value the rest of the line), then one record per
+gate in time order.  Blank lines and lines starting with ``#`` are skipped.
+A record is its kind's tag followed by the gate's fields in declaration
+order, written in lower case, with angles in shortest round-trip form:
+
+    ms <axis> <direction> <qubit> ...    MS (xx|yy, forward|backward)
+    rz <qubit> <angle>                   Rz
+    crz <control> <target> <angle>       CRz
+    rzz <qubit_a> <qubit_b> <angle>      Rzz
+    cl <qubit> <name>                    Clifford1 (h s sdg sx sxdg x y z)
+    cnot <control> <target>              CNOT
+    phase <angle>                        GlobalPhase
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Union
+from collections import Counter
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import Callable, Iterator, Mapping, NamedTuple, Union, get_type_hints
 
 from .pauli import CLIFFORD1_NAMES
 
@@ -138,7 +155,7 @@ class Clifford1:
     name: str
 
     def __post_init__(self) -> None:
-        name = self.name.upper()
+        name = str(self.name).upper()
         if name not in CLIFFORD1_NAMES:
             raise CircuitError(f"unknown Clifford name {self.name!r}")
         object.__setattr__(self, "name", name)
@@ -167,20 +184,61 @@ class GlobalPhase:
 Gate = Union[MS, Rz, CRz, Rzz, Clifford1, CNOT, GlobalPhase]
 
 
+# --- the v1 record of each gate kind ----------------------------------------
+
+class _Record(NamedTuple):
+    kind: type
+    tag: str
+    line: str  # %-template of the record line
+    values: Callable[[Gate], tuple]  # a gate's operands for the template
+    parsers: tuple[type, ...]  # the type of each field before a qubit list
+    rest: str | None  # a trailing qubit-list field, which takes the rest
+    usage: str  # the field names, for error messages
+    qubits: Callable[[Gate], tuple[int, ...]]
+
+
+def _fields_getter(names: list[str]) -> Callable[[Gate], tuple]:
+    """Reads the named fields of a gate as a tuple."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(*names)
+        return lambda gate: (get(gate),)
+    return lambda gate: ()
+
+
+def _record(kind: type, tag: str) -> _Record:
+    """Derives a kind's record from its fields: each is written with str and
+    parsed by its type, int and tuple-of-int fields are its qubits, and a
+    tuple-of-int field comes last and takes the rest of the record."""
+    types = get_type_hints(kind)
+    names = [f.name for f in fields(kind)]
+    rest = names.pop() if types[names[-1]] == tuple[int, ...] else None
+    values = _fields_getter(names)
+    if rest:
+        qubits = attrgetter(rest)
+        head = values
+        values = lambda gate: (*head(gate), " ".join(map(str, qubits(gate))))
+    else:
+        qubits = _fields_getter([name for name in names if types[name] is int])
+    operands = names + [f"{rest}..."] * bool(rest)
+    return _Record(kind, tag, tag + " %s" * len(operands) + "\n", values,
+                   tuple(types[name] for name in names), rest, " ".join(operands), qubits)
+
+
+# The seven gate kinds, each with the tag that starts its record.
+_RECORDS = {kind: _record(kind, tag) for kind, tag in (
+    (MS, "ms"), (Rz, "rz"), (CRz, "crz"), (Rzz, "rzz"),
+    (Clifford1, "cl"), (CNOT, "cnot"), (GlobalPhase, "phase"),
+)}
+_RECORDS_BY_TAG = {record.tag: record for record in _RECORDS.values()}
+
+
 def gate_qubits(gate: Gate) -> tuple[int, ...]:
-    if isinstance(gate, MS):
-        return gate.qubits
-    if isinstance(gate, Rz):
-        return (gate.qubit,)
-    if isinstance(gate, (CRz, CNOT)):
-        return (gate.control, gate.target)
-    if isinstance(gate, Rzz):
-        return (gate.qubit_a, gate.qubit_b)
-    if isinstance(gate, Clifford1):
-        return (gate.qubit,)
-    if isinstance(gate, GlobalPhase):
-        return ()
-    raise CircuitError(f"not a gate: {gate!r}")
+    record = _RECORDS.get(type(gate))
+    if record is None:
+        raise CircuitError(f"not a gate: {gate!r}")
+    return record.qubits(gate)
 
 
 _CLIFFORD_INVERSE = {
@@ -190,23 +248,20 @@ _CLIFFORD_INVERSE = {
 
 
 def inverse(gate: Gate) -> Gate:
-    """Exact inverse gate (used to close conjugation sandwiches)."""
+    """Exact inverse gate (used to close conjugation sandwiches).
+
+    MS flips its direction, a Clifford takes its inverse's name and CNOT is
+    its own inverse.  Every other kind is its qubits followed by an angle,
+    and negates the angle.
+    """
     if isinstance(gate, MS):
         flipped = "backward" if gate.direction == "forward" else "forward"
         return MS(gate.axis, flipped, gate.qubits)
-    if isinstance(gate, Rz):
-        return Rz(gate.qubit, -gate.angle)
-    if isinstance(gate, CRz):
-        return CRz(gate.control, gate.target, -gate.angle)
-    if isinstance(gate, Rzz):
-        return Rzz(gate.qubit_a, gate.qubit_b, -gate.angle)
     if isinstance(gate, Clifford1):
         return Clifford1(gate.qubit, _CLIFFORD_INVERSE[gate.name])
     if isinstance(gate, CNOT):
         return gate
-    if isinstance(gate, GlobalPhase):
-        return GlobalPhase(-gate.angle)
-    raise CircuitError(f"not a gate: {gate!r}")
+    return type(gate)(*gate_qubits(gate), -gate.angle)
 
 
 @dataclass(frozen=True)
@@ -291,30 +346,26 @@ class CostReport:
         }
 
 
-def count(c: Circuit) -> GateCountReport:
-    ms_forward = ms_backward = single_qubit = crz = rzz = cnot = 0
-    by_axis = {"xx": 0, "yy": 0}
-    histogram: dict[int, int] = {}
+def _by_kind(c: Circuit) -> dict[type, list[Gate]]:
+    """The gates of each kind, in program order."""
+    groups: dict[type, list[Gate]] = {kind: [] for kind in _RECORDS}
     for g in c:
-        if isinstance(g, MS):
-            if g.direction == "forward":
-                ms_forward += 1
-            else:
-                ms_backward += 1
-            by_axis[g.axis] += 1
-            histogram[g.locality] = histogram.get(g.locality, 0) + 1
-        elif isinstance(g, (Rz, Clifford1)):
-            single_qubit += 1
-        elif isinstance(g, CRz):
-            crz += 1
-        elif isinstance(g, Rzz):
-            rzz += 1
-        elif isinstance(g, CNOT):
-            cnot += 1
-        # GlobalPhase intentionally uncounted: no physical gate
+        groups[type(g)].append(g)
+    return groups
+
+
+def count(c: Circuit) -> GateCountReport:
+    kinds = _by_kind(c)
+    directions, axes, localities = {"forward": 0, "backward": 0}, {"xx": 0, "yy": 0}, Counter()
+    for g in kinds[MS]:
+        directions[g.direction] += 1
+        axes[g.axis] += 1
+        localities[g.locality] += 1
+    # GlobalPhase intentionally uncounted: no physical gate
     return GateCountReport(
-        ms_forward, ms_backward, by_axis, single_qubit, crz, rzz, cnot,
-        dict(sorted(histogram.items())),
+        directions["forward"], directions["backward"], axes,
+        len(kinds[Rz]) + len(kinds[Clifford1]), len(kinds[CRz]), len(kinds[Rzz]), len(kinds[CNOT]),
+        dict(sorted(localities.items())),
     )
 
 
@@ -327,9 +378,8 @@ def cost(c: Circuit, tau: float = 1.0) -> CostReport:
     if not (math.isfinite(tau) and tau > 0):
         raise CircuitError(f"tau must be positive and finite, got {tau}")
     total = 0.0
-    for g in c:
-        if isinstance(g, MS):
-            total += tau * math.sqrt(g.locality)
+    for g in _by_kind(c)[MS]:
+        total += tau * math.sqrt(g.locality)
     frontier: dict[int, int] = {}
     depth = 0
     for g in c:
@@ -345,52 +395,20 @@ def cost(c: Circuit, tau: float = 1.0) -> CostReport:
 
 # --- serialization ---------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def serialize(c: Circuit) -> str:
     lines = [FORMAT_HEADER, f"qubits {c.n_qubits}"]
     for key in sorted(c.metadata):
         value = c.metadata[key]
-        if "\n" in key or "\n" in value or " " in key or not key:
-            raise CircuitError(f"metadata key/value not serializable: {key!r}")
+        # A key must read back as one token and a value as one line.
+        if key.split() != [key] or "".join(value.splitlines()) != value:
+            raise CircuitError(f"metadata entry not serializable: {key!r}: {value!r}")
         lines.append(f"meta {key} {value}")
-    for g in c:
-        if isinstance(g, MS):
-            lines.append(f"ms {g.axis} {g.direction} " + " ".join(map(str, g.qubits)))
-        elif isinstance(g, Rz):
-            lines.append(f"rz {g.qubit} {_fmt(g.angle)}")
-        elif isinstance(g, CRz):
-            lines.append(f"crz {g.control} {g.target} {_fmt(g.angle)}")
-        elif isinstance(g, Rzz):
-            lines.append(f"rzz {g.qubit_a} {g.qubit_b} {_fmt(g.angle)}")
-        elif isinstance(g, Clifford1):
-            lines.append(f"cl {g.qubit} {g.name.lower()}")
-        elif isinstance(g, CNOT):
-            lines.append(f"cnot {g.control} {g.target}")
-        elif isinstance(g, GlobalPhase):
-            lines.append(f"phase {_fmt(g.angle)}")
-        else:  # pragma: no cover
-            raise CircuitError(f"not a gate: {g!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _parse_int(token: str, line_no: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(line_no, f"expected integer {what}, got {token!r}") from None
-
-
-def _parse_float(token: str, line_no: int, what: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(line_no, f"expected number {what}, got {token!r}") from None
-    if not math.isfinite(value):
-        raise ParseError(line_no, f"non-finite {what}: {token!r}")
-    return value
+    records = _RECORDS
+    gates = []
+    for g in c.gates:
+        record = records[type(g)]
+        gates.append(record.line % record.values(g))
+    return "\n".join(lines) + "\n" + "".join(gates).lower()
 
 
 def deserialize(document: str) -> Circuit:
@@ -402,62 +420,42 @@ def deserialize(document: str) -> Circuit:
     n_qubits: int | None = None
     metadata: dict[str, str] = {}
     gates: list[Gate] = []
-    for idx, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for idx, tokens in enumerate(map(str.split, lines[1:]), start=2):
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
-        kind, args = tokens[0], tokens[1:]
-        if kind == "qubits":
-            if len(args) != 1:
-                raise ParseError(idx, "qubits line takes one integer")
-            n_qubits = _parse_int(args[0], idx, "qubit count")
-            continue
-        if n_qubits is None:
+        tag, args = tokens[0], tokens[1:]
+        if n_qubits is None and tag != "qubits":
             raise ParseError(idx, "qubits line must precede gates")
-        try:
-            if kind == "meta":
-                if not args:
-                    raise ParseError(idx, "meta line needs a key")
-                metadata[args[0]] = " ".join(args[1:])
-            elif kind == "ms":
-                if len(args) < 3:
-                    raise ParseError(idx, "ms line needs axis, direction and qubits")
-                qs = tuple(_parse_int(t, idx, "MS qubit") for t in args[2:])
-                gates.append(MS(args[0], args[1], qs))
-            elif kind == "rz":
-                if len(args) != 2:
-                    raise ParseError(idx, "rz line takes qubit and angle")
-                gates.append(Rz(_parse_int(args[0], idx, "qubit"), _parse_float(args[1], idx, "angle")))
-            elif kind == "crz":
-                if len(args) != 3:
-                    raise ParseError(idx, "crz line takes control, target and angle")
-                gates.append(CRz(_parse_int(args[0], idx, "control"),
-                                 _parse_int(args[1], idx, "target"),
-                                 _parse_float(args[2], idx, "angle")))
-            elif kind == "rzz":
-                if len(args) != 3:
-                    raise ParseError(idx, "rzz line takes two qubits and an angle")
-                gates.append(Rzz(_parse_int(args[0], idx, "qubit"),
-                                 _parse_int(args[1], idx, "qubit"),
-                                 _parse_float(args[2], idx, "angle")))
-            elif kind == "cl":
-                if len(args) != 2:
-                    raise ParseError(idx, "cl line takes qubit and name")
-                gates.append(Clifford1(_parse_int(args[0], idx, "qubit"), args[1]))
-            elif kind == "cnot":
-                if len(args) != 2:
-                    raise ParseError(idx, "cnot line takes control and target")
-                gates.append(CNOT(_parse_int(args[0], idx, "control"),
-                                  _parse_int(args[1], idx, "target")))
-            elif kind == "phase":
-                if len(args) != 1:
-                    raise ParseError(idx, "phase line takes one angle")
-                gates.append(GlobalPhase(_parse_float(args[0], idx, "angle")))
-            else:
-                raise SchemaError(idx, f"unknown gate record {kind!r}")
-        except CircuitError as exc:
-            raise ParseError(idx, str(exc)) from None
+        record = _RECORDS_BY_TAG.get(tag)
+        if record is not None:
+            parsers, rest = record.parsers, record.rest
+            if len(args) <= len(parsers) if rest else len(args) != len(parsers):
+                raise ParseError(idx, f"{tag} record takes: {record.usage}")
+            try:
+                # Each field's type parses its token: type.__call__(int, "3") is int("3").
+                values = map(type.__call__, parsers, args)
+                if rest:
+                    values = (*values, tuple(map(int, args[len(parsers):])))
+                gates.append(record.kind(*values))
+            except ValueError as exc:  # a token that does not parse, or a CircuitError
+                raise ParseError(idx, f"{tag} record: {exc}") from None
+        elif tag == "qubits":
+            if n_qubits is not None:
+                raise ParseError(idx, "repeated qubits line")
+            try:
+                (n_qubits,) = map(int, args)
+            except ValueError:
+                n_qubits = -1
+            if n_qubits < 0:
+                raise ParseError(idx, f"qubits line takes one non-negative integer, got {' '.join(args)!r}")
+        elif tag == "meta":
+            if not args:
+                raise ParseError(idx, "meta line needs a key")
+            if args[0] in metadata:
+                raise ParseError(idx, f"repeated meta key {args[0]!r}")
+            metadata[args[0]] = " ".join(args[1:])
+        else:
+            raise SchemaError(idx, f"unknown gate record {tag!r}")
     if n_qubits is None:
         raise ParseError(len(lines), "missing qubits line")
     try:

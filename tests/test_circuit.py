@@ -55,6 +55,8 @@ def test_gate_construction_guards():
     with pytest.raises(CircuitError):
         Clifford1(0, "t")
     with pytest.raises(CircuitError):
+        Clifford1(0, 5)
+    with pytest.raises(CircuitError):
         Rz(0, float("nan"))
     with pytest.raises(CircuitError):
         GlobalPhase(float("inf"))
@@ -75,6 +77,10 @@ def test_gate_qubits():
     assert gate_qubits(Clifford1(7, "h")) == (7,)
     assert gate_qubits(CNOT(0, 6)) == (0, 6)
     assert gate_qubits(GlobalPhase(0.3)) == ()
+    with pytest.raises(CircuitError):
+        gate_qubits("rz 0 0.1")
+    with pytest.raises(CircuitError):
+        inverse("rz 0 0.1")
 
 
 def test_inverse_is_involutive_and_flips_direction():
@@ -94,6 +100,9 @@ def test_inverse_is_involutive_and_flips_direction():
     assert inverse(MS("xx", "forward", (0, 1))).direction == "backward"
     assert inverse(Clifford1(0, "s")) == Clifford1(0, "sdg")
     assert inverse(Rz(3, 0.5)) == Rz(3, -0.5)
+    assert inverse(CRz(0, 2, -0.3)) == CRz(0, 2, 0.3)
+    assert inverse(Rzz(1, 2, 1.1)) == Rzz(1, 2, -1.1)
+    assert inverse(GlobalPhase(0.25)) == GlobalPhase(-0.25)
 
 
 def test_count_empty_circuit_is_all_zero():
@@ -211,6 +220,65 @@ def test_round_trip_preserves_angles_exactly():
     assert again == c
     assert again.gates[1].angle == -math.pi / 2
     assert again.metadata == {"op": "demo block", "theta": "0.3"}
+
+
+# One gate of each kind and its exact v1 record.
+_RECORD_LINES = [
+    (MS("YY", "Backward", (4, 1)), "ms yy backward 1 4"),
+    (Rz(1, -math.pi / 2), "rz 1 -1.5707963267948966"),
+    (CRz(0, 3, 1e-17), "crz 0 3 1e-17"),
+    (Rzz(2, 5, 0.1 + 0.2), "rzz 2 5 0.30000000000000004"),
+    (Clifford1(4, "SXDG"), "cl 4 sxdg"),
+    (CNOT(3, 0), "cnot 3 0"),
+    (GlobalPhase(-0.25), "phase -0.25"),
+]
+
+
+@pytest.mark.parametrize("gate, record", _RECORD_LINES)
+def test_record_line_of_each_gate_kind(gate, record):
+    c = Circuit(6, (gate,))
+    doc = serialize(c)
+    assert doc == f"ionsynth-circuit v1\nqubits 6\n{record}\n"
+    assert deserialize(doc) == c
+
+
+@pytest.mark.parametrize("record", [
+    "ms xx forward",
+    "rz 1", "rz 1 0.5 2",
+    "crz 0 1", "crz 0 1 0.5 2",
+    "rzz 0 1", "rzz 0 1 0.5 2",
+    "cl 0", "cl 0 h 1",
+    "cnot 0", "cnot 0 1 2",
+    "phase", "phase 0.5 1",
+])
+def test_record_with_wrong_operand_count_is_parse_error_at_its_line(record):
+    doc = f"ionsynth-circuit v1\nqubits 2\n# comment\n{record}\nrz 0 0.1\n"
+    with pytest.raises(ParseError) as err:
+        deserialize(doc)
+    assert type(err.value) is ParseError
+    assert err.value.line_no == 4
+
+
+@pytest.mark.parametrize("metadata", [
+    {"note": "a\rb"},
+    {"note": "a\x0cb"},
+    {"note": "a\u2028b"},
+    {"k\tx": "v"},
+])
+def test_serialize_refuses_metadata_that_does_not_read_back(metadata):
+    with pytest.raises(CircuitError):
+        serialize(Circuit(1, (), metadata))
+
+
+@pytest.mark.parametrize("doc, line_no", [
+    ("ionsynth-circuit v1\nqubits 2\nrz 1 0.1\nqubits 3\n", 4),
+    ("ionsynth-circuit v1\nqubits 1\nmeta op a\nmeta op b\nrz 0 0.1\n", 4),
+    ("ionsynth-circuit v1\nqubits -1\n# a\n# b\n# c\n", 2),
+])
+def test_repeated_lines_and_negative_width_fail_at_their_line(doc, line_no):
+    with pytest.raises(ParseError) as err:
+        deserialize(doc)
+    assert err.value.line_no == line_no
 
 
 def test_metadata_value_keeps_interior_spaces():
