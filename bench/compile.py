@@ -6,14 +6,16 @@ Run from the root of a checkout:
     python3 bench/compile.py --label parent --src ../parent/src
 
 Workloads: the packaged H3+ table (with the H3+ UCCSD layer, two occupied
-and four virtual spin orbitals) and the dense random real tables of 8, 10,
+and four virtual spin orbitals), the dense random real tables of 8, 10,
 12 and 14 modes that perfbench.inputs.integral_document draws from the seed
-"profile/<modes>" (with a UCCSD layer over the lowest half of the modes,
-angles from the same seed).  Per workload it times eight stages:
+"profile/<modes>", and one dense random complex table of 10 modes drawn here
+from the seed "complex/10" (each with a UCCSD layer over the lowest half of
+the modes, angles from the same seed).  Per workload it times eight stages:
 
   parse               integrals.parse_integrals of the table's text
   term_list           integrals.term_list of the parsed table
-  build_trotter_step  evolution.build_trotter_step, parallelized, real class
+  build_trotter_step  evolution.build_trotter_step, parallelized, in the
+                      orbital class of the table (real or complex)
   build_uccsd_layer   evolution.build_uccsd_layer, parallelized
   serialize           circuit.serialize of the Trotter step
   deserialize         circuit.deserialize of that text
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -44,10 +47,43 @@ from oracle import commit_of, environment
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_compile.json"
 RANDOM_MODES = (8, 10, 12, 14)
+COMPLEX_MODES = 10
 TIME_STEP = 0.1
 REPEATS = 3
 STAGES = ("parse", "term_list", "build_trotter_step", "build_uccsd_layer", "serialize",
           "deserialize", "count", "cost")
+
+
+def complex_document(n: int, rng: random.Random) -> str:
+    """A dense random complex table: every orbit of the complex symmetry group
+    set once, with a real value where the orbit holds its own conjugate (the
+    one-body diagonal and two-body orbits such as (p,q,q,p))."""
+
+    def entry(real: bool) -> str:
+        re, im = (rng.choice((-1.0, 1.0)) * rng.uniform(0.01, 1.0) for _ in range(2))
+        return f"{re:.6f} {0.0 if real else im:.6f}"
+
+    lines = [f"norb {n} reality complex", f"{entry(True)} 0 0 0 0"]
+    for p in range(1, n + 1):
+        for q in range(p, n + 1):
+            lines.append(f"{entry(p == q)} {p} {q} 0 0")
+    seen = set()
+    for key in itertools.product(range(1, n + 1), repeat=4):
+        p, q, r, s = key
+        plain, conjugated = {key, (q, p, s, r)}, {(r, s, p, q), (s, r, q, p)}
+        rep = min(plain | conjugated)
+        if rep not in seen:
+            seen.add(rep)
+            lines.append(f"{entry(bool(plain & conjugated))} {rep[0]} {rep[1]} {rep[2]} {rep[3]}")
+    return "\n".join(lines) + "\n"
+
+
+def uccsd_half(n: int, rng: random.Random) -> tuple:
+    """A UCCSD layer over the lowest half of n modes, angles drawn from rng."""
+    from perfbench.inputs import uccsd_counts
+
+    angles = tuple(rng.uniform(-1.0, 1.0) for _ in range(sum(uccsd_counts(n, n // 2))))
+    return (n, tuple(range(n // 2)), tuple(range(n // 2, n)), angles)
 
 
 def workloads() -> list[tuple[str, str, tuple]]:
@@ -55,15 +91,16 @@ def workloads() -> list[tuple[str, str, tuple]]:
     from importlib import resources
 
     sys.path.append(str(ROOT))  # after the measured sources
-    from perfbench.inputs import integral_document, uccsd_counts
+    from perfbench.inputs import integral_document
 
     h3 = resources.files("ionsynth").joinpath("data/h3plus.ints").read_text()
     out = [("h3plus", h3, (6, (0, 1), (2, 3, 4, 5), tuple(0.05 * (i + 1) for i in range(8))))]
     for n in RANDOM_MODES:
         rng = random.Random(f"profile/{n}")
-        document = integral_document(n, rng)
-        angles = tuple(rng.uniform(-1.0, 1.0) for _ in range(sum(uccsd_counts(n, n // 2))))
-        out.append((f"random_{n}", document, (n, tuple(range(n // 2)), tuple(range(n // 2, n)), angles)))
+        out.append((f"random_{n}", integral_document(n, rng), uccsd_half(n, rng)))
+    rng = random.Random(f"complex/{COMPLEX_MODES}")
+    out.append((f"complex_{COMPLEX_MODES}", complex_document(COMPLEX_MODES, rng),
+                uccsd_half(COMPLEX_MODES, rng)))
     return out
 
 
@@ -92,7 +129,7 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
         times.append(time.perf_counter())
         terms = term_list(table)
         times.append(time.perf_counter())
-        step = build_trotter_step(terms, TrotterConfig(TIME_STEP))
+        step = build_trotter_step(terms, TrotterConfig(TIME_STEP, orbital_class=table.reality))
         times.append(time.perf_counter())
         layer = build_uccsd_layer(spec)
         times.append(time.perf_counter())

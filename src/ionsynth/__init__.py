@@ -63,7 +63,6 @@ from .fermion import (
     local_pauli,
     number,
     single,
-    split_hamiltonian,
 )
 from .integrals import (
     IntegralError,
@@ -133,7 +132,7 @@ __all__ = [
     "controlled_single", "higher_excitation", "LocalTerm", "density_term",
     "coulomb_term", "generator_pauli", "local_pauli", "ladder_form",
     "local_ladder_form", "local_equivalence_conjugate", "HamiltonianTerms",
-    "split_hamiltonian", "hamiltonian_ladder",
+    "hamiltonian_ladder",
     # integrals
     "IntegralError", "IntegralParseError", "SymmetryConflictError",
     "IntegralTable", "parse_integrals", "term_list", "h3plus_table",

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Callable, Iterator, Mapping, NamedTuple, Union, get_type_hints
 
 from .pauli import CLIFFORD1_NAMES
@@ -96,10 +96,10 @@ class MS:
     qubits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        axis = self.axis.lower()
+        axis = str(self.axis).lower()
         if axis not in ("xx", "yy"):
             raise CircuitError(f"MS axis must be 'xx' or 'yy', got {self.axis!r}")
-        direction = self.direction.lower()
+        direction = str(self.direction).lower()
         if direction not in ("forward", "backward"):
             raise CircuitError(f"MS direction must be forward/backward, got {self.direction!r}")
         qs = tuple(sorted(self.qubits))
@@ -264,6 +264,24 @@ def inverse(gate: Gate) -> Gate:
     return type(gate)(*gate_qubits(gate), -gate.angle)
 
 
+def _check_qubit(gate: Gate, q, n_qubits: int) -> None:
+    """Refuses a qubit outside 0..n_qubits-1 or one that is not an integer: a
+    bool or a float would be written as 'true' or '0.5', which the v1 parser
+    rejects.  numpy integers pass."""
+    if isinstance(q, bool) or not _has_index(q):
+        raise CircuitError(f"gate {gate!r} has qubit {q!r}, which is not an integer")
+    if not 0 <= q < n_qubits:
+        raise CircuitError(f"gate {gate!r} touches qubit {q} outside 0..{n_qubits - 1}")
+
+
+def _has_index(q) -> bool:
+    try:
+        index(q)
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class Circuit:
     n_qubits: int
@@ -274,10 +292,11 @@ class Circuit:
         if self.n_qubits < 0:
             raise CircuitError("negative qubit count")
         gates = tuple(self.gates)
+        n = self.n_qubits
         for g in gates:
             for q in gate_qubits(g):
-                if not (0 <= q < self.n_qubits):
-                    raise CircuitError(f"gate {g!r} touches qubit {q} outside 0..{self.n_qubits - 1}")
+                if type(q) is not int or not 0 <= q < n:  # numpy integers pass in here
+                    _check_qubit(g, q, n)
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "metadata", dict(self.metadata))
 
@@ -436,9 +455,13 @@ def deserialize(document: str) -> Circuit:
                 values = map(type.__call__, parsers, args)
                 if rest:
                     values = (*values, tuple(map(int, args[len(parsers):])))
-                gates.append(record.kind(*values))
+                gate = record.kind(*values)
+                for q in record.qubits(gate):
+                    if not 0 <= q < n_qubits:
+                        _check_qubit(gate, q, n_qubits)
             except ValueError as exc:  # a token that does not parse, or a CircuitError
                 raise ParseError(idx, f"{tag} record: {exc}") from None
+            gates.append(gate)
         elif tag == "qubits":
             if n_qubits is not None:
                 raise ParseError(idx, "repeated qubits line")
@@ -458,7 +481,4 @@ def deserialize(document: str) -> Circuit:
             raise SchemaError(idx, f"unknown gate record {tag!r}")
     if n_qubits is None:
         raise ParseError(len(lines), "missing qubits line")
-    try:
-        return Circuit(n_qubits, tuple(gates), metadata)
-    except CircuitError as exc:
-        raise ParseError(len(lines), str(exc)) from None
+    return Circuit(n_qubits, tuple(gates), metadata)

@@ -49,7 +49,6 @@ __all__ = [
     "local_ladder_form",
     "local_equivalence_conjugate",
     "HamiltonianTerms",
-    "split_hamiltonian",
     "hamiltonian_ladder",
 ]
 
@@ -261,14 +260,37 @@ def _sort_parity(seq: Iterable[int]) -> tuple[tuple[int, ...], int]:
     return tuple(sorted(items)), -1 if inversions % 2 else 1
 
 
+def _single_order(p: int, q: int, symmetrized: bool) -> tuple[int, int, float]:
+    """The modes of a (controlled) single, smaller first, and the sign that
+    costs: swapping the creation and annihilation side is the adjoint, which
+    negates an antisymmetrized generator and keeps a symmetrized one."""
+    if p > q:
+        return q, p, 1.0 if symmetrized else -1.0
+    return p, q, 1.0
+
+
+def _double_order(p: int, q: int, r: int, s: int,
+                  symmetrized: bool) -> tuple[tuple[int, int], tuple[int, int], float]:
+    """The pairs of a double (or coulomb term), each ascending and the one with
+    the smallest mode first, and the sign that costs: a swap inside a pair
+    negates, a swap of the pairs acts as in _single_order."""
+    sign = 1.0
+    if p > q:
+        p, q, sign = q, p, -sign
+    if r > s:
+        r, s, sign = s, r, -sign
+    if p > r:
+        (p, q), (r, s) = (r, s), (p, q)
+        if not symmetrized:
+            sign = -sign
+    return (p, q), (r, s), sign
+
+
 def single(p: int, q: int, coefficient: float = 1.0, symmetrized: bool = False) -> ExcitationTerm:
     if p == q:
         raise FermionError("single excitation needs two distinct modes")
-    if p > q:
-        p, q = q, p
-        if not symmetrized:
-            coefficient = -coefficient
-    return ExcitationTerm("single", (p,), (q,), None, symmetrized, coefficient)
+    p, q, sign = _single_order(p, q, symmetrized)
+    return ExcitationTerm("single", (p,), (q,), None, symmetrized, coefficient * sign)
 
 
 def double(p: int, q: int, r: int, s: int, coefficient: float = 1.0,
@@ -276,25 +298,16 @@ def double(p: int, q: int, r: int, s: int, coefficient: float = 1.0,
     """Double excitation with creation pair (p,q), annihilation pair (r,s)."""
     if len({p, q, r, s}) != 4:
         raise FermionError("double excitation needs four distinct modes")
-    sub, sign_sub = _sort_parity((p, q))
-    sup, sign_sup = _sort_parity((r, s))
-    coefficient *= sign_sub * sign_sup
-    if min(sub) > min(sup):
-        sub, sup = sup, sub
-        if not symmetrized:
-            coefficient = -coefficient
-    return ExcitationTerm("double", sub, sup, None, symmetrized, coefficient)
+    sub, sup, sign = _double_order(p, q, r, s, symmetrized)
+    return ExcitationTerm("double", sub, sup, None, symmetrized, coefficient * sign)
 
 
 def controlled_single(p: int, q: int, j: int, coefficient: float = 1.0,
                       symmetrized: bool = False) -> ExcitationTerm:
     if p == q or j in (p, q):
         raise FermionError("controlled single needs distinct p, q and control")
-    if p > q:
-        p, q = q, p
-        if not symmetrized:
-            coefficient = -coefficient
-    return ExcitationTerm("controlled_single", (p,), (q,), j, symmetrized, coefficient)
+    p, q, sign = _single_order(p, q, symmetrized)
+    return ExcitationTerm("controlled_single", (p,), (q,), j, symmetrized, coefficient * sign)
 
 
 def higher_excitation(sub_modes: Iterable[int], sup_modes: Iterable[int],
@@ -543,8 +556,10 @@ class _Accumulator:
         self.weights: dict[tuple, float] = {}
 
     def add(self, term: LocalTerm | ExcitationTerm) -> None:
-        key = (type(term), term.key())
-        self.weights[key] = self.weights.get(key, 0.0) + term.coefficient
+        self._add((type(term), term.key()), term.coefficient)
+
+    def _add(self, key: tuple, coefficient: float) -> None:
+        self.weights[key] = self.weights.get(key, 0.0) + coefficient
 
     def quartic(self, p: int, q: int, r: int, s: int, weight: float,
                 symmetrized: bool) -> None:
@@ -556,29 +571,24 @@ class _Accumulator:
             # pure occupation term; the antisymmetrized part vanishes
             if not symmetrized:
                 return
-            # normalize both pairs ascending, each intra-swap flips the sign
-            sign = 1.0
-            if p > q:
-                p, q = q, p
-                sign = -sign
-            if r > s:
-                r, s = s, r
-                sign = -sign
-            # now (p,q) == (r,s); generator is coefficient * (-2 n_p n_q)
-            self.add(coulomb_term(p, q, weight * sign))
+            # (p,q) == (r,s) once ordered; generator is coefficient * (-2 n_p n_q)
+            sub, _, sign = _double_order(p, q, r, s, symmetrized)
+            self._add((LocalTerm, ("coulomb", sub)), weight * sign)
             return
         if len(shared) == 1:
+            # move the shared mode j last in both pairs, each swap flipping the sign
             j = shared.pop()
             sign = 1.0
             if p == j:
-                p, q = q, p
-                sign = -sign
+                p, q, sign = q, p, -sign
             if r == j:
-                r, s = s, r
-                sign = -sign
-            self.add(controlled_single(p, r, j, weight * sign, symmetrized))
+                r, s, sign = s, r, -sign
+            p, r, order = _single_order(p, r, symmetrized)
+            key = ("controlled_single", (p,), (r,), j, symmetrized)
+            self._add((ExcitationTerm, key), weight * sign * order)
             return
-        self.add(double(p, q, r, s, weight, symmetrized))
+        sub, sup, sign = _double_order(p, q, r, s, symmetrized)
+        self._add((ExcitationTerm, ("double", sub, sup, None, symmetrized)), weight * sign)
 
     def finish(self, n_modes: int, reality: str, constant: float) -> HamiltonianTerms:
         terms = [cls(*key, c) for (cls, key), c in self.weights.items() if abs(c) > _DROP_EPS]
@@ -604,52 +614,6 @@ class _Accumulator:
             )
         )
         return HamiltonianTerms(n_modes, reality, constant, locals_out, exc_out)
-
-
-def split_hamiltonian(table) -> HamiltonianTerms:
-    """Decompose an integral table into weighted generators and local terms.
-
-    Takes any object exposing n_modes, reality ("real" or "complex"),
-    constant, one_body_value(p, q) and two_body_value(p, q, r, s) with
-    symmetry-resolved lookup.
-
-    Complex tables split into the antisymmetrized family (imaginary parts,
-    weight 1/2 quadratic and 1/4 quartic) plus the symmetrized family (real
-    parts, same weights).  Real tables produce only symmetrized terms; the
-    quartic loop uses the exchange-coupled grouping
-    h/8 * (sym(p,q;r,s) + sym(p,s;r,q)), whose partner terms land on the same
-    four-mode window with tied weights.  Quadratic diagonal entries become
-    density terms, two-mode-overlap quartics become coulomb terms.
-    """
-    n = table.n_modes
-    acc = _Accumulator()
-    for p in range(n):
-        for q in range(n):
-            h = complex(table.one_body_value(p, q))
-            if abs(h) <= _DROP_EPS:
-                continue
-            if p == q:
-                acc.add(density_term(p, 0.5 * h.real))
-                continue
-            if table.reality == "complex" and abs(h.imag) > _DROP_EPS:
-                acc.add(single(p, q, 0.5 * h.imag, symmetrized=False))
-            acc.add(single(p, q, 0.5 * h.real, symmetrized=True))
-    quartic_indices = itertools.product(range(n), repeat=4)
-    if table.reality == "real":
-        for p, q, r, s in quartic_indices:
-            h = complex(table.two_body_value(p, q, r, s)).real
-            if abs(h) <= _DROP_EPS:
-                continue
-            acc.quartic(p, q, r, s, h / 8.0, symmetrized=True)
-            acc.quartic(p, s, r, q, h / 8.0, symmetrized=True)
-    else:
-        for p, q, r, s in quartic_indices:
-            h = complex(table.two_body_value(p, q, r, s))
-            if abs(h) <= _DROP_EPS:
-                continue
-            acc.quartic(p, q, r, s, h.imag / 4.0, symmetrized=False)
-            acc.quartic(p, q, r, s, h.real / 4.0, symmetrized=True)
-    return acc.finish(n, table.reality, float(table.constant))
 
 
 def hamiltonian_ladder(table) -> FermionOperator:

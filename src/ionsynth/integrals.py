@@ -14,18 +14,26 @@ The text format understood by parse_integrals:
 with 1-based indices, r = s = 0 marking a one-electron entry and all four
 indices zero marking the constant shift.  The <im> column is only legal in
 complex tables.  Blank lines and text after '#' are ignored.
+
+term_list expands each stored entry into its orbit but visits the index tuples
+in index order, as a loop over all n^4 lookups would: float addition is not
+associative, so any other order could move a summed coefficient, and with it
+a serialized angle, by its last bit.
 """
 
 import cmath
 from importlib import resources
+from operator import itemgetter
 
 from .fermion import (
+    _DROP_EPS,
     HamiltonianTerms,
+    _Accumulator,
     controlled_single,
     coulomb_term,
     density_term,
     double,
-    split_hamiltonian,
+    single,
 )
 
 _CONFLICT_TOL = 1e-12
@@ -62,29 +70,21 @@ def _finite(value) -> complex:
     return value
 
 
-def _one_body_orbit(p, q, reality):
-    if reality == "complex":
-        return (((p, q), False), ((q, p), True))
-    return (((p, q), False), ((q, p), False))
+def _one_body_orbit(key, reality):
+    p, q = key
+    return (((p, q), False), ((q, p), reality == "complex"))
 
 
 def _two_body_orbit(key, reality):
     p, q, r, s = key
-    members = [
-        ((p, q, r, s), False),
-        ((q, p, s, r), False),
-        ((r, s, p, q), True),
-        ((s, r, q, p), True),
-    ]
-    if reality == "real":
-        members = [(k, False) for k, _ in members]
-        members += [
-            ((r, q, p, s), False),
-            ((s, p, q, r), False),
-            ((p, s, r, q), False),
-            ((q, r, s, p), False),
-        ]
-    return tuple(members)
+    conjugating = reality == "complex"
+    members = (((p, q, r, s), False), ((q, p, s, r), False),
+               ((r, s, p, q), conjugating), ((s, r, q, p), conjugating))
+    if conjugating:
+        return members
+    return members + tuple(
+        (k, False) for k in ((r, q, p, s), (s, p, q, r), (p, s, r, q), (q, r, s, p))
+    )
 
 
 def _canonical(orbit):
@@ -96,6 +96,20 @@ def _canonical(orbit):
     rep = min(k for k, _ in orbit)
     flags = frozenset(f for k, f in orbit if k == rep)
     return rep, flags
+
+
+def _expand(store, orbit, reality):
+    """Each index tuple the stored representatives stand for, in index order,
+    with the value its lookup returns: conjugated for a member reached only by
+    conjugating symmetries, as stored in a self-conjugate orbit."""
+    entries = []
+    for rep, value in store.items():
+        conjugated = {}
+        for key, flag in orbit(rep, reality):
+            conjugated[key] = conjugated.get(key, True) and flag
+        entries += [(key, value.conjugate() if c else value) for key, c in conjugated.items()]
+    entries.sort(key=itemgetter(0))
+    return entries
 
 
 class IntegralTable:
@@ -125,8 +139,12 @@ class IntegralTable:
                     f"mode {m} outside table of {self.n_modes} modes"
                 )
 
-    def _store(self, store, key, value, orbit):
-        rep, flags = _canonical(orbit)
+    def _set(self, store, key, value, orbit) -> None:
+        value = _finite(value)
+        self._check_modes(key)
+        if self.reality == "real" and abs(value.imag) > _CONFLICT_TOL:
+            raise IntegralError("real table cannot hold an imaginary part")
+        rep, flags = _canonical(orbit(key, self.reality))
         if len(flags) == 2 and abs(value.imag) > _CONFLICT_TOL:
             raise SymmetryConflictError(key, rep, value, value.conjugate())
         at_rep = value.conjugate() if True in flags else value
@@ -139,33 +157,23 @@ class IntegralTable:
         store[rep] = at_rep
         self._sources[rep] = key
 
+    def _lookup(self, store, key, orbit) -> complex:
+        self._check_modes(key)
+        rep, flags = _canonical(orbit(key, self.reality))
+        value = store.get(rep, 0j)
+        return value.conjugate() if flags == {True} else value
+
     def set_one_body(self, p: int, q: int, value) -> None:
-        value = _finite(value)
-        self._check_modes((p, q))
-        if self.reality == "real" and abs(value.imag) > _CONFLICT_TOL:
-            raise IntegralError("real table cannot hold an imaginary part")
-        self._store(self._one, (p, q), value,
-                    _one_body_orbit(p, q, self.reality))
+        self._set(self._one, (p, q), value, _one_body_orbit)
 
     def set_two_body(self, p: int, q: int, r: int, s: int, value) -> None:
-        value = _finite(value)
-        self._check_modes((p, q, r, s))
-        if self.reality == "real" and abs(value.imag) > _CONFLICT_TOL:
-            raise IntegralError("real table cannot hold an imaginary part")
-        self._store(self._two, (p, q, r, s), value,
-                    _two_body_orbit((p, q, r, s), self.reality))
+        self._set(self._two, (p, q, r, s), value, _two_body_orbit)
 
     def one_body_value(self, p: int, q: int) -> complex:
-        self._check_modes((p, q))
-        rep, flags = _canonical(_one_body_orbit(p, q, self.reality))
-        value = self._one.get(rep, 0j)
-        return value.conjugate() if (True in flags and False not in flags) else value
+        return self._lookup(self._one, (p, q), _one_body_orbit)
 
     def two_body_value(self, p: int, q: int, r: int, s: int) -> complex:
-        self._check_modes((p, q, r, s))
-        rep, flags = _canonical(_two_body_orbit((p, q, r, s), self.reality))
-        value = self._two.get(rep, 0j)
-        return value.conjugate() if (True in flags and False not in flags) else value
+        return self._lookup(self._two, (p, q, r, s), _two_body_orbit)
 
     @property
     def one_body(self):
@@ -261,8 +269,35 @@ def parse_integrals(document: str) -> IntegralTable:
 
 
 def term_list(table: IntegralTable) -> HamiltonianTerms:
-    """Weighted generator decomposition of the table's Hamiltonian."""
-    return split_hamiltonian(table)
+    """Decompose the table's Hamiltonian into weighted generators and local terms.
+
+    Complex tables split into the antisymmetrized family (imaginary parts,
+    weight 1/2 quadratic and 1/4 quartic) plus the symmetrized family (real
+    parts, same weights).  Real tables produce only symmetrized terms; the
+    quartic loop uses the exchange-coupled grouping
+    h/8 * (sym(p,q;r,s) + sym(p,s;r,q)), whose partner terms land on the same
+    four-mode window with tied weights.  Quadratic diagonal entries become
+    density terms, two-mode-overlap quartics become coulomb terms.
+    """
+    acc = _Accumulator()
+    for (p, q), h in _expand(table._one, _one_body_orbit, table.reality):
+        if abs(h) <= _DROP_EPS:
+            continue
+        if p == q:
+            acc.add(density_term(p, 0.5 * h.real))
+            continue
+        if table.reality == "complex" and abs(h.imag) > _DROP_EPS:
+            acc.add(single(p, q, 0.5 * h.imag, symmetrized=False))
+        acc.add(single(p, q, 0.5 * h.real, symmetrized=True))
+    for (p, q, r, s), h in _expand(table._two, _two_body_orbit, table.reality):
+        if table.reality == "real":
+            if abs(h.real) > _DROP_EPS:
+                acc.quartic(p, q, r, s, h.real / 8.0, symmetrized=True)
+                acc.quartic(p, s, r, q, h.real / 8.0, symmetrized=True)
+        elif abs(h) > _DROP_EPS:
+            acc.quartic(p, q, r, s, h.imag / 4.0, symmetrized=False)
+            acc.quartic(p, q, r, s, h.real / 4.0, symmetrized=True)
+    return acc.finish(table.n_modes, table.reality, float(table.constant))
 
 
 def h3plus_table() -> IntegralTable:

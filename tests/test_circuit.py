@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -326,6 +327,40 @@ def test_structural_errors_surface_as_parse_errors_with_line():
     doc2 = "ionsynth-circuit v1\nqubits 2\nrz 5 0.1\n"
     with pytest.raises(ParseError):
         deserialize(doc2)
+
+
+def test_out_of_range_qubit_fails_at_its_own_line():
+    doc = "ionsynth-circuit v1\nqubits 2\nrz 5 0.1\n# a\n# b\n"
+    with pytest.raises(ParseError) as err:
+        deserialize(doc)
+    assert err.value.line_no == 3
+    assert "outside 0..1" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        deserialize("ionsynth-circuit v1\nqubits 3\ncnot 0 1\n\nms yy backward 0 2 3\nrz 0 0.1\n")
+    assert err.value.line_no == 5
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MS(1, "forward", (0, 1)),
+    lambda: MS("xx", 2, (0, 1)),
+    lambda: MS("xx", "forward", (0, 0.5)),
+    lambda: Rz(0.5, 0.1),
+    lambda: Rz(True, 0.1),
+    lambda: CRz(0, 1.0, 0.1),
+    lambda: Rzz(False, 1, 0.1),
+    lambda: Clifford1("0", "h"),
+    lambda: CNOT(0, True),
+], ids=["ms-axis", "ms-direction", "ms-qubit", "rz-float", "rz-bool", "crz-float",
+        "rzz-bool", "cl-str", "cnot-bool"])
+def test_gate_operands_that_would_not_read_back_are_refused(make):
+    with pytest.raises(CircuitError):
+        Circuit(2, (make(),))
+
+
+def test_numpy_integer_qubits_are_accepted():
+    c = Circuit(2, (Rz(np.int64(1), 0.1), MS("xx", "forward", (np.int32(0), 1))))
+    assert serialize(c) == "ionsynth-circuit v1\nqubits 2\nrz 1 0.1\nms xx forward 0 1\n"
+    assert deserialize(serialize(c)) == c
 
 
 def test_comments_and_blank_lines_are_ignored():

@@ -4,12 +4,26 @@ Reconstruction tests pit the generator decomposition against a direct
 ladder-operator expansion of the same table on dense matrices.
 """
 
+import contextlib
 import itertools
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ionsynth.fermion import hamiltonian_ladder, jw_map
+from ionsynth.fermion import (
+    HamiltonianTerms,
+    LocalTerm,
+    controlled_single,
+    coulomb_term,
+    density_term,
+    double,
+    hamiltonian_ladder,
+    jw_map,
+    single,
+)
 from ionsynth.integrals import (
     IntegralError,
     IntegralParseError,
@@ -295,6 +309,110 @@ def test_real_values_through_complex_path_agree():
     lhs = dense_sum(term_list(real).pauli_sum())
     rhs = dense_sum(term_list(complex_twin).pauli_sum())
     assert np.abs(lhs - rhs).max() < 1e-12
+
+
+# --- bit-identity against the index-by-index split ---------------------------
+
+def _reference_quartic(p, q, r, s, weight, symmetrized):
+    """The term of weight * generator(a+_p a+_q a_r a_s), built by the factories."""
+    if abs(weight) <= 1e-14 or p == q or r == s:
+        return []
+    shared = {p, q} & {r, s}
+    if len(shared) == 2:
+        if not symmetrized:
+            return []
+        sign = 1.0
+        if p > q:
+            p, q, sign = q, p, -sign
+        if r > s:
+            r, s, sign = s, r, -sign
+        return [coulomb_term(p, q, weight * sign)]
+    if len(shared) == 1:
+        j = shared.pop()
+        sign = 1.0
+        if p == j:
+            p, q, sign = q, p, -sign
+        if r == j:
+            r, s, sign = s, r, -sign
+        return [controlled_single(p, r, j, weight * sign, symmetrized)]
+    return [double(p, q, r, s, weight, symmetrized)]
+
+
+def reference_split(table):
+    """term_list as an n^4 loop over symmetry-resolved lookups, building each
+    term with the factories; it adds every coefficient in index order, as
+    term_list must, so the two agree bit for bit."""
+    n, terms = table.n_modes, []
+    for p, q in itertools.product(range(n), repeat=2):
+        h = table.one_body_value(p, q)
+        if abs(h) <= 1e-14:
+            continue
+        if p == q:
+            terms.append(density_term(p, 0.5 * h.real))
+            continue
+        if table.reality == "complex" and abs(h.imag) > 1e-14:
+            terms.append(single(p, q, 0.5 * h.imag))
+        terms.append(single(p, q, 0.5 * h.real, symmetrized=True))
+    for p, q, r, s in itertools.product(range(n), repeat=4):
+        h = table.two_body_value(p, q, r, s)
+        if table.reality == "real" and abs(h.real) > 1e-14:
+            terms += _reference_quartic(p, q, r, s, h.real / 8.0, True)
+            terms += _reference_quartic(p, s, r, q, h.real / 8.0, True)
+        elif table.reality == "complex" and abs(h) > 1e-14:
+            terms += _reference_quartic(p, q, r, s, h.imag / 4.0, False)
+            terms += _reference_quartic(p, q, r, s, h.real / 4.0, True)
+    local = [t for t in terms if isinstance(t, LocalTerm)]
+    excitations = [t for t in terms if not isinstance(t, LocalTerm)]
+    return HamiltonianTerms.assemble(n, table.reality, table.constant, local, excitations)
+
+
+@st.composite
+def integral_tables(draw):
+    """Real and complex tables of 1-6 modes, from sparse to dense.  Each index
+    tuple is tried once in a random order, so the first tuple drawn from an
+    orbit sets it (repeated-index orbits included), and a complex value on a
+    self-conjugate orbit is refused; real and nearly real values (imaginary
+    part 1e-13) let self-conjugate complex orbits fill too."""
+    n = draw(st.integers(1, 6))
+    reality = draw(st.sampled_from(("real", "complex")))
+    fill = draw(st.sampled_from((0.05, 0.3, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    table = IntegralTable(n, reality, rng.uniform(-1, 1))
+
+    def value():
+        imag = rng.choice((0.0, 1e-13, rng.uniform(-1, 1))) if reality == "complex" else 0.0
+        return complex(rng.choice((0.0, rng.uniform(-1, 1))), imag)
+
+    keys = [*itertools.product(range(n), repeat=2), *itertools.product(range(n), repeat=4)]
+    rng.shuffle(keys)
+    for key in keys:
+        if rng.random() < fill:
+            setter = table.set_one_body if len(key) == 2 else table.set_two_body
+            with contextlib.suppress(SymmetryConflictError):
+                setter(*key, value())
+    return table
+
+
+@settings(max_examples=120, deadline=None)
+@given(integral_tables())
+def test_term_list_matches_index_order_split_exactly(table):
+    assert term_list(table) == reference_split(table)
+
+
+def test_term_list_matches_split_on_repeated_index_orbits():
+    table = IntegralTable(3, "complex")
+    for key, v in (((0, 0, 0, 0), 0.7), ((0, 1, 1, 0), 0.3 + 1e-13j), ((0, 0, 1, 2), 0.2 - 0.4j),
+                   ((1, 2, 0, 1), -0.5 + 0.6j), ((2, 1, 1, 2), -0.1), ((1, 1, 2, 2), 0.4)):
+        table.set_two_body(*key, v)
+    table.set_one_body(2, 0, 0.1 + 0.3j)
+    table.set_one_body(1, 1, -0.6 + 1e-13j)
+    terms = term_list(table)
+    assert terms == reference_split(table)
+    assert any(not t.symmetrized for t in terms.excitation_terms)
+
+
+def test_term_list_matches_split_on_h3plus():
+    assert term_list(h3plus_table()) == reference_split(h3plus_table())
 
 
 # --- packaged dataset -------------------------------------------------------
