@@ -295,7 +295,7 @@ class Circuit:
         n = self.n_qubits
         for g in gates:
             for q in gate_qubits(g):
-                if type(q) is not int or not 0 <= q < n:  # numpy integers pass in here
+                if type(q) is not int or not 0 <= q < n:  # refused, or a numpy integer
                     _check_qubit(g, q, n)
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "metadata", dict(self.metadata))
