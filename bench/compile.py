@@ -25,7 +25,11 @@ the modes, angles from the same seed).  Per workload it times eight stages:
 and keeps the best of three runs of each, with the term and fusion group
 counts, the MS, CNOT, single-qubit, gate and depth totals of both circuits
 and a SHA-256 of their serialized text, so two checkouts can be shown to
-emit the same circuits.  The record, with
+emit the same circuits.  Block synthesis caches each group shape's gates
+(synth._template); where the measured sources have that cache, the record
+also holds cold_s, the first build_trotter_step and the first
+build_uccsd_layer each timed right after the cache is cleared, and the
+number of templates the workload's two circuits use.  The record, with
 the environment and the commit of the measured sources (the rule of
 bench/oracle.py), is appended to BENCH_compile.json at the root of the
 checkout holding this script.  Only the standard library and numpy are used.
@@ -115,6 +119,7 @@ def totals(prefix: str, circuit) -> dict:
 
 
 def measure(name: str, document: str, uccsd: tuple) -> dict:
+    from ionsynth import synth
     from ionsynth.circuit import cost, count, deserialize, serialize
     from ionsynth.evolution import (
         AnsatzSpec, TrotterConfig, build_trotter_step, build_uccsd_layer, fusion_groups,
@@ -123,6 +128,18 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
 
     best = dict.fromkeys(STAGES, float("inf"))
     spec = AnsatzSpec(*uccsd)
+    templates = getattr(synth, "_template", None)
+    cold = {}
+    if hasattr(templates, "cache_clear"):
+        table = parse_integrals(document)
+        terms = term_list(table)
+        cfg = TrotterConfig(TIME_STEP, orbital_class=table.reality)
+        for stage, build in (("build_trotter_step", lambda: build_trotter_step(terms, cfg)),
+                             ("build_uccsd_layer", lambda: build_uccsd_layer(spec))):
+            templates.cache_clear()
+            start = time.perf_counter()
+            build()
+            cold[stage] = time.perf_counter() - start
     for _ in range(REPEATS):
         times = [time.perf_counter()]
         table = parse_integrals(document)
@@ -144,6 +161,7 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
         for stage, t0, t1 in zip(STAGES, times, times[1:]):
             best[stage] = min(best[stage], t1 - t0)
     digest = hashlib.sha256((text + serialize(layer)).encode()).hexdigest()
+    cache = {"cold_s": cold, "templates": templates.cache_info().currsize} if cold else {}
     return {
         "workload": name,
         "n_modes": table.n_modes,
@@ -155,6 +173,7 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
         **totals("uccsd", layer),
         "circuits_sha256": digest,
         "best_s": best,
+        **cache,
     }
 
 
@@ -175,7 +194,9 @@ def main() -> None:
         record["workloads"].append(row)
         print(f"{args.label} {name}: {row['excitation_terms']} terms, {row['groups']} groups, "
               f"{row['trotter_ms']} + {row['uccsd_ms']} MS; "
-              + ", ".join(f"{k} {v:.3f}" for k, v in row["best_s"].items()), flush=True)
+              + ", ".join(f"{k} {v:.3f}" for k, v in row["best_s"].items())
+              + "".join(f", cold {k} {v:.3f}" for k, v in row.get("cold_s", {}).items())
+              + (f", {row['templates']} templates" if "templates" in row else ""), flush=True)
 
     document = json.loads(OUT.read_text()) if OUT.exists() else {
         "benchmark": "compile stages, integral table to circuit text", "runs": []}

@@ -10,8 +10,9 @@ unitary of a circuit is the reversed matrix product (see ionsynth.verify).
 
 Circuit files (format v1) are line based: the header ``ionsynth-circuit v1``,
 one ``qubits <n>`` line, at most one ``meta <key> <value>`` line per key
-(the key one token, the value the rest of the line), then one record per
-gate in time order.  Blank lines and lines starting with ``#`` are skipped.
+(the key one token, the value the rest of the line's tokens joined by single
+spaces, so ``serialize`` refuses a value that would not read back that way),
+then one record per gate in time order.  Blank lines and lines starting with ``#`` are skipped.
 A record is its kind's tag followed by the gate's fields in declaration
 order, written in lower case, with angles in shortest round-trip form:
 
@@ -418,8 +419,11 @@ def serialize(c: Circuit) -> str:
     lines = [FORMAT_HEADER, f"qubits {c.n_qubits}"]
     for key in sorted(c.metadata):
         value = c.metadata[key]
-        # A key must read back as one token and a value as one line.
-        if key.split() != [key] or "".join(value.splitlines()) != value:
+        # The parser splits a meta line into tokens and joins the value's with
+        # single spaces, so a key must be one token and a value must be its
+        # tokens joined that way: no line break, tab, run of spaces or
+        # leading or trailing space.
+        if key.split() != [key] or " ".join(value.split()) != value:
             raise CircuitError(f"metadata entry not serializable: {key!r}: {value!r}")
         lines.append(f"meta {key} {value}")
     records = _RECORDS

@@ -175,6 +175,25 @@ class IntegralTable:
     def two_body_value(self, p: int, q: int, r: int, s: int) -> complex:
         return self._lookup(self._two, (p, q, r, s), _two_body_orbit)
 
+    def __repr__(self) -> str:
+        """The constructor's arguments, then each stored orbit's representative,
+        in sorted order, with the value that set_one_body / set_two_body takes
+        to store it: the stored value, conjugated in a self-conjugate orbit.
+        Setting the listed entries on a new table rebuilds this one."""
+
+        def entries(store, orbit) -> str:
+            out = []
+            for rep in sorted(store):
+                _, flags = _canonical(orbit(rep, self.reality))
+                value = store[rep].conjugate() if True in flags else store[rep]
+                # complex(re, im) reads back exactly; the repr of 0.5-0j does not.
+                out.append(f"{rep}: complex({value.real!r}, {value.imag!r})")
+            return "{" + ", ".join(out) + "}"
+
+        return (f"IntegralTable({self.n_modes}, {self.reality!r}, {self.constant!r}, "
+                f"one_body={entries(self._one, _one_body_orbit)}, "
+                f"two_body={entries(self._two, _two_body_orbit)})")
+
     @property
     def one_body(self):
         """Read-only view of the stored one-electron representatives."""

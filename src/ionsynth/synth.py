@@ -9,13 +9,33 @@ target Pauli strings.  Signs are never tabulated by hand here: the pullback is
 computed exactly over the Pauli group, the resulting +-1 is folded into the
 rotation angle, and the dense-matrix oracle in the test suite checks the
 product phase-exactly.
+
+None of that depends on the angles, so every group lowering (``_lower_group``,
+which all the excitation compilers and the evolution builders go through)
+derives it once per group shape.  The key holds no angle and no coefficient:
+per member the kind, the sub, sup and control modes counted from the group's
+lowest mode, the symmetrized flag and whether PauliSum keeps the member's
+strings, then the relative conjugation mode, the per-string switch and the
+star axis.  ``_template`` (a fixed-size LRU cache) derives the gates at offset
+0: Clifford1, CNOT and MS gates as they are, and each Rz / CRz as a slot
+(qubit, control, factor, zero, ((member, scale), ...)) whose factor is 2 or 4
+times the pullback sign and whose scales are the exact generator string
+weights of unit-coefficient terms.  A call shifts the gates to the group's
+lowest mode and sets each slot's angle to factor * weight, with weight summed
+from ``zero`` over theta_j * (coefficient_j * scale) in member order, then
+string order: the order in which the string pool always summed them.  Every
+scale and factor is a signed power of two, so coefficient_j * scale is the
+string weight the generator itself computes, and the angles keep their last
+bit, subnormal angles included.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 from .circuit import (
     CNOT,
@@ -240,9 +260,37 @@ def _entangled_dressing(
 
 # --- the sandwich assembler ----------------------------------------------------
 
-def _zz_ladder(qubits: tuple[int, ...], angle: float) -> list[Gate]:
+class _Slot(NamedTuple):
+    """A rotation whose angle is filled in from the group's (term, angle) pairs.
+
+    The angle is factor * weight, with weight summed from ``zero`` over
+    theta[member] * (coefficient[member] * scale) in the order of ``terms``;
+    ``factor`` is 2 (Rz) or 4 (CRz) times the pullback sign, and each scale
+    is an exact generator string weight.
+    """
+
+    qubit: int
+    control: int | None
+    factor: float
+    zero: float
+    terms: tuple[tuple[int, float], ...]
+
+
+def _summed(contributions) -> tuple[float, tuple[tuple[int, float], ...]]:
+    """Weight of a pool string: its contributions summed from 0.0, as the
+    pool always summed them (so a lone -0.0 contribution gives 0.0)."""
+    return 0.0, tuple(contributions)
+
+
+def _product(member: int, scale: float) -> tuple[float, tuple[tuple[int, float], ...]]:
+    """Weight of one product: summed from -0.0, the exact additive identity,
+    so the product's own sign of zero passes through."""
+    return -0.0, ((member, scale),)
+
+
+def _zz_ladder(qubits: tuple[int, ...], rotation: _Slot) -> list:
     ladder = [CNOT(qubits[i], qubits[i + 1]) for i in range(len(qubits) - 1)]
-    return [*ladder, Rz(qubits[-1], angle), *[inverse(g) for g in reversed(ladder)]]
+    return [*ladder, rotation, *[inverse(g) for g in reversed(ladder)]]
 
 
 def _sandwich(
@@ -252,17 +300,18 @@ def _sandwich(
     requests,
     *,
     dressing: list[Gate] | None = None,
-    keep_zero: bool = True,
     zz_requests=(),
-) -> list[Gate]:
+) -> list:
     """One dressed MS pair realizing exp(-i sum_t 2 w_t S_t) rotations.
 
     ``requests`` is a sequence of (rotation qubit, weight, target string,
-    control); the emitted Rz angle is 2 * weight * sign with the sign read off
-    the exact pullback, i.e. exp(-i angle/2 E_t) == exp(-i weight S_t) per
-    rotation.  A request with a control qubit becomes a CRz that contributes
-    the (S_t - Z_control S_t)/2 pair at twice the angle.  Rotations are
-    emitted in request order.
+    control), with the weight a (zero, ((member, scale), ...)) pair (see
+    ``_Slot``); the emitted Rz slot carries factor 2 * sign with the sign
+    read off the exact pullback, i.e. exp(-i angle/2 E_t) == exp(-i w_t S_t)
+    per rotation.  A request with a control qubit becomes a CRz slot that
+    contributes the (S_t - Z_control S_t)/2 pair at twice the angle.
+    Rotations are emitted in request order; ``_fill`` turns the slots into
+    gates.
     """
     window = tuple(sorted(window))
     n = len(window)
@@ -272,46 +321,70 @@ def _sandwich(
     if n > 1:
         prefix.append(MS(axis, "forward", window))
 
-    rotations: list[Gate] = []
+    rotations: list[_Slot] = []
     for t, weight, target, control in requests:
         if control in window:
             raise SynthesisError(f"control qubit {control} sits inside the MS window {window}")
         e = _pullback(PauliString(width, {t: "Z"}), prefix)
-        sign = _sign_against(e, target)
         factor = 4.0 if control is not None else 2.0
-        angle = factor * weight * sign
-        if not keep_zero and angle == 0.0:
-            continue
-        rotations.append(CRz(control, t, angle) if control is not None else Rz(t, angle))
+        rotations.append(_Slot(t, control, factor * _sign_against(e, target), *weight))
 
-    zz_entries: list[tuple[tuple[int, ...], float]] = []
+    items: list = [*prefix, *rotations]
     for qs, weight, target in zz_requests:
         qs = tuple(sorted(qs))
         e = _pullback(PauliString(width, {q: "Z" for q in qs}), prefix)
-        sign = _sign_against(e, target)
-        zz_entries.append((qs, 2.0 * weight * sign))
-
-    gates: list[Gate] = [*prefix, *rotations]
-    for qs, angle in zz_entries:
-        gates.extend(_zz_ladder(qs, angle))
+        items.extend(_zz_ladder(qs, _Slot(qs[-1], None, 2.0 * _sign_against(e, target), *weight)))
     if n > 1:
-        gates.append(MS(axis, "backward", window))
-    gates.extend(inverse(g) for g in reversed(dressing))
+        items.append(MS(axis, "backward", window))
+    items.extend(inverse(g) for g in reversed(dressing))
+    return items
+
+
+_SHIFT = {
+    Clifford1: lambda g, k: Clifford1(g.qubit + k, g.name),
+    CNOT: lambda g, k: CNOT(g.control + k, g.target + k),
+    MS: lambda g, k: MS(g.axis, g.direction, tuple(q + k for q in g.qubits)),
+}
+
+
+def _fill(
+    items, thetas, coefficients=(1.0,), offset: int = 0, keep_zero: bool = True
+) -> list[Gate]:
+    """Gates of a sandwich or template: its Clifford gates shifted up by
+    ``offset`` qubits, its slots made into Rz / CRz gates with angles from
+    the members' ``thetas`` and ``coefficients``; zero angles are dropped
+    unless ``keep_zero``."""
+    gates: list[Gate] = []
+    for item in items:
+        if type(item) is not _Slot:
+            gates.append(_SHIFT[type(item)](item, offset) if offset else item)
+            continue
+        weight = item.zero
+        for member, scale in item.terms:
+            weight += thetas[member] * (coefficients[member] * scale)
+        angle = item.factor * weight
+        if keep_zero or angle != 0.0:
+            qubit = item.qubit + offset
+            if item.control is None:
+                gates.append(Rz(qubit, angle))
+            else:
+                gates.append(CRz(item.control + offset, qubit, angle))
     return gates
 
 
 # --- generator pools ------------------------------------------------------------
 
-def _pool(terms_with_angles, width: int):
-    """Combined real-weighted string pool of commuting generators.
+def _pool(terms, width: int):
+    """Combined string pool of commuting generators.
 
-    Returns (weights keyed by phase-free string, letter modes, interior Z
-    letters, window).
+    Returns (contributions keyed by phase-free string, letter modes, interior
+    Z letters, window); a string's contributions are (member, weight) pairs,
+    the weight real, in member order and then string order.
     """
-    weights: dict[PauliString, float] = {}
+    pool: dict[PauliString, list[tuple[int, float]]] = {}
     modes = None
     interior: dict[int, str] = {}
-    for term, theta in terms_with_angles:
+    for member, term in enumerate(terms):
         t_modes = term.letter_modes
         if modes is None:
             modes = t_modes
@@ -320,7 +393,7 @@ def _pool(terms_with_angles, width: int):
         for coeff, s in generator_pauli(term, width).terms:
             if abs(coeff.imag) > 1e-12:
                 raise SynthesisError(f"non-real generator weight {coeff} on {s.label()}")
-            weights[s] = weights.get(s, 0.0) + theta * coeff.real
+            pool.setdefault(s, []).append((member, coeff.real))
             for qb in s.support():
                 letter = s.letter(qb)
                 if qb not in modes:
@@ -329,7 +402,7 @@ def _pool(terms_with_angles, width: int):
     if modes is None:
         raise SynthesisError("empty generator pool")
     window = tuple(sorted((*modes, *interior)))
-    return weights, modes, interior, window
+    return pool, modes, interior, window
 
 
 def _star_target(width, modes, interior, center: str, flipped: str, at: int) -> PauliString:
@@ -370,13 +443,7 @@ def _pack_words(words: list[int], capacity: int) -> list[list[int]]:
     return layers
 
 
-def _excitation_layers(
-    terms_with_angles,
-    width: int,
-    *,
-    keep_zero: bool = True,
-    axis: str = "xx",
-) -> list[Gate]:
+def _excitation_layers(terms, width: int, axis: str = "xx") -> list:
     """Star layers plus, where local words cannot pack the pool, CNOT layers.
 
     The first layer diagonalizes the strings one letter away from the all-X
@@ -385,8 +452,8 @@ def _excitation_layers(
     only) is grouped into independent commuting sets of up to 2N strings, each
     diagonalized jointly with CNOT-assisted dressing around a single MS pair.
     """
-    weights, modes, interior, window = _pool(terms_with_angles, width)
-    gates: list[Gate] = []
+    pool, modes, interior, window = _pool(terms, width)
+    items: list = []
     covered: set[PauliString] = set()
 
     star_axes = (axis, {"xx": "yy", "yy": "xx"}[axis])
@@ -396,11 +463,11 @@ def _excitation_layers(
         targets = [_star_target(width, modes, interior, center, flipped, o) for o in modes]
         if all(s in covered for s in targets):
             continue
-        requests = [(o, weights.get(s, 0.0), s, None) for o, s in zip(modes, targets)]
-        gates.extend(_sandwich(width, window, star_axis, requests, keep_zero=keep_zero))
+        requests = [(o, _summed(pool.get(s, ())), s, None) for o, s in zip(modes, targets)]
+        items.extend(_sandwich(width, window, star_axis, requests))
         covered.update(targets)
 
-    remaining = [s for s in weights if s not in covered]
+    remaining = [s for s in pool if s not in covered]
     if remaining:
         def word_of(s: PauliString) -> int:
             return sum(1 << i for i, m in enumerate(modes) if s.letter(m) == "Y")
@@ -410,12 +477,106 @@ def _excitation_layers(
             requests = []
             for i, w in enumerate(layer_words):
                 s = by_word[w]
-                requests.append((modes[i], weights[s], s, None))
+                requests.append((modes[i], _summed(pool[s]), s, None))
             dressing = _entangled_dressing(width, window, "xx", requests)
-            gates.extend(
-                _sandwich(width, window, "xx", requests, dressing=dressing, keep_zero=keep_zero)
-            )
-    return gates
+            items.extend(_sandwich(width, window, "xx", requests, dressing=dressing))
+    return items
+
+
+# --- block templates --------------------------------------------------------------
+
+def _keeps_strings(t: ExcitationTerm) -> bool:
+    """Whether t's generator keeps its Pauli strings.  Each weighs |coefficient|
+    2^(1-k) on k letter modes, half that for a controlled single, and PauliSum
+    drops weights of magnitude 1e-15 and below, which changes the pool."""
+    weight = abs(t.coefficient) * 2.0 ** (1 - len(t.sub) - len(t.sup))
+    if t.control is not None:
+        weight *= 0.5
+    return weight > 1e-15
+
+
+@functools.lru_cache(maxsize=1024)
+def _template(key) -> tuple:
+    """The angle-free gates of one group shape at offset 0 (see _lower_group).
+
+    Derived from unit-coefficient terms, with the sign of the symmetrized
+    conjugation folded into each member's coefficient, so every slot scale is
+    the member's exact string weight per unit of theta * coefficient.
+    """
+    members, j, per_string, axis = key
+    width = 1 + max(m for _, sub, sup, c, _, _ in members for m in (*sub, *sup, c) if m is not None)
+    terms = []
+    for kind, sub, sup, control, symmetrized, keeps in members:
+        t = ExcitationTerm(kind, sub, sup, control, symmetrized and j is None, float(keeps))
+        if j is not None:
+            image, sign = local_equivalence_conjugate(t, j)
+            if not image.symmetrized:
+                raise SynthesisError(f"mode {j} does not couple to the generator")
+            t = replace(t, coefficient=sign * t.coefficient)
+        terms.append(t)
+    if terms[0].kind == "controlled_single":
+        requests = []
+        for member, t in enumerate(terms):
+            plain, _ = _controlled_halves(t, width)
+            for o, c, s in _rotation_pairs(plain, t.sub[0], t.sup[0]):
+                requests.append((o, _product(member, c), s, t.control))
+        window = requests[0][2].support()
+        if per_string:
+            items = [g for r in requests for g in _sandwich(width, window, "xx", [r])]
+        else:
+            items = _sandwich(width, window, "xx", requests)
+    else:
+        items = _excitation_layers(terms, width, axis)
+    if j is not None:
+        items = [Clifford1(j, "S"), *items, Clifford1(j, "SDG")]
+    return tuple(items)
+
+
+def _lower_group(
+    pairs,
+    width: int,
+    *,
+    conjugation_mode: int | None = None,
+    per_string: bool = False,
+    axis: str = "xx",
+    keep_zero: bool = True,
+) -> list[Gate]:
+    """Gates for one fusion group: commuting same-shape (term, angle) pairs.
+
+    Symmetrized terms become their antisymmetrized twins wrapped in S_j ...
+    S_j&dagger;; j is the first creation mode, where every sign is +1, unless
+    ``conjugation_mode`` names another.  Controlled singles share one CRz
+    sandwich on the control-free core window (``per_string`` spends one per
+    core string instead).  Everything else becomes the star and CNOT-assisted
+    layers of the combined string pool, the first star on ``axis``.
+
+    The gates come from the group's template, looked up by a key that holds
+    no angle or coefficient: per member the kind, the sub, sup and control
+    modes counted from the group's lowest mode, the symmetrized flag and
+    whether its strings survive PauliSum's cut, then the relative j, the
+    per-string switch and the axis.  Only the angles are computed per call.
+    """
+    lo = min(t.modes[0] for t, _ in pairs)
+    hi = max(t.modes[-1] for t, _ in pairs)
+    if hi >= width:
+        raise SynthesisError(f"register of {width} qubits cannot hold mode {hi}")
+    members = tuple(
+        (t.kind, tuple(m - lo for m in t.sub), tuple(m - lo for m in t.sup),
+         None if t.control is None else t.control - lo, t.symmetrized, _keeps_strings(t))
+        for t, _ in pairs
+    )
+    head = pairs[0][0]
+    j = None
+    if head.symmetrized:
+        j = (head.sub[0] if conjugation_mode is None else conjugation_mode) - lo
+    per_string = per_string and head.kind == "controlled_single"
+    try:
+        template = _template((members, j, per_string, axis))
+    except SynthesisError as exc:
+        raise SynthesisError(f"{exc} (qubits counted from {lo})") from None
+    thetas = [theta for _, theta in pairs]
+    coefficients = [t.coefficient for t, _ in pairs]
+    return _fill(template, thetas, coefficients, lo, keep_zero)
 
 
 # --- public compilers -----------------------------------------------------------
@@ -446,8 +607,8 @@ def compile_pauli_rotation(p: PauliString, phi: float) -> Circuit:
     target = p.with_phase(1)
     support = target.support()
     rotation_qubit = support[0]
-    requests = [(rotation_qubit, signed_phi / 2.0, target, None)]
-    gates = _sandwich(p.width, support, "xx", requests)
+    requests = [(rotation_qubit, _product(0, 0.5), target, None)]
+    gates = _fill(_sandwich(p.width, support, "xx", requests), (signed_phi,))
     return Circuit(p.width, gates, {"op": "pauli_rotation"})
 
 
@@ -460,7 +621,7 @@ def compile_single_excitation(
     if axis not in ("xx", "yy"):
         raise SynthesisError(f"axis must be 'xx' or 'yy', got {axis!r}")
     width = _register_width(t.modes, n_qubits)
-    gates = _excitation_layers([(t, float(theta))], width, axis=axis)
+    gates = _lower_group([(t, float(theta))], width, axis=axis)
     return Circuit(width, gates, {"op": "single_excitation"})
 
 
@@ -481,7 +642,7 @@ def compile_double_block(
         raise SynthesisError("double block takes three pairing angles")
     pairs = [double(p, q, r, s), double(p, r, q, s), double(p, s, q, r)]
     width = _register_width((p, q, r, s), n_qubits)
-    gates = _excitation_layers(list(zip(pairs, angles)), width)
+    gates = _lower_group(list(zip(pairs, angles)), width)
     return Circuit(width, gates, {"op": "double_block"})
 
 
@@ -493,7 +654,7 @@ def compile_coupled_exchange(
         raise SynthesisError(f"orbitals must be strictly increasing, got {(p, q, r, s)}")
     terms = [(double(p, q, r, s), float(theta)), (double(p, s, r, q), float(theta))]
     width = _register_width((p, q, r, s), n_qubits)
-    gates = _excitation_layers(terms, width, keep_zero=False)
+    gates = _lower_group(terms, width, keep_zero=False)
     return Circuit(width, gates, {"op": "coupled_exchange"})
 
 
@@ -515,43 +676,6 @@ def _rotation_pairs(entries, p: int, q: int):
             raise SynthesisError("controlled pool does not split into Y-labelled halves")
         out.append((o, match[0][0], match[0][1]))
     return out
-
-
-def _lower_group(
-    pairs, width: int, *, conjugation_mode: int | None = None, per_string: bool = False
-) -> list[Gate]:
-    """Gates for one fusion group: commuting same-shape (term, angle) pairs.
-
-    Symmetrized terms become their antisymmetrized twins wrapped in S_j ...
-    S_j&dagger;; j is the first creation mode, where every sign is +1, unless
-    ``conjugation_mode`` names another.  Controlled singles share one CRz
-    sandwich on the control-free core window (``per_string`` spends one per
-    core string instead).  Everything else becomes the star and CNOT-assisted
-    layers of the combined string pool.
-    """
-    head = pairs[0][0]
-    if head.symmetrized:
-        j = head.sub[0] if conjugation_mode is None else conjugation_mode
-        twins = []
-        for t, theta in pairs:
-            twin = replace(t, symmetrized=False)
-            image, sign = local_equivalence_conjugate(twin, j)
-            if not image.symmetrized:
-                raise SynthesisError(f"mode {j} does not couple to the generator")
-            twins.append((twin, sign * theta))
-        inner = _lower_group(twins, width, per_string=per_string)
-        return [Clifford1(j, "S"), *inner, Clifford1(j, "SDG")]
-    if head.kind == "controlled_single":
-        requests = []
-        for t, theta in pairs:
-            plain, _ = _controlled_halves(t, width)
-            for o, c, s in _rotation_pairs(plain, t.sub[0], t.sup[0]):
-                requests.append((o, theta * c, s, t.control))
-        window = requests[0][2].support()
-        if per_string:
-            return [g for r in requests for g in _sandwich(width, window, "xx", [r])]
-        return _sandwich(width, window, "xx", requests)
-    return _excitation_layers(pairs, width)
 
 
 def compile_controlled_single(
@@ -578,8 +702,9 @@ def compile_controlled_single(
         plain, dressed = _controlled_halves(t, width)
         gates = []
         for half in (dressed, plain):
-            requests = [(o, float(theta) * c, s, None) for o, c, s in _rotation_pairs(half, p, q)]
-            gates.extend(_sandwich(width, requests[0][2].support(), "xx", requests))
+            requests = [(o, _product(0, c), s, None) for o, c, s in _rotation_pairs(half, p, q)]
+            items = _sandwich(width, requests[0][2].support(), "xx", requests)
+            gates.extend(_fill(items, (float(theta),)))
     else:
         raise SynthesisError(f"variant must be 'a' or 'b', got {variant!r}")
     return Circuit(width, gates, {"op": f"controlled_single_{variant}"})
@@ -605,7 +730,7 @@ def compile_higher_excitation(
     """
     _expect_antisym(t, "higher")
     width = _register_width(t.modes, n_qubits)
-    gates = _excitation_layers([(t, float(theta))], width)
+    gates = _lower_group([(t, float(theta))], width)
     budget = higher_order_ms_count(len(t.sub))
     spent = sum(isinstance(g, MS) for g in gates)
     if spent != budget:
@@ -695,14 +820,15 @@ def compile_mixed_cnot(t: ExcitationTerm, theta: float, n_qubits: int | None = N
     """
     _expect_antisym(t, "double")
     width = _register_width(t.modes, n_qubits)
-    weights, modes, interior, window = _pool([(t, float(theta))], width)
+    pool, modes, interior, window = _pool([t], width)
     requests = []
     zz_requests = []
     for o in modes:
         one_y = _star_target(width, modes, interior, "X", "Y", o)
-        requests.append((o, weights.get(one_y, 0.0), one_y, None))
+        requests.append((o, _summed(pool.get(one_y, ())), one_y, None))
         one_x = _star_target(width, modes, interior, "Y", "X", o)
         triple = tuple(m for m in modes if m != o)
-        zz_requests.append((triple, weights.get(one_x, 0.0), one_x))
-    gates = _sandwich(width, window, "xx", requests, zz_requests=zz_requests)
+        zz_requests.append((triple, _summed(pool.get(one_x, ())), one_x))
+    items = _sandwich(width, window, "xx", requests, zz_requests=zz_requests)
+    gates = _fill(items, (float(theta),))
     return Circuit(width, gates, {"op": "mixed_cnot"})

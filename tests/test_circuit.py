@@ -265,6 +265,10 @@ def test_record_with_wrong_operand_count_is_parse_error_at_its_line(record):
     {"note": "a\x0cb"},
     {"note": "a\u2028b"},
     {"k\tx": "v"},
+    {"note": "a\tb"},
+    {"note": "a  b"},
+    {"note": " ab"},
+    {"note": "ab "},
 ])
 def test_serialize_refuses_metadata_that_does_not_read_back(metadata):
     with pytest.raises(CircuitError):
@@ -283,10 +287,8 @@ def test_repeated_lines_and_negative_width_fail_at_their_line(doc, line_no):
 
 
 def test_metadata_value_keeps_interior_spaces():
-    c = Circuit(1, (), {"note": "three  spaced   words"})
-    # Tokenized round trip collapses runs of spaces; single spaces survive.
-    got = deserialize(serialize(c)).metadata["note"]
-    assert got.split() == ["three", "spaced", "words"]
+    c = Circuit(1, (), {"note": "three spaced words", "empty": ""})
+    assert deserialize(serialize(c)) == c
 
 
 def test_parse_error_carries_line_number():

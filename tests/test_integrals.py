@@ -399,6 +399,49 @@ def test_term_list_matches_index_order_split_exactly(table):
     assert term_list(table) == reference_split(table)
 
 
+def rebuild(text):
+    """A new table from an IntegralTable repr, by setting its listed entries."""
+
+    def build(n_modes, reality, constant, one_body, two_body):
+        table = IntegralTable(n_modes, reality, constant)
+        for key, value in one_body.items():
+            table.set_one_body(*key, value)
+        for key, value in two_body.items():
+            table.set_two_body(*key, value)
+        return table
+
+    return eval(text, {"IntegralTable": build})
+
+
+@settings(max_examples=60, deadline=None)
+@given(integral_tables())
+def test_table_repr_rebuilds_the_table(table):
+    text = repr(table)
+    again = rebuild(text)
+    assert repr(again) == text
+    assert again.one_body == table.one_body and again.two_body == table.two_body
+    assert term_list(again) == term_list(table)
+
+
+def test_table_repr_is_deterministic_and_names_every_entry():
+    entries = [((0, 0, 0, 0), 0.7), ((0, 1, 1, 0), 0.3 + 1e-13j), ((0, 0, 1, 2), 0.2 - 0.4j),
+               ((2, 1, 1, 2), -0.1), ((1, 1, 2, 2), 0.4)]
+    tables = []
+    for order in (entries, entries[::-1]):
+        table = IntegralTable(3, "complex", -0.25)
+        table.set_one_body(2, 0, 0.1 + 0.3j)
+        for key, value in order:
+            table.set_two_body(*key, value)
+        tables.append(table)
+    text = repr(tables[0])
+    assert text == repr(tables[1])
+    assert "object at" not in text
+    assert text.startswith("IntegralTable(3, 'complex', -0.25, ")
+    for rep, value in [*tables[0].one_body.items(), *tables[0].two_body.items()]:
+        assert f"{rep}: " in text
+    assert "(0, 1, 1, 0): complex(0.3, 1e-13)" in text
+
+
 def test_term_list_matches_split_on_repeated_index_orbits():
     table = IntegralTable(3, "complex")
     for key, v in (((0, 0, 0, 0), 0.7), ((0, 1, 1, 0), 0.3 + 1e-13j), ((0, 0, 1, 2), 0.2 - 0.4j),

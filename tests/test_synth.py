@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,12 +25,15 @@ from ionsynth.fermion import (
     double,
     generator_pauli,
     higher_excitation,
+    local_equivalence_conjugate,
     single,
 )
-from ionsynth.pauli import PauliString, from_label
+from ionsynth.pauli import PauliString, PauliSum, from_label
 from ionsynth.synth import (
     SynthesisError,
+    _lower_group,
     _sandwich,
+    _template,
     baseline_string_by_string,
     compile_controlled_single,
     compile_coupled_exchange,
@@ -591,3 +595,135 @@ def test_every_compiler_is_phase_exact_on_random_angles():
         assert_exact(c, generator_pauli(t, 6), theta)
         m = compile_mixed_cnot(double(1, 2, 4, 5), theta)
         assert_exact(m, generator_pauli(double(1, 2, 4, 5), 6), theta)
+
+
+# --- block templates ------------------------------------------------------------
+
+
+def _shifted(t, k):
+    control = None if t.control is None else t.control + k
+    return replace(t, sub=tuple(m + k for m in t.sub), sup=tuple(m + k for m in t.sup),
+                   control=control)
+
+
+_coefficients = st.floats(0.05, 2.0).flatmap(lambda c: st.sampled_from((c, -c)))
+
+
+@st.composite
+def _template_groups(draw):
+    """(terms on modes from 0, lowering options, exact zero angles wanted):
+    singles, doubles with 1-3 pairings on one window, coupled exchange,
+    controlled singles with the control inside or outside the core, and
+    symmetrized groups of each with a conjugation mode."""
+    shape = draw(st.sampled_from(("single", "double", "coupled", "controlled")))
+    symmetrized = draw(st.booleans())
+    options = {}
+    if shape == "single":
+        terms = [single(0, draw(st.integers(1, 6)), draw(_coefficients), symmetrized)]
+    elif shape in ("double", "coupled"):
+        p, q, r, s = [0, *sorted(draw(st.sets(st.integers(1, 6), min_size=3, max_size=3)))]
+        if shape == "double":
+            pairings = [(p, q, r, s), (p, r, q, s), (p, s, q, r)]
+            picked = draw(st.lists(st.sampled_from(pairings), min_size=1, max_size=3, unique=True))
+            terms = [double(*m, draw(_coefficients), symmetrized) for m in picked]
+        else:
+            c = draw(_coefficients)
+            terms = [double(p, q, r, s, c, symmetrized), double(p, s, r, q, c, symmetrized)]
+            options["keep_zero"] = False
+    else:
+        core = draw(st.integers(2, 5))
+        p, q = draw(st.sampled_from(((0, core), (1, core + 1))))
+        if draw(st.booleans()):
+            controls = [draw(st.integers(p + 1, q - 1))]
+        else:
+            outside = [m for m in range(q + 3) if not p <= m <= q]
+            controls = draw(st.lists(st.sampled_from(outside), min_size=1, max_size=2, unique=True))
+        terms = [controlled_single(p, q, j, draw(_coefficients), symmetrized) for j in controls]
+        options["per_string"] = draw(st.booleans())
+    lo = min(m for t in terms for m in t.modes)
+    terms = [_shifted(t, -lo) for t in terms]
+    if symmetrized:
+        options["conjugation_mode"] = draw(st.sampled_from((None, *terms[0].sub, *terms[0].sup)))
+    return terms, options
+
+
+def _exact_angle_magnitudes(pairs, width, conjugation_mode=None, **_):
+    """|angle| of every rotation a group can emit: each pool string's weight
+    summed from 0.0 in member order (one product per string for controlled
+    singles), from the generator strings of the actual terms."""
+    head = pairs[0][0]
+    if head.symmetrized:
+        j = head.sub[0] if conjugation_mode is None else conjugation_mode
+        twins = [(replace(t, symmetrized=False), theta) for t, theta in pairs]
+        pairs = [(t, local_equivalence_conjugate(t, j)[1] * theta) for t, theta in twins]
+    if head.kind == "controlled_single":
+        return {abs(4.0 * (theta * c.real)) for t, theta in pairs
+                for c, _ in generator_pauli(t, width).terms}
+    weights = {}
+    for t, theta in pairs:
+        for c, s in generator_pauli(t, width).terms:
+            weights[s] = weights.get(s, 0.0) + theta * c.real
+    return {0.0, *(abs(2.0 * w) for w in weights.values())}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_template_groups(), st.data())
+def test_templates_fill_what_a_fresh_derivation_emits(group, data):
+    terms, options = group
+    span = 1 + max(m for t in terms for m in t.modes)
+    a, b = data.draw(st.lists(st.integers(0, 10 - span), min_size=2, max_size=2))
+    # Seeded uniform angles have full mantissas, so their sums round by order;
+    # drawn floats bring zeros and subnormals.
+    seeded = st.randoms(use_true_random=False).map(
+        lambda rng: [rng.uniform(-2.0, 2.0) for _ in terms])
+    angles = st.one_of(seeded, st.lists(st.floats(-2.0, 2.0), min_size=len(terms),
+                                        max_size=len(terms)))
+    thetas, others = data.draw(angles), data.draw(angles)
+    if options.get("keep_zero") is False and data.draw(st.booleans()):
+        thetas[data.draw(st.integers(0, len(terms) - 1))] = 0.0
+    width = span + max(a, b)
+
+    def lower(offset, angles):
+        placed = dict(options)
+        if placed.get("conjugation_mode") is not None:
+            placed["conjugation_mode"] += offset
+        pairs = [(_shifted(t, offset), theta) for t, theta in zip(terms, angles)]
+        return pairs, placed, Circuit(width, _lower_group(pairs, width, **placed))
+
+    _template.cache_clear()
+    at_a, placed, cold = lower(a, thetas)
+    _template.cache_clear()
+    lower(b, others)
+    derived = _template.cache_info().misses
+    warm = lower(a, thetas)[2]
+    assert _template.cache_info().misses == derived
+    assert serialize(warm) == serialize(cold)
+
+    exact = _exact_angle_magnitudes(at_a, width, **placed)
+    assert all(abs(g.angle) in exact for g in warm if isinstance(g, (Rz, CRz)))
+    generator = PauliSum.from_terms(
+        width, [(theta * c, s) for t, theta in at_a for c, s in generator_pauli(t, width).terms])
+    report = assert_equivalent(circuit_unitary(warm), generator_unitary(generator, 1.0), tol=1e-9)
+    assert report, report.distance
+
+
+def test_template_angles_sum_in_member_order_to_the_last_bit():
+    rng = np.random.default_rng(7)
+    pairings = [double(0, 2, 3, 5, 1.3), double(0, 3, 2, 5), double(0, 5, 2, 3, -0.75)]
+    # theta * (coefficient * scale) is not (theta * coefficient) * scale for a
+    # subnormal theta.
+    subnormal = (2.2250738585e-313, 0.0, -0.0)
+    for thetas in [*rng.uniform(-2.0, 2.0, (20, 3)), subnormal]:
+        pairs = [(_shifted(t, 1), float(theta)) for t, theta in zip(pairings, thetas)]
+        exact = _exact_angle_magnitudes(pairs, 7)
+        gates = _lower_group(pairs, 7)
+        assert all(abs(g.angle) in exact for g in gates if isinstance(g, Rz))
+
+
+def test_template_key_tells_apart_members_whose_strings_pauli_sum_drops():
+    # A double's strings weigh |coefficient| / 8; at 1e-16 PauliSum drops
+    # them, the pool has no parity letters and the window is the four modes.
+    dead = _lower_group([(double(0, 2, 3, 5, 1e-16), 0.4)], 6)
+    live = _lower_group([(double(0, 2, 3, 5), 0.4)], 6)
+    assert {g.qubits for g in dead if isinstance(g, MS)} == {(0, 2, 3, 5)}
+    assert {g.qubits for g in live if isinstance(g, MS)} == {(0, 1, 2, 3, 4, 5)}
