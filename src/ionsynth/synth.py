@@ -495,7 +495,7 @@ def _keeps_strings(t: ExcitationTerm) -> bool:
     return weight > 1e-15
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=4096)
 def _template(key) -> tuple:
     """The angle-free gates of one group shape at offset 0 (see _lower_group).
 
@@ -550,11 +550,8 @@ def _lower_group(
     core string instead).  Everything else becomes the star and CNOT-assisted
     layers of the combined string pool, the first star on ``axis``.
 
-    The gates come from the group's template, looked up by a key that holds
-    no angle or coefficient: per member the kind, the sub, sup and control
-    modes counted from the group's lowest mode, the symmetrized flag and
-    whether its strings survive PauliSum's cut, then the relative j, the
-    per-string switch and the axis.  Only the angles are computed per call.
+    The gates come from the template of the group's shape (see the module
+    docstring for its key); only the angles are computed per call.
     """
     lo = min(t.modes[0] for t, _ in pairs)
     hi = max(t.modes[-1] for t, _ in pairs)

@@ -611,10 +611,10 @@ _coefficients = st.floats(0.05, 2.0).flatmap(lambda c: st.sampled_from((c, -c)))
 
 @st.composite
 def _template_groups(draw):
-    """(terms on modes from 0, lowering options, exact zero angles wanted):
-    singles, doubles with 1-3 pairings on one window, coupled exchange,
-    controlled singles with the control inside or outside the core, and
-    symmetrized groups of each with a conjugation mode."""
+    """(terms on modes from 0, lowering options) of one group: a single,
+    doubles with 1-3 pairings on one window, coupled exchange, controlled
+    singles with the control inside or outside the core, or a symmetrized
+    group of any of these with a conjugation mode."""
     shape = draw(st.sampled_from(("single", "double", "coupled", "controlled")))
     symmetrized = draw(st.booleans())
     options = {}
