@@ -226,14 +226,15 @@ _OPS = {
 
 def _product(factors, n_qubits: int) -> np.ndarray:
     """Ordered product of exp(-i angle G) over (G, angle); the first factor acts first."""
-    u = np.eye(1 << n_qubits, dtype=complex)
+    u = None
     for g, angle in factors:
         if isinstance(g, ExcitationTerm):
             g = generator_pauli(g, n_qubits)
         if g.width != n_qubits:
             raise VerifyError(f"generator {g!r} acts on {g.width} qubits, not {n_qubits}")
-        u = generator_unitary(g, angle).matrix @ u
-    return u
+        factor = generator_unitary(g, angle).matrix
+        u = factor if u is None else factor @ u
+    return np.eye(1 << n_qubits, dtype=complex) if u is None else u
 
 
 # --- compile ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 
 from .circuit import Circuit, Clifford1, Gate, GlobalPhase, Rz, Rzz
 from .fermion import ExcitationTerm, HamiltonianTerms, double, local_pauli, single
-from .synth import _lower_group, baseline_string_by_string
+from .synth import _baseline_gates, _lower_group
 from .verify import circuit_unitary, dense_sum
 
 
@@ -139,7 +139,7 @@ def build_uccsd_layer(spec: AnsatzSpec, scheduling: str = "parallelized") -> Cir
     gates: list[Gate] = []
     for t, theta in zip(terms, spec.parameters):
         if scheduling == "baseline":
-            gates.extend(baseline_string_by_string(t, theta, n_qubits=spec.n_modes).gates)
+            gates.extend(_baseline_gates(t, theta, spec.n_modes))
         else:
             gates.extend(_lower_group([(t, theta)], spec.n_modes))
     return Circuit(spec.n_modes, tuple(gates), {"op": f"uccsd_{scheduling}"})
@@ -233,10 +233,9 @@ def build_trotter_step(terms: HamiltonianTerms, cfg: TrotterConfig) -> Circuit:
     gates = _diagonal_gates(terms, dt, width)
     for group in groups:
         if naive and group[0].kind != "controlled_single":
-            gates.extend(baseline_string_by_string(group[0], dt, n_qubits=width).gates)
+            gates.extend(_baseline_gates(group[0], dt, width))
         else:
-            pairs = [(t, dt) for t in group]
-            gates.extend(_lower_group(pairs, width, per_string=not parallel))
+            gates.extend(_lower_group([(t, dt) for t in group], width, per_string=not parallel))
     return Circuit(width, tuple(gates), {"op": f"trotter_{cfg.scheduling}"})
 
 

@@ -14,19 +14,18 @@ None of that depends on the angles, so every group lowering (``_lower_group``,
 which all the excitation compilers and the evolution builders go through)
 derives it once per group shape.  The key holds no angle and no coefficient:
 per member the kind, the sub, sup and control modes counted from the group's
-lowest mode, the symmetrized flag and whether PauliSum keeps the member's
-strings, then the relative conjugation mode, the per-string switch and the
-star axis.  ``_template`` (a fixed-size LRU cache) derives the gates at offset
-0: Clifford1, CNOT and MS gates as they are, and each Rz / CRz as a slot
-(qubit, control, factor, zero, ((member, scale), ...)) whose factor is 2 or 4
-times the pullback sign and whose scales are the exact generator string
-weights of unit-coefficient terms.  A call shifts the gates to the group's
-lowest mode and sets each slot's angle to factor * weight, with weight summed
-from ``zero`` over theta_j * (coefficient_j * scale) in member order, then
-string order: the order in which the string pool always summed them.  Every
-scale and factor is a signed power of two, so coefficient_j * scale is the
-string weight the generator itself computes, and the angles keep their last
-bit, subnormal angles included.
+lowest mode and the symmetrized flag, then the relative conjugation mode, the
+per-string switch and the star axis.  ``_template`` (a fixed-size LRU cache)
+derives the gates at offset 0: Clifford1, CNOT and MS gates as they are, and
+each Rz / CRz as a slot (qubit, control, factor, zero, ((member, scale), ...))
+whose factor is 2 or 4 times the pullback sign and whose scales are the exact
+generator string weights of unit-coefficient terms.  A call shifts the gates
+to the group's lowest mode and sets each slot's angle to factor * weight, with
+weight summed from ``zero`` over theta_j * (coefficient_j * scale) in member
+order, then string order: the order in which the string pool always summed
+them.  Every scale and factor is a signed power of two, so coefficient_j *
+scale is the string weight the generator itself computes, and the angles keep
+their last bit, subnormal angles included.
 """
 
 from __future__ import annotations
@@ -485,34 +484,25 @@ def _excitation_layers(terms, width: int, axis: str = "xx") -> list:
 
 # --- block templates --------------------------------------------------------------
 
-def _keeps_strings(t: ExcitationTerm) -> bool:
-    """Whether t's generator keeps its Pauli strings.  Each weighs |coefficient|
-    2^(1-k) on k letter modes, half that for a controlled single, and PauliSum
-    drops weights of magnitude 1e-15 and below, which changes the pool."""
-    weight = abs(t.coefficient) * 2.0 ** (1 - len(t.sub) - len(t.sup))
-    if t.control is not None:
-        weight *= 0.5
-    return weight > 1e-15
-
-
 @functools.lru_cache(maxsize=4096)
 def _template(key) -> tuple:
     """The angle-free gates of one group shape at offset 0 (see _lower_group).
 
     Derived from unit-coefficient terms, with the sign of the symmetrized
     conjugation folded into each member's coefficient, so every slot scale is
-    the member's exact string weight per unit of theta * coefficient.
+    the member's exact string weight per unit of theta * coefficient, and no
+    string is lost however small the real coefficient is.
     """
     members, j, per_string, axis = key
-    width = 1 + max(m for _, sub, sup, c, _, _ in members for m in (*sub, *sup, c) if m is not None)
+    width = 1 + max(m for _, sub, sup, c, _ in members for m in (*sub, *sup, c) if m is not None)
     terms = []
-    for kind, sub, sup, control, symmetrized, keeps in members:
-        t = ExcitationTerm(kind, sub, sup, control, symmetrized and j is None, float(keeps))
+    for kind, sub, sup, control, symmetrized in members:
+        t = ExcitationTerm(kind, sub, sup, control, symmetrized and j is None)
         if j is not None:
             image, sign = local_equivalence_conjugate(t, j)
             if not image.symmetrized:
                 raise SynthesisError(f"mode {j} does not couple to the generator")
-            t = replace(t, coefficient=sign * t.coefficient)
+            t = replace(t, coefficient=sign)
         terms.append(t)
     if terms[0].kind == "controlled_single":
         requests = []
@@ -559,7 +549,7 @@ def _lower_group(
         raise SynthesisError(f"register of {width} qubits cannot hold mode {hi}")
     members = tuple(
         (t.kind, tuple(m - lo for m in t.sub), tuple(m - lo for m in t.sup),
-         None if t.control is None else t.control - lo, t.symmetrized, _keeps_strings(t))
+         None if t.control is None else t.control - lo, t.symmetrized)
         for t, _ in pairs
     )
     head = pairs[0][0]
@@ -594,7 +584,7 @@ def _expect_antisym(t: ExcitationTerm, kind: str) -> None:
         raise SynthesisError("symmetrized terms go through compile_symmetrized")
 
 
-def compile_pauli_rotation(p: PauliString, phi: float) -> Circuit:
+def _rotation_gates(p: PauliString, phi: float) -> list[Gate]:
     """exp(-i phi/2 p) as one dressed MS pair (none when p is one-local)."""
     if p.is_identity():
         raise SynthesisError("identity rotation is a global phase; use GlobalPhase")
@@ -603,10 +593,13 @@ def compile_pauli_rotation(p: PauliString, phi: float) -> Circuit:
     signed_phi = float(phi) * (1 if p.phase == 1 else -1)
     target = p.with_phase(1)
     support = target.support()
-    rotation_qubit = support[0]
-    requests = [(rotation_qubit, _product(0, 0.5), target, None)]
-    gates = _fill(_sandwich(p.width, support, "xx", requests), (signed_phi,))
-    return Circuit(p.width, gates, {"op": "pauli_rotation"})
+    requests = [(support[0], _product(0, 0.5), target, None)]
+    return _fill(_sandwich(p.width, support, "xx", requests), (signed_phi,))
+
+
+def compile_pauli_rotation(p: PauliString, phi: float) -> Circuit:
+    """exp(-i phi/2 p) as one dressed MS pair (none when p is one-local)."""
+    return Circuit(p.width, _rotation_gates(p, phi), {"op": "pauli_rotation"})
 
 
 def compile_single_excitation(
@@ -614,11 +607,11 @@ def compile_single_excitation(
 ) -> Circuit:
     """exp(-i theta G) for a single excitation, two MS gates on [p, q]."""
     _expect_antisym(t, "single")
-    axis = axis.lower()
-    if axis not in ("xx", "yy"):
+    name = str(axis).lower()
+    if name not in ("xx", "yy"):
         raise SynthesisError(f"axis must be 'xx' or 'yy', got {axis!r}")
     width = _register_width(t.modes, n_qubits)
-    gates = _lower_group([(t, float(theta))], width, axis=axis)
+    gates = _lower_group([(t, float(theta))], width, axis=name)
     return Circuit(width, gates, {"op": "single_excitation"})
 
 
@@ -755,18 +748,24 @@ def compile_symmetrized(
     return Circuit(width, gates, {"op": "symmetrized"})
 
 
+def _baseline_gates(t: ExcitationTerm, theta: float, width: int) -> list[Gate]:
+    """Every string of t's unit-coefficient generator in its own MS pair,
+    its angle scaled by t's coefficient."""
+    _register_width(t.modes, width)
+    gates: list[Gate] = []
+    for coeff, s in generator_pauli(replace(t, coefficient=1.0), width).terms:
+        if abs(coeff.imag) > 1e-12:
+            raise SynthesisError(f"non-real generator weight {coeff}")
+        gates.extend(_rotation_gates(s, 2.0 * theta * (t.coefficient * coeff.real)))
+    return gates
+
+
 def baseline_string_by_string(
     t: ExcitationTerm, theta: float, n_qubits: int | None = None
 ) -> Circuit:
     """Reference compiler: every generator string gets its own MS pair."""
     width = _register_width(t.modes, n_qubits)
-    gates: list[Gate] = []
-    for coeff, s in generator_pauli(t, width).terms:
-        if abs(coeff.imag) > 1e-12:
-            raise SynthesisError(f"non-real generator weight {coeff}")
-        block = compile_pauli_rotation(s, 2.0 * float(theta) * coeff.real)
-        gates.extend(block.gates)
-    return Circuit(width, gates, {"op": "baseline"})
+    return Circuit(width, _baseline_gates(t, float(theta), width), {"op": "baseline"})
 
 
 def ms_square_phase_exponent(n: int) -> tuple[int, bool]:
@@ -817,7 +816,7 @@ def compile_mixed_cnot(t: ExcitationTerm, theta: float, n_qubits: int | None = N
     """
     _expect_antisym(t, "double")
     width = _register_width(t.modes, n_qubits)
-    pool, modes, interior, window = _pool([t], width)
+    pool, modes, interior, window = _pool([replace(t, coefficient=1.0)], width)
     requests = []
     zz_requests = []
     for o in modes:
@@ -827,5 +826,5 @@ def compile_mixed_cnot(t: ExcitationTerm, theta: float, n_qubits: int | None = N
         triple = tuple(m for m in modes if m != o)
         zz_requests.append((triple, _summed(pool.get(one_x, ())), one_x))
     items = _sandwich(width, window, "xx", requests, zz_requests=zz_requests)
-    gates = _fill(items, (float(theta),))
+    gates = _fill(items, (float(theta),), (t.coefficient,))
     return Circuit(width, gates, {"op": "mixed_cnot"})

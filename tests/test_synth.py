@@ -192,6 +192,9 @@ def test_single_rejects_wrong_kinds():
         compile_single_excitation(single(0, 1, symmetrized=True), 0.1)
     with pytest.raises(SynthesisError):
         compile_single_excitation(single(0, 1), 0.1, axis="zz")
+    for axis in (1, None):
+        with pytest.raises(SynthesisError, match="axis must be"):
+            compile_single_excitation(single(0, 1), 0.1, axis=axis)
 
 
 # --- double-excitation blocks -------------------------------------------------
@@ -464,6 +467,10 @@ def test_baseline_ms_counts_per_kind():
         (single(0, 3), 4, 4),
         (double(0, 1, 2, 3), 4, 16),
         (controlled_single(0, 2, 1), 3, 8),
+        # One pair per string of the unit-coefficient generator, however
+        # small the coefficient.
+        (double(0, 2, 5, 7, 1e-16), 8, 16),
+        (double(0, 2, 5, 7, 0.0), 8, 16),
     ]
     for t, width, expected_ms in cases:
         c = baseline_string_by_string(t, 0.33)
@@ -610,7 +617,7 @@ _coefficients = st.floats(0.05, 2.0).flatmap(lambda c: st.sampled_from((c, -c)))
 
 
 @st.composite
-def _template_groups(draw):
+def _template_groups(draw, coefficients=_coefficients):
     """(terms on modes from 0, lowering options) of one group: a single,
     doubles with 1-3 pairings on one window, coupled exchange, controlled
     singles with the control inside or outside the core, or a symmetrized
@@ -619,15 +626,15 @@ def _template_groups(draw):
     symmetrized = draw(st.booleans())
     options = {}
     if shape == "single":
-        terms = [single(0, draw(st.integers(1, 6)), draw(_coefficients), symmetrized)]
+        terms = [single(0, draw(st.integers(1, 6)), draw(coefficients), symmetrized)]
     elif shape in ("double", "coupled"):
         p, q, r, s = [0, *sorted(draw(st.sets(st.integers(1, 6), min_size=3, max_size=3)))]
         if shape == "double":
             pairings = [(p, q, r, s), (p, r, q, s), (p, s, q, r)]
             picked = draw(st.lists(st.sampled_from(pairings), min_size=1, max_size=3, unique=True))
-            terms = [double(*m, draw(_coefficients), symmetrized) for m in picked]
+            terms = [double(*m, draw(coefficients), symmetrized) for m in picked]
         else:
-            c = draw(_coefficients)
+            c = draw(coefficients)
             terms = [double(p, q, r, s, c, symmetrized), double(p, s, r, q, c, symmetrized)]
             options["keep_zero"] = False
     else:
@@ -638,7 +645,7 @@ def _template_groups(draw):
         else:
             outside = [m for m in range(q + 3) if not p <= m <= q]
             controls = draw(st.lists(st.sampled_from(outside), min_size=1, max_size=2, unique=True))
-        terms = [controlled_single(p, q, j, draw(_coefficients), symmetrized) for j in controls]
+        terms = [controlled_single(p, q, j, draw(coefficients), symmetrized) for j in controls]
         options["per_string"] = draw(st.booleans())
     lo = min(m for t in terms for m in t.modes)
     terms = [_shifted(t, -lo) for t in terms]
@@ -720,10 +727,76 @@ def test_template_angles_sum_in_member_order_to_the_last_bit():
         assert all(abs(g.angle) in exact for g in gates if isinstance(g, Rz))
 
 
-def test_template_key_tells_apart_members_whose_strings_pauli_sum_drops():
-    # A double's strings weigh |coefficient| / 8; at 1e-16 PauliSum drops
-    # them, the pool has no parity letters and the window is the four modes.
-    dead = _lower_group([(double(0, 2, 3, 5, 1e-16), 0.4)], 6)
-    live = _lower_group([(double(0, 2, 3, 5), 0.4)], 6)
-    assert {g.qubits for g in dead if isinstance(g, MS)} == {(0, 2, 3, 5)}
-    assert {g.qubits for g in live if isinstance(g, MS)} == {(0, 1, 2, 3, 4, 5)}
+# --- blocks that depend on the term's shape only -----------------------------------
+# PauliSum drops weights of magnitude 1e-15 and below, so generator_pauli of a
+# tiny term has no strings; every compiler reads them at coefficient 1.0.
+
+
+def _unit(t):
+    """t at coefficient +-1, keeping the sign the coupled exchange cancels by."""
+    return replace(t, coefficient=math.copysign(1.0, t.coefficient))
+
+
+def _without_angles(gates):
+    return [replace(g, angle=0.0) if isinstance(g, (Rz, CRz)) else g for g in gates]
+
+
+def test_tiny_order_three_term_compiles_on_budget():
+    for coefficient in (1e-16, 0.0, -1e-300):
+        t = higher_excitation((0, 2, 3), (4, 6, 7), coefficient=coefficient)
+        c = compile_higher_excitation(t, 0.4)
+        assert count(c).ms_total == higher_order_ms_count(3) == 12
+        assert_exact(c, generator_pauli(t, 8), 0.4, tol=1e-9)
+        unit = compile_higher_excitation(_unit(t), 0.4)
+        assert _without_angles(c.gates) == _without_angles(unit.gates)
+
+
+def test_tiny_double_keeps_its_parity_qubits_in_the_ms_window():
+    for coefficient in (1e-16, 0.0, 1.0):
+        t = double(0, 2, 5, 7, coefficient)
+        lowered = _lower_group([(t, 0.4)], 8)
+        mixed = compile_mixed_cnot(t, 0.4)
+        for gates in (lowered, mixed.gates):
+            assert {g.qubits for g in gates if isinstance(g, MS)} == {(0, 1, 2, 5, 6, 7)}
+        assert_exact(mixed, generator_pauli(t, 8), 0.4)
+
+
+def test_tiny_symmetrized_controlled_single_compiles():
+    t = controlled_single(0, 3, 5, 1e-16, True)
+    c = compile_symmetrized(t, 0.3)
+    unit = compile_symmetrized(_unit(t), 0.3)
+    assert _without_angles(c.gates) == _without_angles(unit.gates)
+    assert_exact(c, generator_pauli(t, 6), 0.3)
+
+
+def test_zero_coefficient_fills_the_unit_template_with_zero_angles():
+    t = double(1, 3, 4, 6)
+    _template.cache_clear()
+    unit = _lower_group([(t, 0.4)], 7)
+    derived = _template.cache_info().misses
+    zero = _lower_group([(replace(t, coefficient=0.0), 0.4)], 7)
+    assert _template.cache_info().misses == derived
+    assert _without_angles(zero) == _without_angles(unit)
+    assert {g.angle for g in zero if isinstance(g, Rz)} == {0.0}
+    assert any(g.angle != 0.0 for g in unit if isinstance(g, Rz))
+
+
+_tiny_coefficients = st.floats(-300.0, 0.0).flatmap(
+    lambda e: st.sampled_from((10.0**e, -(10.0**e))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_template_groups(_tiny_coefficients), st.data())
+def test_tiny_coefficients_keep_the_unit_shape_and_the_unitary(group, data):
+    terms, options = group
+    width = 1 + max(m for t in terms for m in t.modes)
+    thetas = data.draw(st.lists(st.floats(0.1, 2.0), min_size=len(terms), max_size=len(terms)))
+    gates = _lower_group(list(zip(terms, thetas)), width, **options)
+    unit = _lower_group([(_unit(t), theta) for t, theta in zip(terms, thetas)], width, **options)
+    assert _without_angles(gates) == _without_angles(unit)
+    generator = PauliSum.from_terms(
+        width, [(theta * c, s) for t, theta in zip(terms, thetas)
+                for c, s in generator_pauli(t, width).terms])
+    report = assert_equivalent(circuit_unitary(Circuit(width, gates)),
+                               generator_unitary(generator, 1.0), tol=1e-9)
+    assert report, report.distance
