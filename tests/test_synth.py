@@ -621,7 +621,8 @@ def _template_groups(draw, coefficients=_coefficients):
     """(terms on modes from 0, lowering options) of one group: a single,
     doubles with 1-3 pairings on one window, coupled exchange, controlled
     singles with the control inside or outside the core, or a symmetrized
-    group of any of these with a conjugation mode."""
+    group of any of these with a conjugation mode, each coefficient drawn
+    from ``coefficients``."""
     shape = draw(st.sampled_from(("single", "double", "coupled", "controlled")))
     symmetrized = draw(st.booleans())
     options = {}
@@ -727,7 +728,7 @@ def test_template_angles_sum_in_member_order_to_the_last_bit():
         assert all(abs(g.angle) in exact for g in gates if isinstance(g, Rz))
 
 
-# --- blocks that depend on the term's shape only -----------------------------------
+# --- blocks that depend on the term's shape only ------------------------------
 # PauliSum drops weights of magnitude 1e-15 and below, so generator_pauli of a
 # tiny term has no strings; every compiler reads them at coefficient 1.0.
 
