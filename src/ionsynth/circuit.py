@@ -290,10 +290,13 @@ class Circuit:
     metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 0:
+        n = self.n_qubits
+        # a bool, float or str width would be written as a qubits line the v1 parser rejects
+        if type(n) is not int and (isinstance(n, bool) or not _has_index(n)):
+            raise CircuitError(f"qubit count {n!r} is not an integer")
+        if n < 0:
             raise CircuitError("negative qubit count")
         gates = tuple(self.gates)
-        n = self.n_qubits
         for g in gates:
             for q in gate_qubits(g):
                 if type(q) is not int or not 0 <= q < n:  # refused, or a numpy integer

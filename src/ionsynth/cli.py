@@ -19,8 +19,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .circuit import CircuitError, ParseError, SchemaError, cost, count, deserialize, serialize
 from .evolution import (
     AnsatzSpec,
@@ -54,15 +52,12 @@ from .synth import (
     compile_single_excitation,
     compile_symmetrized,
 )
-from .verify import VerifyError, circuit_unitary, generator_unitary
+from .verify import VerifyError, assert_equivalent, circuit_unitary, generator_unitary
 
 # Published totals the demos reproduce for the bundled three-center cation.
 REFERENCE_COUNTS = {
-    "uccsd": 24,
-    "uccsd_baseline": 80,
-    "trotter": 26,
-    "trotter_string_by_string": 56,
-    "trotter_naive": 176,
+    "uccsd": {"ms": 24, "baseline": 80},
+    "trotter": {"ms": 26, "string_by_string": 56, "naive": 176},
 }
 
 DEMO_PARAMETERS = tuple(0.02 * (i + 1) for i in range(8))
@@ -121,6 +116,9 @@ def _tolerance(args) -> float:
 # function that compiles that circuit for a register width (None: the
 # smallest that holds the operator).  compile records exactly the operands the
 # builder read, so verify can rebuild the factors from the file alone.
+# get(key, applies=False) reads a key that compile records but that the
+# circuit does not depend on (the axis or variant of a symmetrized partner),
+# so compile refuses that flag when it is given.
 
 
 class _OperandError(ValueError):
@@ -151,62 +149,68 @@ def _modes(get, size: int) -> tuple[int, ...]:
     return modes
 
 
+def _is_symmetrized(get) -> bool:
+    return get("symmetrized") == "yes"
+
+
 def _symmetrized(term, theta: float):
     return [(term, theta)], lambda n: compile_symmetrized(term, theta, n_qubits=n)
 
 
-def _rotation(get, sym: bool):
+def _rotation(get):
     string, theta = from_label(get("string")), _theta(get)
     return [(string, theta / 2.0)], lambda n: compile_pauli_rotation(string, theta)
 
 
-def _single(get, sym: bool):
+def _single(get):
     p, q = _modes(get, 2)
-    theta, axis = _theta(get), get("axis")
-    term = single(p, q, symmetrized=sym)
-    if sym:
-        return _symmetrized(term, theta)
+    theta = _theta(get)
+    if _is_symmetrized(get):
+        get("axis", applies=False)
+        return _symmetrized(single(p, q, symmetrized=True), theta)
+    term, axis = single(p, q), get("axis")
     return [(term, theta)], lambda n: compile_single_excitation(term, theta, axis=axis, n_qubits=n)
 
 
-def _double(get, sym: bool):
+def _double(get):
     p, q, r, s = _modes(get, 4)
-    if sym:
+    if _is_symmetrized(get):
         return _symmetrized(double(p, q, r, s, symmetrized=True), _theta(get))
     angles = _values(get, "angles", _finite, 3)
     factors = list(zip((double(p, q, r, s), double(p, r, q, s), double(p, s, q, r)), angles))
     return factors, lambda n: compile_double_block(p, q, r, s, angles, n_qubits=n)
 
 
-def _coupled(get, sym: bool):
+def _coupled(get):
     p, q, r, s = _modes(get, 4)
     theta = _theta(get)
     factors = [(double(p, q, r, s), theta), (double(p, s, r, q), theta)]
     return factors, lambda n: compile_coupled_exchange(p, q, r, s, theta, n_qubits=n)
 
 
-def _controlled(get, sym: bool):
+def _controlled(get):
     p, q = _modes(get, 2)
     j = _values(get, "control", int, 1)[0]
-    theta, variant = _theta(get), get("variant")
-    term = controlled_single(p, q, j, symmetrized=sym)
-    if sym:
-        return _symmetrized(term, theta)
-    return [(term, theta)], lambda n: compile_controlled_single(
+    theta = _theta(get)
+    if _is_symmetrized(get):
+        get("variant", applies=False)
+        return _symmetrized(controlled_single(p, q, j, symmetrized=True), theta)
+    variant = get("variant")
+    return [(controlled_single(p, q, j), theta)], lambda n: compile_controlled_single(
         p, q, j, theta, variant=variant, n_qubits=n
     )
 
 
-def _higher(get, sym: bool):
+def _higher(get):
     sub, sup = _values(get, "sub", int), _values(get, "sup", int)
     theta = _theta(get)
-    term = higher_excitation(sub, sup, symmetrized=sym)
-    if sym:
+    term = higher_excitation(sub, sup, symmetrized=_is_symmetrized(get))
+    if term.symmetrized:
         return _symmetrized(term, theta)
     return [(term, theta)], lambda n: compile_higher_excitation(term, theta, n_qubits=n)
 
 
-def _mixed(get, sym: bool):
+def _mixed(get):
     p, q, r, s = _modes(get, 4)
     theta = _theta(get)
     term = double(p, q, r, s)
@@ -224,8 +228,9 @@ _OPS = {
 }
 
 
-def _product(factors, n_qubits: int) -> np.ndarray:
-    """Ordered product of exp(-i angle G) over (G, angle); the first factor acts first."""
+def _product(factors, n_qubits: int):
+    """Ordered product of exp(-i angle G) over (G, angle), at least one factor; the
+    first factor acts first."""
     u = None
     for g, angle in factors:
         if isinstance(g, ExcitationTerm):
@@ -234,7 +239,38 @@ def _product(factors, n_qubits: int) -> np.ndarray:
             raise VerifyError(f"generator {g!r} acts on {g.width} qubits, not {n_qubits}")
         factor = generator_unitary(g, angle).matrix
         u = factor if u is None else factor @ u
-    return np.eye(1 << n_qubits, dtype=complex) if u is None else u
+    return u
+
+
+# --- files and reports ------------------------------------------------------------
+
+
+def _read(path: str, parse):
+    """parse(text of path); an unreadable file or a parse error exits 3 naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}")
+    try:
+        return parse(text)
+    except (ParseError, IntegralError) as exc:
+        raise InputError(f"{path}: {exc}")
+
+
+def _write(path: str, c, note: str = "") -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(serialize(c))
+    print(f"wrote {path}{note}")
+
+
+def _emit(args, report: dict, *lines: str) -> None:
+    """Print a command's report: one JSON line under --format structured, else the text lines."""
+    if args.format == "structured":
+        print(json.dumps(report))
+    else:
+        for line in lines:
+            print(line)
 
 
 # --- compile ----------------------------------------------------------------------
@@ -249,64 +285,61 @@ def _canonical(text: str, kind) -> str:
 
 
 def _cmd_compile(args) -> int:
-    operands = {
+    theta = 0.0 if args.theta is None else args.theta
+    operands = {  # symmetrized first, so a later key's refusal can name it
+        "symmetrized": "yes" if args.symmetrized else "no",
         "orbitals": _canonical(args.orbitals, int) if args.orbitals else None,
-        "theta": repr(args.theta),
-        "angles": _canonical(args.angles or f"{args.theta!r},0.0,0.0", float),
+        "theta": repr(theta),
+        "angles": _canonical(args.angles or f"{theta!r},0.0,0.0", float),
         "control": None if args.control is None else str(args.control),
-        "variant": args.variant,
-        "axis": args.axis,
+        "variant": args.variant or "a",
+        "axis": args.axis or "xx",
         "sub": args.sub or None,
         "sup": args.sup or None,
         "string": args.string,
     }
-    used: dict[str, str] = {}
+    used = {"cli_op": args.op, "symmetrized": operands["symmetrized"]}
+    applied: set[str] = set()
 
-    def get(key: str) -> str:
+    def get(key: str, applies: bool = True) -> str:
         if operands[key] is None:
             raise UsageError(f"--{key} is required for --op {args.op}")
         used[key] = operands[key]
+        if applies:
+            # a double's angles default to (theta, 0, 0), and then they apply --theta
+            applied.add("theta" if key == "angles" and not args.angles else key)
         return operands[key]
 
     try:
-        _, build = _OPS[args.op](get, args.symmetrized)
+        _, build = _OPS[args.op](get)
     except _OperandError as exc:
         raise UsageError(f"--{exc}")
-    c = build(args.n_qubits).with_metadata(
-        cli_op=args.op, symmetrized="yes" if args.symmetrized else "no", **used
-    )
-    text = serialize(c)
+    for key in operands:
+        if key not in applied and getattr(args, key) not in (None, ""):
+            mode = " --symmetrized" if args.symmetrized and key != "symmetrized" else ""
+            raise UsageError(f"--{key} does not apply to --op {args.op}{mode}")
+    c = build(args.n_qubits).with_metadata(**used)
+    if args.n_qubits not in (None, c.n_qubits):
+        raise UsageError(f"--n-qubits does not apply to --op {args.op}, "
+                         f"which compiles {c.n_qubits} qubits")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.output} ({c.n_qubits} qubits, {len(c.gates)} gates)")
+        _write(args.output, c, f" ({c.n_qubits} qubits, {len(c.gates)} gates)")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(serialize(c))
     return 0
 
 
 # --- verify -----------------------------------------------------------------------
 
 
-def _read_circuit(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}")
-    try:
-        return deserialize(text)
-    except (ParseError, SchemaError) as exc:
-        raise InputError(f"{path}: {exc}")
-
-
 def _cmd_verify(args) -> int:
-    c = _read_circuit(args.circuit)
+    c = _read(args.circuit, deserialize)
     tol = _tolerance(args)
+    metadata = {"symmetrized": "no", **c.metadata}
 
-    def get(key: str) -> str:
+    def get(key: str, applies: bool = True) -> str:
         try:
-            return c.metadata[key]
+            return metadata[key]
         except KeyError:
             raise InputError(
                 f"{args.circuit}: circuit metadata lacks {key!r}; was it written by compile?"
@@ -316,55 +349,42 @@ def _cmd_verify(args) -> int:
     if op not in _OPS:
         raise InputError(f"{args.circuit}: circuit metadata declares unknown op {op!r}")
     try:
-        factors, _ = _OPS[op](get, c.metadata.get("symmetrized") == "yes")
+        factors, _ = _OPS[op](get)
         target = _product(factors, c.n_qubits)
     except _OperandError as exc:
         raise InputError(f"{args.circuit}: circuit metadata {exc}")
     except (FermionError, PauliError, VerifyError) as exc:
         raise InputError(f"{args.circuit}: {exc}")
-    u = circuit_unitary(c).matrix
-    distance = float(np.linalg.norm(u - target))
-    passed = distance <= tol
-    if args.format == "structured":
-        print(json.dumps({"distance": distance, "tol": tol, "passed": passed}))
-    else:
-        state = "PASS" if passed else "FAIL"
-        print(f"{state} distance {distance:.3e} (tol {tol:g}, {c.n_qubits} qubits)")
-    return 0 if passed else 1
+    rep = assert_equivalent(circuit_unitary(c), target, tol=tol)
+    state = "PASS" if rep.passed else "FAIL"
+    _emit(
+        args,
+        {"distance": rep.distance, "tol": tol, "passed": rep.passed},
+        f"{state} distance {rep.distance:.3e} (tol {tol:g}, {c.n_qubits} qubits)",
+    )
+    return 0 if rep.passed else 1
 
 
 # --- reports ----------------------------------------------------------------------
 
 
 def _cmd_count(args) -> int:
-    rep = count(_read_circuit(args.circuit))
-    if args.format == "structured":
-        print(json.dumps(rep.as_dict()))
-        return 0
-    d = rep.as_dict()
-    for key in (
-        "ms_total",
-        "ms_forward",
-        "ms_backward",
-        "single_qubit",
-        "crz",
-        "rzz",
-        "cnot",
-    ):
-        print(f"{key}: {d[key]}")
-    print(f"ms_by_axis: {d['ms_by_axis']}")
-    print(f"ms_locality_histogram: {d['ms_locality_histogram']}")
+    d = count(_read(args.circuit, deserialize)).as_dict()
+    keys = ("ms_total", "ms_forward", "ms_backward", "single_qubit", "crz", "rzz", "cnot",
+            "ms_by_axis", "ms_locality_histogram")
+    _emit(args, d, *(f"{key}: {d[key]}" for key in keys))
     return 0
 
 
 def _cmd_cost(args) -> int:
-    rep = cost(_read_circuit(args.circuit), tau=args.tau)
-    if args.format == "structured":
-        print(json.dumps(rep.as_dict()))
-        return 0
-    print(f"total_ms_time: {rep.total_ms_time:.6g}")
-    print(f"sequential_depth: {rep.sequential_depth}")
-    print(f"tau: {rep.tau:g}")
+    rep = cost(_read(args.circuit, deserialize), tau=args.tau)
+    _emit(
+        args,
+        rep.as_dict(),
+        f"total_ms_time: {rep.total_ms_time:.6g}",
+        f"sequential_depth: {rep.sequential_depth}",
+        f"tau: {rep.tau:g}",
+    )
     return 0
 
 
@@ -383,153 +403,98 @@ def _cmd_uccsd(args) -> int:
     spec = AnsatzSpec(args.modes, occupied, virtual, parameters)
     layer = build_uccsd_layer(spec, scheduling=args.scheduling)
     rep = count(layer)
-    if args.format == "structured":
-        print(
-            json.dumps(
-                {
-                    "excitations": len(uccsd_excitations(spec)),
-                    "scheduling": args.scheduling,
-                    "counts": rep.as_dict(),
-                }
-            )
-        )
-    else:
-        terms = uccsd_excitations(spec)
-        singles = sum(1 for t in terms if t.kind == "single")
-        print(f"excitations: {singles} singles, {len(terms) - singles} doubles")
-        print(f"MS: {rep.ms_total} ({args.scheduling})")
+    terms = uccsd_excitations(spec)
+    singles = sum(1 for t in terms if t.kind == "single")
+    _emit(
+        args,
+        {"excitations": len(terms), "scheduling": args.scheduling, "counts": rep.as_dict()},
+        f"excitations: {singles} singles, {len(terms) - singles} doubles",
+        f"MS: {rep.ms_total} ({args.scheduling})",
+    )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(serialize(layer))
-        print(f"wrote {args.output}")
+        _write(args.output, layer)
     return 0
 
 
-def _load_terms(args) -> HamiltonianTerms:
-    if args.integrals:
-        try:
-            with open(args.integrals, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise InputError(f"{args.integrals}: {exc.strerror or exc}")
-        try:
-            return term_list(parse_integrals(text))
-        except IntegralError as exc:
-            raise InputError(f"{args.integrals}: {exc}")
-    return h3plus_builtin()
-
-
 def _cmd_trotter(args) -> int:
-    terms = _load_terms(args)
+    if args.integrals:
+        terms = _read(args.integrals, lambda text: term_list(parse_integrals(text)))
+    else:
+        terms = h3plus_builtin()
     orbital_class = args.orbital_class or terms.reality
     cfg = TrotterConfig(args.dt, orbital_class=orbital_class, scheduling=args.scheduling)
     step = build_trotter_step(terms, cfg)
     rep = count(step)
-    if args.format == "structured":
-        print(
-            json.dumps(
-                {
-                    "modes": terms.n_modes,
-                    "dt": cfg.time_step,
-                    "orbital_class": orbital_class,
-                    "scheduling": args.scheduling,
-                    "counts": rep.as_dict(),
-                }
-            )
-        )
-    else:
-        print(f"modes: {terms.n_modes}, dt: {cfg.time_step:g}, "
-              f"class: {orbital_class}, scheduling: {args.scheduling}")
-        print(f"MS: {rep.ms_total}  Rz: {rep.single_qubit}  Rzz: {rep.rzz}  CRz: {rep.crz}")
+    _emit(
+        args,
+        {
+            "modes": terms.n_modes,
+            "dt": cfg.time_step,
+            "orbital_class": orbital_class,
+            "scheduling": args.scheduling,
+            "counts": rep.as_dict(),
+        },
+        f"modes: {terms.n_modes}, dt: {cfg.time_step:g}, "
+        f"class: {orbital_class}, scheduling: {args.scheduling}",
+        f"MS: {rep.ms_total}  Rz: {rep.single_qubit}  Rzz: {rep.rzz}  CRz: {rep.crz}",
+    )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(serialize(step))
-        print(f"wrote {args.output}")
+        _write(args.output, step)
     return 0
 
 
 # --- demos ------------------------------------------------------------------------
 
 
-def _report_oracle(defect: float, tol: float, out: dict | None) -> bool:
-    passed = defect <= tol
-    if out is not None:
-        out["oracle"] = {"defect": defect, "tol": tol, "passed": passed}
-    else:
-        state = "PASS" if passed else "FAIL"
-        print(f"oracle: {state} (defect {defect:.3e}, tol {tol:g})")
-    return passed
+def _report_oracle(rep, out: dict, lines: list[str]) -> bool:
+    """Record a demo's oracle verdict; the demo passes if the verdict does and every
+    count equals its published reference."""
+    out["oracle"] = {"defect": rep.distance, "tol": rep.tol, "passed": rep.passed}
+    state = "PASS" if rep.passed else "FAIL"
+    lines.append(f"oracle: {state} (defect {rep.distance:.3e}, tol {rep.tol:g})")
+    return rep.passed and all(out[key] == value for key, value in out["reference"].items())
 
 
-def _demo_uccsd(tol: float, structured: bool) -> tuple[bool, dict]:
+def _demo_uccsd(tol: float, lines: list[str]) -> tuple[bool, dict]:
     spec = AnsatzSpec(6, (0, 1), (2, 3, 4, 5), DEMO_PARAMETERS)
     layer = build_uccsd_layer(spec)
     ms = count(layer).ms_total
     baseline = count(build_uccsd_layer(spec, scheduling="baseline")).ms_total
     factor = baseline / ms
-    out: dict = {
-        "ms": ms,
-        "baseline": baseline,
-        "factor": round(factor, 2),
-        "reference": {
-            "ms": REFERENCE_COUNTS["uccsd"],
-            "baseline": REFERENCE_COUNTS["uccsd_baseline"],
-        },
-    }
-    if not structured:
-        print("H3+ UCCSD ansatz layer (6 qubits, 4 singles + 4 doubles)")
-        print(f"MS: {ms} (baseline {baseline}, factor {factor:.1f})")
-        print(f"reference: MS {REFERENCE_COUNTS['uccsd']} "
-              f"(baseline {REFERENCE_COUNTS['uccsd_baseline']})")
+    ref = REFERENCE_COUNTS["uccsd"]
+    out = {"ms": ms, "baseline": baseline, "factor": round(factor, 2), "reference": ref}
+    lines += [
+        "H3+ UCCSD ansatz layer (6 qubits, 4 singles + 4 doubles)",
+        f"MS: {ms} (baseline {baseline}, factor {factor:.1f})",
+        f"reference: MS {ref['ms']} (baseline {ref['baseline']})",
+    ]
     v = _product(zip(uccsd_excitations(spec), spec.parameters), 6)
-    defect = float(np.linalg.norm(circuit_unitary(layer).matrix - v))
-    passed = _report_oracle(defect, tol, out if structured else None)
-    passed = passed and ms == REFERENCE_COUNTS["uccsd"] and baseline == REFERENCE_COUNTS["uccsd_baseline"]
-    return passed, out
+    return _report_oracle(assert_equivalent(circuit_unitary(layer), v, tol=tol), out, lines), out
 
 
-def _demo_trotter(dt: float, tol: float, structured: bool) -> tuple[bool, dict]:
+def _demo_trotter(dt: float, tol: float, lines: list[str]) -> tuple[bool, dict]:
     terms = h3plus_builtin()
     part = HamiltonianTerms(terms.n_modes, terms.reality, 0.0, (), terms.excitation_terms)
-    ms = count(build_trotter_step(part, TrotterConfig(dt))).ms_total
-    sbs = count(
-        build_trotter_step(part, TrotterConfig(dt, scheduling="baseline"))
-    ).ms_total
-    naive = count(
-        build_trotter_step(
-            part, TrotterConfig(dt, orbital_class="complex", scheduling="baseline")
+    ms, sbs, naive = (
+        count(build_trotter_step(part, TrotterConfig(dt, orbital_class, scheduling))).ms_total
+        for orbital_class, scheduling in (
+            ("real", "parallelized"), ("real", "baseline"), ("complex", "baseline")
         )
-    ).ms_total
-    out: dict = {
-        "dt": dt,
-        "ms": ms,
-        "string_by_string": sbs,
-        "naive": naive,
-        "reference": {
-            "ms": REFERENCE_COUNTS["trotter"],
-            "string_by_string": REFERENCE_COUNTS["trotter_string_by_string"],
-            "naive": REFERENCE_COUNTS["trotter_naive"],
-        },
-    }
-    if not structured:
-        print(f"H3+ Trotter step, non-local part (dt {dt:g})")
-        print(f"MS: {ms} (string-by-string {sbs}, naive {naive})")
-        print(f"reference: MS {REFERENCE_COUNTS['trotter']} "
-              f"(string-by-string {REFERENCE_COUNTS['trotter_string_by_string']}, "
-              f"naive {REFERENCE_COUNTS['trotter_naive']})")
+    )
+    ref = REFERENCE_COUNTS["trotter"]
+    out = {"dt": dt, "ms": ms, "string_by_string": sbs, "naive": naive, "reference": ref}
+    lines += [
+        f"H3+ Trotter step, non-local part (dt {dt:g})",
+        f"MS: {ms} (string-by-string {sbs}, naive {naive})",
+        f"reference: MS {ref['ms']} "
+        f"(string-by-string {ref['string_by_string']}, naive {ref['naive']})",
+    ]
     step = build_trotter_step(terms, TrotterConfig(dt))
     n, reality = terms.n_modes, terms.reality
     blocks = [HamiltonianTerms(n, reality, terms.constant, terms.local_terms, ())]
     blocks += [HamiltonianTerms(n, reality, 0.0, (), g) for g in fusion_groups(terms.excitation_terms)]
     v = _product([(b.pauli_sum(), dt) for b in blocks], n)
-    defect = float(np.linalg.norm(circuit_unitary(step).matrix - v))
-    passed = _report_oracle(defect, tol, out if structured else None)
-    passed = passed and (ms, sbs, naive) == (
-        REFERENCE_COUNTS["trotter"],
-        REFERENCE_COUNTS["trotter_string_by_string"],
-        REFERENCE_COUNTS["trotter_naive"],
-    )
-    return passed, out
+    return _report_oracle(assert_equivalent(circuit_unitary(step), v, tol=tol), out, lines), out
 
 
 def _cmd_demo(args) -> int:
@@ -538,19 +503,16 @@ def _cmd_demo(args) -> int:
     if not args.uccsd and not args.trotter:
         raise UsageError("choose --uccsd and/or --trotter")
     tol = _tolerance(args)
-    structured = args.format == "structured"
     report: dict = {"system": args.system}
+    lines: list[str] = []
     ok = True
     if args.uccsd:
-        passed, out = _demo_uccsd(tol, structured)
-        report["uccsd"] = out
+        passed, report["uccsd"] = _demo_uccsd(tol, lines)
         ok = ok and passed
     if args.trotter:
-        passed, out = _demo_trotter(args.dt, tol, structured)
-        report["trotter"] = out
+        passed, report["trotter"] = _demo_trotter(args.dt, tol, lines)
         ok = ok and passed
-    if structured:
-        print(json.dumps(report))
+    _emit(args, report, *lines)
     return 0 if ok else 1
 
 
@@ -575,15 +537,15 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=tuple(_OPS),
     )
     p.add_argument("--orbitals", help="comma-separated mode list, strictly increasing")
-    p.add_argument("--theta", type=_finite, default=0.0)
+    p.add_argument("--theta", type=_finite)
     p.add_argument("--angles", help="three pairing angles for --op double")
-    p.add_argument("--axis", choices=("xx", "yy"), default="xx")
-    p.add_argument("--variant", choices=("a", "b"), default="a")
+    p.add_argument("--axis", choices=("xx", "yy"))
+    p.add_argument("--variant", choices=("a", "b"))
     p.add_argument("--control", type=int)
     p.add_argument("--sub", help="creation modes for --op higher")
     p.add_argument("--sup", help="annihilation modes for --op higher")
     p.add_argument("--string", help="Pauli label for --op rotation")
-    p.add_argument("--symmetrized", action="store_true")
+    p.add_argument("--symmetrized", action="store_true", default=None)
     p.add_argument("--n-qubits", type=int)
     p.add_argument("--output", "-o")
     p.set_defaults(handler=_cmd_compile)

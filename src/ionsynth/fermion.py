@@ -22,6 +22,7 @@ The two constructions share no code and the test suite holds them equal.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -182,9 +183,19 @@ def jw_map(op: FermionOperator) -> PauliSum:
 _KINDS = ("single", "double", "controlled_single", "higher")
 
 
+def _finite(value, name: str = "coefficient") -> float:
+    """A weight as a float.  NaN is refused because PauliSum would drop every
+    string of its term (abs(nan) > eps is false), and ±inf because no circuit
+    realizes it."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise FermionError(f"{name} must be finite, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class ExcitationTerm:
-    """A canonical excitation generator with a real weight.
+    """A canonical excitation generator with a finite real weight.
 
     sub holds the creation (subscript) modes, sup the annihilation
     (superscript) modes, both strictly ascending; reordering signs are folded
@@ -204,7 +215,7 @@ class ExcitationTerm:
         sub, sup = tuple(self.sub), tuple(self.sup)
         object.__setattr__(self, "sub", sub)
         object.__setattr__(self, "sup", sup)
-        object.__setattr__(self, "coefficient", float(self.coefficient))
+        object.__setattr__(self, "coefficient", _finite(self.coefficient))
         if any(m < 0 for m in sub + sup) or (self.control is not None and self.control < 0):
             raise FermionError("negative mode index")
         if sorted(sub) != list(sub) or sorted(sup) != list(sup):
@@ -338,7 +349,7 @@ class LocalTerm:
     def __post_init__(self) -> None:
         modes = tuple(self.modes)
         object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "coefficient", float(self.coefficient))
+        object.__setattr__(self, "coefficient", _finite(self.coefficient))
         if self.kind == "density":
             if len(modes) != 1:
                 raise FermionError("density term takes one mode")
@@ -529,6 +540,7 @@ class HamiltonianTerms:
         """Merge duplicate term keys and apply the canonical ordering."""
         if reality not in ("real", "complex"):
             raise FermionError(f"unknown reality class {reality!r}")
+        constant = _finite(constant, "constant")
         acc = _Accumulator()
         for lt in local_terms:
             if max(lt.modes) >= n_modes:
@@ -538,7 +550,7 @@ class HamiltonianTerms:
             if max(et.modes) >= n_modes:
                 raise FermionError(f"term {et} exceeds {n_modes} modes")
             acc.add(et)
-        return acc.finish(n_modes, reality, float(constant))
+        return acc.finish(n_modes, reality, constant)
 
 
 _DROP_EPS = 1e-14

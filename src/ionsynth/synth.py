@@ -10,22 +10,26 @@ computed exactly over the Pauli group, the resulting +-1 is folded into the
 rotation angle, and the dense-matrix oracle in the test suite checks the
 product phase-exactly.
 
-None of that depends on the angles, so every group lowering (``_lower_group``,
-which all the excitation compilers and the evolution builders go through)
-derives it once per group shape.  The key holds no angle and no coefficient:
-per member the kind, the sub, sup and control modes counted from the group's
-lowest mode and the symmetrized flag, then the relative conjugation mode, the
-per-string switch and the star axis.  ``_template`` (a fixed-size LRU cache)
-derives the gates at offset 0: Clifford1, CNOT and MS gates as they are, and
-each Rz / CRz as a slot (qubit, control, factor, zero, ((member, scale), ...))
-whose factor is 2 or 4 times the pullback sign and whose scales are the exact
-generator string weights of unit-coefficient terms.  A call shifts the gates
-to the group's lowest mode and sets each slot's angle to factor * weight, with
-weight summed from ``zero`` over theta_j * (coefficient_j * scale) in member
-order, then string order: the order in which the string pool always summed
-them.  Every scale and factor is a signed power of two, so coefficient_j *
-scale is the string weight the generator itself computes, and the angles keep
-their last bit, subnormal angles included.
+None of that depends on the angles, so every group lowering (``_lower_group``)
+derives it once per group shape.  The excitation compilers and the evolution
+builders go through it, except four paths that build their gates directly:
+compile_pauli_rotation, the string-by-string baseline (``_baseline_gates``,
+used by the UCCSD baseline layer and the complex-orbital Trotter baseline),
+compile_controlled_single variant "b" and compile_mixed_cnot.  The key holds
+no angle and no coefficient: per member the kind, the sub, sup and control
+modes counted from the group's lowest mode and the symmetrized flag, then the
+relative conjugation mode, the per-string switch and the star axis.
+``_template`` (a fixed-size LRU cache) derives the gates at offset 0:
+Clifford1, CNOT and MS gates as they are, and each Rz / CRz as a slot (qubit,
+control, factor, zero, ((member, scale), ...)) whose factor is 2 or 4 times
+the pullback sign and whose scales are the exact generator string weights of
+unit-coefficient terms.  A call shifts the gates to the group's lowest mode
+and sets each slot's angle to factor * weight, with weight summed from
+``zero`` over theta_j * (coefficient_j * scale) in member order, then string
+order: the order in which the string pool always summed them.  Every scale and
+factor is a signed power of two, so coefficient_j * scale is the string weight
+the generator itself computes, and the angles keep their last bit, subnormal
+angles included.
 """
 
 from __future__ import annotations

@@ -363,6 +363,16 @@ def test_numpy_integer_qubits_are_accepted():
     c = Circuit(2, (Rz(np.int64(1), 0.1), MS("xx", "forward", (np.int32(0), 1))))
     assert serialize(c) == "ionsynth-circuit v1\nqubits 2\nrz 1 0.1\nms xx forward 0 1\n"
     assert deserialize(serialize(c)) == c
+    wide = Circuit(np.int64(2), (Rz(1, 0.1),))
+    assert serialize(wide) == "ionsynth-circuit v1\nqubits 2\nrz 1 0.1\n"
+    assert deserialize(serialize(wide)) == wide
+
+
+@pytest.mark.parametrize("width", [2.5, True, 3.0, "3", None])
+def test_non_integer_width_is_refused(width):
+    """A float or bool width would be written as a qubits line the v1 parser rejects."""
+    with pytest.raises(CircuitError, match="not an integer"):
+        Circuit(width)
 
 
 def test_comments_and_blank_lines_are_ignored():

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface through cli.run."""
 
 import json
+import re
 import runpy
 import sys
 import warnings
@@ -45,6 +46,56 @@ def test_compile_missing_operand_is_usage_error(capsys):
     assert run(["compile", "--op", "controlled", "--orbitals", "0,2",
                 "--theta", "0.1"]) == 2
     assert "--control" in capsys.readouterr().err
+
+
+STRAY_FLAGS = {
+    "mixed-symmetrized": (["--op", "mixed", "--orbitals", "0,1,2,3", "--theta", "0.3",
+                           "--symmetrized"], "--symmetrized does not apply to --op mixed"),
+    "coupled-symmetrized": (["--op", "coupled", "--orbitals", "0,1,2,3", "--theta", "0.3",
+                             "--symmetrized"], "--symmetrized does not apply to --op coupled"),
+    "rotation-symmetrized": (["--op", "rotation", "--string", "XZ", "--theta", "0.3",
+                              "--symmetrized"], "--symmetrized does not apply to --op rotation"),
+    "symmetrized-double-angles": (["--op", "double", "--orbitals", "0,1,2,3", "--symmetrized",
+                                   "--angles", "0.1,0.2,0.3"],
+                                  "--angles does not apply to --op double --symmetrized"),
+    "symmetrized-single-axis": (["--op", "single", "--orbitals", "0,1", "--symmetrized",
+                                 "--axis", "yy"],
+                                "--axis does not apply to --op single --symmetrized"),
+    "symmetrized-controlled-variant": (["--op", "controlled", "--orbitals", "0,2", "--control",
+                                        "1", "--symmetrized", "--variant", "b"],
+                                       "--variant does not apply to --op controlled --symmetrized"),
+    "rotation-n-qubits": (["--op", "rotation", "--string", "XZ", "--n-qubits", "5"],
+                          "--n-qubits does not apply to --op rotation, which compiles 2 qubits"),
+    "single-control": (["--op", "single", "--orbitals", "0,1", "--control", "3"],
+                       "--control does not apply to --op single"),
+    "single-string": (["--op", "single", "--orbitals", "0,1", "--string", "XX"],
+                      "--string does not apply to --op single"),
+    "single-sub": (["--op", "single", "--orbitals", "0,1", "--sub", "0"],
+                   "--sub does not apply to --op single"),
+    "double-theta-and-angles": (["--op", "double", "--orbitals", "0,1,2,3", "--theta", "0.4",
+                                 "--angles", "0.1,0.2,0.3"],
+                                "--theta does not apply to --op double"),
+}
+
+
+@pytest.mark.parametrize("argv, message", STRAY_FLAGS.values(), ids=STRAY_FLAGS.keys())
+def test_compile_refuses_flags_its_op_does_not_read(argv, message, tmp_path, capsys):
+    path = tmp_path / "stray.circ"
+    assert run(["compile", *argv, "-o", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not path.exists()
+
+
+def test_symmetrized_partners_still_record_axis_and_variant(capsys):
+    assert run(["compile", "--op", "single", "--orbitals", "0,2", "--theta", "0.3",
+                "--symmetrized"]) == 0
+    assert deserialize(capsys.readouterr().out).metadata == {
+        "axis": "xx", "cli_op": "single", "op": "symmetrized", "orbitals": "0,2",
+        "symmetrized": "yes", "theta": "0.3",
+    }
+    assert run(["compile", "--op", "controlled", "--orbitals", "0,2", "--control", "1",
+                "--theta", "0.3", "--symmetrized"]) == 0
+    assert deserialize(capsys.readouterr().out).metadata["variant"] == "a"
 
 
 def test_unknown_subcommand_and_bare_invocation_are_usage_errors(capsys):
@@ -105,6 +156,7 @@ def test_verify_structured_output(tmp_path, capsys):
     capsys.readouterr()
     assert run(["verify", "--circuit", str(path), "--format", "structured"]) == 0
     report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"distance", "tol", "passed"}
     assert report["passed"] is True
     assert report["distance"] < 1e-12
 
@@ -201,6 +253,67 @@ def test_count_text_and_structured(tmp_path, capsys):
     assert report["ms_forward"] == 1 and report["ms_backward"] == 1
 
 
+GOLDEN_CIRCUIT_REPORTS = {
+    "count-text": (["count"], (
+        "ms_total: 4\nms_forward: 2\nms_backward: 2\nsingle_qubit: 16\ncrz: 0\nrzz: 0\n"
+        "cnot: 0\nms_by_axis: {'xx': 2, 'yy': 2}\nms_locality_histogram: {'6': 4}\n"
+    )),
+    "count-structured": (["count", "--format", "structured"], (
+        '{"ms_forward": 2, "ms_backward": 2, "ms_total": 4, "ms_by_axis": {"xx": 2, "yy": 2}, '
+        '"single_qubit": 16, "crz": 0, "rzz": 0, "cnot": 0, "ms_locality_histogram": {"6": 4}}\n'
+    )),
+    "cost-text": (["cost", "--tau", "2"],
+                  "total_ms_time: 19.5959\nsequential_depth: 10\ntau: 2\n"),
+    "cost-structured": (["cost", "--format", "structured"],
+                        '{"total_ms_time": 9.797958971132712, "sequential_depth": 10, '
+                        '"tau": 1.0}\n'),
+}
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN_CIRCUIT_REPORTS.values(),
+                         ids=GOLDEN_CIRCUIT_REPORTS.keys())
+def test_circuit_reports_are_pinned(argv, expected, tmp_path, capsys):
+    path = tmp_path / "double.circ"
+    assert run(["compile", "--op", "double", "--orbitals", "0,2,3,5",
+                "--angles", "0.3,-0.2,0.7", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert run([argv[0], "--circuit", str(path), *argv[1:]]) == 0
+    assert capsys.readouterr().out == expected
+
+
+UCCSD_4 = ["uccsd", "--modes", "4", "--occupied", "0,1", "--virtual", "2,3",
+           "--parameters", "0.1,0.2,0.3"]
+GOLDEN_BUILDER_REPORTS = {
+    "uccsd-text": (UCCSD_4, "excitations: 2 singles, 1 doubles\nMS: 8 (parallelized)\n"),
+    "uccsd-structured": (UCCSD_4 + ["--format", "structured"], (
+        '{"excitations": 3, "scheduling": "parallelized", "counts": {"ms_forward": 4, '
+        '"ms_backward": 4, "ms_total": 8, "ms_by_axis": {"xx": 6, "yy": 2}, '
+        '"single_qubit": 24, "crz": 0, "rzz": 0, "cnot": 0, '
+        '"ms_locality_histogram": {"3": 4, "4": 4}}}\n'
+    )),
+    "trotter-text": (["trotter", "--dt", "0.1"], (
+        "modes: 6, dt: 0.1, class: real, scheduling: parallelized\n"
+        "MS: 26  Rz: 112  Rzz: 15  CRz: 8\n"
+    )),
+    "trotter-structured": (["trotter", "--dt", "0.1", "--format", "structured"], (
+        '{"modes": 6, "dt": 0.1, "orbital_class": "real", "scheduling": "parallelized", '
+        '"counts": {"ms_forward": 13, "ms_backward": 13, "ms_total": 26, '
+        '"ms_by_axis": {"xx": 16, "yy": 10}, "single_qubit": 112, "crz": 8, "rzz": 15, '
+        '"cnot": 0, "ms_locality_histogram": {"2": 2, "3": 4, "4": 16, "6": 4}}}\n'
+    )),
+}
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN_BUILDER_REPORTS.values(),
+                         ids=GOLDEN_BUILDER_REPORTS.keys())
+def test_builder_reports_are_pinned(argv, expected, tmp_path, capsys):
+    path = tmp_path / "built.circ"
+    assert run(argv + ["-o", str(path)]) == 0
+    assert capsys.readouterr().out == f"{expected}wrote {path}\n"
+    assert run(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_cost_structured_scales_with_tau(tmp_path, capsys):
     path = tmp_path / "s.circ"
     run(["compile", "--op", "single", "--orbitals", "0,1", "--theta", "0.2",
@@ -292,10 +405,33 @@ def test_demo_structured_embeds_oracle(capsys):
     assert run(["demo", "h3plus", "--uccsd", "--trotter",
                 "--format", "structured"]) == 0
     report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"system", "uccsd", "trotter"}
+    assert set(report["uccsd"]) == {"ms", "baseline", "factor", "reference", "oracle"}
+    assert set(report["uccsd"]["reference"]) == {"ms", "baseline"}
+    assert set(report["trotter"]) == {"dt", "ms", "string_by_string", "naive", "reference",
+                                      "oracle"}
+    assert set(report["trotter"]["reference"]) == {"ms", "string_by_string", "naive"}
+    for part in ("uccsd", "trotter"):
+        assert set(report[part]["oracle"]) == {"defect", "tol", "passed"}
     assert report["uccsd"]["ms"] == 24
     assert report["trotter"]["naive"] == 176
     assert report["uccsd"]["oracle"]["passed"] is True
     assert report["trotter"]["oracle"]["passed"] is True
+
+
+def test_demo_text_report_order(capsys):
+    assert run(["demo", "h3plus", "--uccsd", "--trotter"]) == 0
+    out = re.sub(r"defect \S+,", "defect D,", capsys.readouterr().out)
+    assert out == (
+        "H3+ UCCSD ansatz layer (6 qubits, 4 singles + 4 doubles)\n"
+        "MS: 24 (baseline 80, factor 3.3)\n"
+        "reference: MS 24 (baseline 80)\n"
+        "oracle: PASS (defect D, tol 1e-09)\n"
+        "H3+ Trotter step, non-local part (dt 0.1)\n"
+        "MS: 26 (string-by-string 56, naive 176)\n"
+        "reference: MS 26 (string-by-string 56, naive 176)\n"
+        "oracle: PASS (defect D, tol 1e-09)\n"
+    )
 
 
 def test_demo_requires_a_mode_flag(capsys):

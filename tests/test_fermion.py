@@ -11,6 +11,8 @@ import pytest
 from ionsynth.fermion import (
     ExcitationTerm,
     FermionError,
+    HamiltonianTerms,
+    LocalTerm,
     annihilation,
     controlled_single,
     coulomb_term,
@@ -156,6 +158,28 @@ def test_term_construction_guards():
         ExcitationTerm("single", (2,), (0,))
     with pytest.raises(FermionError):
         ExcitationTerm("double", (1, 2), (0, 3))
+
+
+NON_FINITE_TERMS = {
+    "single": lambda c: single(0, 1, c),
+    "double": lambda c: double(0, 1, 2, 3, c),
+    "double-symmetrized": lambda c: double(0, 1, 2, 3, c, symmetrized=True),
+    "controlled-single": lambda c: controlled_single(0, 2, 1, c),
+    "higher": lambda c: higher_excitation((0, 1, 2), (3, 4, 5), c),
+    "excitation-term": lambda c: ExcitationTerm("single", (0,), (1,), coefficient=c),
+    "density": lambda c: density_term(0, c),
+    "coulomb": lambda c: coulomb_term(0, 1, c),
+    "local-term": lambda c: LocalTerm("density", (0,), c),
+    "assemble-constant": lambda c: HamiltonianTerms.assemble(2, "real", c, (), ()),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("make", NON_FINITE_TERMS.values(), ids=NON_FINITE_TERMS.keys())
+def test_non_finite_weights_are_refused(make, value):
+    """A NaN term would lose every Pauli string and an inf term has no circuit."""
+    with pytest.raises(FermionError, match="must be finite"):
+        make(value)
 
 
 def test_higher_excitation_sort_parity():
