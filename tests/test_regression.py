@@ -100,6 +100,7 @@ CIRCUITS = {
     "controlled_a_outside": lambda: compile_controlled_single(0, 2, 4, 0.33),
     "controlled_a_inside": lambda: compile_controlled_single(0, 3, 1, 0.33),
     "controlled_b_inside": lambda: compile_controlled_single(1, 4, 2, -0.19, variant="b"),
+    "controlled_b_outside": lambda: compile_controlled_single(1, 3, 5, 0.41, variant="b"),
     "higher_3": lambda: compile_higher_excitation(
         higher_excitation([0, 1, 2], [3, 4, 5], 0.6), 0.2
     ),
@@ -116,17 +117,27 @@ CIRCUITS = {
         higher_excitation([0, 1, 2], [3, 4, 5], 0.4, symmetrized=True), 0.15, conjugation_mode=4
     ),
     "baseline_string_by_string": lambda: baseline_string_by_string(double(0, 1, 2, 3, 0.6), 0.25),
+    "baseline_controlled": lambda: baseline_string_by_string(
+        controlled_single(1, 4, 6, 0.7), 0.3, n_qubits=8
+    ),
+    "baseline_symmetrized_double": lambda: baseline_string_by_string(
+        double(1, 3, 2, 5, 0.5, symmetrized=True), -0.27
+    ),
     "eliminate_backward_ms": lambda: eliminate_backward_ms(
         compile_double_block(0, 1, 2, 4, (0.3, 0.1, -0.2))
     ),
     "mixed_cnot": lambda: compile_mixed_cnot(double(0, 1, 2, 3, 0.8), 0.35),
+    "mixed_cnot_interior": lambda: compile_mixed_cnot(double(1, 3, 6, 8, -0.6), 0.23),
 }
 
 EXPECTED = {
+    "baseline_controlled": "250ae6be4d5c30189def8aa0886b572fddb45d1809669bd4d2f605030713c208",
+    "baseline_symmetrized_double": "01f4b4c8fc642afa0a2463db65acca0d79888ebcf210384acd93b764cb4d207c",
     "baseline_string_by_string": "39ee0a311c82ecd335966584773b364e4d7056f8278daa1105a395a0d36d60c4",
     "controlled_a_inside": "262802ed4832bf268304fed18c20bdd4b2c692ffd04d066faec02f0e328be709",
     "controlled_a_outside": "a0aed2b584ce7bcdf5c69abb8c91889166e5067788aa926f42221614052a5cc9",
     "controlled_b_inside": "1136a969909152e977d9d5f62d064f6c309f78169e8d93c522a1b27380031046",
+    "controlled_b_outside": "720883e35615b94e3a05184200951e5fac4f2b7b00921e0f369ca38effac4506",
     "coupled_exchange": "3d1ab5764194fbca74a866aa0d6d0d53480de76deb696f5a5648bd11f01af96c",
     "dense6_baseline": "484f2fb6721b9b7a173c47932137921270b1206c04bfb08015ff01a018c93fa4",
     "dense6_parallelized": "ee532cbf5750f8ebb232039f1cc7bb585340770fd052184a2d7c62da01463146",
@@ -140,6 +151,7 @@ EXPECTED = {
     "h3_uccsd_parallelized": "d9627449a9fc2d364fa0d891e68df1e8fafd12d952082f943a430be2ef58c789",
     "higher_3": "909cc7635d896337ffafc3c9b8019528516e4a768a33800d601070ac23963046",
     "mixed_cnot": "5d2f85ed0f089b82914ba4a22dd995545549974d97e7754c3461b6d07554e08d",
+    "mixed_cnot_interior": "b14c0a7e55407c5b31e13b4c1ae825444cedad85d53065a6d551bd1e95614087",
     "mixed_complex_baseline": "aadad024d17524a6fb3817c3d910becf44353b7cef05a63e5451fc7ccdbc3958",
     "mixed_complex_parallelized": "3352e4472b890cd4836a92b45c8fbda5cf578d09ecd935a1eefcbff34b4f8e8a",
     "pauli_rotation": "d69997d6526f259d568f823201cdc23406f15e9c88f85002dc2829179c9e3850",
