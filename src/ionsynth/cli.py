@@ -259,8 +259,12 @@ def _read(path: str, parse):
 
 
 def _write(path: str, c, note: str = "") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(c))
+    """Write c's text to path; an unwritable path exits 3 naming it."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize(c))
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}")
     print(f"wrote {path}{note}")
 
 
@@ -336,8 +340,10 @@ def _cmd_verify(args) -> int:
     c = _read(args.circuit, deserialize)
     tol = _tolerance(args)
     metadata = {"symmetrized": "no", **c.metadata}
+    read = set()
 
     def get(key: str, applies: bool = True) -> str:
+        read.add(key)
         try:
             return metadata[key]
         except KeyError:
@@ -355,6 +361,9 @@ def _cmd_verify(args) -> int:
         raise InputError(f"{args.circuit}: circuit metadata {exc}")
     except (FermionError, PauliError, VerifyError) as exc:
         raise InputError(f"{args.circuit}: {exc}")
+    if metadata["symmetrized"] != "no" and "symmetrized" not in read:
+        raise InputError(f"{args.circuit}: circuit metadata symmetrized: --op {op} "
+                         "has no symmetrized form")
     rep = assert_equivalent(circuit_unitary(c), target, tol=tol)
     state = "PASS" if rep.passed else "FAIL"
     _emit(

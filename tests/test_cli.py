@@ -1,6 +1,8 @@
 """End-to-end runs of the command-line interface through cli.run."""
 
+import errno
 import json
+import os
 import re
 import runpy
 import sys
@@ -183,6 +185,28 @@ def test_verify_rejects_bad_metadata(compile_args, edit, named, tmp_path, capsys
     assert named in capsys.readouterr().err
 
 
+NO_SYMMETRIZED_FORM = {
+    "rotation": ["--op", "rotation", "--string", "XZ"],
+    "coupled": ["--op", "coupled", "--orbitals", "0,1,2,3"],
+    "mixed": ["--op", "mixed", "--orbitals", "0,1,2,3"],
+}
+
+
+@pytest.mark.parametrize("op, compile_args", NO_SYMMETRIZED_FORM.items(),
+                         ids=NO_SYMMETRIZED_FORM.keys())
+def test_verify_refuses_symmetrized_metadata_an_op_cannot_carry(op, compile_args, tmp_path,
+                                                                 capsys):
+    path = tmp_path / "edited.circ"
+    assert run(["compile", *compile_args, "--theta", "0.3", "-o", str(path)]) == 0
+    assert run(["verify", "--circuit", str(path)]) == 0
+    c = deserialize(path.read_text())
+    path.write_text(serialize(c.with_metadata(symmetrized="yes")))
+    capsys.readouterr()
+    assert run(["verify", "--circuit", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {path}: circuit metadata symmetrized: --op {op} has no symmetrized form\n")
+
+
 NON_FINITE_ARGV = {
     "compile-theta-nan": ["compile", "--op", "single", "--orbitals", "0,2", "--theta", "nan"],
     "compile-theta-minus-inf": ["compile", "--op", "single", "--orbitals", "0,2",
@@ -238,6 +262,22 @@ def test_missing_circuit_file_is_input_error(tmp_path, capsys):
     rc = run(["count", "--circuit", str(tmp_path / "nope.circ")])
     assert rc == 3
     capsys.readouterr()
+
+
+WRITING_COMMANDS = {
+    "compile": ["compile", "--op", "single", "--orbitals", "0,1", "--theta", "0.2"],
+    "uccsd": ["uccsd", "--modes", "4", "--occupied", "0,1", "--virtual", "2,3",
+              "--parameters", "0.1,0.2,0.3"],
+    "trotter": ["trotter", "--dt", "0.1"],
+}
+
+
+@pytest.mark.parametrize("argv", WRITING_COMMANDS.values(), ids=WRITING_COMMANDS.keys())
+def test_unwritable_output_is_input_error(argv, tmp_path, capsys):
+    path = tmp_path / "nodir" / "x.circ"
+    assert run([*argv, "-o", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {path}: {os.strerror(errno.ENOENT)}\n"
+    assert not path.parent.exists()
 
 
 def test_count_text_and_structured(tmp_path, capsys):
