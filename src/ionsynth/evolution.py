@@ -27,7 +27,7 @@ import numpy as np
 
 from .circuit import Circuit, Clifford1, Gate, GlobalPhase, Rz, Rzz
 from .fermion import ExcitationTerm, HamiltonianTerms, double, local_pauli, single
-from .synth import _baseline_gates, _lower_group
+from .synth import _lower_group
 from .verify import circuit_unitary, dense_sum
 
 
@@ -135,13 +135,10 @@ def build_uccsd_layer(spec: AnsatzSpec, scheduling: str = "parallelized") -> Cir
     """
     if scheduling not in ("parallelized", "baseline"):
         raise EvolutionError(f"unknown scheduling {scheduling!r}")
-    terms = uccsd_excitations(spec)
+    scheme = "strings" if scheduling == "baseline" else "layers"
     gates: list[Gate] = []
-    for t, theta in zip(terms, spec.parameters):
-        if scheduling == "baseline":
-            gates.extend(_baseline_gates(t, theta, spec.n_modes))
-        else:
-            gates.extend(_lower_group([(t, theta)], spec.n_modes))
+    for t, theta in zip(uccsd_excitations(spec), spec.parameters):
+        gates.extend(_lower_group([(t, theta)], spec.n_modes, scheme=scheme))
     return Circuit(spec.n_modes, tuple(gates), {"op": f"uccsd_{scheduling}"})
 
 
@@ -224,18 +221,17 @@ def build_trotter_step(terms: HamiltonianTerms, cfg: TrotterConfig) -> Circuit:
             raise EvolutionError(f"cannot schedule kind {t.kind}")
     width = terms.n_modes
     dt = cfg.time_step
-    parallel = cfg.scheduling == "parallelized"
-    naive = not parallel and cfg.orbital_class == "complex"
-    if parallel:
+    schemes = {}  # synth's block scheme by kind, "layers" when absent
+    if cfg.scheduling == "parallelized":
         groups = fusion_groups(terms.excitation_terms)
     else:
         groups = tuple((t,) for t in terms.excitation_terms)
+        plain = "strings" if cfg.orbital_class == "complex" else "layers"
+        schemes = {"single": plain, "double": plain, "controlled_single": "core_strings"}
     gates = _diagonal_gates(terms, dt, width)
     for group in groups:
-        if naive and group[0].kind != "controlled_single":
-            gates.extend(_baseline_gates(group[0], dt, width))
-        else:
-            gates.extend(_lower_group([(t, dt) for t in group], width, per_string=not parallel))
+        scheme = schemes.get(group[0].kind, "layers")
+        gates.extend(_lower_group([(t, dt) for t in group], width, scheme=scheme))
     return Circuit(width, tuple(gates), {"op": f"trotter_{cfg.scheduling}"})
 
 

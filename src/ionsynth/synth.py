@@ -10,15 +10,22 @@ computed exactly over the Pauli group, the resulting +-1 is folded into the
 rotation angle, and the dense-matrix oracle in the test suite checks the
 product phase-exactly.
 
-None of that depends on the angles, so every group lowering (``_lower_group``)
-derives it once per group shape.  The excitation compilers and the evolution
-builders go through it, except four paths that build their gates directly:
-compile_pauli_rotation, the string-by-string baseline (``_baseline_gates``,
-used by the UCCSD baseline layer and the complex-orbital Trotter baseline),
-compile_controlled_single variant "b" and compile_mixed_cnot.  The key holds
-no angle and no coefficient: per member the kind, the sub, sup and control
-modes counted from the group's lowest mode and the symmetrized flag, then the
-relative conjugation mode, the per-string switch and the star axis.
+None of that depends on the angles, so the one group lowering
+(``_lower_group``) derives it once per group shape.  Every excitation compiler
+and both evolution builders lower their blocks through it; only
+compile_pauli_rotation, which takes a bare Pauli string, builds its sandwich
+directly.  A group's scheme says how its strings are spent:
+
+- ``layers``: star and CNOT-assisted layers of the combined string pool, or
+  one shared CRz sandwich for controlled singles;
+- ``core_strings``: one CRz sandwich per control-free core string;
+- ``strings``: one MS pair per generator string, with no S_j conjugation;
+- ``halves``: one plain-Rz sandwich per control letter (variant "b");
+- ``ladder``: one XX sandwich, the all-Y star via CNOT ladders (mixed CNOT).
+
+The key holds no angle and no coefficient: per member the kind, the sub, sup
+and control modes counted from the group's lowest mode and the symmetrized
+flag, then the relative conjugation mode, the scheme and the star axis.
 ``_template`` (a fixed-size LRU cache) derives the gates at offset 0:
 Clifford1, CNOT and MS gates as they are, and each Rz / CRz as a slot (qubit,
 control, factor, zero, ((member, scale), ...)) whose factor is 2 or 4 times
@@ -446,8 +453,9 @@ def _pack_words(words: list[int], capacity: int) -> list[list[int]]:
     return layers
 
 
-def _excitation_layers(terms, width: int, axis: str = "xx") -> list:
-    """Star layers plus, where local words cannot pack the pool, CNOT layers.
+def _layers(terms, width: int, axis: str) -> list:
+    """Star layers plus, where local words cannot pack the pool, CNOT layers;
+    controlled singles share one CRz sandwich on the control-free core window.
 
     The first layer diagonalizes the strings one letter away from the all-X
     (or all-Y) word using purely local dressing; the complementary star covers
@@ -455,6 +463,9 @@ def _excitation_layers(terms, width: int, axis: str = "xx") -> list:
     only) is grouped into independent commuting sets of up to 2N strings, each
     diagonalized jointly with CNOT-assisted dressing around a single MS pair.
     """
+    if terms[0].kind == "controlled_single":
+        requests = _core_requests(terms, width)
+        return _sandwich(width, requests[0][2].support(), "xx", requests)
     pool, modes, interior, window = _pool(terms, width)
     items: list = []
     covered: set[PauliString] = set()
@@ -488,6 +499,75 @@ def _excitation_layers(terms, width: int, axis: str = "xx") -> list:
 
 # --- block templates --------------------------------------------------------------
 
+def _controlled_halves(member: int, t: ExcitationTerm, width: int, control=None) -> list:
+    """Rotation requests for the two halves of a controlled single's pool, the
+    strings with a Z on the control first: in each half, the string with the Y
+    letter at each orbital, rotated on that orbital."""
+    strings = generator_pauli(t, width).terms
+    halves = []
+    for letter in "ZI":
+        requests = []
+        for o in (t.sub[0], t.sup[0]):
+            match = [(c.real, s) for c, s in strings
+                     if s.letter(t.control) == letter and s.letter(o) == "Y"]
+            if len(match) != 1:
+                raise SynthesisError("controlled pool does not split into Y-labelled halves")
+            requests.append((o, _product(member, match[0][0]), match[0][1], control))
+        halves.append(requests)
+    return halves
+
+
+def _core_requests(terms, width: int) -> list:
+    """CRz requests for the control-free core strings of controlled singles."""
+    return [r for member, t in enumerate(terms)
+            for r in _controlled_halves(member, t, width, t.control)[1]]
+
+
+def _core_strings(terms, width: int, axis: str) -> list:
+    """One CRz sandwich per control-free core string."""
+    return [g for r in _core_requests(terms, width)
+            for g in _sandwich(width, r[2].support(), "xx", [r])]
+
+
+def _strings(terms, width: int, axis: str) -> list:
+    """One MS pair per generator string, each on the string's support."""
+    items = []
+    for member, t in enumerate(terms):
+        for coeff, s in generator_pauli(t, width).terms:
+            if abs(coeff.imag) > 1e-12:
+                raise SynthesisError(f"non-real generator weight {coeff}")
+            request = (s.support()[0], _product(member, coeff.real), s, None)
+            items.extend(_sandwich(width, s.support(), "xx", [request]))
+    return items
+
+
+def _halves(terms, width: int, axis: str) -> list:
+    """Two plain-Rz sandwiches per controlled single: the strings with a Z on
+    the control, then those without."""
+    items = []
+    for member, t in enumerate(terms):
+        for requests in _controlled_halves(member, t, width):
+            items.extend(_sandwich(width, requests[0][2].support(), "xx", requests))
+    return items
+
+
+def _ladder(terms, width: int, axis: str) -> list:
+    """One XX sandwich; the all-Y star via CNOT ladders (compile_mixed_cnot)."""
+    pool, modes, interior, window = _pool(terms, width)
+    requests, zz_requests = [], []
+    for o in modes:
+        one_y = _star_target(width, modes, interior, "X", "Y", o)
+        requests.append((o, _summed(pool.get(one_y, ())), one_y, None))
+        one_x = _star_target(width, modes, interior, "Y", "X", o)
+        triple = tuple(m for m in modes if m != o)
+        zz_requests.append((triple, _summed(pool.get(one_x, ())), one_x))
+    return _sandwich(width, window, "xx", requests, zz_requests=zz_requests)
+
+
+_SCHEMES = {"layers": _layers, "core_strings": _core_strings, "strings": _strings,
+            "halves": _halves, "ladder": _ladder}
+
+
 @functools.lru_cache(maxsize=4096)
 def _template(key) -> tuple:
     """The angle-free gates of one group shape at offset 0 (see _lower_group).
@@ -497,7 +577,7 @@ def _template(key) -> tuple:
     the member's exact string weight per unit of theta * coefficient, and no
     string is lost however small the real coefficient is.
     """
-    members, j, per_string, axis = key
+    members, j, scheme, axis = key
     width = 1 + max(m for _, sub, sup, c, _ in members for m in (*sub, *sup, c) if m is not None)
     terms = []
     for kind, sub, sup, control, symmetrized in members:
@@ -508,44 +588,24 @@ def _template(key) -> tuple:
                 raise SynthesisError(f"mode {j} does not couple to the generator")
             t = replace(t, coefficient=sign)
         terms.append(t)
-    if terms[0].kind == "controlled_single":
-        requests = []
-        for member, t in enumerate(terms):
-            plain, _ = _controlled_halves(t, width)
-            for o, c, s in _rotation_pairs(plain, t.sub[0], t.sup[0]):
-                requests.append((o, _product(member, c), s, t.control))
-        window = requests[0][2].support()
-        if per_string:
-            items = [g for r in requests for g in _sandwich(width, window, "xx", [r])]
-        else:
-            items = _sandwich(width, window, "xx", requests)
-    else:
-        items = _excitation_layers(terms, width, axis)
+    items = _SCHEMES[scheme](terms, width, axis)
     if j is not None:
         items = [Clifford1(j, "S"), *items, Clifford1(j, "SDG")]
     return tuple(items)
 
 
 def _lower_group(
-    pairs,
-    width: int,
-    *,
-    conjugation_mode: int | None = None,
-    per_string: bool = False,
-    axis: str = "xx",
-    keep_zero: bool = True,
+    pairs, width: int, *, conjugation_mode: int | None = None, scheme: str = "layers",
+    axis: str = "xx", keep_zero: bool = True,
 ) -> list[Gate]:
-    """Gates for one fusion group: commuting same-shape (term, angle) pairs.
+    """Gates for one fusion group: commuting same-shape (term, angle) pairs,
+    spent by ``scheme`` with the first star layer on ``axis``.
 
-    Symmetrized terms become their antisymmetrized twins wrapped in S_j ...
-    S_j&dagger;; j is the first creation mode, where every sign is +1, unless
-    ``conjugation_mode`` names another.  Controlled singles share one CRz
-    sandwich on the control-free core window (``per_string`` spends one per
-    core string instead).  Everything else becomes the star and CNOT-assisted
-    layers of the combined string pool, the first star on ``axis``.
-
-    The gates come from the template of the group's shape (see the module
-    docstring for its key); only the angles are computed per call.
+    Except under ``strings``, symmetrized terms become their antisymmetrized
+    twins wrapped in S_j ... S_j&dagger;; j is the first creation mode, where
+    every sign is +1, unless ``conjugation_mode`` names another.  The gates
+    come from the template of the group's shape (see the module docstring);
+    only the angles are computed per call.
     """
     lo = min(t.modes[0] for t, _ in pairs)
     hi = max(t.modes[-1] for t, _ in pairs)
@@ -558,11 +618,10 @@ def _lower_group(
     )
     head = pairs[0][0]
     j = None
-    if head.symmetrized:
+    if head.symmetrized and scheme != "strings":
         j = (head.sub[0] if conjugation_mode is None else conjugation_mode) - lo
-    per_string = per_string and head.kind == "controlled_single"
     try:
-        template = _template((members, j, per_string, axis))
+        template = _template((members, j, scheme, axis))
     except SynthesisError as exc:
         raise SynthesisError(f"{exc} (qubits counted from {lo})") from None
     thetas = [theta for _, theta in pairs]
@@ -572,13 +631,11 @@ def _lower_group(
 
 # --- public compilers -----------------------------------------------------------
 
-def _register_width(modes, n_qubits: int | None) -> int:
-    need = max(modes) + 1
-    if n_qubits is None:
-        return need
-    if n_qubits < need:
-        raise SynthesisError(f"register of {n_qubits} qubits cannot hold mode {max(modes)}")
-    return n_qubits
+def _compiled(op: str, pairs, n_qubits: int | None, **options) -> Circuit:
+    """Circuit ``op``: the (term, angle) pairs lowered as one group on
+    ``n_qubits`` qubits, or on the smallest register holding their modes."""
+    width = 1 + max(t.modes[-1] for t, _ in pairs) if n_qubits is None else n_qubits
+    return Circuit(width, _lower_group(pairs, width, **options), {"op": op})
 
 
 def _expect_antisym(t: ExcitationTerm, kind: str) -> None:
@@ -588,7 +645,7 @@ def _expect_antisym(t: ExcitationTerm, kind: str) -> None:
         raise SynthesisError("symmetrized terms go through compile_symmetrized")
 
 
-def _rotation_gates(p: PauliString, phi: float) -> list[Gate]:
+def compile_pauli_rotation(p: PauliString, phi: float) -> Circuit:
     """exp(-i phi/2 p) as one dressed MS pair (none when p is one-local)."""
     if p.is_identity():
         raise SynthesisError("identity rotation is a global phase; use GlobalPhase")
@@ -596,14 +653,9 @@ def _rotation_gates(p: PauliString, phi: float) -> list[Gate]:
         raise SynthesisError(f"rotation about an anti-Hermitian string (phase {p.phase})")
     signed_phi = float(phi) * (1 if p.phase == 1 else -1)
     target = p.with_phase(1)
-    support = target.support()
-    requests = [(support[0], _product(0, 0.5), target, None)]
-    return _fill(_sandwich(p.width, support, "xx", requests), (signed_phi,))
-
-
-def compile_pauli_rotation(p: PauliString, phi: float) -> Circuit:
-    """exp(-i phi/2 p) as one dressed MS pair (none when p is one-local)."""
-    return Circuit(p.width, _rotation_gates(p, phi), {"op": "pauli_rotation"})
+    requests = [(target.support()[0], _product(0, 0.5), target, None)]
+    gates = _fill(_sandwich(p.width, target.support(), "xx", requests), (signed_phi,))
+    return Circuit(p.width, gates, {"op": "pauli_rotation"})
 
 
 def compile_single_excitation(
@@ -614,9 +666,7 @@ def compile_single_excitation(
     name = str(axis).lower()
     if name not in ("xx", "yy"):
         raise SynthesisError(f"axis must be 'xx' or 'yy', got {axis!r}")
-    width = _register_width(t.modes, n_qubits)
-    gates = _lower_group([(t, float(theta))], width, axis=name)
-    return Circuit(width, gates, {"op": "single_excitation"})
+    return _compiled("single_excitation", [(t, float(theta))], n_qubits, axis=name)
 
 
 def compile_double_block(
@@ -635,9 +685,7 @@ def compile_double_block(
     if len(angles) != 3:
         raise SynthesisError("double block takes three pairing angles")
     pairs = [double(p, q, r, s), double(p, r, q, s), double(p, s, q, r)]
-    width = _register_width((p, q, r, s), n_qubits)
-    gates = _lower_group(list(zip(pairs, angles)), width)
-    return Circuit(width, gates, {"op": "double_block"})
+    return _compiled("double_block", list(zip(pairs, angles)), n_qubits)
 
 
 def compile_coupled_exchange(
@@ -647,29 +695,7 @@ def compile_coupled_exchange(
     if not 0 <= p < q < r < s:
         raise SynthesisError(f"orbitals must be strictly increasing, got {(p, q, r, s)}")
     terms = [(double(p, q, r, s), float(theta)), (double(p, s, r, q), float(theta))]
-    width = _register_width((p, q, r, s), n_qubits)
-    gates = _lower_group(terms, width, keep_zero=False)
-    return Circuit(width, gates, {"op": "coupled_exchange"})
-
-
-def _controlled_halves(t: ExcitationTerm, width: int):
-    """Split the controlled generator pool by the control-qubit letter."""
-    plain: list[tuple[float, PauliString]] = []
-    dressed: list[tuple[float, PauliString]] = []
-    for coeff, s in generator_pauli(t, width).terms:
-        (dressed if s.letter(t.control) == "Z" else plain).append((coeff.real, s))
-    return plain, dressed
-
-
-def _rotation_pairs(entries, p: int, q: int):
-    """Assign the string with the Y letter at each orbital to that orbital."""
-    out = []
-    for o in (p, q):
-        match = [(c, s) for c, s in entries if s.letter(o) == "Y"]
-        if len(match) != 1:
-            raise SynthesisError("controlled pool does not split into Y-labelled halves")
-        out.append((o, match[0][0], match[0][1]))
-    return out
+    return _compiled("coupled_exchange", terms, n_qubits, keep_zero=False)
 
 
 def compile_controlled_single(
@@ -689,19 +715,10 @@ def compile_controlled_single(
         t = controlled_single(p, q, j)
     except FermionError as exc:
         raise SynthesisError(str(exc)) from exc
-    width = _register_width((p, q, j), n_qubits)
-    if variant == "a":
-        gates = _lower_group([(t, float(theta))], width)
-    elif variant == "b":
-        plain, dressed = _controlled_halves(t, width)
-        gates = []
-        for half in (dressed, plain):
-            requests = [(o, _product(0, c), s, None) for o, c, s in _rotation_pairs(half, p, q)]
-            items = _sandwich(width, requests[0][2].support(), "xx", requests)
-            gates.extend(_fill(items, (float(theta),)))
-    else:
+    scheme = {"a": "layers", "b": "halves"}.get(variant)
+    if scheme is None:
         raise SynthesisError(f"variant must be 'a' or 'b', got {variant!r}")
-    return Circuit(width, gates, {"op": f"controlled_single_{variant}"})
+    return _compiled(f"controlled_single_{variant}", [(t, float(theta))], n_qubits, scheme=scheme)
 
 
 def higher_order_ms_count(order: int) -> int:
@@ -723,13 +740,12 @@ def compile_higher_excitation(
     spends exactly one MS pair.
     """
     _expect_antisym(t, "higher")
-    width = _register_width(t.modes, n_qubits)
-    gates = _lower_group([(t, float(theta))], width)
+    c = _compiled("higher_excitation", [(t, float(theta))], n_qubits)
     budget = higher_order_ms_count(len(t.sub))
-    spent = sum(isinstance(g, MS) for g in gates)
+    spent = sum(isinstance(g, MS) for g in c.gates)
     if spent != budget:
         raise SynthesisError(f"packing used {spent} MS gates, budget is {budget}")
-    return Circuit(width, gates, {"op": "higher_excitation"})
+    return c
 
 
 def compile_symmetrized(
@@ -747,29 +763,15 @@ def compile_symmetrized(
     """
     if not t.symmetrized:
         raise SynthesisError("term is already antisymmetrized; compile it directly")
-    width = _register_width(t.modes, n_qubits)
-    gates = _lower_group([(t, float(theta))], width, conjugation_mode=conjugation_mode)
-    return Circuit(width, gates, {"op": "symmetrized"})
-
-
-def _baseline_gates(t: ExcitationTerm, theta: float, width: int) -> list[Gate]:
-    """Every string of t's unit-coefficient generator in its own MS pair,
-    its angle scaled by t's coefficient."""
-    _register_width(t.modes, width)
-    gates: list[Gate] = []
-    for coeff, s in generator_pauli(replace(t, coefficient=1.0), width).terms:
-        if abs(coeff.imag) > 1e-12:
-            raise SynthesisError(f"non-real generator weight {coeff}")
-        gates.extend(_rotation_gates(s, 2.0 * theta * (t.coefficient * coeff.real)))
-    return gates
+    return _compiled("symmetrized", [(t, float(theta))], n_qubits,
+                     conjugation_mode=conjugation_mode)
 
 
 def baseline_string_by_string(
     t: ExcitationTerm, theta: float, n_qubits: int | None = None
 ) -> Circuit:
     """Reference compiler: every generator string gets its own MS pair."""
-    width = _register_width(t.modes, n_qubits)
-    return Circuit(width, _baseline_gates(t, float(theta), width), {"op": "baseline"})
+    return _compiled("baseline", [(t, float(theta))], n_qubits, scheme="strings")
 
 
 def ms_square_phase_exponent(n: int) -> tuple[int, bool]:
@@ -819,16 +821,4 @@ def compile_mixed_cnot(t: ExcitationTerm, theta: float, n_qubits: int | None = N
     as a CNOT ladder around an Rz.
     """
     _expect_antisym(t, "double")
-    width = _register_width(t.modes, n_qubits)
-    pool, modes, interior, window = _pool([replace(t, coefficient=1.0)], width)
-    requests = []
-    zz_requests = []
-    for o in modes:
-        one_y = _star_target(width, modes, interior, "X", "Y", o)
-        requests.append((o, _summed(pool.get(one_y, ())), one_y, None))
-        one_x = _star_target(width, modes, interior, "Y", "X", o)
-        triple = tuple(m for m in modes if m != o)
-        zz_requests.append((triple, _summed(pool.get(one_x, ())), one_x))
-    items = _sandwich(width, window, "xx", requests, zz_requests=zz_requests)
-    gates = _fill(items, (float(theta),), (t.coefficient,))
-    return Circuit(width, gates, {"op": "mixed_cnot"})
+    return _compiled("mixed_cnot", [(t, float(theta))], n_qubits, scheme="ladder")

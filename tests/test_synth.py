@@ -616,14 +616,22 @@ def _shifted(t, k):
 _coefficients = st.floats(0.05, 2.0).flatmap(lambda c: st.sampled_from((c, -c)))
 
 
+_SCHEMES_BY_SHAPE = {
+    "single": ("layers", "strings"),
+    "double": ("layers", "strings", "ladder"),
+    "coupled": ("layers", "strings", "ladder"),
+    "controlled": ("layers", "core_strings", "strings", "halves"),
+}
+
+
 @st.composite
 def _template_groups(draw, coefficients=_coefficients):
     """(terms on modes from 0, lowering options) of one group: a single,
     doubles with 1-3 pairings on one window, coupled exchange, controlled
     singles with the control inside or outside the core, or a symmetrized
     group of any of these with a conjugation mode, each coefficient drawn
-    from ``coefficients``."""
-    shape = draw(st.sampled_from(("single", "double", "coupled", "controlled")))
+    from ``coefficients``, lowered by any block scheme that applies."""
+    shape = draw(st.sampled_from(sorted(_SCHEMES_BY_SHAPE)))
     symmetrized = draw(st.booleans())
     options = {}
     if shape == "single":
@@ -647,7 +655,7 @@ def _template_groups(draw, coefficients=_coefficients):
             outside = [m for m in range(q + 3) if not p <= m <= q]
             controls = draw(st.lists(st.sampled_from(outside), min_size=1, max_size=2, unique=True))
         terms = [controlled_single(p, q, j, draw(coefficients), symmetrized) for j in controls]
-        options["per_string"] = draw(st.booleans())
+    options["scheme"] = draw(st.sampled_from(_SCHEMES_BY_SHAPE[shape]))
     lo = min(m for t in terms for m in t.modes)
     terms = [_shifted(t, -lo) for t in terms]
     if symmetrized:
@@ -655,26 +663,29 @@ def _template_groups(draw, coefficients=_coefficients):
     return terms, options
 
 
-def _exact_angle_magnitudes(pairs, width, conjugation_mode=None, **_):
+def _exact_angle_magnitudes(pairs, width, conjugation_mode=None, scheme="layers", **_):
     """|angle| of every rotation a group can emit: each pool string's weight
     summed from 0.0 in member order (one product per string for controlled
-    singles), from the generator strings of the actual terms."""
+    singles and for the strings and halves schemes), from the generator
+    strings of the actual terms; the strings scheme does not conjugate."""
     head = pairs[0][0]
-    if head.symmetrized:
+    if head.symmetrized and scheme != "strings":
         j = head.sub[0] if conjugation_mode is None else conjugation_mode
         twins = [(replace(t, symmetrized=False), theta) for t, theta in pairs]
         pairs = [(t, local_equivalence_conjugate(t, j)[1] * theta) for t, theta in twins]
-    if head.kind == "controlled_single":
-        return {abs(4.0 * (theta * c.real)) for t, theta in pairs
-                for c, _ in generator_pauli(t, width).terms}
+    products = [(theta * c.real, s) for t, theta in pairs
+                for c, s in generator_pauli(t, width).terms]
+    if head.kind == "controlled_single" and scheme in ("layers", "core_strings"):
+        return {abs(4.0 * w) for w, _ in products}
+    if scheme in ("strings", "halves"):
+        return {abs(2.0 * w) for w, _ in products}
     weights = {}
-    for t, theta in pairs:
-        for c, s in generator_pauli(t, width).terms:
-            weights[s] = weights.get(s, 0.0) + theta * c.real
+    for w, s in products:
+        weights[s] = weights.get(s, 0.0) + w
     return {0.0, *(abs(2.0 * w) for w in weights.values())}
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(_template_groups(), st.data())
 def test_templates_fill_what_a_fresh_derivation_emits(group, data):
     terms, options = group
@@ -786,7 +797,7 @@ _tiny_coefficients = st.floats(-300.0, 0.0).flatmap(
     lambda e: st.sampled_from((10.0**e, -(10.0**e))))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(_template_groups(_tiny_coefficients), st.data())
 def test_tiny_coefficients_keep_the_unit_shape_and_the_unitary(group, data):
     terms, options = group
