@@ -25,7 +25,12 @@ the modes, angles from the same seed).  Per workload it times eight stages:
 and keeps the best of three runs of each, with the term and fusion group
 counts, the MS, CNOT, single-qubit, gate and depth totals of both circuits
 and a SHA-256 of their serialized text, so two checkouts can be shown to
-emit the same circuits.  Block synthesis caches each group shape's gates
+emit the same circuits.  It also builds the baseline schedules, the
+build_trotter_step baseline in each orbital class the table allows (real
+tables take both, complex ones only complex) and the build_uccsd_layer
+baseline, keeping the best of three times of each in baseline_best_s and one
+SHA-256 of their text in baseline_sha256 (records before these fields were
+added lack them).  Block synthesis caches each group shape's gates
 (synth._template); where the measured sources have that cache, the record
 also holds cold_s, the first build_trotter_step and the first
 build_uccsd_layer each timed right after the cache is cleared, and the
@@ -162,6 +167,20 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
             best[stage] = min(best[stage], t1 - t0)
     digest = hashlib.sha256((text + serialize(layer)).encode()).hexdigest()
     cache = {"cold_s": cold, "templates": templates.cache_info().currsize} if cold else {}
+    realities = ("real", "complex") if table.reality == "real" else ("complex",)
+    baselines = [(f"build_trotter_step_{reality}", build_trotter_step,
+                  (terms, TrotterConfig(TIME_STEP, orbital_class=reality, scheduling="baseline")))
+                 for reality in realities]
+    baselines.append(("build_uccsd_layer", build_uccsd_layer, (spec, "baseline")))
+    baseline_best = {stage: float("inf") for stage, _, _ in baselines}
+    for _ in range(REPEATS):
+        texts = []
+        for stage, build, arguments in baselines:
+            start = time.perf_counter()
+            circuit = build(*arguments)
+            baseline_best[stage] = min(baseline_best[stage], time.perf_counter() - start)
+            texts.append(serialize(circuit))
+    baseline_digest = hashlib.sha256("".join(texts).encode()).hexdigest()
     return {
         "workload": name,
         "n_modes": table.n_modes,
@@ -173,6 +192,8 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
         **totals("uccsd", layer),
         "circuits_sha256": digest,
         "best_s": best,
+        "baseline_sha256": baseline_digest,
+        "baseline_best_s": baseline_best,
         **cache,
     }
 
@@ -195,6 +216,7 @@ def main() -> None:
         print(f"{args.label} {name}: {row['excitation_terms']} terms, {row['groups']} groups, "
               f"{row['trotter_ms']} + {row['uccsd_ms']} MS; "
               + ", ".join(f"{k} {v:.3f}" for k, v in row["best_s"].items())
+              + "".join(f", baseline {k} {v:.3f}" for k, v in row["baseline_best_s"].items())
               + "".join(f", cold {k} {v:.3f}" for k, v in row.get("cold_s", {}).items())
               + (f", {row['templates']} templates" if "templates" in row else ""), flush=True)
 

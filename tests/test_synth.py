@@ -631,7 +631,7 @@ def _template_groups(draw, coefficients=_coefficients):
     singles with the control inside or outside the core, or a symmetrized
     group of any of these with a conjugation mode, each coefficient drawn
     from ``coefficients``, lowered by any block scheme that applies."""
-    shape = draw(st.sampled_from(sorted(_SCHEMES_BY_SHAPE)))
+    shape = draw(st.sampled_from(tuple(_SCHEMES_BY_SHAPE)))
     symmetrized = draw(st.booleans())
     options = {}
     if shape == "single":
