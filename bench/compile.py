@@ -35,9 +35,10 @@ added lack them).  Block synthesis caches each group shape's gates
 also holds cold_s, the first build_trotter_step and the first
 build_uccsd_layer each timed right after the cache is cleared, and the
 number of templates the workload's two circuits use.  The record, with
-the environment and the commit of the measured sources (the rule of
-bench/oracle.py), is appended to BENCH_compile.json at the root of the
-checkout holding this script.  Only the standard library and numpy are used.
+the environment and the commit of the measured sources (or, outside a git
+work tree, a SHA-256 of them: the rule of bench/oracle.py commit_of), is
+appended to BENCH_compile.json at the root of the checkout holding this
+script.  Only the standard library and numpy are used.
 """
 
 from __future__ import annotations

@@ -22,13 +22,15 @@ checkout's criterion-2 test under pytest and keeps the elapsed time it
 reports.  Totals, a split by register width and the criterion-2 time are
 appended as one record to BENCH_oracle.json at the root of the checkout
 holding this script, with the environment and the commit of the measured
-sources.  ``--src`` measures another checkout's package with this same
+sources, or a SHA-256 of them where they are not a git work tree (see
+commit_of).  ``--src`` measures another checkout's package with this same
 script.  Only the standard library and numpy are used.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import os
@@ -107,14 +109,27 @@ def criterion_02(checkout: Path) -> float:
     return float(found.group(1))
 
 
-def commit_of(checkout: Path) -> str | None:
-    """HEAD of the checkout, suffixed -dirty when its src/ differs from HEAD."""
+def commit_of(checkout: Path) -> str:
+    """HEAD of the checkout, suffixed -dirty when its src/ differs from HEAD.
+
+    A checkout that is no git work tree, such as a ``git archive`` export,
+    is named by its sources instead: ``src-sha256:<hex>``, the SHA-256 over
+    src/'s files (``__pycache__`` left out) in sorted order of relative path,
+    each as its path, its length in bytes and its bytes.
+    """
     def git(*args: str) -> str:
         return subprocess.run(["git", *args], cwd=checkout, capture_output=True,
                               text=True, check=False).stdout.strip()
 
-    head = git("rev-parse", "HEAD")
-    return head + ("-dirty" if git("status", "--porcelain", "--", "src") else "") if head else None
+    if git("rev-parse", "--show-toplevel") == str(checkout.resolve()):
+        head = git("rev-parse", "HEAD")
+        return head + ("-dirty" if git("status", "--porcelain", "--", "src") else "")
+    src = checkout / "src"
+    digest = hashlib.sha256()
+    for path in sorted(p for p in src.rglob("*") if p.is_file() and "__pycache__" not in p.parts):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(src).as_posix()}\0{len(data)}\0".encode() + data)
+    return f"src-sha256:{digest.hexdigest()}"
 
 
 def environment() -> dict:

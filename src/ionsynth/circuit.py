@@ -23,6 +23,10 @@ order, written in lower case, with angles in shortest round-trip form:
     cl <qubit> <name>                    Clifford1 (h s sdg sx sxdg x y z)
     cnot <control> <target>              CNOT
     phase <angle>                        GlobalPhase
+
+``deserialize`` parses each distinct record line of a document once, so
+identical records of one document read back as one shared gate object;
+gates are immutable, so sharing them is safe.
 """
 
 from __future__ import annotations
@@ -233,13 +237,14 @@ _RECORDS = {kind: _record(kind, tag) for kind, tag in (
     (Clifford1, "cl"), (CNOT, "cnot"), (GlobalPhase, "phase"),
 )}
 _RECORDS_BY_TAG = {record.tag: record for record in _RECORDS.values()}
+_QUBITS = {kind: record.qubits for kind, record in _RECORDS.items()}
 
 
 def gate_qubits(gate: Gate) -> tuple[int, ...]:
-    record = _RECORDS.get(type(gate))
-    if record is None:
+    qubits = _QUBITS.get(type(gate))
+    if qubits is None:
         raise CircuitError(f"not a gate: {gate!r}")
-    return record.qubits(gate)
+    return qubits(gate)
 
 
 _CLIFFORD_INVERSE = {
@@ -297,8 +302,13 @@ class Circuit:
         if n < 0:
             raise CircuitError("negative qubit count")
         gates = tuple(self.gates)
-        for g in gates:
-            for q in gate_qubits(g):
+        readers = _QUBITS
+        # Gates are immutable, so a gate object that recurs (as every copy of a
+        # parsed record does) is checked at its first position only.
+        for g in dict(zip(map(id, gates), gates)).values():
+            if type(g) not in readers:
+                gate_qubits(g)  # raises: not a gate
+            for q in readers[type(g)](g):
                 if type(q) is not int or not 0 <= q < n:  # refused, or a numpy integer
                     _check_qubit(g, q, n)
         object.__setattr__(self, "gates", gates)
@@ -400,20 +410,21 @@ def cost(c: Circuit, tau: float = 1.0) -> CostReport:
     """
     if not (math.isfinite(tau) and tau > 0):
         raise CircuitError(f"tau must be positive and finite, got {tau}")
+    readers, sqrt = _QUBITS, math.sqrt
     total = 0.0
-    for g in _by_kind(c)[MS]:
-        total += tau * math.sqrt(g.locality)
-    frontier: dict[int, int] = {}
-    depth = 0
-    for g in c:
-        qs = gate_qubits(g)
-        if not qs:
-            continue
-        layer = 1 + max((frontier.get(q, 0) for q in qs), default=0)
-        for q in qs:
-            frontier[q] = layer
-        depth = max(depth, layer)
-    return CostReport(total, depth, tau)
+    # The Circuit has checked every qubit, so the layer a qubit was last
+    # busy in can be indexed by it; the deepest of these is the depth.
+    frontier = [0] * c.n_qubits
+    for g in c.gates:
+        kind = type(g)
+        qs = readers[kind](g)
+        if kind is MS:
+            total += tau * sqrt(len(qs))
+        if qs:
+            layer = 1 + max(map(frontier.__getitem__, qs))
+            for q in qs:
+                frontier[q] = layer
+    return CostReport(total, max(frontier, default=0), tau)
 
 
 # --- serialization ---------------------------------------------------------
@@ -446,7 +457,15 @@ def deserialize(document: str) -> Circuit:
     n_qubits: int | None = None
     metadata: dict[str, str] = {}
     gates: list[Gate] = []
-    for idx, tokens in enumerate(map(str.split, lines[1:]), start=2):
+    # The gate each record line parsed to.  The width is fixed before the first
+    # record and cannot change, so a copy of a line parses to the same gate.
+    parsed: dict[str, Gate] = {}
+    for idx, line in enumerate(lines[1:], start=2):
+        gate = parsed.get(line)
+        if gate is not None:
+            gates.append(gate)
+            continue
+        tokens = line.split()
         if not tokens or tokens[0].startswith("#"):
             continue
         tag, args = tokens[0], tokens[1:]
@@ -468,6 +487,7 @@ def deserialize(document: str) -> Circuit:
                         _check_qubit(gate, q, n_qubits)
             except ValueError as exc:  # a token that does not parse, or a CircuitError
                 raise ParseError(idx, f"{tag} record: {exc}") from None
+            parsed[line] = gate
             gates.append(gate)
         elif tag == "qubits":
             if n_qubits is not None:

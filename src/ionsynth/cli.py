@@ -258,14 +258,16 @@ def _read(path: str, parse):
         raise InputError(f"{path}: {exc}")
 
 
-def _write(path: str, c, note: str = "") -> None:
-    """Write c's text to path; an unwritable path exits 3 naming it."""
+def _write(path: str, c, note: str = "") -> str:
+    """Write c's text to path and return the line that says so; an
+    unwritable path exits 3 naming it.  Builders write before they print
+    their report, so a path that fails leaves stdout empty."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(serialize(c))
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}")
-    print(f"wrote {path}{note}")
+    return f"wrote {path}{note}"
 
 
 def _emit(args, report: dict, *lines: str) -> None:
@@ -327,7 +329,7 @@ def _cmd_compile(args) -> int:
         raise UsageError(f"--n-qubits does not apply to --op {args.op}, "
                          f"which compiles {c.n_qubits} qubits")
     if args.output:
-        _write(args.output, c, f" ({c.n_qubits} qubits, {len(c.gates)} gates)")
+        print(_write(args.output, c, f" ({c.n_qubits} qubits, {len(c.gates)} gates)"))
     else:
         sys.stdout.write(serialize(c))
     return 0
@@ -414,14 +416,15 @@ def _cmd_uccsd(args) -> int:
     rep = count(layer)
     terms = uccsd_excitations(spec)
     singles = sum(1 for t in terms if t.kind == "single")
+    wrote = _write(args.output, layer) if args.output else None
     _emit(
         args,
         {"excitations": len(terms), "scheduling": args.scheduling, "counts": rep.as_dict()},
         f"excitations: {singles} singles, {len(terms) - singles} doubles",
         f"MS: {rep.ms_total} ({args.scheduling})",
     )
-    if args.output:
-        _write(args.output, layer)
+    if wrote:
+        print(wrote)
     return 0
 
 
@@ -434,6 +437,7 @@ def _cmd_trotter(args) -> int:
     cfg = TrotterConfig(args.dt, orbital_class=orbital_class, scheduling=args.scheduling)
     step = build_trotter_step(terms, cfg)
     rep = count(step)
+    wrote = _write(args.output, step) if args.output else None
     _emit(
         args,
         {
@@ -447,8 +451,8 @@ def _cmd_trotter(args) -> int:
         f"class: {orbital_class}, scheduling: {args.scheduling}",
         f"MS: {rep.ms_total}  Rz: {rep.single_qubit}  Rzz: {rep.rzz}  CRz: {rep.crz}",
     )
-    if args.output:
-        _write(args.output, step)
+    if wrote:
+        print(wrote)
     return 0
 
 

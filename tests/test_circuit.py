@@ -1,6 +1,7 @@
 """Circuit IR: construction guards, counting, cost model, serialization."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -340,6 +341,10 @@ def test_out_of_range_qubit_fails_at_its_own_line():
     with pytest.raises(ParseError) as err:
         deserialize("ionsynth-circuit v1\nqubits 3\ncnot 0 1\n\nms yy backward 0 2 3\nrz 0 0.1\n")
     assert err.value.line_no == 5
+    with pytest.raises(ParseError) as err:  # a repeated record fails at its first copy
+        deserialize("ionsynth-circuit v1\nqubits 2\nrz 0 0.1\nrz 5 0.1\nrz 0 0.1\nrz 5 0.1\n")
+    assert err.value.line_no == 4
+    assert "outside 0..1" in str(err.value)
 
 
 @pytest.mark.parametrize("make", [
@@ -379,6 +384,10 @@ def test_comments_and_blank_lines_are_ignored():
     doc = "ionsynth-circuit v1\nqubits 2\n\n# a comment\nrz 0 0.5\n"
     c = deserialize(doc)
     assert c.gates == (Rz(0, 0.5),)
+    # a record repeated across them reads back as one shared gate
+    c = deserialize("ionsynth-circuit v1\nqubits 2\ncl 1 h\n# a comment\n\ncl 1 h\nrz 0 0.5\ncl 1 h\n")
+    assert c.gates == (Clifford1(1, "h"), Clifford1(1, "h"), Rz(0, 0.5), Clifford1(1, "h"))
+    assert c.gates[0] is c.gates[1] is c.gates[3]
 
 
 def test_concatenate_orders_gates_and_merges_width():
@@ -421,8 +430,10 @@ def _gates(draw, n_qubits):
 
 @st.composite
 def _circuits(draw):
+    """Circuits whose gates come from a drawn pool, so records often repeat."""
     n = draw(st.integers(min_value=2, max_value=7))
-    gates = draw(st.lists(_gates(n), max_size=12))
+    pool = draw(st.lists(_gates(n), min_size=1, max_size=12))
+    gates = draw(st.lists(st.sampled_from(pool), max_size=20))
     meta = draw(st.dictionaries(
         st.text(alphabet="abcdefgh_", min_size=1, max_size=6),
         st.text(alphabet="xyz0123456789.", min_size=0, max_size=8),
@@ -434,7 +445,13 @@ def _circuits(draw):
 @settings(max_examples=150, deadline=None)
 @given(_circuits())
 def test_round_trip_identity_randomized(c):
-    assert deserialize(serialize(c)) == c
+    text = serialize(c)
+    again = deserialize(text)
+    assert again == c
+    # identical record lines read back as one gate object
+    shared: dict[str, int] = {}
+    for line, g in zip(text.splitlines()[2 + len(c.metadata):], again.gates):
+        assert shared.setdefault(line, id(g)) == id(g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -443,3 +460,65 @@ def test_reports_invariant_under_round_trip(c):
     again = deserialize(serialize(c))
     assert count(again) == count(c)
     assert cost(again, tau=1.5) == cost(c, tau=1.5)
+
+
+def _numpy_qubits(g):
+    """g with its qubits as numpy integers, which a Circuit accepts."""
+    changes = {}
+    for f in fields(g):
+        value = getattr(g, f.name)
+        if type(value) is int:
+            changes[f.name] = np.int64(value)
+        elif type(value) is tuple:
+            changes[f.name] = tuple(map(np.int32, value))
+    return replace(g, **changes)
+
+
+def _reference_qubits(g) -> set[int]:
+    if isinstance(g, MS):
+        return set(g.qubits)
+    if isinstance(g, (Rz, Clifford1)):
+        return {g.qubit}
+    if isinstance(g, (CRz, CNOT)):
+        return {g.control, g.target}
+    if isinstance(g, Rzz):
+        return {g.qubit_a, g.qubit_b}
+    assert isinstance(g, GlobalPhase)
+    return set()
+
+
+def _reference_cost(c: Circuit, tau: float) -> tuple[float, int]:
+    """The model of cost's docstring, kept as explicit layers: each MS on n
+    qubits takes tau * sqrt(n), summed in program order; each gate joins the
+    layer after the last one that holds any of its qubits, so gates on
+    disjoint qubits share a layer; GlobalPhase joins none."""
+    total = 0.0
+    layers: list[set[int]] = []
+    for g in c.gates:
+        if isinstance(g, MS):
+            total += tau * math.sqrt(len(g.qubits))
+        qubits = _reference_qubits(g)
+        if not qubits:
+            continue
+        last = max((i for i, layer in enumerate(layers) if layer & qubits), default=-1)
+        if last + 1 == len(layers):
+            layers.append(set())
+        layers[last + 1] |= qubits
+    return total, len(layers)
+
+
+@st.composite
+def _cost_circuits(draw):
+    n = draw(st.integers(min_value=2, max_value=7))
+    gates = draw(st.lists(st.one_of(_gates(n), _gates(n).map(_numpy_qubits)), max_size=30))
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cost_circuits(), st.floats(min_value=0.01, max_value=10.0))
+def test_cost_matches_reference_layering(c, tau):
+    report = cost(c, tau=tau)
+    total, depth = _reference_cost(c, tau)
+    assert report.sequential_depth == depth
+    assert report.total_ms_time == total  # bit-equal: the same sum in the same order
+    assert report.tau == tau

@@ -280,6 +280,15 @@ def test_unwritable_output_is_input_error(argv, tmp_path, capsys):
     assert not path.parent.exists()
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("command", ["uccsd", "trotter"])
+def test_unwritable_output_prints_no_report(command, fmt, tmp_path, capsys):
+    """The builders write -o before they report, so a failed write reports nothing."""
+    path = tmp_path / "nodir" / "x.circ"
+    assert run([*WRITING_COMMANDS[command], "--format", fmt, "-o", str(path)]) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_count_text_and_structured(tmp_path, capsys):
     path = tmp_path / "s.circ"
     run(["compile", "--op", "single", "--orbitals", "0,1", "--theta", "0.2",
