@@ -112,8 +112,9 @@ def criterion_02(checkout: Path) -> float:
 def commit_of(checkout: Path) -> str:
     """HEAD of the checkout, suffixed -dirty when its src/ differs from HEAD.
 
-    A checkout that is no git work tree, such as a ``git archive`` export,
-    is named by its sources instead: ``src-sha256:<hex>``, the SHA-256 over
+    A checkout that is not the root of a git work tree, such as a ``git
+    archive`` export, even one unpacked inside another repository, is named
+    by its sources instead: ``src-sha256:<hex>``, the SHA-256 over
     src/'s files (``__pycache__`` left out) in sorted order of relative path,
     each as its path, its length in bytes and its bytes.
     """
