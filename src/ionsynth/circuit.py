@@ -311,8 +311,12 @@ class Circuit:
             for q in readers[type(g)](g):
                 if type(q) is not int or not 0 <= q < n:  # refused, or a numpy integer
                     _check_qubit(g, q, n)
+        metadata = dict(self.metadata)
+        for key, value in metadata.items():
+            if not (isinstance(key, str) and isinstance(value, str)):
+                raise CircuitError(f"metadata entry {key!r}: {value!r} is not a pair of strings")
         object.__setattr__(self, "gates", gates)
-        object.__setattr__(self, "metadata", dict(self.metadata))
+        object.__setattr__(self, "metadata", metadata)
 
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates)
@@ -379,25 +383,19 @@ class CostReport:
         }
 
 
-def _by_kind(c: Circuit) -> dict[type, list[Gate]]:
-    """The gates of each kind, in program order."""
-    groups: dict[type, list[Gate]] = {kind: [] for kind in _RECORDS}
-    for g in c:
-        groups[type(g)].append(g)
-    return groups
-
-
 def count(c: Circuit) -> GateCountReport:
-    kinds = _by_kind(c)
+    gates = c.gates
+    kinds = Counter(map(type, gates))
+    shapes = Counter((g.direction, g.axis, g.locality) for g in gates if type(g) is MS)
     directions, axes, localities = {"forward": 0, "backward": 0}, {"xx": 0, "yy": 0}, Counter()
-    for g in kinds[MS]:
-        directions[g.direction] += 1
-        axes[g.axis] += 1
-        localities[g.locality] += 1
+    for (direction, axis, locality), n in shapes.items():
+        directions[direction] += n
+        axes[axis] += n
+        localities[locality] += n
     # GlobalPhase intentionally uncounted: no physical gate
     return GateCountReport(
         directions["forward"], directions["backward"], axes,
-        len(kinds[Rz]) + len(kinds[Clifford1]), len(kinds[CRz]), len(kinds[Rzz]), len(kinds[CNOT]),
+        kinds[Rz] + kinds[Clifford1], kinds[CRz], kinds[Rzz], kinds[CNOT],
         dict(sorted(localities.items())),
     )
 

@@ -591,7 +591,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_uccsd)
 
     p = sub.add_parser("trotter", help="build one Trotter step of a Hamiltonian")
-    p.add_argument("--integrals", help="integral table file (default: bundled h3plus)")
+    p.add_argument("--integrals", help="integral table file (default: the packaged data/h3plus.ints)")
     p.add_argument("--dt", type=_finite, required=True)
     p.add_argument("--orbital-class", choices=("real", "complex"))
     p.add_argument("--scheduling", choices=("parallelized", "baseline"), default="parallelized")

@@ -21,14 +21,28 @@ ordering and fused groups sit at the position of their first member.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
-from .circuit import Circuit, Clifford1, Gate, GlobalPhase, Rz, Rzz
+from .circuit import Circuit, Clifford1, Gate, GlobalPhase, Rz, Rzz, _has_index
 from .fermion import ExcitationTerm, HamiltonianTerms, double, local_pauli, single
 from .synth import _lower_group
 from .verify import circuit_unitary, dense_sum
+
+__all__ = [
+    "EvolutionError",
+    "AnsatzSpec",
+    "TrotterConfig",
+    "uccsd_excitations",
+    "build_uccsd_layer",
+    "prepare_reference",
+    "fusion_groups",
+    "build_trotter_step",
+    "trotter_error_probe",
+]
 
 
 class EvolutionError(ValueError):
@@ -36,6 +50,17 @@ class EvolutionError(ValueError):
 
 
 # --- domain types ---------------------------------------------------------------
+
+
+def _mode(m, n_modes: int) -> int:
+    """A mode of an n_modes register as an int.  Floats and bools are refused,
+    not truncated or read as 0 and 1; numpy integers pass."""
+    if isinstance(m, bool) or not _has_index(m):
+        raise EvolutionError(f"mode {m!r} is not an integer")
+    m = index(m)
+    if not 0 <= m < n_modes:
+        raise EvolutionError(f"mode {m} outside register of {n_modes}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -54,14 +79,14 @@ class AnsatzSpec:
     def __post_init__(self) -> None:
         if self.n_modes < 0:
             raise EvolutionError(f"negative mode count {self.n_modes}")
-        occ = tuple(int(m) for m in self.occupied)
-        vir = tuple(int(m) for m in self.virtual)
+        occ = tuple(_mode(m, self.n_modes) for m in self.occupied)
+        vir = tuple(_mode(m, self.n_modes) for m in self.virtual)
+        parameters = tuple(float(x) for x in self.parameters)
+        if not all(map(math.isfinite, parameters)):
+            raise EvolutionError(f"parameters must be finite, got {parameters}")
         object.__setattr__(self, "occupied", occ)
         object.__setattr__(self, "virtual", vir)
-        object.__setattr__(self, "parameters", tuple(float(x) for x in self.parameters))
-        for m in occ + vir:
-            if not 0 <= m < self.n_modes:
-                raise EvolutionError(f"mode {m} outside register of {self.n_modes}")
+        object.__setattr__(self, "parameters", parameters)
         if len(set(occ)) != len(occ) or len(set(vir)) != len(vir):
             raise EvolutionError("repeated mode in occupied or virtual list")
         if set(occ) & set(vir):
@@ -144,12 +169,9 @@ def build_uccsd_layer(spec: AnsatzSpec, scheduling: str = "parallelized") -> Cir
 
 def prepare_reference(occupied, n_modes: int) -> Circuit:
     """X gates writing the occupation bitstring onto |0...0>."""
-    occ = sorted(int(m) for m in occupied)
+    occ = sorted(_mode(m, n_modes) for m in occupied)
     if len(set(occ)) != len(occ):
         raise EvolutionError("repeated mode in occupied list")
-    for m in occ:
-        if not 0 <= m < n_modes:
-            raise EvolutionError(f"mode {m} outside register of {n_modes}")
     gates = tuple(Clifford1(m, "X") for m in occ)
     return Circuit(n_modes, gates, {"op": "reference_state"})
 

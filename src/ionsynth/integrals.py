@@ -23,18 +23,21 @@ a serialized angle, by its last bit.
 
 import cmath
 from importlib import resources
-from operator import itemgetter
+from operator import index, itemgetter
 
-from .fermion import (
-    _DROP_EPS,
-    HamiltonianTerms,
-    _Accumulator,
-    controlled_single,
-    coulomb_term,
-    density_term,
-    double,
-    single,
-)
+from .circuit import _has_index
+from .fermion import _DROP_EPS, HamiltonianTerms, _Accumulator, density_term, single
+
+__all__ = [
+    "IntegralError",
+    "IntegralParseError",
+    "SymmetryConflictError",
+    "IntegralTable",
+    "parse_integrals",
+    "term_list",
+    "h3plus_table",
+    "h3plus_builtin",
+]
 
 _CONFLICT_TOL = 1e-12
 
@@ -122,9 +125,11 @@ class IntegralTable:
     def __init__(self, n_modes: int, reality: str, constant: float = 0.0):
         if reality not in ("real", "complex"):
             raise IntegralError(f"unknown reality class {reality!r}")
+        if isinstance(n_modes, bool) or not _has_index(n_modes):
+            raise IntegralError(f"mode count {n_modes!r} is not an integer")
         if n_modes < 1:
             raise IntegralError("need at least one mode")
-        self.n_modes = int(n_modes)
+        self.n_modes = index(n_modes)
         self.reality = reality
         self.constant = _finite(constant).real
         self._one: dict[tuple, complex] = {}
@@ -328,49 +333,9 @@ def h3plus_table() -> IntegralTable:
 
 
 def h3plus_builtin() -> HamiltonianTerms:
-    """Prebuilt H3+ term list in the alternating spin-orbital convention.
+    """The packaged H3+ dataset as a term list: ``term_list(h3plus_table())``.
 
     Mode order is alpha0, beta0, alpha1, beta1, alpha2, beta2 for the three
-    lowest spatial orbitals of the equilibrium STO-3G molecule.  Values are
-    the 3-decimal Hartree coefficients of the dominant terms; sub-0.07 Ha
-    entries are truncated from the dataset.
+    lowest spatial orbitals of the equilibrium STO-3G molecule.
     """
-    local = [
-        density_term(0, -0.917),
-        density_term(1, -0.917),
-        density_term(2, -0.535),
-        density_term(3, -0.535),
-        density_term(4, -0.535),
-        density_term(5, -0.535),
-    ]
-    pair_repulsion = {
-        (0, 1): -0.307,
-        (2, 3): -0.337, (4, 5): -0.337,
-        (0, 3): -0.298, (1, 2): -0.298, (0, 5): -0.298, (1, 4): -0.298,
-        (2, 5): -0.265, (3, 4): -0.265,
-        (2, 4): -0.229, (3, 5): -0.229,
-        (0, 2): -0.226, (0, 4): -0.226, (1, 3): -0.226, (1, 5): -0.226,
-    }
-    local += [coulomb_term(p, q, c) for (p, q), c in pair_repulsion.items()]
-    sym = {"symmetrized": True}
-    excitations = [
-        # exchange-coupled double pairs on the (0,1)->(2,3) and (0,1)->(4,5)
-        # windows; the factories fold ordering swaps into the sign
-        double(0, 1, 2, 3, -0.142, **sym),
-        double(0, 3, 2, 1, -0.142, **sym),
-        double(0, 1, 4, 5, -0.142, **sym),
-        double(0, 5, 4, 1, -0.142, **sym),
-        # shared-mode quartics: same core excitation 0->2 (or 1->3) gated by
-        # the occupation of the spectator mode
-        controlled_single(0, 2, 3, -0.090, **sym),
-        controlled_single(1, 3, 2, -0.090, **sym),
-        controlled_single(0, 2, 5, +0.090, **sym),
-        controlled_single(1, 3, 4, +0.090, **sym),
-        double(0, 3, 4, 5, +0.090, **sym),
-        double(0, 5, 4, 3, +0.090, **sym),
-        double(2, 1, 4, 5, +0.090, **sym),
-        double(2, 5, 4, 1, +0.090, **sym),
-        double(2, 3, 4, 5, -0.072, **sym),
-        double(2, 5, 4, 3, -0.072, **sym),
-    ]
-    return HamiltonianTerms.assemble(6, "real", 0.0, local, excitations)
+    return term_list(h3plus_table())

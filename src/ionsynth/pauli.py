@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 __all__ = [
+    "PauliError",
     "PauliString",
     "PauliSum",
     "identity_string",

@@ -94,27 +94,20 @@ class SynthesisError(ValueError):
     """Structural problem with a synthesis request."""
 
 
-# Dressing words are searched over this alphabet in order, shortest first, so
-# compiled circuits are reproducible gate for gate.
-_ALPHABET = CLIFFORD1_NAMES  # ("H", "S", "SDG", "SX", "SXDG", "X", "Y", "Z")
-
 _AXIS_LETTER = {"xx": "X", "yy": "Y"}
 
 
-def _letter_perm(name: str) -> dict[str, str]:
+def _pull_perm(name: str) -> dict[str, str]:
+    """Sign-free letter action of the inverse of a one-qubit Clifford, the
+    action a dressing word applies under pullback."""
     out = {}
     for letter in "XYZ":
         image = conjugate_by_clifford(PauliString(1, {0: letter}), name, (0,))
-        out[letter] = image.letter(0)
+        out[image.letter(0)] = letter
     return out
 
 
-# Sign-free letter action of each one-qubit Clifford, and of its inverse
-# (the inverse action is what a dressing word applies under pullback).
-_PUSH_PERM = {name: _letter_perm(name) for name in _ALPHABET}
-_PULL_PERM = {
-    name: {v: k for k, v in perm.items()} for name, perm in _PUSH_PERM.items()
-}
+_PULL_PERM = {name: _pull_perm(name) for name in CLIFFORD1_NAMES}
 
 
 # --- exact Heisenberg transport ----------------------------------------------
@@ -155,7 +148,9 @@ def _sign_against(e: PauliString, target: PauliString) -> float:
 def _solve_letter_word(rows: dict[str, str]) -> tuple[str, ...]:
     """Shortest Clifford word whose pullback maps each base letter as asked."""
     for length in range(4):
-        for word in itertools.product(_ALPHABET, repeat=length):
+        # CLIFFORD1_NAMES in order, shortest words first, so compiled circuits
+        # are reproducible gate for gate
+        for word in itertools.product(CLIFFORD1_NAMES, repeat=length):
             mapping = {letter: letter for letter in "XYZ"}
             for name in word:
                 pull = _PULL_PERM[name]

@@ -287,6 +287,13 @@ def test_repeated_lines_and_negative_width_fail_at_their_line(doc, line_no):
     assert err.value.line_no == line_no
 
 
+@pytest.mark.parametrize("metadata", [{"k": 1}, {1: "v"}, {"k": None}])
+def test_circuit_refuses_metadata_that_is_not_strings(metadata):
+    """Such an entry used to be built and then break serialize with an AttributeError."""
+    with pytest.raises(CircuitError, match="not a pair of strings"):
+        Circuit(1, (), metadata)
+
+
 def test_metadata_value_keeps_interior_spaces():
     c = Circuit(1, (), {"note": "three spaced words", "empty": ""})
     assert deserialize(serialize(c)) == c

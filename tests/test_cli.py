@@ -7,6 +7,7 @@ import re
 import runpy
 import sys
 import warnings
+from importlib import resources
 
 import pytest
 
@@ -417,6 +418,17 @@ def test_trotter_builtin_parallelized_count(capsys):
     assert report["modes"] == 6
     assert report["orbital_class"] == "real"
     assert report["counts"]["ms_total"] == 26
+
+
+def test_trotter_default_compiles_the_packaged_integrals(tmp_path, capsys):
+    """Without --integrals, trotter writes the bytes the packaged H3+ file gives.
+    At dt 0.25 a second, hand-typed copy of the H3+ terms differed in the last bit."""
+    default, packaged = tmp_path / "default.circ", tmp_path / "packaged.circ"
+    with resources.as_file(resources.files("ionsynth") / "data/h3plus.ints") as ints:
+        assert run(["trotter", "--dt", "0.25", "--integrals", str(ints), "-o", str(packaged)]) == 0
+    assert run(["trotter", "--dt", "0.25", "-o", str(default)]) == 0
+    capsys.readouterr()
+    assert default.read_bytes() == packaged.read_bytes()
 
 
 def test_trotter_rejects_malformed_integrals(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Ansatz layers and Trotter steps: counts, ordering, dense-oracle exactness."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,37 @@ def test_ansatz_spec_guards():
         AnsatzSpec(4, (0, 1), (2, 5), ())
     with pytest.raises(EvolutionError):
         AnsatzSpec(6, (0, 1), (2, 3, 4, 5), (0.1,))
+
+
+@pytest.mark.parametrize("occupied, virtual", [
+    ((0, 1.5), (2, 3)),
+    ((0, 1), (2.0, 3)),
+    ((0, True), (2, 3)),
+])
+def test_ansatz_spec_refuses_non_integer_modes(occupied, virtual):
+    """A float used to be truncated: (0, 1.5) became occupied == (0, 1)."""
+    with pytest.raises(EvolutionError, match="not an integer"):
+        AnsatzSpec(6, occupied, virtual, ())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ansatz_spec_refuses_non_finite_parameters(bad):
+    with pytest.raises(EvolutionError, match="finite"):
+        AnsatzSpec(6, (0, 1), (2, 3, 4, 5), (bad,) + (0.1,) * 7)
+
+
+def test_ansatz_modes_accept_numpy_integers():
+    spec = AnsatzSpec(6, (np.int64(0), np.int32(1)), (2, 3, np.int16(4), 5), (0.1,) * 8)
+    assert spec.occupied == (0, 1) and spec.virtual == (2, 3, 4, 5)
+    assert all(type(m) is int for m in spec.occupied + spec.virtual)
+    assert prepare_reference((np.int64(2),), 3) == prepare_reference((2,), 3)
+
+
+@pytest.mark.parametrize("occupied", [[0.7], [True], [1, 2.0]])
+def test_prepare_reference_refuses_non_integer_modes(occupied):
+    """[0.7] used to put an X on qubit 0."""
+    with pytest.raises(EvolutionError, match="not an integer"):
+        prepare_reference(occupied, 3)
 
 
 def test_trotter_config_guards():
