@@ -7,8 +7,8 @@ Run from the root of a checkout:
 
 Workloads: the packaged H3+ table (with the H3+ UCCSD layer, two occupied
 and four virtual spin orbitals), the dense random real tables of 8, 10,
-12 and 14 modes that perfbench.inputs.integral_document draws from the seed
-"profile/<modes>", and one dense random complex table of 10 modes drawn here
+12, 14 and 20 modes that perfbench.inputs.integral_document draws from the
+seed "profile/<modes>", and one dense random complex table of 10 modes drawn here
 from the seed "complex/10" (each with a UCCSD layer over the lowest half of
 the modes, angles from the same seed).  Per workload it times eight stages:
 
@@ -30,10 +30,14 @@ build_trotter_step baseline in each orbital class the table allows (real
 tables take both, complex ones only complex) and the build_uccsd_layer
 baseline, keeping the best of three times of each in baseline_best_s and one
 SHA-256 of their text in baseline_sha256 (records before these fields were
-added lack them).  Block synthesis caches each group shape's gates
-(synth._template); where the measured sources have that cache, the record
-also holds cold_s, the first build_trotter_step and the first
-build_uccsd_layer each timed right after the cache is cleared, and the
+added lack them).  Tables above 14 modes skip the baselines: at 20 modes the
+complex-orbital one alone holds about 2.5 million gates and 780 MB.  Each
+record also holds term_list_peak_mib, the tracemalloc peak in MiB of one
+untimed term_list call on the parsed table (records before this field and
+the 20-mode workload were added lack them).  Block synthesis caches each
+group shape's gates (synth._template); where the measured sources have that
+cache, the record also holds cold_s, the first build_trotter_step and the
+first build_uccsd_layer each timed right after the cache is cleared, and the
 number of templates the workload's two circuits use.  The record, with
 the environment and the commit of the measured sources (or, outside a git
 work tree, a SHA-256 of them: the rule of bench/oracle.py commit_of), is
@@ -50,13 +54,15 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 from oracle import commit_of, environment
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_compile.json"
-RANDOM_MODES = (8, 10, 12, 14)
+RANDOM_MODES = (8, 10, 12, 14, 20)
+BASELINE_MODES = 14
 COMPLEX_MODES = 10
 TIME_STEP = 0.1
 REPEATS = 3
@@ -167,7 +173,27 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
         for stage, t0, t1 in zip(STAGES, times, times[1:]):
             best[stage] = min(best[stage], t1 - t0)
     digest = hashlib.sha256((text + serialize(layer)).encode()).hexdigest()
+    circuits = {**totals("trotter", step), "uccsd_excitations": len(spec.parameters),
+                **totals("uccsd", layer)}
+    tracemalloc.start()
+    terms = term_list(table)
+    term_list_peak = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
     cache = {"cold_s": cold, "templates": templates.cache_info().currsize} if cold else {}
+    row = {
+        "workload": name,
+        "n_modes": table.n_modes,
+        "local_terms": len(terms.local_terms),
+        "excitation_terms": len(terms.excitation_terms),
+        "groups": len(fusion_groups(terms.excitation_terms)),
+        **circuits,
+        "circuits_sha256": digest,
+        "best_s": best,
+        "term_list_peak_mib": term_list_peak,
+        **cache,
+    }
+    if table.n_modes > BASELINE_MODES:
+        return row
     realities = ("real", "complex") if table.reality == "real" else ("complex",)
     baselines = [(f"build_trotter_step_{reality}", build_trotter_step,
                   (terms, TrotterConfig(TIME_STEP, orbital_class=reality, scheduling="baseline")))
@@ -182,21 +208,7 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
             baseline_best[stage] = min(baseline_best[stage], time.perf_counter() - start)
             texts.append(serialize(circuit))
     baseline_digest = hashlib.sha256("".join(texts).encode()).hexdigest()
-    return {
-        "workload": name,
-        "n_modes": table.n_modes,
-        "local_terms": len(terms.local_terms),
-        "excitation_terms": len(terms.excitation_terms),
-        "groups": len(fusion_groups(terms.excitation_terms)),
-        **totals("trotter", step),
-        "uccsd_excitations": len(spec.parameters),
-        **totals("uccsd", layer),
-        "circuits_sha256": digest,
-        "best_s": best,
-        "baseline_sha256": baseline_digest,
-        "baseline_best_s": baseline_best,
-        **cache,
-    }
+    return {**row, "baseline_sha256": baseline_digest, "baseline_best_s": baseline_best}
 
 
 def main() -> None:
@@ -217,7 +229,8 @@ def main() -> None:
         print(f"{args.label} {name}: {row['excitation_terms']} terms, {row['groups']} groups, "
               f"{row['trotter_ms']} + {row['uccsd_ms']} MS; "
               + ", ".join(f"{k} {v:.3f}" for k, v in row["best_s"].items())
-              + "".join(f", baseline {k} {v:.3f}" for k, v in row["baseline_best_s"].items())
+              + f", term_list peak {row['term_list_peak_mib']:.2f} MiB"
+              + "".join(f", baseline {k} {v:.3f}" for k, v in row.get("baseline_best_s", {}).items())
               + "".join(f", cold {k} {v:.3f}" for k, v in row.get("cold_s", {}).items())
               + (f", {row['templates']} templates" if "templates" in row else ""), flush=True)
 

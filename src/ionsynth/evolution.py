@@ -63,6 +63,17 @@ def _mode(m, n_modes: int) -> int:
     return m
 
 
+def _mode_count(n_modes) -> int:
+    """A register's mode count as an int, refused like a mode when it is a
+    float or a bool, or when it is negative."""
+    if isinstance(n_modes, bool) or not _has_index(n_modes):
+        raise EvolutionError(f"mode count {n_modes!r} is not an integer")
+    n_modes = index(n_modes)
+    if n_modes < 0:
+        raise EvolutionError(f"negative mode count {n_modes}")
+    return n_modes
+
+
 @dataclass(frozen=True)
 class AnsatzSpec:
     """UCCSD ansatz over spin orbitals; even indices are alpha, odd beta.
@@ -77,13 +88,13 @@ class AnsatzSpec:
     parameters: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.n_modes < 0:
-            raise EvolutionError(f"negative mode count {self.n_modes}")
-        occ = tuple(_mode(m, self.n_modes) for m in self.occupied)
-        vir = tuple(_mode(m, self.n_modes) for m in self.virtual)
+        n_modes = _mode_count(self.n_modes)
+        occ = tuple(_mode(m, n_modes) for m in self.occupied)
+        vir = tuple(_mode(m, n_modes) for m in self.virtual)
         parameters = tuple(float(x) for x in self.parameters)
         if not all(map(math.isfinite, parameters)):
             raise EvolutionError(f"parameters must be finite, got {parameters}")
+        object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "occupied", occ)
         object.__setattr__(self, "virtual", vir)
         object.__setattr__(self, "parameters", parameters)
@@ -169,6 +180,7 @@ def build_uccsd_layer(spec: AnsatzSpec, scheduling: str = "parallelized") -> Cir
 
 def prepare_reference(occupied, n_modes: int) -> Circuit:
     """X gates writing the occupation bitstring onto |0...0>."""
+    n_modes = _mode_count(n_modes)
     occ = sorted(_mode(m, n_modes) for m in occupied)
     if len(set(occ)) != len(occ):
         raise EvolutionError("repeated mode in occupied list")

@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
+import numpy as np
+
 from .pauli import PauliString, PauliSum, identity_string, multiply
 
 __all__ = [
@@ -556,6 +558,76 @@ class HamiltonianTerms:
 _DROP_EPS = 1e-14
 
 
+def _digit_codes(base: int, dtype, digits):
+    """The integers with the given digits in base, most significant first, as
+    a new array of dtype.  The first digit is an array and may exceed base;
+    the others are arrays or scalars below base.  Codes with the same first
+    digit order as their digit tuples do."""
+    first, *rest = digits
+    codes = first.astype(dtype)
+    for digit in rest:
+        codes *= base
+        codes += digit
+    return codes
+
+
+def _key_codes(n_modes: int, kind, symmetrized, modes):
+    """Term keys (kind, symmetrized, m0, m1, m2, m3) as integers: the digits
+    of 2 * kind + symmetrized and the modes in base n_modes.  kind is 0 for a
+    coulomb term, 1 for a double and 2 for a controlled single, so every code
+    lies below 6 * n_modes**4 and no two keys share one."""
+    lead = np.uint8(2) * kind + symmetrized
+    return _digit_codes(n_modes, np.min_scalar_type(6 * n_modes**4 - 1), (lead, *modes))
+
+
+def _pair_codes(n_modes: int, a, b, c, d, symmetrized, coulomb):
+    """_double_order over arrays: where the sign flips, and the key codes of
+    the doubles (or coulomb terms) with pairs (a, b) and (c, d)."""
+    negate = (a > b) ^ (c > d)
+    low1, high1, low2, high2 = np.minimum(a, b), np.maximum(a, b), np.minimum(c, d), np.maximum(c, d)
+    swap = low1 > low2
+    negate ^= swap & ~symmetrized
+    modes = (np.where(swap, low2, low1), np.where(swap, high2, high1),
+             np.where(swap, low1, low2), np.where(swap, high1, high2))
+    return negate, _key_codes(n_modes, ~coulomb, symmetrized, modes)
+
+
+def _controlled_codes(n_modes: int, a, b, c, d, symmetrized):
+    """Where the sign flips, and the key codes of the controlled singles with
+    pairs (a, b) and (c, d) sharing one mode j: j moves last in both pairs,
+    each move flipping the sign, then _single_order orders the other two."""
+    a_shared, c_shared = (a == c) | (a == d), (a == c) | (b == c)
+    p, r = np.where(a_shared, b, a), np.where(c_shared, d, c)
+    negate = a_shared ^ c_shared ^ ((p > r) & ~symmetrized)
+    modes = (np.minimum(p, r), np.maximum(p, r), np.where(a_shared, a, b), 0)
+    return negate, _key_codes(n_modes, 2, symmetrized, modes)
+
+
+def _quartic_codes(n_modes: int, a, b, c, d, weight, symmetrized):
+    """The term key codes (_key_codes) and signed coefficients of the kept
+    calls weight[i] * (anti)symmetrized generator of a+_a[i] a+_b[i] a_c[i]
+    a_d[i], in call order.
+
+    A call is dropped when |weight| <= _DROP_EPS, a == b or c == d, and so is
+    the antisymmetrized part of an occupation (coulomb) term, which vanishes.
+    The modes the two pairs share classify the rest: two make a coulomb term,
+    one a controlled single on the shared mode, none a double.
+    """
+    keep = (a != b) & (c != d) & (np.abs(weight) > _DROP_EPS)
+    ac, ad, bc, bd = a == c, a == d, b == c, b == d
+    coulomb = (ac & bd) | (ad & bc)
+    keep &= symmetrized | ~coulomb
+    controlled = (ac | ad | bc | bd) & ~coulomb
+    del ac, ad, bc, bd
+    a, b, c, d, weight, symmetrized, coulomb, controlled = (
+        x[keep] for x in (a, b, c, d, weight, symmetrized, coulomb, controlled))
+    negate, codes = _pair_codes(n_modes, a, b, c, d, symmetrized, coulomb)
+    i = np.flatnonzero(controlled)
+    negate[i], codes[i] = _controlled_codes(n_modes, *(x[i] for x in (a, b, c, d, symmetrized)))
+    np.negative(weight, out=weight, where=negate)
+    return codes, weight
+
+
 class _Accumulator:
     """Sums coefficients per term shape in addition order; terms are built in finish.
 
@@ -568,39 +640,41 @@ class _Accumulator:
         self.weights: dict[tuple, float] = {}
 
     def add(self, term: LocalTerm | ExcitationTerm) -> None:
-        self._add((type(term), term.key()), term.coefficient)
+        key = (type(term), term.key())
+        self.weights[key] = self.weights.get(key, 0.0) + term.coefficient
 
-    def _add(self, key: tuple, coefficient: float) -> None:
-        self.weights[key] = self.weights.get(key, 0.0) + coefficient
+    def quartics(self, n_modes: int, a, b, c, d, weight, symmetrized) -> None:
+        """Accumulate weight[i] * (anti)symmetrized generator of
+        a+_a[i] a+_b[i] a_c[i] a_d[i] over the calls i, in call order.
 
-    def quartic(self, p: int, q: int, r: int, s: int, weight: float,
-                symmetrized: bool) -> None:
-        """Accumulate weight * (anti)symmetrized generator of a+_p a+_q a_r a_s."""
-        if abs(weight) <= _DROP_EPS or p == q or r == s:
-            return
-        shared = {p, q} & {r, s}
-        if len(shared) == 2:
-            # pure occupation term; the antisymmetrized part vanishes
-            if not symmetrized:
-                return
-            # (p,q) == (r,s) once ordered; generator is coefficient * (-2 n_p n_q)
-            sub, _, sign = _double_order(p, q, r, s, symmetrized)
-            self._add((LocalTerm, ("coulomb", sub)), weight * sign)
-            return
-        if len(shared) == 1:
-            # move the shared mode j last in both pairs, each swap flipping the sign
-            j = shared.pop()
-            sign = 1.0
-            if p == j:
-                p, q, sign = q, p, -sign
-            if r == j:
-                r, s, sign = s, r, -sign
-            p, r, order = _single_order(p, r, symmetrized)
-            key = ("controlled_single", (p,), (r,), j, symmetrized)
-            self._add((ExcitationTerm, key), weight * sign * order)
-            return
-        sub, sup, sign = _double_order(p, q, r, s, symmetrized)
-        self._add((ExcitationTerm, ("double", sub, sup, None, symmetrized)), weight * sign)
+        The arguments are equal-length numpy arrays: unsigned modes below
+        n_modes, float64 weights and bool flags.  np.bincount sums the
+        coefficients into one bin per term key code (_quartic_codes), adding
+        each bin's inputs one after another in call order, so each total is
+        the float sum that adding the calls' terms one by one would give.
+        Bins that stay exactly zero are skipped, as finish would drop them.
+        Adding a total to its key's running sum keeps that exact where no
+        earlier add used the key, as in term_list, whose one-body pass makes
+        only density and single terms.
+        """
+        codes, coefficients = _quartic_codes(n_modes, a, b, c, d, weight, symmetrized)
+        totals = np.bincount(codes, coefficients)
+        del codes, coefficients
+        codes = np.flatnonzero(totals)
+        totals = totals[codes].tolist()
+        digits = []
+        for _ in range(4):
+            codes, digit = np.divmod(codes, n_modes)
+            digits.insert(0, digit.tolist())
+        for kind_sym, m0, m1, m2, m3, total in zip(codes.tolist(), *digits, totals):
+            kind, sym = divmod(kind_sym, 2)
+            if kind == 0:
+                key = (LocalTerm, ("coulomb", (m0, m1)))
+            elif kind == 1:
+                key = (ExcitationTerm, ("double", (m0, m1), (m2, m3), None, bool(sym)))
+            else:
+                key = (ExcitationTerm, ("controlled_single", (m0,), (m1,), m2, bool(sym)))
+            self.weights[key] = self.weights.get(key, 0.0) + total
 
     def finish(self, n_modes: int, reality: str, constant: float) -> HamiltonianTerms:
         terms = [cls(*key, c) for (cls, key), c in self.weights.items() if abs(c) > _DROP_EPS]

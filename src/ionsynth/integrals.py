@@ -15,18 +15,26 @@ with 1-based indices, r = s = 0 marking a one-electron entry and all four
 indices zero marking the constant shift.  The <im> column is only legal in
 complex tables.  Blank lines and text after '#' are ignored.
 
-term_list expands each stored entry into its orbit but visits the index tuples
-in index order, as a loop over all n^4 lookups would: float addition is not
-associative, so any other order could move a summed coefficient, and with it
-a serialized angle, by its last bit.
+term_list keeps the order of a loop over all n^4 lookups, because float
+addition is not associative: any other order could move a summed coefficient,
+and with it a serialized angle, by its last bit.  Its two-body part is one
+numpy pass over every index tuple in index order.  Each tuple finds its value
+through its orbit representative, the least member code, conjugated as a
+lookup would; its two quartic calls are laid out tuple by tuple, first call
+then second, and np.bincount adds each term's coefficients one after another
+in that order.  So every coefficient is the same float sum, operand for
+operand, as the loop's, and the result is bit-identical to it.
 """
 
 import cmath
+import itertools
 from importlib import resources
-from operator import index, itemgetter
+from operator import index
+
+import numpy as np
 
 from .circuit import _has_index
-from .fermion import _DROP_EPS, HamiltonianTerms, _Accumulator, density_term, single
+from .fermion import _DROP_EPS, HamiltonianTerms, _Accumulator, _digit_codes, density_term, single
 
 __all__ = [
     "IntegralError",
@@ -99,20 +107,6 @@ def _canonical(orbit):
     rep = min(k for k, _ in orbit)
     flags = frozenset(f for k, f in orbit if k == rep)
     return rep, flags
-
-
-def _expand(store, orbit, reality):
-    """Each index tuple the stored representatives stand for, in index order,
-    with the value its lookup returns: conjugated for a member reached only by
-    conjugating symmetries, as stored in a self-conjugate orbit."""
-    entries = []
-    for rep, value in store.items():
-        conjugated = {}
-        for key, flag in orbit(rep, reality):
-            conjugated[key] = conjugated.get(key, True) and flag
-        entries += [(key, value.conjugate() if c else value) for key, c in conjugated.items()]
-    entries.sort(key=itemgetter(0))
-    return entries
 
 
 class IntegralTable:
@@ -292,19 +286,66 @@ def parse_integrals(document: str) -> IntegralTable:
     return table
 
 
+def _two_body_entries(table: IntegralTable):
+    """The index tuples (p, q, r, s) whose two_body_value exceeds _DROP_EPS in
+    magnitude (in its real part for a real table), in index order, as arrays
+    p, q, r, s and the values h: real for a real table, complex otherwise.
+
+    Each tuple looks its value up as _lookup does: the representative is the
+    least index-order code (the digits p, q, r, s in base n) over its orbit
+    members, and the stored value is conjugated when only conjugating members
+    reach it."""
+    n = table.n_modes
+    size = n**4
+    code_type = np.min_scalar_type(size - 1)
+    tuples = tuple(np.indices((n,) * 4, dtype=np.min_scalar_type(n - 1)).reshape(4, -1))
+    plain = np.full(size, np.iinfo(code_type).max, code_type)
+    conjugating = plain.copy()
+    for member, flag in _two_body_orbit(tuples, table.reality):
+        least = conjugating if flag else plain
+        np.minimum(least, _digit_codes(n, code_type, member), out=least)
+    conjugated = conjugating < plain
+    rep = np.minimum(plain, conjugating, out=plain)
+    del conjugating
+    # the entry filter, on each stored value once; |conj(h)| == |h| exactly
+    store = table._two
+    if table.reality == "real":
+        values = np.zeros(size)
+        kept = [v.real if abs(v.real) > _DROP_EPS else 0.0 for v in store.values()]
+    else:
+        values = np.zeros(size, complex)
+        kept = [v if abs(v) > _DROP_EPS else 0j for v in store.values()]
+    stored = np.array(list(store), dtype=tuples[0].dtype).reshape(-1, 4)
+    values[_digit_codes(n, code_type, stored.T)] = kept
+    del stored, kept
+    h = values[rep]
+    del values, rep
+    np.conjugate(h, out=h, where=conjugated)
+    nonzero = h != 0
+    return (*(m[nonzero] for m in tuples), h[nonzero])
+
+
 def term_list(table: IntegralTable) -> HamiltonianTerms:
     """Decompose the table's Hamiltonian into weighted generators and local terms.
 
     Complex tables split into the antisymmetrized family (imaginary parts,
     weight 1/2 quadratic and 1/4 quartic) plus the symmetrized family (real
     parts, same weights).  Real tables produce only symmetrized terms; the
-    quartic loop uses the exchange-coupled grouping
+    quartic pass uses the exchange-coupled grouping
     h/8 * (sym(p,q;r,s) + sym(p,s;r,q)), whose partner terms land on the same
     four-mode window with tied weights.  Quadratic diagonal entries become
     density terms, two-mode-overlap quartics become coulomb terms.
+
+    The result is the one an index-order loop over every lookup gives, bit
+    for bit: the one-body pass is that loop over the n^2 pairs, and the
+    two-body pass is one array pass over the n^4 tuples in index order, each
+    tuple's two calls laid out first then second, whose coefficients
+    np.bincount sums per term in that order (_Accumulator.quartics).
     """
+    n = table.n_modes
     acc = _Accumulator()
-    for (p, q), h in _expand(table._one, _one_body_orbit, table.reality):
+    for p, q in itertools.product(range(n), repeat=2):
+        h = table.one_body_value(p, q)
         if abs(h) <= _DROP_EPS:
             continue
         if p == q:
@@ -313,15 +354,21 @@ def term_list(table: IntegralTable) -> HamiltonianTerms:
         if table.reality == "complex" and abs(h.imag) > _DROP_EPS:
             acc.add(single(p, q, 0.5 * h.imag, symmetrized=False))
         acc.add(single(p, q, 0.5 * h.real, symmetrized=True))
-    for (p, q, r, s), h in _expand(table._two, _two_body_orbit, table.reality):
-        if table.reality == "real":
-            if abs(h.real) > _DROP_EPS:
-                acc.quartic(p, q, r, s, h.real / 8.0, symmetrized=True)
-                acc.quartic(p, s, r, q, h.real / 8.0, symmetrized=True)
-        elif abs(h) > _DROP_EPS:
-            acc.quartic(p, q, r, s, h.imag / 4.0, symmetrized=False)
-            acc.quartic(p, q, r, s, h.real / 4.0, symmetrized=True)
-    return acc.finish(table.n_modes, table.reality, float(table.constant))
+    p, q, r, s, h = _two_body_entries(table)
+    if table.reality == "real":
+        weight = np.repeat(h / 8.0, 2)
+        del h
+        calls = (np.repeat(p, 2), np.column_stack((q, s)).ravel(),
+                 np.repeat(r, 2), np.column_stack((s, q)).ravel())
+        symmetrized = np.ones(len(weight), bool)
+    else:
+        weight = np.column_stack((h.imag / 4.0, h.real / 4.0)).ravel()
+        del h
+        calls = tuple(np.repeat(m, 2) for m in (p, q, r, s))
+        symmetrized = np.tile((False, True), len(p))
+    del p, q, r, s
+    acc.quartics(n, *calls, weight, symmetrized)
+    return acc.finish(n, table.reality, float(table.constant))
 
 
 def h3plus_table() -> IntegralTable:

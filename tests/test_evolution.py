@@ -94,6 +94,16 @@ def test_ansatz_spec_refuses_non_integer_modes(occupied, virtual):
         AnsatzSpec(6, occupied, virtual, ())
 
 
+@pytest.mark.parametrize("n_modes, occupied", [(2.5, (0,)), (True, (0,)), (6.0, (0, 1)), ("6", (0,))])
+def test_mode_count_must_be_an_integer(n_modes, occupied):
+    """AnsatzSpec(2.5, ...) and AnsatzSpec(True, ...) used to be built, and
+    prepare_reference((0,), 2.5) failed later with a CircuitError."""
+    with pytest.raises(EvolutionError, match="mode count .* is not an integer"):
+        AnsatzSpec(n_modes, occupied, (), ())
+    with pytest.raises(EvolutionError, match="mode count .* is not an integer"):
+        prepare_reference(occupied, n_modes)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_ansatz_spec_refuses_non_finite_parameters(bad):
     with pytest.raises(EvolutionError, match="finite"):
@@ -105,6 +115,9 @@ def test_ansatz_modes_accept_numpy_integers():
     assert spec.occupied == (0, 1) and spec.virtual == (2, 3, 4, 5)
     assert all(type(m) is int for m in spec.occupied + spec.virtual)
     assert prepare_reference((np.int64(2),), 3) == prepare_reference((2,), 3)
+    spec = AnsatzSpec(np.int64(6), (0, 1), (2, 3, 4, 5), (0.1,) * 8)
+    assert type(spec.n_modes) is int and spec == AnsatzSpec(6, (0, 1), (2, 3, 4, 5), (0.1,) * 8)
+    assert prepare_reference((2,), np.int32(3)) == prepare_reference((2,), 3)
 
 
 @pytest.mark.parametrize("occupied", [[0.7], [True], [1, 2.0]])

@@ -384,16 +384,21 @@ def integral_tables(draw):
     tuple is tried once in a random order, so the first tuple drawn from an
     orbit sets it (repeated-index orbits included), and a complex value on a
     self-conjugate orbit is refused; real and nearly real values (imaginary
-    part 1e-13) let self-conjugate complex orbits fill too."""
+    part 1e-13) let self-conjugate complex orbits fill too.  Values of
+    ±{1, 4, 8, 9}e-14 sit at the drop threshold 1e-14 of an entry, and of
+    the h/8 and h/4 weights each two-body entry splits into."""
     n = draw(st.integers(1, 6))
     reality = draw(st.sampled_from(("real", "complex")))
     fill = draw(st.sampled_from((0.05, 0.3, 1.0)))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     table = IntegralTable(n, reality, rng.uniform(-1, 1))
 
+    def part(*choices):
+        tiny = rng.choice((-1, 1)) * rng.choice((1, 4, 8, 9)) * 1e-14
+        return rng.choice((0.0, rng.uniform(-1, 1), tiny, *choices))
+
     def value():
-        imag = rng.choice((0.0, 1e-13, rng.uniform(-1, 1))) if reality == "complex" else 0.0
-        return complex(rng.choice((0.0, rng.uniform(-1, 1))), imag)
+        return complex(part(), part(1e-13) if reality == "complex" else 0.0)
 
     keys = [*itertools.product(range(n), repeat=2), *itertools.product(range(n), repeat=4)]
     rng.shuffle(keys)
@@ -468,6 +473,40 @@ def test_term_list_matches_split_on_repeated_index_orbits():
 
 def test_term_list_matches_split_on_h3plus():
     assert term_list(h3plus_table()) == reference_split(h3plus_table())
+
+
+def dense_document(n, reality, rng):
+    """An integral document setting every orbit of an n-mode table once, to a
+    random value; real where the complex symmetry group pins the orbit to its
+    own conjugate."""
+
+    def entry(real):
+        im = "" if reality == "real" else f" {0.0 if real else rng.uniform(-1, 1):.6f}"
+        return f"{rng.uniform(-1, 1):.6f}{im}"
+
+    lines = [f"norb {n} reality {reality}", f"{entry(True)} 0 0 0 0"]
+    lines += [f"{entry(p == q)} {p} {q} 0 0" for p in range(1, n + 1) for q in range(p, n + 1)]
+    seen = set()
+    for key in itertools.product(range(1, n + 1), repeat=4):
+        p, q, r, s = key
+        plain, conjugated = {key, (q, p, s, r)}, {(r, s, p, q), (s, r, q, p)}
+        if reality == "real":
+            plain |= conjugated | {(r, q, p, s), (s, p, q, r), (p, s, r, q), (q, r, s, p)}
+            conjugated = set()
+        rep = min(plain | conjugated)
+        if rep not in seen:
+            seen.add(rep)
+            lines.append(f"{entry(bool(plain & conjugated))} {' '.join(map(str, rep))}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n, reality", [(10, "real"), (12, "real"), (8, "complex")])
+def test_term_list_matches_split_on_dense_tables(n, reality):
+    """Dense tables above the 1-6 modes integral_tables draws: larger mode
+    digits and wider code dtypes, where an integer term key encoding could
+    overflow or alias unseen at small sizes."""
+    table = parse_integrals(dense_document(n, reality, random.Random(f"dense/{reality}/{n}")))
+    assert term_list(table) == reference_split(table)
 
 
 # --- packaged dataset -------------------------------------------------------
