@@ -34,11 +34,15 @@ added lack them).  Tables above 14 modes skip the baselines: at 20 modes the
 complex-orbital one alone holds about 2.5 million gates and 780 MB.  Each
 record also holds term_list_peak_mib, the tracemalloc peak in MiB of one
 untimed term_list call on the parsed table (records before this field and
-the 20-mode workload were added lack them).  Block synthesis caches each
-group shape's gates (synth._template); where the measured sources have that
-cache, the record also holds cold_s, the first build_trotter_step and the
-first build_uccsd_layer each timed right after the cache is cleared, and the
-number of templates the workload's two circuits use.  The record, with
+the 20-mode workload were added lack them), and build_peak_mib, the
+tracemalloc peak in MiB of one untimed warm build_trotter_step (records
+before this field was added lack it).  Block synthesis caches each group
+shape's gates (synth._template) and, in later sources, hands out one shared
+object per Clifford gate value (synth._SHARED); where the measured sources
+have the template cache, the record also holds cold_s, the first
+build_trotter_step and the first build_uccsd_layer each timed right after
+both caches (those the sources have) are cleared, and the number of templates
+the workload's two circuits use.  The record, with
 the environment and the commit of the measured sources (or, outside a git
 work tree, a SHA-256 of them: the rule of bench/oracle.py commit_of), is
 appended to BENCH_compile.json at the root of the checkout holding this
@@ -141,6 +145,7 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
     best = dict.fromkeys(STAGES, float("inf"))
     spec = AnsatzSpec(*uccsd)
     templates = getattr(synth, "_template", None)
+    shared = getattr(synth, "_SHARED", {})
     cold = {}
     if hasattr(templates, "cache_clear"):
         table = parse_integrals(document)
@@ -149,6 +154,7 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
         for stage, build in (("build_trotter_step", lambda: build_trotter_step(terms, cfg)),
                              ("build_uccsd_layer", lambda: build_uccsd_layer(spec))):
             templates.cache_clear()
+            shared.clear()
             start = time.perf_counter()
             build()
             cold[stage] = time.perf_counter() - start
@@ -179,6 +185,10 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
     terms = term_list(table)
     term_list_peak = tracemalloc.get_traced_memory()[1] / 2**20
     tracemalloc.stop()
+    tracemalloc.start()
+    step = build_trotter_step(terms, TrotterConfig(TIME_STEP, orbital_class=table.reality))
+    build_peak = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
     cache = {"cold_s": cold, "templates": templates.cache_info().currsize} if cold else {}
     row = {
         "workload": name,
@@ -190,6 +200,7 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
         "circuits_sha256": digest,
         "best_s": best,
         "term_list_peak_mib": term_list_peak,
+        "build_peak_mib": build_peak,
         **cache,
     }
     if table.n_modes > BASELINE_MODES:
@@ -230,6 +241,7 @@ def main() -> None:
               f"{row['trotter_ms']} + {row['uccsd_ms']} MS; "
               + ", ".join(f"{k} {v:.3f}" for k, v in row["best_s"].items())
               + f", term_list peak {row['term_list_peak_mib']:.2f} MiB"
+              + f", build peak {row['build_peak_mib']:.2f} MiB"
               + "".join(f", baseline {k} {v:.3f}" for k, v in row.get("baseline_best_s", {}).items())
               + "".join(f", cold {k} {v:.3f}" for k, v in row.get("cold_s", {}).items())
               + (f", {row['templates']} templates" if "templates" in row else ""), flush=True)

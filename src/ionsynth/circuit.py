@@ -24,9 +24,15 @@ order, written in lower case, with angles in shortest round-trip form:
     cnot <control> <target>              CNOT
     phase <angle>                        GlobalPhase
 
-``deserialize`` parses each distinct record line of a document once, so
-identical records of one document read back as one shared gate object;
-gates are immutable, so sharing them is safe.
+Numeric fields, and the ``qubits`` count, are plain ASCII without '_':
+Python's int() and float() would also read '1_2' or non-ASCII digits, which
+the parser refuses at their line.  Meta values and comments take any text.
+
+Gates are immutable, so one gate object may stand at many positions of a
+circuit, as every equal Clifford gate of a built step does
+(``ionsynth.synth``).  ``serialize`` formats each distinct gate object once,
+and ``deserialize`` parses each distinct record line of a document once, so
+identical records of one document read back as one shared gate object.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from numbers import Real
 from operator import attrgetter, index
 from typing import Callable, Iterator, Mapping, NamedTuple, Union, get_type_hints
 
@@ -280,6 +287,13 @@ def _check_qubit(gate: Gate, q, n_qubits: int) -> None:
         raise CircuitError(f"gate {gate!r} touches qubit {q} outside 0..{n_qubits - 1}")
 
 
+def _unplain(tokens) -> str | None:
+    """The first token that is not plain ASCII without '_', or None: int() and
+    float() would read '1_2' as 12 and Arabic-Indic or full-width digits as
+    ASCII ones, which no writer of these formats emits."""
+    return next((token for token in tokens if not token.isascii() or "_" in token), None)
+
+
 def _has_index(q) -> bool:
     try:
         index(q)
@@ -304,7 +318,8 @@ class Circuit:
         gates = tuple(self.gates)
         readers = _QUBITS
         # Gates are immutable, so a gate object that recurs (as every copy of a
-        # parsed record does) is checked at its first position only.
+        # parsed record and every shared Clifford gate of a built step does) is
+        # checked at its first position only.
         for g in dict(zip(map(id, gates), gates)).values():
             if type(g) not in readers:
                 gate_qubits(g)  # raises: not a gate
@@ -406,6 +421,9 @@ def cost(c: Circuit, tau: float = 1.0) -> CostReport:
     Depth is greedy disjoint-qubit layering in program order; gates on
     disjoint qubit sets share a layer, GlobalPhase occupies none.
     """
+    # a bool would be reported as tau True; a str or None is no time at all
+    if isinstance(tau, bool) or not isinstance(tau, Real):
+        raise CircuitError(f"tau {tau!r} is not a real number")
     if not (math.isfinite(tau) and tau > 0):
         raise CircuitError(f"tau must be positive and finite, got {tau}")
     readers, sqrt = _QUBITS, math.sqrt
@@ -439,11 +457,14 @@ def serialize(c: Circuit) -> str:
             raise CircuitError(f"metadata entry not serializable: {key!r}: {value!r}")
         lines.append(f"meta {key} {value}")
     records = _RECORDS
-    gates = []
-    for g in c.gates:
+    # Each distinct gate object is formatted once; the circuit holds every
+    # gate, so no id is reused while this runs.
+    gates = c.gates
+    text = {}
+    for key, g in dict(zip(map(id, gates), gates)).items():
         record = records[type(g)]
-        gates.append(record.line % record.values(g))
-    return "\n".join(lines) + "\n" + "".join(gates).lower()
+        text[key] = record.line % record.values(g)
+    return "\n".join(lines) + "\n" + "".join(map(text.__getitem__, map(id, gates))).lower()
 
 
 def deserialize(document: str) -> Circuit:
@@ -474,6 +495,9 @@ def deserialize(document: str) -> Circuit:
             parsers, rest = record.parsers, record.rest
             if len(args) <= len(parsers) if rest else len(args) != len(parsers):
                 raise ParseError(idx, f"{tag} record takes: {record.usage}")
+            # isascii() reads a flag, so a plain line costs one scan for '_'
+            if (not line.isascii() or "_" in line) and (bad := _unplain(args)):
+                raise ParseError(idx, f"{tag} record: field {bad!r} is not plain ASCII without '_'")
             try:
                 # Each field's type parses its token: type.__call__(int, "3") is int("3").
                 values = map(type.__call__, parsers, args)
@@ -491,6 +515,8 @@ def deserialize(document: str) -> Circuit:
             if n_qubits is not None:
                 raise ParseError(idx, "repeated qubits line")
             try:
+                if _unplain(args):
+                    raise ValueError
                 (n_qubits,) = map(int, args)
             except ValueError:
                 n_qubits = -1

@@ -13,7 +13,9 @@ The text format understood by parse_integrals:
 
 with 1-based indices, r = s = 0 marking a one-electron entry and all four
 indices zero marking the constant shift.  The <im> column is only legal in
-complex tables.  Blank lines and text after '#' are ignored.
+complex tables.  Blank lines and text after '#' are ignored.  The count and
+every value and index are plain ASCII without '_': int() and float() would
+also read '1_2' as 12 and non-ASCII digits as ASCII ones.
 
 term_list keeps the order of a loop over all n^4 lookups, because float
 addition is not associative: any other order could move a summed coefficient,
@@ -33,7 +35,7 @@ from operator import index
 
 import numpy as np
 
-from .circuit import _has_index
+from .circuit import _has_index, _unplain
 from .fermion import _DROP_EPS, HamiltonianTerms, _Accumulator, _digit_codes, density_term, single
 
 __all__ = [
@@ -220,6 +222,8 @@ def parse_integrals(document: str) -> IntegralTable:
                     line_no, "expected header 'norb <n> reality <real|complex>'"
                 )
             try:
+                if _unplain(tokens[1:2]):
+                    raise ValueError
                 n = int(tokens[1])
             except ValueError:
                 raise IntegralParseError(
@@ -245,6 +249,8 @@ def parse_integrals(document: str) -> IntegralTable:
             raise IntegralParseError(
                 line_no, f"expected 5 or 6 fields, found {len(tokens)}"
             )
+        if (not line.isascii() or "_" in line) and (bad := _unplain(tokens)):
+            raise IntegralParseError(line_no, f"field {bad!r} is not plain ASCII without '_'")
         try:
             numbers = [float(t) for t in value_tokens]
             indices = [int(t) for t in index_tokens]

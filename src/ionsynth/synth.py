@@ -27,16 +27,19 @@ The key holds no angle and no coefficient: per member the kind, the sub, sup
 and control modes counted from the group's lowest mode and the symmetrized
 flag, then the relative conjugation mode, the scheme and the star axis.
 ``_template`` (a fixed-size LRU cache) derives the gates at offset 0:
-Clifford1, CNOT and MS gates as they are, and each Rz / CRz as a slot (qubit,
-control, factor, zero, ((member, scale), ...)) whose factor is 2 or 4 times
-the pullback sign and whose scales are the exact generator string weights of
-unit-coefficient terms.  A call shifts the gates to the group's lowest mode
-and sets each slot's angle to factor * weight, with weight summed from
-``zero`` over theta_j * (coefficient_j * scale) in member order, then string
-order: the order in which the string pool always summed them.  Every scale and
-factor is a signed power of two, so coefficient_j * scale is the string weight
-the generator itself computes, and the angles keep their last bit, subnormal
-angles included.
+each Clifford1, CNOT and MS gate as the plain tuple (kind, *fields), and each
+Rz / CRz as a slot (qubit, control, factor, zero, ((member, scale), ...))
+whose factor is 2 or 4 times the pullback sign and whose scales are the exact
+generator string weights of unit-coefficient terms.  A call hands out the
+Clifford gates shifted to the group's lowest mode, one shared object per gate
+value (``_SHARED``: gates are frozen and compare by value, so every fill of
+every template that emits Clifford1(3, "H") emits the same object, built and
+checked once), and sets each slot's angle to factor * weight, with weight
+summed from ``zero`` over theta_j * (coefficient_j * scale) in member order,
+then string order: the order in which the string pool always summed them.
+Every scale and factor is a signed power of two, so coefficient_j * scale is
+the string weight the generator itself computes, and the angles keep their
+last bit, subnormal angles included.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import NamedTuple
 
 from .circuit import (
@@ -345,24 +348,58 @@ def _sandwich(
     return items
 
 
+# Each Clifford kind's fields shifted up by k qubits.
 _SHIFT = {
-    Clifford1: lambda g, k: Clifford1(g.qubit + k, g.name),
-    CNOT: lambda g, k: CNOT(g.control + k, g.target + k),
-    MS: lambda g, k: MS(g.axis, g.direction, tuple(q + k for q in g.qubits)),
+    Clifford1: lambda qubit, name, k: (qubit + k, name),
+    CNOT: lambda control, target, k: (control + k, target + k),
+    MS: lambda axis, direction, qubits, k: (axis, direction, tuple(q + k for q in qubits)),
 }
+
+# The one gate object of each template item at each offset, keyed by
+# (item, offset).  An item is a plain tuple (kind, *fields), so equal gates of
+# different templates share a key; an item shifted up by the offset is keyed
+# again at offset 0, so equal gates from different offsets are one object too.
+# The table grows with the distinct gate values a process emits, not with fills.
+# Two threads that miss on one value at once may each build it; the two
+# objects are equal, so either is right.
+_SHARED: dict[tuple, Gate] = {}
+
+
+def _item(gate: Gate) -> tuple:
+    """A gate as the plain tuple (kind, *fields)."""
+    return (type(gate), *(getattr(gate, f.name) for f in fields(gate)))
+
+
+def _items(items) -> tuple:
+    """A sandwich's items as _fill takes them: each gate as its plain tuple,
+    each slot as it is."""
+    return tuple(item if type(item) is _Slot else _item(item) for item in items)
+
+
+def _shared(item: tuple, offset: int) -> Gate:
+    """The gate of a Clifford item shifted up by ``offset`` qubits: built and
+    checked once per (item, offset), and the first object of its value."""
+    kind, *values = item
+    gate = kind(*_SHIFT[kind](*values, offset))
+    # keyed by the gate's own fields, so an MS window tuple is held once
+    gate = _SHARED.setdefault((_item(gate), 0), gate)
+    _SHARED[item, offset] = gate
+    return gate
 
 
 def _fill(
     items, thetas, coefficients=(1.0,), offset: int = 0, keep_zero: bool = True
 ) -> list[Gate]:
-    """Gates of a sandwich or template: its Clifford gates shifted up by
-    ``offset`` qubits, its slots made into Rz / CRz gates with angles from
-    the members' ``thetas`` and ``coefficients``; zero angles are dropped
-    unless ``keep_zero``."""
+    """Gates of a sandwich or template (see _items): its Clifford items shifted
+    up by ``offset`` qubits, one shared object per value, its slots made into
+    Rz / CRz gates with angles from the members' ``thetas`` and
+    ``coefficients``; zero angles are dropped unless ``keep_zero``."""
     gates: list[Gate] = []
+    shared = _SHARED
     for item in items:
         if type(item) is not _Slot:
-            gates.append(_SHIFT[type(item)](item, offset) if offset else item)
+            gate = shared.get((item, offset))
+            gates.append(_shared(item, offset) if gate is None else gate)
             continue
         weight = item.zero
         for member, scale in item.terms:
@@ -586,7 +623,7 @@ def _template(key) -> tuple:
     items = _SCHEMES[scheme](terms, width, axis)
     if j is not None:
         items = [Clifford1(j, "S"), *items, Clifford1(j, "SDG")]
-    return tuple(items)
+    return _items(items)
 
 
 def _lower_group(
@@ -649,7 +686,7 @@ def compile_pauli_rotation(p: PauliString, phi: float) -> Circuit:
     signed_phi = float(phi) * (1 if p.phase == 1 else -1)
     target = p.with_phase(1)
     requests = [(target.support()[0], _product(0, 0.5), target, None)]
-    gates = _fill(_sandwich(p.width, target.support(), "xx", requests), (signed_phi,))
+    gates = _fill(_items(_sandwich(p.width, target.support(), "xx", requests)), (signed_phi,))
     return Circuit(p.width, gates, {"op": "pauli_rotation"})
 
 

@@ -165,6 +165,19 @@ def test_cost_rejects_non_finite_tau(tau):
         cost(c, tau=tau)
 
 
+@pytest.mark.parametrize("tau", [True, False, "1", None, 1 + 0j],
+                         ids=["true", "false", "str", "none", "complex"])
+def test_cost_refuses_a_tau_that_is_not_a_real_number(tau):
+    c = Circuit(2, (MS("xx", "forward", (0, 1)),))
+    with pytest.raises(CircuitError, match="not a real number"):
+        cost(c, tau=tau)
+
+
+def test_cost_takes_numpy_and_integer_taus():
+    c = Circuit(2, (MS("xx", "forward", (0, 1)),))
+    assert cost(c, tau=np.float64(2.0)).total_ms_time == cost(c, tau=2).total_ms_time
+
+
 def test_depth_greedy_layering():
     # Disjoint single-qubit gates share a layer; overlapping gates stack.
     c = Circuit(4, (Rz(0, 0.1), Rz(1, 0.1), Rz(2, 0.1), Rz(0, 0.2)))
@@ -385,6 +398,34 @@ def test_non_integer_width_is_refused(width):
     """A float or bool width would be written as a qubits line the v1 parser rejects."""
     with pytest.raises(CircuitError, match="not an integer"):
         Circuit(width)
+
+
+@pytest.mark.parametrize("doc, line_no", [
+    ("qubits 1_2\n", 2),
+    ("qubits \u0661\n", 2),
+    ("qubits \uff12\n", 2),
+    ("qubits 2\nrz \u0661 0.5\n", 3),
+    ("qubits 2\nrz 0 1_000.5\n", 3),
+    ("qubits 2\nrz 0 \u0661.5\n", 3),
+    ("qubits 12\n# ok\nms xx forward 0 1_1\n", 4),
+    ("qubits 2\ncnot \uff10 1\n", 3),
+    ("qubits 2\ncrz 0 1 0.5\nrzz 0 1 1_0.0\n", 4),
+    ("qubits 2\ncl 0 \u017f\n", 3),  # the long s upper-cases to S
+], ids=["qubits-underscore", "qubits-arabic-indic", "qubits-full-width", "qubit-arabic-indic",
+        "angle-underscore", "angle-arabic-indic", "ms-qubit-underscore", "cnot-full-width",
+        "rzz-angle-underscore", "clifford-long-s"])
+def test_numeric_tokens_python_would_read_are_refused_at_their_line(doc, line_no):
+    with pytest.raises(ParseError) as err:
+        deserialize("ionsynth-circuit v1\n" + doc)
+    assert err.value.line_no == line_no
+
+
+def test_meta_values_and_comments_keep_any_text():
+    doc = ("ionsynth-circuit v1\nqubits 2\nmeta note caf\u00e9_1 \u0661\n"
+           "# \u0661_2 comment\nrz 0 -1.5e-3\n")
+    c = deserialize(doc)
+    assert c.metadata == {"note": "caf\u00e9_1 \u0661"}
+    assert c.gates == (Rz(0, -1.5e-3),)
 
 
 def test_comments_and_blank_lines_are_ignored():

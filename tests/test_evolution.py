@@ -1,13 +1,27 @@
 """Ansatz layers and Trotter steps: counts, ordering, dense-oracle exactness."""
 
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionsynth.circuit import MS, Circuit, GlobalPhase, Rz, Rzz, count
+from ionsynth import synth
+from ionsynth.circuit import (
+    CNOT,
+    MS,
+    Circuit,
+    Clifford1,
+    GlobalPhase,
+    Rz,
+    Rzz,
+    count,
+    deserialize,
+    serialize,
+)
 from ionsynth.evolution import (
     AnsatzSpec,
     EvolutionError,
@@ -30,7 +44,7 @@ from ionsynth.fermion import (
     local_pauli,
     single,
 )
-from ionsynth.integrals import h3plus_builtin
+from ionsynth.integrals import IntegralTable, h3plus_builtin, term_list
 from ionsynth.verify import circuit_unitary, dense_sum, generator_unitary
 
 H3 = h3plus_builtin()
@@ -394,3 +408,70 @@ def test_trotter_error_probe_rejects_large_registers():
     big = HamiltonianTerms(11, "real", 0.0, (), ())
     with pytest.raises(EvolutionError):
         trotter_error_probe(big, (0.1,))
+
+
+# --- shared Clifford gates ----------------------------------------------------------
+
+
+def _random_real_terms(n: int, seed: int) -> HamiltonianTerms:
+    """A dense real table on n modes, every symmetry orbit set from the seed."""
+    rng = random.Random(seed)
+    table = IntegralTable(n, "real")
+    for p in range(n):
+        for q in range(p, n):
+            table.set_one_body(p, q, rng.uniform(-1.0, 1.0))
+    seen = set()
+    for p, q, r, s in itertools.product(range(n), repeat=4):
+        rep = min((p, q, r, s), (q, p, s, r), (r, s, p, q), (s, r, q, p),
+                  (r, q, p, s), (s, p, q, r), (p, s, r, q), (q, r, s, p))
+        if rep not in seen:
+            seen.add(rep)
+            table.set_two_body(*rep, rng.uniform(-1.0, 1.0))
+    return term_list(table)
+
+
+RANDOM8 = _random_real_terms(8, 17)
+SHARED_BUILDS = {
+    "h3_trotter": lambda: build_trotter_step(H3, TrotterConfig(0.1)),
+    "random8_trotter": lambda: build_trotter_step(RANDOM8, TrotterConfig(0.1)),
+    "h3_uccsd": lambda: build_uccsd_layer(H3_SPEC),
+}
+
+
+def _cold(build):
+    synth._template.cache_clear()
+    synth._SHARED.clear()
+    return build()
+
+
+@pytest.mark.parametrize("build", SHARED_BUILDS.values(), ids=SHARED_BUILDS)
+@pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+def test_equal_clifford_gates_are_one_object(build, cold):
+    c = _cold(build) if cold else build()
+    first = {}
+    cliffords = [g for g in c if type(g) in (Clifford1, CNOT, MS)]
+    assert len(set(cliffords)) < len(cliffords)
+    for g in cliffords:
+        assert first.setdefault(g, g) is g, g
+
+
+@pytest.mark.parametrize("build", SHARED_BUILDS.values(), ids=SHARED_BUILDS)
+def test_cold_and_warm_builds_serialize_alike(build):
+    text = serialize(_cold(build))
+    warm = build()
+    assert serialize(warm) == text
+    assert serialize(deserialize(text)) == text
+
+
+def test_shared_gates_outlive_evicted_templates():
+    """The shared table is keyed by gate value, not by template object, so a
+    template derived again after the cache is cleared fills the same objects."""
+    before = build_trotter_step(RANDOM8, TrotterConfig(0.1))
+    synth._template.cache_clear()
+    after = build_trotter_step(RANDOM8, TrotterConfig(0.1))
+    assert after == before
+    for g, h in zip(before, after):
+        if type(g) in (Clifford1, CNOT, MS):
+            assert g is h
+        elif type(g) is Rz:
+            assert g is not h

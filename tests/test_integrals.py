@@ -177,6 +177,27 @@ def test_parse_error_line_numbers():
         assert info.value.line_no == line_no, text
 
 
+@pytest.mark.parametrize("text, line_no", [
+    ("norb 1_2 reality real\n", 1),
+    ("norb \u0661 reality real\n", 1),
+    ("norb 2 reality real\n0.5 \u0661 1 0 0\n", 2),
+    ("norb 2 reality real\n1_000.5 1 1 0 0\n", 2),
+    ("norb 2 reality real\n0.5 1 1 0 0_0\n", 2),
+    ("norb 2 reality complex\n# ok\n0.5 0_1 1 2 0 0\n", 3),
+    ("norb 2 reality real\n\uff10.5 1 1 0 0\n", 2),
+], ids=["norb-underscore", "norb-arabic-indic", "index-arabic-indic", "value-underscore",
+        "index-underscore", "imaginary-underscore", "value-full-width"])
+def test_parse_refuses_numbers_python_would_read_at_their_line(text, line_no):
+    with pytest.raises(IntegralParseError) as info:
+        parse_integrals(text)
+    assert info.value.line_no == line_no
+
+
+def test_parse_comments_keep_any_text():
+    table = parse_integrals("# caf\u00e9_1\nnorb 2 reality real # \u0661_\n0.5 1 1 0 0 # 1_2\n")
+    assert table.one_body == {(0, 0): 0.5}
+
+
 def test_parse_empty_document_rejected():
     with pytest.raises(IntegralParseError):
         parse_integrals("# nothing\n")

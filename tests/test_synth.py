@@ -30,6 +30,7 @@ from ionsynth.fermion import (
 )
 from ionsynth.pauli import PauliString, PauliSum, from_label
 from ionsynth.synth import (
+    _SHARED,
     SynthesisError,
     _lower_group,
     _sandwich,
@@ -710,8 +711,10 @@ def test_templates_fill_what_a_fresh_derivation_emits(group, data):
         return pairs, placed, Circuit(width, _lower_group(pairs, width, **placed))
 
     _template.cache_clear()
+    _SHARED.clear()
     at_a, placed, cold = lower(a, thetas)
     _template.cache_clear()
+    _SHARED.clear()
     lower(b, others)
     derived = _template.cache_info().misses
     warm = lower(a, thetas)[2]
