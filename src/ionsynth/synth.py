@@ -360,8 +360,8 @@ _SHIFT = {
 # different templates share a key; an item shifted up by the offset is keyed
 # again at offset 0, so equal gates from different offsets are one object too.
 # The table grows with the distinct gate values a process emits, not with fills.
-# Two threads that miss on one value at once may each build it; the two
-# objects are equal, so either is right.
+# Two threads that miss on one pair at once each build its gate, and
+# setdefault hands both the first object stored.
 _SHARED: dict[tuple, Gate] = {}
 
 
