@@ -344,17 +344,6 @@ class Circuit:
         return Circuit(self.n_qubits, self.gates, meta)
 
 
-def concatenate(*circuits: Circuit) -> Circuit:
-    """Time-ordered concatenation; metadata of the first circuit wins."""
-    if not circuits:
-        raise CircuitError("nothing to concatenate")
-    n = max(c.n_qubits for c in circuits)
-    gates: list[Gate] = []
-    for c in circuits:
-        gates.extend(c.gates)
-    return Circuit(n, tuple(gates), circuits[0].metadata)
-
-
 @dataclass(frozen=True)
 class GateCountReport:
     ms_forward: int

@@ -52,7 +52,7 @@ from .synth import (
     compile_single_excitation,
     compile_symmetrized,
 )
-from .verify import VerifyError, assert_equivalent, circuit_unitary, generator_unitary
+from .verify import VerifyError, assert_equivalent, circuit_unitary, ordered_product
 
 # Published totals the demos reproduce for the bundled three-center cation.
 REFERENCE_COUNTS = {
@@ -229,17 +229,13 @@ _OPS = {
 
 
 def _product(factors, n_qubits: int):
-    """Ordered product of exp(-i angle G) over (G, angle), at least one factor; the
-    first factor acts first."""
-    u = None
-    for g, angle in factors:
-        if isinstance(g, ExcitationTerm):
-            g = generator_pauli(g, n_qubits)
-        if g.width != n_qubits:
-            raise VerifyError(f"generator {g!r} acts on {g.width} qubits, not {n_qubits}")
-        factor = generator_unitary(g, angle).matrix
-        u = factor if u is None else factor @ u
-    return u
+    """ordered_product over (G, angle) factors, an ExcitationTerm G read as its
+    generator on n_qubits."""
+    return ordered_product(
+        [(generator_pauli(g, n_qubits) if isinstance(g, ExcitationTerm) else g, angle)
+         for g, angle in factors],
+        n_qubits,
+    )
 
 
 # --- files and reports ------------------------------------------------------------

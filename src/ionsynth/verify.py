@@ -38,13 +38,18 @@ truncation; the speed comes from doing less arithmetic, not other arithmetic.
      diagonal.  Each is the gate's dense embedding times U' with the
      known-zero terms left out.
   3. Signed-permutation targets.  A Pauli string is a signed permutation
-     |i> -> phase(i) |i XOR flip>, so a product of commuting factors
-     cos I - i sin M(S) is a sum over flip masks of such matrices.  The
-     product route keeps one column-coefficient vector per flip mask, updates
-     it once per factor and scatters it once into a zeroed matrix; entries
-     with different flip masks never share a position, so the scatter adds
-     nothing.  The eight strings of a double excitation share one flip mask,
-     so its exponential holds two vectors.
+     |i> -> phase(i) |i XOR flip>, so any product of factors
+     cos I - i sin M(S) is a sum over flip masks of such matrices.
+     ordered_product keeps one column-coefficient vector per flip mask,
+     updates it once per string of each generator in factor order (each
+     generator's strings commute, so their exponential is the product of
+     these factors) and scatters it once into a zeroed matrix; entries with
+     different flip masks never share a position, so the scatter adds
+     nothing.  A string costs O(2^w) per flip mask held, where a dense
+     product costs O(8^w) per factor.  The eight strings of a double
+     excitation share one flip mask, so its exponential holds two vectors,
+     and the three pairings of a double window hold at most two together.
+     generator_unitary of a commuting sum is the one-factor case.
 The dense cap MAX_QUBITS applies to the register width, however few qubits
 a circuit touches.
 """
@@ -66,6 +71,7 @@ __all__ = [
     "EquivalenceReport",
     "circuit_unitary",
     "generator_unitary",
+    "ordered_product",
     "assert_equivalent",
     "dense_pauli",
     "dense_sum",
@@ -105,8 +111,7 @@ class DenseOperator:
         n = shape[0].bit_length() - 1
         if (1 << n) != shape[0]:
             raise VerifyError(f"dimension {shape[0]} is not a power of two")
-        if n > MAX_QUBITS:
-            raise VerifyError(f"{n} qubits exceeds the dense cap of {MAX_QUBITS}")
+        _check_width(n)
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
 
     @property
@@ -120,6 +125,11 @@ class DenseOperator:
     def unitarity_defect(self) -> float:
         m = self.matrix
         return float(np.linalg.norm(m.conj().T @ m - np.eye(self.dimension)))
+
+
+def _check_width(width: int) -> None:
+    if width > MAX_QUBITS:
+        raise VerifyError(f"{width} qubits exceeds the dense cap of {MAX_QUBITS}")
 
 
 def _as_matrix(op) -> np.ndarray:
@@ -156,8 +166,7 @@ def _string_masks(p: PauliString) -> tuple[int, int, int]:
 
 def dense_pauli(p: PauliString) -> np.ndarray:
     """Dense matrix of a signed Pauli string (big-endian qubit order)."""
-    if p.width > MAX_QUBITS:
-        raise VerifyError(f"{p.width} qubits exceeds the dense cap of {MAX_QUBITS}")
+    _check_width(p.width)
     dim = 1 << p.width
     flip, sign, y_count = _string_masks(p)
     idx = np.arange(dim)
@@ -168,8 +177,7 @@ def dense_pauli(p: PauliString) -> np.ndarray:
 
 
 def dense_sum(g: PauliSum) -> np.ndarray:
-    if g.width > MAX_QUBITS:
-        raise VerifyError(f"{g.width} qubits exceeds the dense cap of {MAX_QUBITS}")
+    _check_width(g.width)
     dim = 1 << g.width
     m = np.zeros((dim, dim), dtype=complex)
     for coeff, string in g.terms:
@@ -237,8 +245,7 @@ def circuit_unitary(c: Circuit, ms_form: str = "targeted") -> DenseOperator:
     (sum of operators)^2 exponential, identical up to a global phase.
     """
     n = c.n_qubits
-    if n > MAX_QUBITS:
-        raise VerifyError(f"{n} qubits exceeds the dense cap of {MAX_QUBITS}")
+    _check_width(n)
     if ms_form not in ("targeted", "squared"):
         raise VerifyError(f"unknown ms_form {ms_form!r}")
     touched = sorted({q for g in c for q in gate_qubits(g)})
@@ -267,52 +274,73 @@ def _exp_spectral(g: PauliSum, angle: float) -> np.ndarray:
     return (vectors * np.exp(-1j * angle * eigenvalues)) @ vectors.conj().T
 
 
-def _exp_product(g: PauliSum, angle: float) -> np.ndarray:
-    """exp(-i angle sum c_S S) as an exact product of involution factors.
+def _exp_product(factors: list[tuple[PauliSum, float]], width: int) -> np.ndarray:
+    """exp(-i a_k G_k) ... exp(-i a_1 G_1) over ``factors`` [(G_1, a_1), ...] as
+    an exact product of involution factors; the first factor acts first.
 
-    Valid only when the strings commute pairwise; each factor is
-    cos(angle c) I - i sin(angle c) M(S), applied to {flip: column vector}.
+    Valid only when each G's strings commute pairwise; each string S of G
+    contributes cos(a c) I - i sin(a c) M(S), applied on the left to
+    {flip: column vector}.
     """
-    dim = 1 << g.width
+    dim = 1 << width
     idx = np.arange(dim)
     columns = {0: np.ones(dim, dtype=complex)}
-    for coeff, string in g.terms:
-        flip, sign, y_count = _string_masks(string)
-        phases = (1j ** y_count) * np.where(_parity(idx & sign), -1.0, 1.0)
-        cos, sin = math.cos(angle * coeff.real), math.sin(angle * coeff.real)
-        product = {f: cos * d for f, d in columns.items()}
-        for f, d in columns.items():
-            product[f ^ flip] = product.get(f ^ flip, 0) - 1j * sin * (phases[idx ^ f] * d)
-        columns = product
+    for g, angle in factors:
+        for coeff, string in g.terms:
+            flip, sign, y_count = _string_masks(string)
+            phases = (1j ** y_count) * np.where(_parity(idx & sign), -1.0, 1.0)
+            cos, sin = math.cos(angle * coeff.real), math.sin(angle * coeff.real)
+            product = {f: cos * d for f, d in columns.items()}
+            for f, d in columns.items():
+                product[f ^ flip] = product.get(f ^ flip, 0) - 1j * sin * (phases[idx ^ f] * d)
+            columns = product
     u = np.zeros((dim, dim), dtype=complex)
     for f, d in columns.items():
         u[idx ^ f, idx] = d
     return u
 
 
-def generator_unitary(g: PauliSum | PauliString, angle: float, method: str = "auto") -> DenseOperator:
-    """exp(-i * angle * M(g)) for a Hermitian Pauli sum.
-
-    method: "spectral" forces the eigendecomposition route, "product" the
-    commuting-factor route (rejected if strings do not commute pairwise),
-    "auto" picks the product route when available.  The two routes agree to
-    1e-12 and the test suite holds them to that.
-    """
+def _hermitian_sum(g: PauliSum | PauliString, width: int) -> PauliSum:
+    """g as a Hermitian PauliSum on ``width`` qubits; a string is a one-term sum."""
+    if g.width != width:
+        raise VerifyError(f"generator {g!r} acts on {g.width} qubits, not {width}")
     if isinstance(g, PauliString):
-        g = PauliSum.from_terms(g.width, [(1.0, g)])
-    if g.width > MAX_QUBITS:
-        raise VerifyError(f"{g.width} qubits exceeds the dense cap of {MAX_QUBITS}")
+        g = PauliSum.from_terms(width, [(1.0, g)])
     if not g.is_hermitian():
         raise VerifyError("generator is not Hermitian (complex coefficients)")
-    if method == "auto":
-        method = "product" if g.strings_commute() else "spectral"
-    elif method == "product" and not g.strings_commute():
-        raise VerifyError("product route requires pairwise-commuting strings")
-    if method == "product":
-        return DenseOperator(_exp_product(g, angle))
-    if method == "spectral":
-        return DenseOperator(_exp_spectral(g, angle))
-    raise VerifyError(f"unknown method {method!r}")
+    return g
+
+
+def ordered_product(factors, width: int) -> DenseOperator:
+    """exp(-i a_k G_k) ... exp(-i a_1 G_1) over (G, a) factors; the first
+    factor acts first, as a circuit's first gate does.
+
+    Each G is a Hermitian PauliSum or PauliString on ``width`` qubits whose
+    strings commute pairwise; the product is composed as signed permutations
+    (kernel 3), never by dense matrix products.
+    """
+    _check_width(width)
+    factors = [(_hermitian_sum(g, width), angle) for g, angle in factors]
+    if not factors:
+        raise VerifyError("ordered product needs at least one factor")
+    for k, (g, _) in enumerate(factors):
+        if not g.strings_commute():
+            raise VerifyError(f"factor {k}: generator strings do not commute pairwise")
+    return DenseOperator(_exp_product(factors, width))
+
+
+def generator_unitary(g: PauliSum | PauliString, angle: float) -> DenseOperator:
+    """exp(-i * angle * M(g)) for a Hermitian Pauli sum.
+
+    Pairwise-commuting strings take ordered_product's route, any other sum
+    the eigendecomposition of its dense matrix.  The two routes agree to
+    1e-12 and the test suite holds them to that.
+    """
+    _check_width(g.width)
+    g = _hermitian_sum(g, g.width)
+    if g.strings_commute():
+        return DenseOperator(_exp_product([(g, angle)], g.width))
+    return DenseOperator(_exp_spectral(g, angle))
 
 
 # --- equivalence -----------------------------------------------------------

@@ -30,7 +30,6 @@ from ionsynth.fermion import (
     higher_excitation,
     jw_map,
     local_equivalence_conjugate,
-    local_pauli,
     single,
 )
 from ionsynth.integrals import IntegralTable, h3plus_builtin, h3plus_table, term_list
@@ -48,7 +47,7 @@ from ionsynth.synth import (
     eliminate_backward_ms,
     ms_square_phase_exponent,
 )
-from ionsynth.verify import circuit_unitary, dense_pauli, dense_sum, generator_unitary
+from ionsynth.verify import circuit_unitary, dense_pauli, dense_sum, generator_unitary, ordered_product
 
 RNG = np.random.default_rng(20260801)
 
@@ -67,8 +66,9 @@ def _defect(c, target):
     return float(np.linalg.norm(circuit_unitary(c).matrix - target))
 
 
-def _term_unitary(t, n, theta):
-    return generator_unitary(generator_pauli(t, n), theta).matrix
+def _term_product(n, factors):
+    """Ordered product of exp(-i theta G(t)) over (t, theta); the first acts first."""
+    return ordered_product([(generator_pauli(t, n), theta) for t, theta in factors], n).matrix
 
 
 # --- criterion 1: single excitations, 2 MS each -----------------------------
@@ -111,11 +111,7 @@ def test_criterion_02_double_excitation_contract():
         c = compile_double_block(p, q, r, s, angles, n_qubits=width)
         ms_ok = ms_ok and count(c).ms_total == 4
         pairings = (double(p, q, r, s), double(p, r, q, s), double(p, s, q, r))
-        factors = (_term_unitary(t, width, a) for t, a in zip(pairings, angles))
-        v = next(factors)
-        for factor in factors:
-            v = factor @ v
-        worst = max(worst, _defect(c, v))
+        worst = max(worst, _defect(c, _term_product(width, zip(pairings, angles))))
         if index % 21 == 0:
             # full-register embedding is the tensor extension by identity
             wide = compile_double_block(p, q, r, s, angles, n_qubits=10)
@@ -196,7 +192,7 @@ def test_criterion_04_higher_order_budget():
         theta = float(RNG.uniform(-0.8, 0.8))
         c = compile_higher_excitation(t, theta)
         counts.append(count(c).ms_total)
-        defect = _defect(c, _term_unitary(t, n, theta))
+        defect = _defect(c, _term_product(n, [(t, theta)]))
         defects_ok = defects_ok and defect <= tol
         worst = max(worst, defect)
     formula_ok = [budget(order) for order in (1, 2, 3)] == [2, 4, 12]
@@ -218,10 +214,7 @@ def test_criterion_05_uccsd_layer():
     layer = build_uccsd_layer(H3_SPEC)
     ms = count(layer).ms_total
     baseline = count(build_uccsd_layer(H3_SPEC, scheduling="baseline")).ms_total
-    v = np.eye(64, dtype=complex)
-    for t, theta in zip(uccsd_excitations(H3_SPEC), H3_SPEC.parameters):
-        v = _term_unitary(t, 6, theta) @ v
-    defect = _defect(layer, v)
+    defect = _defect(layer, _term_product(6, zip(uccsd_excitations(H3_SPEC), H3_SPEC.parameters)))
     ok = ms == 24 and baseline == 80 and defect <= APP_TOL
     _verdict(
         5,
@@ -234,16 +227,13 @@ def test_criterion_05_uccsd_layer():
 # --- criterion 6: Trotter step for the bundled cation -----------------------
 
 def _ordered_product(terms, dt):
-    n = 1 << terms.n_modes
-    diagonal = float(terms.constant) * np.eye(n, dtype=complex)
-    for lt in terms.local_terms:
-        diagonal += dense_sum(local_pauli(lt, terms.n_modes))
-    evals, evecs = np.linalg.eigh(diagonal)
-    v = (evecs * np.exp(-1j * dt * evals)) @ evecs.conj().T
-    for t in terms.excitation_terms:
-        # generator_pauli already carries the term coefficient
-        v = _term_unitary(t, terms.n_modes, dt) @ v
-    return v
+    """The diagonal part first, as one factor, then each excitation term."""
+    n = terms.n_modes
+    diagonal = HamiltonianTerms(n, terms.reality, terms.constant, terms.local_terms, ())
+    # generator_pauli already carries the term coefficient
+    factors = [(diagonal.pauli_sum(), dt)]
+    factors += [(generator_pauli(t, n), dt) for t in terms.excitation_terms]
+    return ordered_product(factors, n).matrix
 
 
 def test_criterion_06_trotter_step():
@@ -346,7 +336,7 @@ def test_criterion_09_mixed_cnot():
         c = compile_mixed_cnot(t, theta)
         rep = count(c)
         shape_ok = shape_ok and rep.ms_total == 2 and rep.cnot > 0
-        worst = max(worst, _defect(c, _term_unitary(t, max(t.modes) + 1, theta)))
+        worst = max(worst, _defect(c, _term_product(max(t.modes) + 1, [(t, theta)])))
     ok = shape_ok and worst <= BLOCK_TOL
     _verdict(
         9,
@@ -381,8 +371,9 @@ def _conjugation_defect():
             rhs = sign * dense_sum(generator_pauli(image, n))
             worst = max(worst, float(np.linalg.norm(lhs - rhs)))
             # and through the exponential, as the compiler uses it
-            u = _clifford_matrix(n, j, "sdg") @ _term_unitary(t, n, sign * 0.4) @ _clifford_matrix(n, j, "s")
-            worst = max(worst, float(np.linalg.norm(u - _term_unitary(image, n, 0.4))))
+            exp = _term_product(n, [(t, sign * 0.4)])
+            u = _clifford_matrix(n, j, "sdg") @ exp @ _clifford_matrix(n, j, "s")
+            worst = max(worst, float(np.linalg.norm(u - _term_product(n, [(image, 0.4)]))))
     return worst
 
 

@@ -21,7 +21,6 @@ from ionsynth.circuit import (
     Rz,
     Rzz,
     SchemaError,
-    concatenate,
     cost,
     count,
     deserialize,
@@ -436,15 +435,6 @@ def test_comments_and_blank_lines_are_ignored():
     c = deserialize("ionsynth-circuit v1\nqubits 2\ncl 1 h\n# a comment\n\ncl 1 h\nrz 0 0.5\ncl 1 h\n")
     assert c.gates == (Clifford1(1, "h"), Clifford1(1, "h"), Rz(0, 0.5), Clifford1(1, "h"))
     assert c.gates[0] is c.gates[1] is c.gates[3]
-
-
-def test_concatenate_orders_gates_and_merges_width():
-    a = Circuit(2, (Rz(0, 0.1),), {"op": "a"})
-    b = Circuit(4, (Rz(3, 0.2),))
-    merged = concatenate(a, b)
-    assert merged.n_qubits == 4
-    assert merged.gates == (Rz(0, 0.1), Rz(3, 0.2))
-    assert merged.metadata == {"op": "a"}
 
 
 _angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False,

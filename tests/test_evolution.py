@@ -45,7 +45,7 @@ from ionsynth.fermion import (
     single,
 )
 from ionsynth.integrals import IntegralTable, h3plus_builtin, term_list
-from ionsynth.verify import circuit_unitary, dense_sum, generator_unitary
+from ionsynth.verify import circuit_unitary, dense_sum, ordered_product
 
 H3 = h3plus_builtin()
 H3_SPEC = AnsatzSpec(6, (0, 1), (2, 3, 4, 5), tuple(0.07 * (i + 1) for i in range(8)))
@@ -60,8 +60,9 @@ def exact_exp(matrix, dt):
     return (evecs * np.exp(-1j * dt * evals)) @ evecs.conj().T
 
 
-def ordered_product(terms, dt, groups):
-    """Product of exact factors: diagonal part first, then each group."""
+def spectral_product(terms, dt, groups):
+    """Product of exact factors, each by eigendecomposition: diagonal part
+    first, then each group.  It shares no code with ordered_product."""
     n = 1 << terms.n_modes
     diagonal = float(terms.constant) * np.eye(n, dtype=complex)
     for lt in terms.local_terms:
@@ -305,7 +306,7 @@ def fusable_terms(draw):
 def test_parallel_step_is_the_product_over_fusion_groups(terms, dt):
     groups = fusion_groups(terms.excitation_terms)
     c = build_trotter_step(terms, TrotterConfig(dt, orbital_class=terms.reality))
-    v = ordered_product(terms, dt, groups)
+    v = spectral_product(terms, dt, groups)
     assert np.linalg.norm(circuit_unitary(c).matrix - v) < 1e-9
     assert count(c).ms_total == sum(BLOCK_MS[g[0].kind] for g in groups)
 
@@ -324,7 +325,7 @@ def test_trotter_step_matches_the_ordered_product():
             if scheduling == "parallelized"
             else per_term_groups(H3)
         )
-        v = ordered_product(H3, dt, groups)
+        v = spectral_product(H3, dt, groups)
         assert np.linalg.norm(circuit_unitary(c).matrix - v) < 1e-9
 
 
@@ -381,7 +382,7 @@ def test_trotter_complex_class_handles_mixed_families():
             if scheduling == "parallelized"
             else per_term_groups(terms)
         )
-        v = ordered_product(terms, dt, groups)
+        v = spectral_product(terms, dt, groups)
         assert np.linalg.norm(circuit_unitary(c).matrix - v) < 1e-9
     # the symmetrized and antisymmetrized doubles share a window but not a block
     sizes = [len(g) for g in fusion_groups(terms.excitation_terms)]
@@ -413,24 +414,33 @@ def test_trotter_error_probe_rejects_large_registers():
 # --- shared Clifford gates ----------------------------------------------------------
 
 
-def _random_real_terms(n: int, seed: int) -> HamiltonianTerms:
-    """A dense real table on n modes, every symmetry orbit set from the seed."""
+def _random_terms(n: int, seed: int, reality: str = "real") -> HamiltonianTerms:
+    """A dense table on n modes, every symmetry orbit set from the seed;
+    complex where the orbit does not tie the entry to its own conjugate."""
     rng = random.Random(seed)
-    table = IntegralTable(n, "real")
+    table = IntegralTable(n, reality)
+
+    def value(real: bool):
+        v = rng.uniform(-1.0, 1.0)
+        return v if real or reality == "real" else complex(v, rng.uniform(-1.0, 1.0))
+
     for p in range(n):
         for q in range(p, n):
-            table.set_one_body(p, q, rng.uniform(-1.0, 1.0))
+            table.set_one_body(p, q, value(p == q))
     seen = set()
-    for p, q, r, s in itertools.product(range(n), repeat=4):
-        rep = min((p, q, r, s), (q, p, s, r), (r, s, p, q), (s, r, q, p),
-                  (r, q, p, s), (s, p, q, r), (p, s, r, q), (q, r, s, p))
+    for key in itertools.product(range(n), repeat=4):
+        p, q, r, s = key
+        plain, conjugated = {key, (q, p, s, r)}, {(r, s, p, q), (s, r, q, p)}
+        if reality == "real":
+            plain |= conjugated | {(r, q, p, s), (s, p, q, r), (p, s, r, q), (q, r, s, p)}
+        rep = min(plain | conjugated)
         if rep not in seen:
             seen.add(rep)
-            table.set_two_body(*rep, rng.uniform(-1.0, 1.0))
+            table.set_two_body(*rep, value(plain == conjugated))
     return term_list(table)
 
 
-RANDOM8 = _random_real_terms(8, 17)
+RANDOM8 = _random_terms(8, 17)
 SHARED_BUILDS = {
     "h3_trotter": lambda: build_trotter_step(H3, TrotterConfig(0.1)),
     "random8_trotter": lambda: build_trotter_step(RANDOM8, TrotterConfig(0.1)),
@@ -475,3 +485,29 @@ def test_shared_gates_outlive_evicted_templates():
             assert g is h
         elif type(g) is Rz:
             assert g is not h
+
+
+# --- whole-step oracle checks -------------------------------------------------------
+
+
+def group_factors(terms, groups):
+    """One generator per factor of a step: the diagonal part (constant and
+    local Z strings, which all commute), then each group in order."""
+    n, reality = terms.n_modes, terms.reality
+    blocks = [HamiltonianTerms(n, reality, terms.constant, terms.local_terms, ())]
+    blocks += [HamiltonianTerms(n, reality, 0.0, (), g) for g in groups]
+    return [b.pauli_sum() for b in blocks]
+
+
+@pytest.mark.parametrize("reality", ["real", "complex"])
+def test_eight_mode_step_is_the_product_over_fusion_groups(reality):
+    """A whole parallelized step on a dense 8-mode table.  Factors must be
+    grouped: the schedule moves each fused group to its first member's
+    position, so the per-term order is a different operator."""
+    terms = RANDOM8 if reality == "real" else _random_terms(8, 17, "complex")
+    dt = 0.07
+    groups = fusion_groups(terms.excitation_terms)
+    assert max(len(g) for g in groups) > 1
+    c = build_trotter_step(terms, TrotterConfig(dt, orbital_class=reality))
+    v = ordered_product([(g, dt) for g in group_factors(terms, groups)], 8)
+    assert np.linalg.norm(circuit_unitary(c).matrix - v.matrix) < 1e-9

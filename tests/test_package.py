@@ -9,9 +9,6 @@ import ionsynth
 
 MODULES = ("pauli", "circuit", "fermion", "integrals", "synth", "verify", "evolution")
 
-# Public definitions a module keeps out of the package API.
-UNEXPORTED = {"circuit": {"concatenate"}}
-
 
 @pytest.mark.parametrize("name", MODULES)
 def test_module_all_names_every_public_class_and_function(name):
@@ -22,7 +19,7 @@ def test_module_all_names_every_public_class_and_function(name):
         and (inspect.isclass(value) or inspect.isfunction(value))
         and value.__module__ == module.__name__
     }
-    assert defined - UNEXPORTED.get(name, set()) <= set(module.__all__)
+    assert defined <= set(module.__all__)
     namespace = {}
     exec(f"from ionsynth.{name} import *", namespace)
     assert set(module.__all__) <= set(namespace)

@@ -48,7 +48,13 @@ from ionsynth.synth import (
     higher_order_ms_count,
     ms_square_phase_exponent,
 )
-from ionsynth.verify import assert_equivalent, circuit_unitary, dense_pauli, generator_unitary
+from ionsynth.verify import (
+    assert_equivalent,
+    circuit_unitary,
+    dense_pauli,
+    generator_unitary,
+    ordered_product,
+)
 
 RNG = np.random.default_rng(20260816)
 
@@ -72,8 +78,9 @@ def assert_exact(c, generator, angle, tol=1e-10):
     assert report, f"defect {report.distance:.3e} exceeds {tol}"
 
 
-def term_unitary(t, theta, width):
-    return generator_unitary(generator_pauli(t, width), theta).matrix
+def term_product(width, factors):
+    """Ordered product of exp(-i a G(t)) over (t, a); the first acts first."""
+    return ordered_product([(generator_pauli(t, width), a) for t, a in factors], width)
 
 
 # --- plain Pauli rotations ----------------------------------------------------
@@ -215,10 +222,7 @@ def test_double_block_runs_all_three_pairings_in_parallel():
     c = compile_double_block(0, 1, 2, 3, angles)
     assert count(c).ms_total == 4
     pairs = [double(0, 1, 2, 3), double(0, 2, 1, 3), double(0, 3, 1, 2)]
-    v = np.eye(16, dtype=complex)
-    for t, a in zip(pairs, angles):
-        v = term_unitary(t, a, 4) @ v
-    report = assert_equivalent(circuit_unitary(c), v, tol=1e-10)
+    report = assert_equivalent(circuit_unitary(c), term_product(4, zip(pairs, angles)), tol=1e-10)
     assert report, report.distance
 
 
@@ -230,9 +234,7 @@ def test_double_block_window_skips_the_gap_qubit():
         touched.update(getattr(g, "qubits", ()) or [getattr(g, "qubit", -1)])
     assert 2 not in touched
     pairs = [double(0, 1, 3, 4), double(0, 3, 1, 4), double(0, 4, 1, 3)]
-    v = np.eye(32, dtype=complex)
-    for t, a in zip(pairs, (0.25, 0.19, -0.31)):
-        v = term_unitary(t, a, 5) @ v
+    v = term_product(5, zip(pairs, (0.25, 0.19, -0.31)))
     report = assert_equivalent(circuit_unitary(c), v, tol=1e-10)
     assert report, report.distance
 
@@ -258,7 +260,7 @@ def test_coupled_exchange_cancels_half_the_rotations():
     c = compile_coupled_exchange(0, 1, 2, 3, 0.41)
     assert count(c).ms_total == 4
     assert len(rz_angles(c)) == 4
-    v = term_unitary(double(0, 1, 2, 3), 0.41, 4) @ term_unitary(double(0, 3, 2, 1), 0.41, 4)
+    v = term_product(4, [(double(0, 3, 2, 1), 0.41), (double(0, 1, 2, 3), 0.41)])
     report = assert_equivalent(circuit_unitary(c), v, tol=1e-10)
     assert report, report.distance
 
@@ -272,7 +274,7 @@ def test_coupled_exchange_equals_the_signed_block():
     diff = np.linalg.norm(circuit_unitary(c).matrix - circuit_unitary(b).matrix)
     assert diff < 1e-14
     wrong = compile_double_block(1, 2, 4, 5, (theta, 0.0, theta))
-    v = term_unitary(double(1, 2, 4, 5), theta, 6) @ term_unitary(double(1, 5, 4, 2), theta, 6)
+    v = term_product(6, [(double(1, 5, 4, 2), theta), (double(1, 2, 4, 5), theta)])
     assert assert_equivalent(circuit_unitary(c), v, tol=1e-10)
     assert assert_equivalent(circuit_unitary(wrong), v, tol=1e-10).distance > 0.1
 
@@ -581,9 +583,7 @@ def test_every_compiler_is_phase_exact_on_random_angles():
             assert_exact(c, generator_pauli(t, orbitals[-1] + 1), theta)
     for theta in angles():
         c = compile_coupled_exchange(0, 2, 3, 5, theta)
-        v = term_unitary(double(0, 2, 3, 5), theta, 6) @ term_unitary(
-            double(0, 5, 3, 2), theta, 6
-        )
+        v = term_product(6, [(double(0, 5, 3, 2), theta), (double(0, 2, 3, 5), theta)])
         report = assert_equivalent(circuit_unitary(c), v, tol=1e-10)
         assert report, report.distance
     for theta in angles():

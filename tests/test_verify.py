@@ -21,19 +21,21 @@ from ionsynth.circuit import (
     GlobalPhase,
     Rz,
     Rzz,
-    concatenate,
 )
 from ionsynth.fermion import controlled_single, double, generator_pauli, single
 from ionsynth.pauli import PauliString, PauliSum, from_label
 from ionsynth.verify import (
     DenseOperator,
+    MAX_QUBITS,
     VerifyError,
+    _exp_spectral,
     _parity,
     assert_equivalent,
     circuit_unitary,
     dense_pauli,
     dense_sum,
     generator_unitary,
+    ordered_product,
 )
 
 RNG = np.random.default_rng(20260816)
@@ -311,7 +313,7 @@ def test_concatenation_homomorphism():
     for _ in range(4):
         c1 = random_circuit(3, 5)
         c2 = random_circuit(3, 5)
-        whole = circuit_unitary(concatenate(c1, c2)).matrix
+        whole = circuit_unitary(Circuit(3, c1.gates + c2.gates)).matrix
         parts = circuit_unitary(c2).matrix @ circuit_unitary(c1).matrix
         assert np.abs(whole - parts).max() < 1e-12
 
@@ -438,9 +440,8 @@ def test_product_route_matches_spectral_route():
     g = PauliSum.from_terms(4, [(c, from_label(s)) for c, s in zip(coeffs, labels)])
     assert g.strings_commute()
     for angle in (0.9, -2.3):
-        via_product = generator_unitary(g, angle, method="product").matrix
-        via_spectral = generator_unitary(g, angle, method="spectral").matrix
-        assert np.abs(via_product - via_spectral).max() < 1e-12
+        via_product = ordered_product([(g, angle)], 4).matrix
+        assert np.abs(via_product - _exp_spectral(g, angle)).max() < 1e-12
 
 
 def _flip_masks(g):
@@ -448,14 +449,14 @@ def _flip_masks(g):
 
 
 @st.composite
-def commuting_sums(draw):
+def commuting_sums(draw, widths=st.integers(4, 6)):
     """Commuting Pauli sums whose strings need not share one flip mask.
 
     Strings come from double, single and controlled-single generators (with
     their parity tails) and from Z-only strings, kept greedily while they
     commute with everything kept so far.
     """
-    n = draw(st.integers(4, 6))
+    n = draw(widths)
     modes = st.lists(st.integers(0, n - 1), unique=True, min_size=4, max_size=4)
     pool = []
     for source in draw(st.lists(st.sampled_from(["double", "single", "controlled", "z"]),
@@ -494,16 +495,15 @@ DOUBLE_WITH_Z = PauliSum.from_terms(5, [
 @example(DOUBLE_WITH_Z, -1.7)
 def test_sparse_product_route_matches_spectral(g, angle):
     assert g.strings_commute() and len(_flip_masks(g)) >= 2
-    via_product = generator_unitary(g, angle, method="product").matrix
-    via_spectral = generator_unitary(g, angle, method="spectral").matrix
-    assert np.abs(via_product - via_spectral).max() < 1e-12
+    via_product = ordered_product([(g, angle)], g.width).matrix
+    assert np.abs(via_product - _exp_spectral(g, angle)).max() < 1e-12
 
 
 def test_product_route_rejects_noncommuting():
     g = PauliSum.from_terms(1, [(1.0, from_label("X")), (1.0, from_label("Z"))])
-    with pytest.raises(VerifyError):
-        generator_unitary(g, 0.5, method="product")
-    # auto falls back to spectral and still works
+    with pytest.raises(VerifyError, match="do not commute"):
+        ordered_product([(g, 0.5)], 1)
+    # generator_unitary falls back to spectral and still works
     u = generator_unitary(g, 0.5).matrix
     assert np.abs(u - expm_h(PAULI["X"] + PAULI["Z"], 0.5)).max() < 1e-12
 
@@ -512,6 +512,52 @@ def test_non_hermitian_generator_rejected():
     g = PauliSum.from_terms(1, [(1j, from_label("X"))])
     with pytest.raises(VerifyError):
         generator_unitary(g, 0.1)
+
+
+# --- ordered_product -------------------------------------------------------
+
+@st.composite
+def factor_lists(draw):
+    """One to four factors on one register of 4 to 8 qubits, each the three
+    pairings of a random double window or a commuting_sums generator."""
+    n = draw(st.integers(4, 8))
+    angles = st.floats(-3.0, 3.0, allow_nan=False)
+    factors = []
+    for source in draw(st.lists(st.sampled_from(["window", "sum"]), min_size=1, max_size=4)):
+        if source == "window":
+            p, q, r, s = sorted(draw(st.lists(st.integers(0, n - 1), unique=True,
+                                              min_size=4, max_size=4)))
+            for t in (double(p, q, r, s), double(p, r, q, s), double(p, s, q, r)):
+                factors.append((generator_pauli(t, n), draw(angles)))
+        else:
+            factors.append((draw(commuting_sums(st.just(n))), draw(angles)))
+    return n, factors
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_lists())
+def test_ordered_product_matches_the_dense_chain(case):
+    """The reference is the dense chain of factor exponentials, first factor
+    rightmost; the sums of distinct factors need not commute, so this pins
+    the order too."""
+    n, factors = case
+    chain = generator_unitary(*factors[0]).matrix
+    for g, angle in factors[1:]:
+        chain = generator_unitary(g, angle).matrix @ chain
+    assert np.linalg.norm(ordered_product(factors, n).matrix - chain) < 1e-12
+
+
+@pytest.mark.parametrize("factors, width, named", [
+    ([(from_label("XZY"), 0.5)], 2, "XZY"),
+    ([(PauliSum.from_terms(2, [(0.5, from_label("XY"))]), 0.5)], 3, "acts on 2 qubits, not 3"),
+    ([(PauliSum.from_terms(1, [(1j, from_label("X"))]), 0.1)], 1, "not Hermitian"),
+    ([(from_label("X").with_phase(1j), 0.1)], 1, "not Hermitian"),
+    ([(PauliString(MAX_QUBITS + 1, {0: "X"}), 0.1)], MAX_QUBITS + 1, "dense cap"),
+    ([], 3, "at least one factor"),
+], ids=["string-width", "sum-width", "complex-coefficient", "string-phase", "cap", "empty"])
+def test_ordered_product_refusals(factors, width, named):
+    with pytest.raises(VerifyError, match=named):
+        ordered_product(factors, width)
 
 
 # --- assert_equivalent -----------------------------------------------------
