@@ -41,10 +41,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from numbers import Real
-from operator import attrgetter, index
+from operator import attrgetter
 from typing import Callable, Iterator, Mapping, NamedTuple, Union, get_type_hints
 
-from .pauli import CLIFFORD1_NAMES
+from .pauli import CLIFFORD1_NAMES, _as_index
 
 __all__ = [
     "MS",
@@ -281,7 +281,7 @@ def _check_qubit(gate: Gate, q, n_qubits: int) -> None:
     """Refuses a qubit outside 0..n_qubits-1 or one that is not an integer: a
     bool or a float would be written as 'true' or '0.5', which the v1 parser
     rejects.  numpy integers pass."""
-    if isinstance(q, bool) or not _has_index(q):
+    if _as_index(q) is None:
         raise CircuitError(f"gate {gate!r} has qubit {q!r}, which is not an integer")
     if not 0 <= q < n_qubits:
         raise CircuitError(f"gate {gate!r} touches qubit {q} outside 0..{n_qubits - 1}")
@@ -294,14 +294,6 @@ def _unplain(tokens) -> str | None:
     return next((token for token in tokens if not token.isascii() or "_" in token), None)
 
 
-def _has_index(q) -> bool:
-    try:
-        index(q)
-    except TypeError:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class Circuit:
     n_qubits: int
@@ -311,7 +303,7 @@ class Circuit:
     def __post_init__(self) -> None:
         n = self.n_qubits
         # a bool, float or str width would be written as a qubits line the v1 parser rejects
-        if type(n) is not int and (isinstance(n, bool) or not _has_index(n)):
+        if type(n) is not int and _as_index(n) is None:
             raise CircuitError(f"qubit count {n!r} is not an integer")
         if n < 0:
             raise CircuitError("negative qubit count")

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import index
 
 import numpy as np
 
-from .circuit import Circuit, Clifford1, Gate, GlobalPhase, Rz, Rzz, _has_index
+from .circuit import Circuit, Clifford1, Gate, GlobalPhase, Rz, Rzz
 from .fermion import ExcitationTerm, HamiltonianTerms, double, local_pauli, single
+from .pauli import _as_index
 from .synth import _lower_group
 from .verify import circuit_unitary, dense_sum
 
@@ -55,23 +55,23 @@ class EvolutionError(ValueError):
 def _mode(m, n_modes: int) -> int:
     """A mode of an n_modes register as an int.  Floats and bools are refused,
     not truncated or read as 0 and 1; numpy integers pass."""
-    if isinstance(m, bool) or not _has_index(m):
+    i = _as_index(m)
+    if i is None:
         raise EvolutionError(f"mode {m!r} is not an integer")
-    m = index(m)
-    if not 0 <= m < n_modes:
-        raise EvolutionError(f"mode {m} outside register of {n_modes}")
-    return m
+    if not 0 <= i < n_modes:
+        raise EvolutionError(f"mode {i} outside register of {n_modes}")
+    return i
 
 
 def _mode_count(n_modes) -> int:
     """A register's mode count as an int, refused like a mode when it is a
     float or a bool, or when it is negative."""
-    if isinstance(n_modes, bool) or not _has_index(n_modes):
+    n = _as_index(n_modes)
+    if n is None:
         raise EvolutionError(f"mode count {n_modes!r} is not an integer")
-    n_modes = index(n_modes)
-    if n_modes < 0:
-        raise EvolutionError(f"negative mode count {n_modes}")
-    return n_modes
+    if n < 0:
+        raise EvolutionError(f"negative mode count {n}")
+    return n
 
 
 @dataclass(frozen=True)

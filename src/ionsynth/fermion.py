@@ -28,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, identity_string, multiply
+from .pauli import PauliString, PauliSum, _as_index, identity_string, multiply
 
 __all__ = [
     "FermionError",
@@ -65,6 +65,25 @@ Factor = tuple[int, bool]  # (mode, is_creation)
 _MERGE_EPS = 1e-15
 
 
+def _mode(m) -> int:
+    """A mode index as an int: numpy integers pass, and a bool or a float is
+    refused rather than read as 0 or 1 or truncated."""
+    i = m if type(m) is int else _as_index(m)
+    if i is None:
+        raise FermionError(f"mode {m!r} is not an integer")
+    return i
+
+
+_INT = frozenset({int})
+
+
+def _modes(modes) -> tuple[int, ...]:
+    """Modes as a tuple of ints (see _mode); a tuple of ints passes as it is,
+    tested in one pass, since every term a table splits into comes here."""
+    modes = tuple(modes)
+    return modes if _INT.issuperset(map(type, modes)) else tuple(map(_mode, modes))
+
+
 @dataclass(frozen=True)
 class FermionOperator:
     """Linear combination of ladder-operator products.
@@ -78,11 +97,15 @@ class FermionOperator:
     products: tuple[tuple[complex, tuple[Factor, ...]], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.n_modes < 0:
+        n_modes = _as_index(self.n_modes)
+        if n_modes is None:
+            raise FermionError(f"mode count {self.n_modes!r} is not an integer")
+        if n_modes < 0:
             raise FermionError("negative mode count")
+        object.__setattr__(self, "n_modes", n_modes)
         merged: dict[tuple[Factor, ...], complex] = {}
         for coeff, factors in self.products:
-            factors = tuple((int(m), bool(c)) for m, c in factors)
+            factors = tuple((_mode(m), bool(c)) for m, c in factors)
             for m, _ in factors:
                 if not (0 <= m < self.n_modes):
                     raise FermionError(f"mode {m} outside 0..{self.n_modes - 1}")
@@ -201,7 +224,9 @@ class ExcitationTerm:
 
     sub holds the creation (subscript) modes, sup the annihilation
     (superscript) modes, both strictly ascending; reordering signs are folded
-    into the coefficient by the factory functions below.
+    into the coefficient by the factory functions below.  Modes are stored as
+    ints and the flag as a bool (numpy integers and bools are converted); any
+    other type is refused.
     """
 
     kind: str
@@ -214,9 +239,15 @@ class ExcitationTerm:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise FermionError(f"unknown excitation kind {self.kind!r}")
-        sub, sup = tuple(self.sub), tuple(self.sup)
+        sub, sup = _modes(self.sub), _modes(self.sup)
         object.__setattr__(self, "sub", sub)
         object.__setattr__(self, "sup", sup)
+        if self.control is not None and type(self.control) is not int:
+            object.__setattr__(self, "control", _mode(self.control))
+        if type(self.symmetrized) is not bool:
+            if not isinstance(self.symmetrized, np.bool_):
+                raise FermionError(f"symmetrized must be a bool, got {self.symmetrized!r}")
+            object.__setattr__(self, "symmetrized", bool(self.symmetrized))
         object.__setattr__(self, "coefficient", _finite(self.coefficient))
         if any(m < 0 for m in sub + sup) or (self.control is not None and self.control < 0):
             raise FermionError("negative mode index")
@@ -349,9 +380,11 @@ class LocalTerm:
     coefficient: float = 1.0
 
     def __post_init__(self) -> None:
-        modes = tuple(self.modes)
+        modes = _modes(self.modes)
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "coefficient", _finite(self.coefficient))
+        if any(m < 0 for m in modes):
+            raise FermionError("negative mode index")
         if self.kind == "density":
             if len(modes) != 1:
                 raise FermionError("density term takes one mode")

@@ -31,12 +31,12 @@ operand, as the loop's, and the result is bit-identical to it.
 import cmath
 import itertools
 from importlib import resources
-from operator import index
 
 import numpy as np
 
-from .circuit import _has_index, _unplain
+from .circuit import _unplain
 from .fermion import _DROP_EPS, HamiltonianTerms, _Accumulator, _digit_codes, density_term, single
+from .pauli import _as_index
 
 __all__ = [
     "IntegralError",
@@ -121,11 +121,12 @@ class IntegralTable:
     def __init__(self, n_modes: int, reality: str, constant: float = 0.0):
         if reality not in ("real", "complex"):
             raise IntegralError(f"unknown reality class {reality!r}")
-        if isinstance(n_modes, bool) or not _has_index(n_modes):
+        n = _as_index(n_modes)
+        if n is None:
             raise IntegralError(f"mode count {n_modes!r} is not an integer")
-        if n_modes < 1:
+        if n < 1:
             raise IntegralError("need at least one mode")
-        self.n_modes = index(n_modes)
+        self.n_modes = n
         self.reality = reality
         self.constant = _finite(constant).real
         self._one: dict[tuple, complex] = {}
@@ -133,16 +134,20 @@ class IntegralTable:
         # original input tuple per representative, for conflict messages
         self._sources: dict[tuple, tuple] = {}
 
-    def _check_modes(self, key):
-        for m in key:
+    def _check_modes(self, key) -> tuple[int, ...]:
+        """key as ints, each a mode of this table.  A bool or a float is
+        refused, not truncated: 2.5 would store or read the entry of mode 2."""
+        modes = tuple(m if type(m) is int else _as_index(m) for m in key)
+        for m, given in zip(modes, key):
+            if m is None:
+                raise IntegralError(f"mode {given!r} is not an integer")
             if not 0 <= m < self.n_modes:
-                raise IntegralError(
-                    f"mode {m} outside table of {self.n_modes} modes"
-                )
+                raise IntegralError(f"mode {m} outside table of {self.n_modes} modes")
+        return modes
 
     def _set(self, store, key, value, orbit) -> None:
         value = _finite(value)
-        self._check_modes(key)
+        key = self._check_modes(key)
         if self.reality == "real" and abs(value.imag) > _CONFLICT_TOL:
             raise IntegralError("real table cannot hold an imaginary part")
         rep, flags = _canonical(orbit(key, self.reality))
@@ -159,7 +164,7 @@ class IntegralTable:
         self._sources[rep] = key
 
     def _lookup(self, store, key, orbit) -> complex:
-        self._check_modes(key)
+        key = self._check_modes(key)
         rep, flags = _canonical(orbit(key, self.reality))
         value = store.get(rep, 0j)
         return value.conjugate() if flags == {True} else value

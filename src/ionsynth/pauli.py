@@ -39,6 +39,7 @@ images, with Y = iXZ.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -86,6 +87,18 @@ _I_POWERS = (1, 1j, -1, -1j)
 
 class PauliError(ValueError):
     """Structural error in Pauli-algebra inputs."""
+
+
+def _as_index(value) -> int | None:
+    """value as an int when it is an integer, numpy integers included, or
+    None for a bool, a float or anything else: the rule for every mode, qubit
+    and count index in the package, so none is truncated or read as 0 or 1."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return index(value)
+    except TypeError:
+        return None
 
 
 def _check_phase(phase: complex) -> complex:

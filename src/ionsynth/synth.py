@@ -30,13 +30,14 @@ flag, then the relative conjugation mode, the scheme and the star axis.
 each Clifford1, CNOT and MS gate as the plain tuple (kind, *fields), and each
 Rz / CRz as a slot (qubit, control, factor, zero, ((member, scale), ...))
 whose factor is 2 or 4 times the pullback sign and whose scales are the exact
-generator string weights of unit-coefficient terms.  A call hands out the
-Clifford gates shifted to the group's lowest mode, one shared object per gate
-value (``_SHARED``: gates are frozen and compare by value, so every fill of
-every template that emits Clifford1(3, "H") emits the same object, built and
-checked once), and sets each slot's angle to factor * weight, with weight
-summed from ``zero`` over theta_j * (coefficient_j * scale) in member order,
-then string order: the order in which the string pool always summed them.
+generator string weights of unit-coefficient terms.  A call emits one gate
+per item, whatever the angles: the Clifford gates shifted to the group's
+lowest mode, one shared object per gate value (``_SHARED``: gates are frozen
+and compare by value, so every fill of every template that emits
+Clifford1(3, "H") emits the same object, built and checked once), and each
+slot as an Rz / CRz of angle factor * weight, with weight summed from
+``zero`` over theta_j * (coefficient_j * scale) in member order, then string
+order: the order in which the string pool always summed them.
 Every scale and factor is a signed power of two, so coefficient_j * scale is
 the string weight the generator itself computes, and the angles keep their
 last bit, subnormal angles included.
@@ -387,13 +388,11 @@ def _shared(item: tuple, offset: int) -> Gate:
     return gate
 
 
-def _fill(
-    items, thetas, coefficients=(1.0,), offset: int = 0, keep_zero: bool = True
-) -> list[Gate]:
-    """Gates of a sandwich or template (see _items): its Clifford items shifted
-    up by ``offset`` qubits, one shared object per value, its slots made into
-    Rz / CRz gates with angles from the members' ``thetas`` and
-    ``coefficients``; zero angles are dropped unless ``keep_zero``."""
+def _fill(items, thetas, coefficients, offset: int) -> list[Gate]:
+    """Gates of a sandwich or template (see _items), one per item: its Clifford
+    items shifted up by ``offset`` qubits, one shared object per value, its
+    slots made into Rz / CRz gates with angles from the members' ``thetas``
+    and ``coefficients``, zero angles included."""
     gates: list[Gate] = []
     shared = _SHARED
     for item in items:
@@ -405,12 +404,11 @@ def _fill(
         for member, scale in item.terms:
             weight += thetas[member] * (coefficients[member] * scale)
         angle = item.factor * weight
-        if keep_zero or angle != 0.0:
-            qubit = item.qubit + offset
-            if item.control is None:
-                gates.append(Rz(qubit, angle))
-            else:
-                gates.append(CRz(item.control + offset, qubit, angle))
+        qubit = item.qubit + offset
+        if item.control is None:
+            gates.append(Rz(qubit, angle))
+        else:
+            gates.append(CRz(item.control + offset, qubit, angle))
     return gates
 
 
@@ -626,18 +624,16 @@ def _template(key) -> tuple:
     return _items(items)
 
 
-def _lower_group(
-    pairs, width: int, *, conjugation_mode: int | None = None, scheme: str = "layers",
-    axis: str = "xx", keep_zero: bool = True,
-) -> list[Gate]:
+def _lower_group(pairs, width: int, *, conjugation_mode: int | None = None,
+                 scheme: str = "layers", axis: str = "xx") -> list[Gate]:
     """Gates for one fusion group: commuting same-shape (term, angle) pairs,
     spent by ``scheme`` with the first star layer on ``axis``.
 
     Except under ``strings``, symmetrized terms become their antisymmetrized
     twins wrapped in S_j ... S_j&dagger;; j is the first creation mode, where
     every sign is +1, unless ``conjugation_mode`` names another.  The gates
-    come from the template of the group's shape (see the module docstring);
-    only the angles are computed per call.
+    come from the template of the group's shape, one per item (see the module
+    docstring); only the angles are computed per call.
     """
     lo = min(t.modes[0] for t, _ in pairs)
     hi = max(t.modes[-1] for t, _ in pairs)
@@ -658,7 +654,7 @@ def _lower_group(
         raise SynthesisError(f"{exc} (qubits counted from {lo})") from None
     thetas = [theta for _, theta in pairs]
     coefficients = [t.coefficient for t, _ in pairs]
-    return _fill(template, thetas, coefficients, lo, keep_zero)
+    return _fill(template, thetas, coefficients, lo)
 
 
 # --- public compilers -----------------------------------------------------------
@@ -686,7 +682,8 @@ def compile_pauli_rotation(p: PauliString, phi: float) -> Circuit:
     signed_phi = float(phi) * (1 if p.phase == 1 else -1)
     target = p.with_phase(1)
     requests = [(target.support()[0], _product(0, 0.5), target, None)]
-    gates = _fill(_items(_sandwich(p.width, target.support(), "xx", requests)), (signed_phi,))
+    items = _items(_sandwich(p.width, target.support(), "xx", requests))
+    gates = _fill(items, (signed_phi,), (1.0,), 0)
     return Circuit(p.width, gates, {"op": "pauli_rotation"})
 
 
@@ -723,11 +720,13 @@ def compile_double_block(
 def compile_coupled_exchange(
     p: int, q: int, r: int, s: int, theta: float, n_qubits: int | None = None
 ) -> Circuit:
-    """exp(-i theta (G_pq^rs + G_ps^rq)); two of the four Rz slots cancel."""
+    """exp(-i theta (G_pq^rs + G_ps^rq)); two of the four Rz slots cancel and are dropped."""
     if not 0 <= p < q < r < s:
         raise SynthesisError(f"orbitals must be strictly increasing, got {(p, q, r, s)}")
     terms = [(double(p, q, r, s), float(theta)), (double(p, s, r, q), float(theta))]
-    return _compiled("coupled_exchange", terms, n_qubits, keep_zero=False)
+    width = 1 + s if n_qubits is None else n_qubits
+    gates = [g for g in _lower_group(terms, width) if not (type(g) is Rz and g.angle == 0.0)]
+    return Circuit(width, gates, {"op": "coupled_exchange"})
 
 
 def compile_controlled_single(

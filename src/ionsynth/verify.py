@@ -38,7 +38,8 @@ truncation; the speed comes from doing less arithmetic, not other arithmetic.
      diagonal.  Each is the gate's dense embedding times U' with the
      known-zero terms left out.
   3. Signed-permutation targets.  A Pauli string is a signed permutation
-     |i> -> phase(i) |i XOR flip>, so any product of factors
+     |i> -> phase(i) |i XOR flip> (_signed_permutation, which dense_pauli
+     and dense_sum scatter too), so any product of factors
      cos I - i sin M(S) is a sum over flip masks of such matrices.
      ordered_product keeps one column-coefficient vector per flip mask,
      updates it once per string of each generator in factor order (each
@@ -164,24 +165,34 @@ def _string_masks(p: PauliString) -> tuple[int, int, int]:
     return flip, sign, y_count
 
 
+def _signed_permutation(p: PauliString, idx: np.ndarray) -> tuple[int, np.ndarray]:
+    """(flip, phases) with M(p)|i> = phases[i] |i XOR flip> over the basis
+    indices ``idx`` (np.arange of the dimension)."""
+    flip, sign, y_count = _string_masks(p)
+    return flip, p.phase * (1j ** y_count) * np.where(_parity(idx & sign), -1.0, 1.0)
+
+
 def dense_pauli(p: PauliString) -> np.ndarray:
     """Dense matrix of a signed Pauli string (big-endian qubit order)."""
     _check_width(p.width)
     dim = 1 << p.width
-    flip, sign, y_count = _string_masks(p)
     idx = np.arange(dim)
-    phases = p.phase * (1j ** y_count) * np.where(_parity(idx & sign), -1.0, 1.0)
+    flip, phases = _signed_permutation(p, idx)
     m = np.zeros((dim, dim), dtype=complex)
     m[idx ^ flip, idx] = phases
     return m
 
 
 def dense_sum(g: PauliSum) -> np.ndarray:
+    """Dense matrix of a Pauli sum: each string added onto its own 2^n
+    signed-permutation entries of one matrix."""
     _check_width(g.width)
     dim = 1 << g.width
+    idx = np.arange(dim)
     m = np.zeros((dim, dim), dtype=complex)
     for coeff, string in g.terms:
-        m += coeff * dense_pauli(string)
+        flip, phases = _signed_permutation(string, idx)
+        m[idx ^ flip, idx] += coeff * phases
     return m
 
 
@@ -287,8 +298,7 @@ def _exp_product(factors: list[tuple[PauliSum, float]], width: int) -> np.ndarra
     columns = {0: np.ones(dim, dtype=complex)}
     for g, angle in factors:
         for coeff, string in g.terms:
-            flip, sign, y_count = _string_masks(string)
-            phases = (1j ** y_count) * np.where(_parity(idx & sign), -1.0, 1.0)
+            flip, phases = _signed_permutation(string, idx)
             cos, sin = math.cos(angle * coeff.real), math.sin(angle * coeff.real)
             product = {f: cos * d for f, d in columns.items()}
             for f, d in columns.items():

@@ -7,10 +7,13 @@ independent.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ionsynth.fermion import (
     ExcitationTerm,
     FermionError,
+    FermionOperator,
     HamiltonianTerms,
     LocalTerm,
     annihilation,
@@ -158,6 +161,109 @@ def test_term_construction_guards():
         ExcitationTerm("single", (2,), (0,))
     with pytest.raises(FermionError):
         ExcitationTerm("double", (1, 2), (0, 3))
+
+
+TERM_REFUSALS = {
+    "unknown-kind": (lambda: ExcitationTerm("triple", (0,), (1,)), "unknown excitation kind"),
+    "float-mode": (lambda: ExcitationTerm("single", (0,), (2.0,)), "mode 2.0 is not an integer"),
+    "bool-control": (lambda: ExcitationTerm("controlled_single", (0,), (2,), True),
+                     "mode True is not an integer"),
+    "string-flag": (lambda: ExcitationTerm("single", (0,), (1,), None, "no"),
+                    "symmetrized must be a bool"),
+    "negative-mode": (lambda: ExcitationTerm("single", (-1,), (1,)), "negative mode index"),
+    "negative-control": (lambda: ExcitationTerm("controlled_single", (0,), (2,), -1),
+                         "negative mode index"),
+    "descending": (lambda: ExcitationTerm("double", (1, 0), (2, 3)), "must be ascending"),
+    "overlap": (lambda: ExcitationTerm("double", (0, 1), (1, 2)), "must be disjoint"),
+    "single-arity": (lambda: ExcitationTerm("single", (0, 1), (2, 3)),
+                     "single takes one creation and one annihilation mode"),
+    "single-control": (lambda: ExcitationTerm("single", (0,), (1,), 2),
+                       "single takes one creation and one annihilation mode"),
+    "single-order": (lambda: ExcitationTerm("single", (2,), (0,)), "smaller mode in the subscript"),
+    "double-arity": (lambda: ExcitationTerm("double", (0,), (1,)),
+                     "double takes two creation and two annihilation modes"),
+    "double-control": (lambda: ExcitationTerm("double", (0, 1), (2, 3), 4),
+                       "double takes two creation and two annihilation modes"),
+    "double-order": (lambda: ExcitationTerm("double", (1, 2), (0, 3)), "overall smallest mode"),
+    "controlled-no-control": (lambda: ExcitationTerm("controlled_single", (0,), (2,)),
+                              "takes modes p, q and a control"),
+    "controlled-arity": (lambda: ExcitationTerm("controlled_single", (0, 1), (2, 3), 4),
+                         "takes modes p, q and a control"),
+    "control-on-core": (lambda: ExcitationTerm("controlled_single", (0,), (2,), 2),
+                        "control mode must differ from p and q"),
+    "controlled-order": (lambda: ExcitationTerm("controlled_single", (2,), (0,), 1),
+                         "controlled_single must have p < q"),
+    "higher-unequal": (lambda: ExcitationTerm("higher", (0, 1), (2,)),
+                       "equal-length non-empty mode lists"),
+    "higher-empty": (lambda: ExcitationTerm("higher", (), ()), "equal-length non-empty mode lists"),
+    "higher-control": (lambda: ExcitationTerm("higher", (0,), (1,), 2), "takes no control"),
+    "density-arity": (lambda: LocalTerm("density", (0, 1)), "density term takes one mode"),
+    "coulomb-arity": (lambda: LocalTerm("coulomb", (0,)), "two ascending modes"),
+    "coulomb-order": (lambda: LocalTerm("coulomb", (2, 1)), "two ascending modes"),
+    "local-kind": (lambda: LocalTerm("hopping", (0, 1)), "unknown local kind"),
+    "local-float-mode": (lambda: LocalTerm("density", (1.5,)), "mode 1.5 is not an integer"),
+    "local-negative-mode": (lambda: LocalTerm("density", (-1,)), "negative mode index"),
+}
+
+
+@pytest.mark.parametrize("make, message", TERM_REFUSALS.values(), ids=TERM_REFUSALS.keys())
+def test_term_refusals_name_their_cause(make, message):
+    with pytest.raises(FermionError, match=message):
+        make()
+
+
+# Modes as given to a constructor: integers pass as ints, the rest is refused.
+_MODE_TYPES = {int: True, np.int64: True, np.uint8: True, np.int32: True,
+               float: False, np.float64: False, bool: False}
+_FLAG_TYPES = {bool: True, np.bool_: True, int: False, str: False}
+
+
+@given(st.data())
+def test_terms_store_integer_modes_as_ints_and_refuse_the_rest(data):
+    kind = data.draw(st.sampled_from(("single", "double", "controlled", "higher",
+                                      "density", "coulomb", "ladder")))
+    size = {"single": 2, "double": 4, "controlled": 3, "higher": 6,
+            "density": 1, "coulomb": 2, "ladder": 1}[kind]
+    modes = data.draw(st.lists(st.integers(0, 9), min_size=size, max_size=size, unique=True))
+    types = data.draw(st.lists(st.sampled_from(tuple(_MODE_TYPES)), min_size=size, max_size=size))
+    flag = data.draw(st.booleans())
+    flag_type = data.draw(st.sampled_from(tuple(_FLAG_TYPES)))
+
+    def build(ms, sym):
+        if kind == "single":
+            return single(*ms, 0.5, sym)
+        if kind == "double":
+            return double(*ms, 0.5, sym)
+        if kind == "controlled":
+            return controlled_single(*ms, 0.5, sym)
+        if kind == "higher":
+            return higher_excitation(ms[:3], ms[3:], 0.5, sym)
+        if kind == "density":
+            return density_term(*ms, 0.5)
+        if kind == "coulomb":
+            return coulomb_term(*ms, 0.5)
+        return creation(*ms, 10)
+
+    given_modes = [t(m) for t, m in zip(types, modes)]
+    given_flag = flag_type(flag)
+    accepted = all(_MODE_TYPES[t] for t in types)
+    if kind not in ("density", "coulomb", "ladder"):
+        accepted = accepted and _FLAG_TYPES[flag_type]
+    if not accepted:
+        with pytest.raises(FermionError):
+            build(given_modes, given_flag)
+        return
+    term = build(given_modes, given_flag)
+    assert term == build(modes, flag)
+    if isinstance(term, FermionOperator):
+        fields = [m for _, factors in term.products for m, _ in factors]
+    elif isinstance(term, LocalTerm):
+        fields = list(term.modes)
+    else:
+        fields = [*term.sub, *term.sup, *([] if term.control is None else [term.control])]
+        assert type(term.symmetrized) is bool
+        assert generator_pauli(term) == generator_pauli(build(modes, flag))
+    assert all(type(m) is int for m in fields)
 
 
 NON_FINITE_TERMS = {

@@ -263,6 +263,35 @@ def test_table_mode_count_accepts_numpy_integers():
     assert table.n_modes == 3 and type(table.n_modes) is int
 
 
+@pytest.mark.parametrize("set_entry", [
+    lambda t: t.set_two_body(0, 1, 2, 2.5, 0.7),
+    lambda t: t.set_one_body(0, 1.5, 0.3),
+    lambda t: t.set_one_body(True, 1, 0.3),
+    lambda t: t.two_body_value(0, 1, 2, 2.0),
+    lambda t: t.one_body_value(0, "1"),
+], ids=["two-body-2.5", "one-body-1.5", "one-body-bool", "lookup-2.0", "lookup-str"])
+def test_table_refuses_non_integer_modes(set_entry):
+    """2.5 was stored, read back as 0j by two_body_value(0, 1, 2, 2), and
+    truncated to mode 2 by term_list; 1.5 was stored and then ignored."""
+    table = IntegralTable(4, "real")
+    with pytest.raises(IntegralError, match="is not an integer"):
+        set_entry(table)
+    assert table.one_body == {} and table.two_body == {}
+    assert term_list(table).excitation_terms == ()
+
+
+def test_table_stores_numpy_integer_modes_as_ints():
+    table = IntegralTable(4, "real")
+    table.set_two_body(np.int64(0), np.uint8(1), 2, np.int32(3), 0.7)
+    table.set_one_body(np.int64(1), 2, 0.3)
+    assert all(type(m) is int for key in (*table.two_body, *table.one_body) for m in key)
+    assert table.two_body_value(np.int64(0), 1, 2, 3) == table.two_body_value(0, 1, 2, 3) == 0.7
+    plain = IntegralTable(4, "real")
+    plain.set_two_body(0, 1, 2, 3, 0.7)
+    plain.set_one_body(1, 2, 0.3)
+    assert repr(table) == repr(plain)
+
+
 # --- term lists ------------------------------------------------------------
 
 def test_zero_table_gives_empty_list():

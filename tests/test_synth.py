@@ -3,6 +3,7 @@
 import itertools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from ionsynth.fermion import (
     local_equivalence_conjugate,
     single,
 )
+from ionsynth import synth
 from ionsynth.pauli import PauliString, PauliSum, from_label
 from ionsynth.synth import (
     _SHARED,
@@ -615,6 +617,8 @@ def _shifted(t, k):
 
 
 _coefficients = st.floats(0.05, 2.0).flatmap(lambda c: st.sampled_from((c, -c)))
+_tiny_coefficients = st.floats(-300.0, 0.0).flatmap(
+    lambda e: st.sampled_from((10.0**e, -(10.0**e))))
 
 
 _SCHEMES_BY_SHAPE = {
@@ -646,7 +650,6 @@ def _template_groups(draw, coefficients=_coefficients):
         else:
             c = draw(coefficients)
             terms = [double(p, q, r, s, c, symmetrized), double(p, s, r, q, c, symmetrized)]
-            options["keep_zero"] = False
     else:
         core = draw(st.integers(2, 5))
         p, q = draw(st.sampled_from(((0, core), (1, core + 1))))
@@ -699,8 +702,6 @@ def test_templates_fill_what_a_fresh_derivation_emits(group, data):
     angles = st.one_of(seeded, st.lists(st.floats(-2.0, 2.0), min_size=len(terms),
                                         max_size=len(terms)))
     thetas, others = data.draw(angles), data.draw(angles)
-    if options.get("keep_zero") is False and data.draw(st.booleans()):
-        thetas[data.draw(st.integers(0, len(terms) - 1))] = 0.0
     width = span + max(a, b)
 
     def lower(offset, angles):
@@ -727,6 +728,35 @@ def test_templates_fill_what_a_fresh_derivation_emits(group, data):
         width, [(theta * c, s) for t, theta in at_a for c, s in generator_pauli(t, width).terms])
     report = assert_equivalent(circuit_unitary(warm), generator_unitary(generator, 1.0), tol=1e-9)
     assert report, report.distance
+
+
+def _lowered_with_template(pairs, width, **options):
+    """(gates, template items) of one _lower_group call."""
+    with mock.patch.object(synth, "_fill", wraps=synth._fill) as fill:
+        gates = _lower_group(pairs, width, **options)
+    return gates, fill.call_args.args[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_template_groups(), _template_groups(_tiny_coefficients)), st.data())
+def test_every_lowering_emits_one_gate_per_template_item(group, data):
+    terms, options = group
+    width = 1 + max(m for t in terms for m in t.modes)
+    angle = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-2.0, 2.0))
+    thetas = data.draw(st.lists(angle, min_size=len(terms), max_size=len(terms)))
+    gates, template = _lowered_with_template(list(zip(terms, thetas)), width, **options)
+    assert len(gates) == len(template)
+
+
+def test_coupled_exchange_group_keeps_its_shape_at_any_coefficient():
+    # The two slots the pair cancels round to exactly zero at c = 0.1 only.
+    shapes = []
+    for c in (0.1, 1e-300, 1.0):
+        pairs = [(double(0, 1, 2, 3, c), 0.1), (double(0, 3, 2, 1, c), 0.10000000000000002)]
+        gates, template = _lowered_with_template(pairs, 4)
+        assert len(gates) == len(template) == 12
+        shapes.append(_without_angles(gates))
+    assert shapes[0] == shapes[1] == shapes[2]
 
 
 def test_template_angles_sum_in_member_order_to_the_last_bit():
@@ -794,10 +824,6 @@ def test_zero_coefficient_fills_the_unit_template_with_zero_angles():
     assert _without_angles(zero) == _without_angles(unit)
     assert {g.angle for g in zero if isinstance(g, Rz)} == {0.0}
     assert any(g.angle != 0.0 for g in unit if isinstance(g, Rz))
-
-
-_tiny_coefficients = st.floats(-300.0, 0.0).flatmap(
-    lambda e: st.sampled_from((10.0**e, -(10.0**e))))
 
 
 @settings(max_examples=80, deadline=None)

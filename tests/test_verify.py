@@ -392,6 +392,23 @@ def test_dense_sum_is_linear():
     assert np.abs(dense_sum(g) - expected).max() == 0.0
 
 
+_sum_terms = st.integers(1, 5).flatmap(lambda width: st.lists(
+    st.tuples(st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+              st.text("IXYZ", min_size=width, max_size=width)),
+    min_size=1, max_size=10))
+
+
+@given(_sum_terms)
+def test_dense_sum_adds_every_string_in_order(terms):
+    """Strings that share a flip mask add onto the same entries of one matrix."""
+    width = len(terms[0][1])
+    g = PauliSum.from_terms(width, [(c, from_label(label)) for c, label in terms])
+    expected = np.zeros((1 << width, 1 << width), dtype=complex)
+    for c, s in g.terms:
+        expected += c * kron_pauli(s)
+    assert np.array_equal(dense_sum(g), expected)
+
+
 # --- generator_unitary -----------------------------------------------------
 
 def test_generator_angle_zero_is_identity():
