@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ionsynth import synth
 from ionsynth.circuit import (
     CNOT,
     MS,
@@ -29,7 +30,6 @@ from ionsynth.fermion import (
     local_equivalence_conjugate,
     single,
 )
-from ionsynth import synth
 from ionsynth.pauli import PauliString, PauliSum, from_label
 from ionsynth.synth import (
     _SHARED,
