@@ -507,8 +507,6 @@ def _demo_trotter(dt: float, tol: float, lines: list[str]) -> tuple[bool, dict]:
 
 
 def _cmd_demo(args) -> int:
-    if args.system != "h3plus":
-        raise UsageError(f"unknown demo system {args.system!r}; available: h3plus")
     if not args.uccsd and not args.trotter:
         raise UsageError("choose --uccsd and/or --trotter")
     tol = _tolerance(args)

@@ -191,12 +191,6 @@ def prepare_reference(occupied, n_modes: int) -> Circuit:
 # --- Trotter step scheduling ------------------------------------------------------
 
 
-def _controlled_window(t: ExcitationTerm) -> tuple[int, ...]:
-    """Support of the control-free core strings: the MS window of variant a."""
-    p, q = t.sub[0], t.sup[0]
-    return tuple(m for m in range(p, q + 1) if m != t.control)
-
-
 def fusion_groups(terms) -> tuple[tuple[ExcitationTerm, ...], ...]:
     """Partition excitation terms into shared-block groups, order-preserving.
 
@@ -212,7 +206,8 @@ def fusion_groups(terms) -> tuple[tuple[ExcitationTerm, ...], ...]:
         if t.kind == "double":
             key = ("double", t.modes, t.symmetrized)
         elif t.kind == "controlled_single":
-            key = ("controlled", t.sub, t.sup, _controlled_window(t), t.symmetrized)
+            inside = t.control if t.sub[0] < t.control < t.sup[0] else None
+            key = ("controlled", t.sub, t.sup, inside, t.symmetrized)
         else:
             key = ("solo", pos)
         if key not in keyed:

@@ -74,6 +74,16 @@ def _mode(m) -> int:
     return i
 
 
+def _bool(value, what: str) -> bool:
+    """A flag as a bool: a numpy bool passes, anything else is refused rather
+    than read through its truth value."""
+    if type(value) is bool:
+        return value
+    if not isinstance(value, np.bool_):
+        raise FermionError(f"{what} must be a bool, got {value!r}")
+    return bool(value)
+
+
 _INT = frozenset({int})
 
 
@@ -105,7 +115,7 @@ class FermionOperator:
         object.__setattr__(self, "n_modes", n_modes)
         merged: dict[tuple[Factor, ...], complex] = {}
         for coeff, factors in self.products:
-            factors = tuple((_mode(m), bool(c)) for m, c in factors)
+            factors = tuple((_mode(m), _bool(c, "creation flag")) for m, c in factors)
             for m, _ in factors:
                 if not (0 <= m < self.n_modes):
                     raise FermionError(f"mode {m} outside 0..{self.n_modes - 1}")
@@ -245,9 +255,7 @@ class ExcitationTerm:
         if self.control is not None and type(self.control) is not int:
             object.__setattr__(self, "control", _mode(self.control))
         if type(self.symmetrized) is not bool:
-            if not isinstance(self.symmetrized, np.bool_):
-                raise FermionError(f"symmetrized must be a bool, got {self.symmetrized!r}")
-            object.__setattr__(self, "symmetrized", bool(self.symmetrized))
+            object.__setattr__(self, "symmetrized", _bool(self.symmetrized, "symmetrized"))
         object.__setattr__(self, "coefficient", _finite(self.coefficient))
         if any(m < 0 for m in sub + sup) or (self.control is not None and self.control < 0):
             raise FermionError("negative mode index")

@@ -101,6 +101,15 @@ def _as_index(value) -> int | None:
         return None
 
 
+def _index(value, what: str) -> int:
+    """value as an int by the package's index rule (see _as_index), or
+    PauliError naming ``what``."""
+    i = _as_index(value)
+    if i is None:
+        raise PauliError(f"{what} {value!r} is not an integer")
+    return i
+
+
 def _check_phase(phase: complex) -> complex:
     if phase not in _PHASES:
         raise PauliError(f"phase must be one of {{1, -1, 1j, -1j}}, got {phase!r}")
@@ -112,7 +121,9 @@ class PauliString:
     """A signed Pauli string on ``width`` qubits.
 
     Built from ``letters``, a map qubit index -> letter in {I, X, Y, Z};
-    identity letters may be given or left out.
+    identity letters may be given or left out.  The width and the qubits
+    follow the package's index rule (see _as_index): numpy integers are
+    stored as ints, bools and floats are refused.
     """
 
     width: int
@@ -123,11 +134,17 @@ class PauliString:
     def __init__(
         self, width: int, letters: Mapping[int, str] | None = None, phase: complex = 1
     ) -> None:
+        if type(width) is not int:
+            width = _index(width, "width")
+        if width < 0:
+            raise PauliError(f"negative width {width}")
         x = z = 0
         for q, letter in (letters or {}).items():
             code = _CODES.get(letter)
             if code is None:
                 raise PauliError(f"invalid Pauli letter {letter!r} on qubit {q}")
+            if type(q) is not int:
+                q = _index(q, "qubit")
             if not code:
                 continue
             if not 0 <= q < width:
@@ -332,11 +349,6 @@ class PauliSum:
             acc[key] = acc.get(key, 0) + coeff * string.phase
         merged = [(acc[s], s) for s in sorted(acc, key=_letter_order)]
         return PauliSum(width, tuple((c, s) for c, s in merged if abs(c) > 1e-15))
-
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        if self.width != other.width:
-            raise PauliError("width mismatch")
-        return PauliSum.from_terms(self.width, (*self.terms, *other.terms))
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return all(abs(c.imag) <= tol for c, _ in self.terms)

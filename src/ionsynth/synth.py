@@ -5,7 +5,12 @@ forward targeted MS gate, a set of commuting diagonal rotations, the backward
 MS gate, and the inverted dressing.  Writing V for the dressing-plus-MS
 prefix, an Rz(phi) on qubit t contributes exp(-i phi/2 V&dagger Z_t V), so the
 whole art is picking the dressing such that the pulled-back Z strings hit the
-target Pauli strings.  Signs are never tabulated by hand here: the pullback is
+target Pauli strings.  A sandwich's MS window is the support of the strings
+it targets (under Jordan-Wigner their parity qubits included), read off the
+targets by ``_sandwich`` and nowhere else; its dressing comes from the solver
+it is given, per-qubit Clifford words (``_local_dressing``, the star layers)
+or a CNOT-assisted reduction (``_entangled_dressing``), so a layer's kind is
+its solver.  Signs are never tabulated by hand here: the pullback is
 computed exactly over the Pauli group, the resulting +-1 is folded into the
 rotation angle, and the dense-matrix oracle in the test suite checks the
 product phase-exactly.
@@ -302,15 +307,7 @@ def _zz_ladder(qubits: tuple[int, ...], rotation: _Slot) -> list:
     return [*ladder, rotation, *[inverse(g) for g in reversed(ladder)]]
 
 
-def _sandwich(
-    width: int,
-    window,
-    axis: str,
-    requests,
-    *,
-    dressing: list[Gate] | None = None,
-    zz_requests=(),
-) -> list:
+def _sandwich(width: int, axis: str, requests, dressing=_local_dressing, zz_requests=()) -> list:
     """One dressed MS pair realizing exp(-i sum_t 2 w_t S_t) rotations.
 
     ``requests`` is a sequence of (rotation qubit, weight, target string,
@@ -319,15 +316,16 @@ def _sandwich(
     read off the exact pullback, i.e. exp(-i angle/2 E_t) == exp(-i w_t S_t)
     per rotation.  A request with a control qubit becomes a CRz slot that
     contributes the (S_t - Z_control S_t)/2 pair at twice the angle.
+    The MS window is the support of the targets, read off the first one;
+    ``dressing`` is the solver (``_local_dressing`` or
+    ``_entangled_dressing``) that picks the Clifford layer on that window.
     Rotations are emitted in request order; ``_fill`` turns the slots into
     gates.
     """
-    window = tuple(sorted(window))
-    n = len(window)
-    if dressing is None:
-        dressing = _local_dressing(width, window, axis, requests)
+    window = requests[0][2].support()
+    dressing = dressing(width, window, axis, requests)
     prefix: list[Gate] = list(dressing)
-    if n > 1:
+    if len(window) > 1:
         prefix.append(MS(axis, "forward", window))
 
     rotations: list[_Slot] = []
@@ -343,7 +341,7 @@ def _sandwich(
         qs = tuple(sorted(qs))
         e = _pullback(PauliString(width, {q: "Z" for q in qs}), prefix)
         items.extend(_zz_ladder(qs, _Slot(qs[-1], None, 2.0 * _sign_against(e, target), *weight)))
-    if n > 1:
+    if len(window) > 1:
         items.append(MS(axis, "backward", window))
     items.extend(inverse(g) for g in reversed(dressing))
     return items
@@ -414,12 +412,21 @@ def _fill(items, thetas, coefficients, offset: int) -> list[Gate]:
 
 # --- generator pools ------------------------------------------------------------
 
+def _real_strings(t: ExcitationTerm, width: int):
+    """(real weight, string) for each generator string of ``t``, in the
+    generator's order; a non-real weight is refused."""
+    for coeff, s in generator_pauli(t, width).terms:
+        if abs(coeff.imag) > 1e-12:
+            raise SynthesisError(f"non-real generator weight {coeff} on {s.label()}")
+        yield coeff.real, s
+
+
 def _pool(terms, width: int):
     """Combined string pool of commuting generators.
 
     Returns (contributions keyed by phase-free string, letter modes, interior
-    Z letters, window); a string's contributions are (member, weight) pairs,
-    the weight real, in member order and then string order.
+    Z letters); a string's contributions are (member, weight) pairs, the
+    weight real, in member order and then string order.
     """
     pool: dict[PauliString, list[tuple[int, float]]] = {}
     modes = None
@@ -430,10 +437,8 @@ def _pool(terms, width: int):
             modes = t_modes
         elif modes != t_modes:
             raise SynthesisError(f"terms mix letter modes {modes} and {t_modes}")
-        for coeff, s in generator_pauli(term, width).terms:
-            if abs(coeff.imag) > 1e-12:
-                raise SynthesisError(f"non-real generator weight {coeff} on {s.label()}")
-            pool.setdefault(s, []).append((member, coeff.real))
+        for weight, s in _real_strings(term, width):
+            pool.setdefault(s, []).append((member, weight))
             for qb in s.support():
                 letter = s.letter(qb)
                 if qb not in modes:
@@ -441,14 +446,20 @@ def _pool(terms, width: int):
                         raise SynthesisError("inconsistent parity letters in pool")
     if modes is None:
         raise SynthesisError("empty generator pool")
-    window = tuple(sorted((*modes, *interior)))
-    return pool, modes, interior, window
+    return pool, modes, interior
 
 
-def _star_target(width, modes, interior, center: str, flipped: str, at: int) -> PauliString:
-    letters = {m: (flipped if m == at else center) for m in modes}
-    letters.update(interior)
-    return PauliString(width, letters)
+def _star(width: int, pool, modes, interior, center: str) -> list:
+    """Requests for the strings one letter away from the all-``center`` word,
+    each rotated on the mode whose letter is flipped."""
+    flipped = "Y" if center == "X" else "X"
+    requests = []
+    for o in modes:
+        letters = {m: (flipped if m == o else center) for m in modes}
+        letters.update(interior)
+        s = PauliString(width, letters)
+        requests.append((o, _summed(pool.get(s, ())), s, None))
+    return requests
 
 
 def _basis_insert(basis: dict[int, int], v: int) -> bool:
@@ -494,21 +505,17 @@ def _layers(terms, width: int, axis: str) -> list:
     diagonalized jointly with CNOT-assisted dressing around a single MS pair.
     """
     if terms[0].kind == "controlled_single":
-        requests = _core_requests(terms, width)
-        return _sandwich(width, requests[0][2].support(), "xx", requests)
-    pool, modes, interior, window = _pool(terms, width)
+        return _sandwich(width, "xx", _core_requests(terms, width))
+    pool, modes, interior = _pool(terms, width)
     items: list = []
     covered: set[PauliString] = set()
 
-    star_axes = (axis, {"xx": "yy", "yy": "xx"}[axis])
-    for star_axis in star_axes:
-        center = _AXIS_LETTER[star_axis]
-        flipped = "Y" if center == "X" else "X"
-        targets = [_star_target(width, modes, interior, center, flipped, o) for o in modes]
+    for star_axis in (axis, {"xx": "yy", "yy": "xx"}[axis]):
+        requests = _star(width, pool, modes, interior, _AXIS_LETTER[star_axis])
+        targets = [s for _, _, s, _ in requests]
         if all(s in covered for s in targets):
             continue
-        requests = [(o, _summed(pool.get(s, ())), s, None) for o, s in zip(modes, targets)]
-        items.extend(_sandwich(width, window, star_axis, requests))
+        items.extend(_sandwich(width, star_axis, requests))
         covered.update(targets)
 
     remaining = [s for s in pool if s not in covered]
@@ -518,80 +525,61 @@ def _layers(terms, width: int, axis: str) -> list:
 
         by_word = {word_of(s): s for s in remaining}
         for layer_words in _pack_words(list(by_word), 2 * len(modes)):
-            requests = []
-            for i, w in enumerate(layer_words):
-                s = by_word[w]
-                requests.append((modes[i], _summed(pool[s]), s, None))
-            dressing = _entangled_dressing(width, window, "xx", requests)
-            items.extend(_sandwich(width, window, "xx", requests, dressing=dressing))
+            requests = [(modes[i], _summed(pool[by_word[w]]), by_word[w], None)
+                        for i, w in enumerate(layer_words)]
+            items.extend(_sandwich(width, "xx", requests, _entangled_dressing))
     return items
 
 
 # --- block templates --------------------------------------------------------------
 
-def _controlled_halves(member: int, t: ExcitationTerm, width: int, control=None) -> list:
-    """Rotation requests for the two halves of a controlled single's pool, the
-    strings with a Z on the control first: in each half, the string with the Y
+def _controlled_half(member: int, t: ExcitationTerm, width: int, letter: str,
+                     control=None) -> list:
+    """Rotation requests for one half of a controlled single's pool, the
+    strings with ``letter`` (Z or I) on the control: the string with the Y
     letter at each orbital, rotated on that orbital."""
-    strings = generator_pauli(t, width).terms
-    halves = []
-    for letter in "ZI":
-        requests = []
-        for o in (t.sub[0], t.sup[0]):
-            match = [(c.real, s) for c, s in strings
-                     if s.letter(t.control) == letter and s.letter(o) == "Y"]
-            if len(match) != 1:
-                raise SynthesisError("controlled pool does not split into Y-labelled halves")
-            requests.append((o, _product(member, match[0][0]), match[0][1], control))
-        halves.append(requests)
-    return halves
+    strings = list(_real_strings(t, width))
+    requests = []
+    for o in (t.sub[0], t.sup[0]):
+        match = [(w, s) for w, s in strings
+                 if s.letter(t.control) == letter and s.letter(o) == "Y"]
+        if len(match) != 1:
+            raise SynthesisError("controlled pool does not split into Y-labelled halves")
+        requests.append((o, _product(member, match[0][0]), match[0][1], control))
+    return requests
 
 
 def _core_requests(terms, width: int) -> list:
     """CRz requests for the control-free core strings of controlled singles."""
     return [r for member, t in enumerate(terms)
-            for r in _controlled_halves(member, t, width, t.control)[1]]
+            for r in _controlled_half(member, t, width, "I", t.control)]
 
 
 def _core_strings(terms, width: int, axis: str) -> list:
     """One CRz sandwich per control-free core string."""
-    return [g for r in _core_requests(terms, width)
-            for g in _sandwich(width, r[2].support(), "xx", [r])]
+    return [g for r in _core_requests(terms, width) for g in _sandwich(width, "xx", [r])]
 
 
 def _strings(terms, width: int, axis: str) -> list:
     """One MS pair per generator string, each on the string's support."""
-    items = []
-    for member, t in enumerate(terms):
-        for coeff, s in generator_pauli(t, width).terms:
-            if abs(coeff.imag) > 1e-12:
-                raise SynthesisError(f"non-real generator weight {coeff}")
-            request = (s.support()[0], _product(member, coeff.real), s, None)
-            items.extend(_sandwich(width, s.support(), "xx", [request]))
-    return items
+    return [g for member, t in enumerate(terms) for w, s in _real_strings(t, width)
+            for g in _sandwich(width, "xx", [(s.support()[0], _product(member, w), s, None)])]
 
 
 def _halves(terms, width: int, axis: str) -> list:
     """Two plain-Rz sandwiches per controlled single: the strings with a Z on
     the control, then those without."""
-    items = []
-    for member, t in enumerate(terms):
-        for requests in _controlled_halves(member, t, width):
-            items.extend(_sandwich(width, requests[0][2].support(), "xx", requests))
-    return items
+    return [g for member, t in enumerate(terms) for letter in "ZI"
+            for g in _sandwich(width, "xx", _controlled_half(member, t, width, letter))]
 
 
 def _ladder(terms, width: int, axis: str) -> list:
     """One XX sandwich; the all-Y star via CNOT ladders (compile_mixed_cnot)."""
-    pool, modes, interior, window = _pool(terms, width)
-    requests, zz_requests = [], []
-    for o in modes:
-        one_y = _star_target(width, modes, interior, "X", "Y", o)
-        requests.append((o, _summed(pool.get(one_y, ())), one_y, None))
-        one_x = _star_target(width, modes, interior, "Y", "X", o)
-        triple = tuple(m for m in modes if m != o)
-        zz_requests.append((triple, _summed(pool.get(one_x, ())), one_x))
-    return _sandwich(width, window, "xx", requests, zz_requests=zz_requests)
+    pool, modes, interior = _pool(terms, width)
+    zz_requests = [(tuple(m for m in modes if m != o), weight, s)
+                   for o, weight, s, _ in _star(width, pool, modes, interior, "Y")]
+    return _sandwich(width, "xx", _star(width, pool, modes, interior, "X"),
+                     zz_requests=zz_requests)
 
 
 _SCHEMES = {"layers": _layers, "core_strings": _core_strings, "strings": _strings,
@@ -682,7 +670,7 @@ def compile_pauli_rotation(p: PauliString, phi: float) -> Circuit:
     signed_phi = float(phi) * (1 if p.phase == 1 else -1)
     target = p.with_phase(1)
     requests = [(target.support()[0], _product(0, 0.5), target, None)]
-    items = _items(_sandwich(p.width, target.support(), "xx", requests))
+    items = _items(_sandwich(p.width, "xx", requests))
     gates = _fill(items, (signed_phi,), (1.0,), 0)
     return Circuit(p.width, gates, {"op": "pauli_rotation"})
 

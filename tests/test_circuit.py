@@ -292,6 +292,8 @@ def test_serialize_refuses_metadata_that_does_not_read_back(metadata):
     ("ionsynth-circuit v1\nqubits 2\nrz 1 0.1\nqubits 3\n", 4),
     ("ionsynth-circuit v1\nqubits 1\nmeta op a\nmeta op b\nrz 0 0.1\n", 4),
     ("ionsynth-circuit v1\nqubits -1\n# a\n# b\n# c\n", 2),
+    ("ionsynth-circuit v1\nqubits 1\nmeta\n", 3),
+    ("ionsynth-circuit v1\n", 1),
 ])
 def test_repeated_lines_and_negative_width_fail_at_their_line(doc, line_no):
     with pytest.raises(ParseError) as err:
@@ -390,6 +392,13 @@ def test_numpy_integer_qubits_are_accepted():
     wide = Circuit(np.int64(2), (Rz(1, 0.1),))
     assert serialize(wide) == "ionsynth-circuit v1\nqubits 2\nrz 1 0.1\n"
     assert deserialize(serialize(wide)) == wide
+
+
+def test_negative_width_and_non_gates_are_refused():
+    with pytest.raises(CircuitError, match="negative qubit count"):
+        Circuit(-1)
+    with pytest.raises(CircuitError, match="not a gate: 'rz'"):
+        Circuit(2, ("rz",))
 
 
 @pytest.mark.parametrize("width", [2.5, True, 3.0, "3", None])

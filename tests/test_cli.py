@@ -396,6 +396,12 @@ def test_uccsd_rejects_overlapping_spaces(capsys):
     capsys.readouterr()
 
 
+def test_compile_refuses_orbitals_that_are_not_integers(capsys):
+    assert run(["compile", "--op", "single", "--orbitals", "a,1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --orbitals: expected comma-separated integers, got 'a,1'\n"
+
+
 UCCSD_BAD_ARGV = {
     "modes-negative": (["--modes", "-1"], "negative mode count -1"),
     "occupied-not-integer": (["--modes", "4", "--occupied", "x"],
@@ -493,6 +499,11 @@ def test_demo_text_report_order(capsys):
         "reference: MS 26 (string-by-string 56, naive 176)\n"
         "oracle: PASS (defect D, tol 1e-09)\n"
     )
+
+
+def test_demo_refuses_an_unknown_system(capsys):
+    assert run(["demo", "h2", "--uccsd"]) == 2
+    assert "invalid choice: 'h2'" in capsys.readouterr().err
 
 
 def test_demo_requires_a_mode_flag(capsys):

@@ -203,6 +203,19 @@ TERM_REFUSALS = {
     "local-kind": (lambda: LocalTerm("hopping", (0, 1)), "unknown local kind"),
     "local-float-mode": (lambda: LocalTerm("density", (1.5,)), "mode 1.5 is not an integer"),
     "local-negative-mode": (lambda: LocalTerm("density", (-1,)), "negative mode index"),
+    "coulomb-same-mode": (lambda: coulomb_term(1, 1), "two distinct modes"),
+    "operator-float-count": (lambda: FermionOperator(2.5), "mode count 2.5 is not an integer"),
+    "operator-negative-count": (lambda: FermionOperator(-1), "negative mode count"),
+    "operator-count-mismatch": (lambda: FermionOperator(2) + FermionOperator(3),
+                                "mode count mismatch"),
+    "assemble-reality": (lambda: HamiltonianTerms.assemble(2, "imaginary", 0.0, (), ()),
+                         "unknown reality class 'imaginary'"),
+    "assemble-local-range": (lambda: HamiltonianTerms.assemble(2, "real", 0.0,
+                                                               (density_term(2),), ()),
+                             "exceeds 2 modes"),
+    "assemble-excitation-range": (lambda: HamiltonianTerms.assemble(2, "real", 0.0, (),
+                                                                    (single(0, 2),)),
+                                  "exceeds 2 modes"),
 }
 
 
@@ -264,6 +277,20 @@ def test_terms_store_integer_modes_as_ints_and_refuse_the_rest(data):
         assert type(term.symmetrized) is bool
         assert generator_pauli(term) == generator_pauli(build(modes, flag))
     assert all(type(m) is int for m in fields)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True), np.bool_(False)])
+def test_operator_stores_bool_creation_flags(flag):
+    op = FermionOperator(2, ((1.0, ((np.int64(1), flag),)),))
+    assert op.products == ((1.0, ((1, bool(flag)),)),)
+    assert type(op.products[0][1][0][1]) is bool
+
+
+@pytest.mark.parametrize("flag", ["no", None, 1, 0.0])
+def test_operator_refuses_creation_flags_that_are_not_bools(flag):
+    """"no" used to read as a creation operator and None as an annihilation one."""
+    with pytest.raises(FermionError, match="creation flag must be a bool"):
+        FermionOperator(2, ((1.0, ((0, flag),)),))
 
 
 NON_FINITE_TERMS = {

@@ -170,6 +170,10 @@ def test_parse_error_line_numbers():
         ("norb 2 parity real\n", 1),
         ("norb 2 reality sometimes\n", 1),
         ("norb 2 reality real\n0.5 1 2\n", 2),
+        ("norb 0 reality real\n", 1),
+        ("norb 2 reality real\nx 1 1 0 0\n", 2),
+        ("norb 2 reality complex\n0.1 0.2 0 0 0 0\n", 2),
+        ("norb 4 reality real\n0.5 1 2 0 3\n", 2),
     ]
     for text, line_no in cases:
         with pytest.raises(IntegralParseError) as info:
@@ -256,6 +260,15 @@ def test_table_refuses_non_integer_mode_count(n_modes):
     """2.5 used to build a 2-mode table."""
     with pytest.raises(IntegralError, match="not an integer"):
         IntegralTable(n_modes, "real")
+
+
+@pytest.mark.parametrize("n_modes, reality, message", [
+    (2, "quaternion", "unknown reality class 'quaternion'"),
+    (0, "real", "need at least one mode"),
+])
+def test_table_refuses_an_unknown_reality_or_no_modes(n_modes, reality, message):
+    with pytest.raises(IntegralError, match=message):
+        IntegralTable(n_modes, reality)
 
 
 def test_table_mode_count_accepts_numpy_integers():

@@ -111,6 +111,10 @@ def test_multiply_associative_exhaustive_one_qubit():
 def test_multiply_width_mismatch():
     with pytest.raises(PauliError):
         multiply(identity_string(2), identity_string(3))
+    with pytest.raises(PauliError, match="width mismatch"):
+        identity_string(2).commutes_with(identity_string(3))
+    with pytest.raises(PauliError, match="term width mismatch"):
+        PauliSum.from_terms(2, [(1.0, identity_string(3))])
 
 
 def test_phase_group_closed():
@@ -239,6 +243,28 @@ def test_ms_empty_set_rejected():
         conjugate_by_ms(from_label("ZZ"), "xx", (0, 2))
     with pytest.raises(PauliError):
         conjugate_by_ms(from_label("ZZ"), "zz", (0, 1))
+
+
+@pytest.mark.parametrize("width, letters, message", [
+    (2.5, {}, "width 2.5 is not an integer"),
+    (-1, {}, "negative width -1"),
+    (True, {0: "X"}, "width True is not an integer"),
+    (3, {True: "X"}, "qubit True is not an integer"),
+    (3, {1.0: "X"}, "qubit 1.0 is not an integer"),
+    (3, {np.float64(1): "I"}, "qubit .*1.0.* is not an integer"),
+], ids=["float-width", "negative-width", "bool-width", "bool-qubit", "float-qubit",
+        "numpy-float-identity-qubit"])
+def test_string_refuses_widths_and_qubits_that_are_not_indices(width, letters, message):
+    """2.5 used to be stored and break label(); True read as 1, 1.0 raised TypeError."""
+    with pytest.raises(PauliError, match=message):
+        PauliString(width, letters)
+
+
+def test_string_stores_numpy_integer_width_and_qubits_as_ints():
+    s = PauliString(np.int64(3), {np.uint8(1): "X", np.int32(2): "Z"})
+    assert type(s.width) is int
+    assert s == from_label("IXZ")
+    assert PauliString(0) == identity_string(0)
 
 
 def ms_pair_loop(p: PauliString, axis: str, qubits, inverse: bool = False) -> PauliString:

@@ -287,6 +287,11 @@ def test_coupled_exchange_zero_angle():
     assert np.linalg.norm(u - np.eye(16)) < 1e-12
 
 
+def test_coupled_exchange_refuses_unordered_orbitals():
+    with pytest.raises(SynthesisError, match="strictly increasing"):
+        compile_coupled_exchange(3, 2, 1, 0, 0.1)
+
+
 # --- controlled singles -------------------------------------------------------
 
 
@@ -322,7 +327,7 @@ def test_controlled_variant_b_spends_two_sandwiches():
 def test_sandwich_refuses_a_control_inside_its_window():
     target = PauliString(3, {0: "X", 2: "Y"})
     with pytest.raises(SynthesisError):
-        _sandwich(3, (0, 2), "xx", [(0, 0.1, target, 2)])
+        _sandwich(3, "xx", [(0, 0.1, target, 2)])
 
 
 def test_controlled_both_variants_match_the_oracle_everywhere():
@@ -346,6 +351,8 @@ def test_controlled_zero_angle_and_guards():
         compile_controlled_single(2, 0, 1, 0.1)
     with pytest.raises(SynthesisError):
         compile_controlled_single(0, 2, 3, 0.1, variant="c")
+    with pytest.raises(SynthesisError, match="mode 0.5 is not an integer"):
+        compile_controlled_single(0.5, 2, 1, 0.1)
 
 
 # --- higher-order excitations -------------------------------------------------

@@ -596,6 +596,11 @@ def test_equivalence_global_phase():
     assert abs(modded.phase - np.exp(1j * math.pi / 7)) < 1e-12
 
 
+def test_global_phase_equivalence_to_zero_fails_without_a_phase():
+    report = assert_equivalent(np.eye(2), np.zeros((2, 2)), "global_phase")
+    assert not report.passed and report.phase is None
+
+
 def test_equivalence_dimension_mismatch():
     with pytest.raises(VerifyError):
         assert_equivalent(np.eye(2), np.eye(4))
