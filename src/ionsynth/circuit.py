@@ -40,11 +40,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from numbers import Real
 from operator import attrgetter
 from typing import Callable, Iterator, Mapping, NamedTuple, Union, get_type_hints
 
-from .pauli import CLIFFORD1_NAMES, _as_index
+from .pauli import CLIFFORD1_NAMES, _index, _real
 
 __all__ = [
     "MS",
@@ -88,13 +87,6 @@ class SchemaError(ParseError):
     """Unknown gate name or unsupported format version."""
 
 
-def _check_angle(angle: float) -> float:
-    angle = float(angle)
-    if not math.isfinite(angle):
-        raise CircuitError(f"angle must be finite, got {angle!r}")
-    return angle
-
-
 @dataclass(frozen=True)
 class MS:
     """Targeted Moelmer-Soerensen gate on a qubit subset.
@@ -134,7 +126,7 @@ class Rz:
     angle: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "angle", _check_angle(self.angle))
+        object.__setattr__(self, "angle", _real(self.angle, "angle", CircuitError))
 
 
 @dataclass(frozen=True)
@@ -146,7 +138,7 @@ class CRz:
     def __post_init__(self) -> None:
         if self.control == self.target:
             raise CircuitError("CRz control equals target")
-        object.__setattr__(self, "angle", _check_angle(self.angle))
+        object.__setattr__(self, "angle", _real(self.angle, "angle", CircuitError))
 
 
 @dataclass(frozen=True)
@@ -158,7 +150,7 @@ class Rzz:
     def __post_init__(self) -> None:
         if self.qubit_a == self.qubit_b:
             raise CircuitError("Rzz qubits coincide")
-        object.__setattr__(self, "angle", _check_angle(self.angle))
+        object.__setattr__(self, "angle", _real(self.angle, "angle", CircuitError))
 
 
 @dataclass(frozen=True)
@@ -190,7 +182,7 @@ class GlobalPhase:
     angle: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "angle", _check_angle(self.angle))
+        object.__setattr__(self, "angle", _real(self.angle, "angle", CircuitError))
 
 
 Gate = Union[MS, Rz, CRz, Rzz, Clifford1, CNOT, GlobalPhase]
@@ -277,16 +269,6 @@ def inverse(gate: Gate) -> Gate:
     return type(gate)(*gate_qubits(gate), -gate.angle)
 
 
-def _check_qubit(gate: Gate, q, n_qubits: int) -> None:
-    """Refuses a qubit outside 0..n_qubits-1 or one that is not an integer: a
-    bool or a float would be written as 'true' or '0.5', which the v1 parser
-    rejects.  numpy integers pass."""
-    if _as_index(q) is None:
-        raise CircuitError(f"gate {gate!r} has qubit {q!r}, which is not an integer")
-    if not 0 <= q < n_qubits:
-        raise CircuitError(f"gate {gate!r} touches qubit {q} outside 0..{n_qubits - 1}")
-
-
 def _unplain(tokens) -> str | None:
     """The first token that is not plain ASCII without '_', or None: int() and
     float() would read '1_2' as 12 and Arabic-Indic or full-width digits as
@@ -301,12 +283,9 @@ class Circuit:
     metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        n = self.n_qubits
-        # a bool, float or str width would be written as a qubits line the v1 parser rejects
-        if type(n) is not int and _as_index(n) is None:
-            raise CircuitError(f"qubit count {n!r} is not an integer")
-        if n < 0:
-            raise CircuitError("negative qubit count")
+        # A bool, a float or a str width or qubit would be written as a record
+        # the v1 parser rejects, so each follows the index rule.
+        n = _index(self.n_qubits, "qubit count", CircuitError)
         gates = tuple(self.gates)
         readers = _QUBITS
         # Gates are immutable, so a gate object that recurs (as every copy of a
@@ -315,13 +294,16 @@ class Circuit:
         for g in dict(zip(map(id, gates), gates)).values():
             if type(g) not in readers:
                 gate_qubits(g)  # raises: not a gate
-            for q in readers[type(g)](g):
-                if type(q) is not int or not 0 <= q < n:  # refused, or a numpy integer
-                    _check_qubit(g, q, n)
+            try:
+                for q in readers[type(g)](g):
+                    _index(q, "qubit", CircuitError, n)
+            except CircuitError as exc:
+                raise CircuitError(f"gate {g!r}: {exc}") from None
         metadata = dict(self.metadata)
         for key, value in metadata.items():
             if not (isinstance(key, str) and isinstance(value, str)):
                 raise CircuitError(f"metadata entry {key!r}: {value!r} is not a pair of strings")
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "gates", gates)
         object.__setattr__(self, "metadata", metadata)
 
@@ -402,11 +384,9 @@ def cost(c: Circuit, tau: float = 1.0) -> CostReport:
     Depth is greedy disjoint-qubit layering in program order; gates on
     disjoint qubit sets share a layer, GlobalPhase occupies none.
     """
-    # a bool would be reported as tau True; a str or None is no time at all
-    if isinstance(tau, bool) or not isinstance(tau, Real):
-        raise CircuitError(f"tau {tau!r} is not a real number")
-    if not (math.isfinite(tau) and tau > 0):
-        raise CircuitError(f"tau must be positive and finite, got {tau}")
+    tau = _real(tau, "tau", CircuitError)
+    if tau <= 0:
+        raise CircuitError(f"tau must be positive, got {tau}")
     readers, sqrt = _QUBITS, math.sqrt
     total = 0.0
     # The Circuit has checked every qubit, so the layer a qubit was last
@@ -486,8 +466,7 @@ def deserialize(document: str) -> Circuit:
                     values = (*values, tuple(map(int, args[len(parsers):])))
                 gate = record.kind(*values)
                 for q in record.qubits(gate):
-                    if not 0 <= q < n_qubits:
-                        _check_qubit(gate, q, n_qubits)
+                    _index(q, "qubit", CircuitError, n_qubits)
             except ValueError as exc:  # a token that does not parse, or a CircuitError
                 raise ParseError(idx, f"{tag} record: {exc}") from None
             parsed[line] = gate

@@ -21,14 +21,13 @@ ordering and fused groups sit at the position of their first member.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit, Clifford1, Gate, GlobalPhase, Rz, Rzz
 from .fermion import ExcitationTerm, HamiltonianTerms, double, local_pauli, single
-from .pauli import _as_index
+from .pauli import _index, _real
 from .synth import _lower_group
 from .verify import circuit_unitary, dense_sum
 
@@ -52,28 +51,6 @@ class EvolutionError(ValueError):
 # --- domain types ---------------------------------------------------------------
 
 
-def _mode(m, n_modes: int) -> int:
-    """A mode of an n_modes register as an int.  Floats and bools are refused,
-    not truncated or read as 0 and 1; numpy integers pass."""
-    i = _as_index(m)
-    if i is None:
-        raise EvolutionError(f"mode {m!r} is not an integer")
-    if not 0 <= i < n_modes:
-        raise EvolutionError(f"mode {i} outside register of {n_modes}")
-    return i
-
-
-def _mode_count(n_modes) -> int:
-    """A register's mode count as an int, refused like a mode when it is a
-    float or a bool, or when it is negative."""
-    n = _as_index(n_modes)
-    if n is None:
-        raise EvolutionError(f"mode count {n_modes!r} is not an integer")
-    if n < 0:
-        raise EvolutionError(f"negative mode count {n}")
-    return n
-
-
 @dataclass(frozen=True)
 class AnsatzSpec:
     """UCCSD ansatz over spin orbitals; even indices are alpha, odd beta.
@@ -88,12 +65,10 @@ class AnsatzSpec:
     parameters: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        n_modes = _mode_count(self.n_modes)
-        occ = tuple(_mode(m, n_modes) for m in self.occupied)
-        vir = tuple(_mode(m, n_modes) for m in self.virtual)
-        parameters = tuple(float(x) for x in self.parameters)
-        if not all(map(math.isfinite, parameters)):
-            raise EvolutionError(f"parameters must be finite, got {parameters}")
+        n_modes = _index(self.n_modes, "mode count", EvolutionError)
+        occ = tuple(_index(m, "mode", EvolutionError, n_modes) for m in self.occupied)
+        vir = tuple(_index(m, "mode", EvolutionError, n_modes) for m in self.virtual)
+        parameters = tuple(_real(x, "parameter", EvolutionError) for x in self.parameters)
         object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "occupied", occ)
         object.__setattr__(self, "virtual", vir)
@@ -118,10 +93,7 @@ class TrotterConfig:
     scheduling: str = "parallelized"
 
     def __post_init__(self) -> None:
-        t = float(self.time_step)
-        if not np.isfinite(t):
-            raise EvolutionError("time step must be finite")
-        object.__setattr__(self, "time_step", t)
+        object.__setattr__(self, "time_step", _real(self.time_step, "time step", EvolutionError))
         if self.orbital_class not in ("real", "complex"):
             raise EvolutionError(f"unknown orbital class {self.orbital_class!r}")
         if self.scheduling not in ("parallelized", "baseline"):
@@ -180,8 +152,8 @@ def build_uccsd_layer(spec: AnsatzSpec, scheduling: str = "parallelized") -> Cir
 
 def prepare_reference(occupied, n_modes: int) -> Circuit:
     """X gates writing the occupation bitstring onto |0...0>."""
-    n_modes = _mode_count(n_modes)
-    occ = sorted(_mode(m, n_modes) for m in occupied)
+    n_modes = _index(n_modes, "mode count", EvolutionError)
+    occ = sorted(_index(m, "mode", EvolutionError, n_modes) for m in occupied)
     if len(set(occ)) != len(occ):
         raise EvolutionError("repeated mode in occupied list")
     gates = tuple(Clifford1(m, "X") for m in occ)
@@ -272,8 +244,8 @@ def trotter_error_probe(terms: HamiltonianTerms, time_steps, scheduling: str = "
     evals, evecs = np.linalg.eigh(h)
     out = []
     for dt in time_steps:
-        dt = float(dt)
         cfg = TrotterConfig(dt, orbital_class=terms.reality, scheduling=scheduling)
+        dt = cfg.time_step
         u = circuit_unitary(build_trotter_step(terms, cfg)).matrix
         exact = (evecs * np.exp(-1j * dt * evals)) @ evecs.conj().T
         out.append((dt, float(np.linalg.norm(u - exact, 2))))

@@ -22,13 +22,12 @@ The two constructions share no code and the test suite holds them equal.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, _as_index, identity_string, multiply
+from .pauli import PauliString, PauliSum, _index, _real, identity_string, multiply
 
 __all__ = [
     "FermionError",
@@ -65,15 +64,6 @@ Factor = tuple[int, bool]  # (mode, is_creation)
 _MERGE_EPS = 1e-15
 
 
-def _mode(m) -> int:
-    """A mode index as an int: numpy integers pass, and a bool or a float is
-    refused rather than read as 0 or 1 or truncated."""
-    i = m if type(m) is int else _as_index(m)
-    if i is None:
-        raise FermionError(f"mode {m!r} is not an integer")
-    return i
-
-
 def _bool(value, what: str) -> bool:
     """A flag as a bool: a numpy bool passes, anything else is refused rather
     than read through its truth value."""
@@ -82,16 +72,6 @@ def _bool(value, what: str) -> bool:
     if not isinstance(value, np.bool_):
         raise FermionError(f"{what} must be a bool, got {value!r}")
     return bool(value)
-
-
-_INT = frozenset({int})
-
-
-def _modes(modes) -> tuple[int, ...]:
-    """Modes as a tuple of ints (see _mode); a tuple of ints passes as it is,
-    tested in one pass, since every term a table splits into comes here."""
-    modes = tuple(modes)
-    return modes if _INT.issuperset(map(type, modes)) else tuple(map(_mode, modes))
 
 
 @dataclass(frozen=True)
@@ -107,18 +87,12 @@ class FermionOperator:
     products: tuple[tuple[complex, tuple[Factor, ...]], ...] = ()
 
     def __post_init__(self) -> None:
-        n_modes = _as_index(self.n_modes)
-        if n_modes is None:
-            raise FermionError(f"mode count {self.n_modes!r} is not an integer")
-        if n_modes < 0:
-            raise FermionError("negative mode count")
+        n_modes = _index(self.n_modes, "mode count", FermionError)
         object.__setattr__(self, "n_modes", n_modes)
         merged: dict[tuple[Factor, ...], complex] = {}
         for coeff, factors in self.products:
-            factors = tuple((_mode(m), _bool(c, "creation flag")) for m, c in factors)
-            for m, _ in factors:
-                if not (0 <= m < self.n_modes):
-                    raise FermionError(f"mode {m} outside 0..{self.n_modes - 1}")
+            factors = tuple((_index(m, "mode", FermionError, n_modes), _bool(c, "creation flag"))
+                            for m, c in factors)
             merged[factors] = merged.get(factors, 0) + complex(coeff)
         kept = tuple(
             (c, f) for f, c in sorted(merged.items()) if abs(c) > _MERGE_EPS
@@ -218,25 +192,17 @@ def jw_map(op: FermionOperator) -> PauliSum:
 _KINDS = ("single", "double", "controlled_single", "higher")
 
 
-def _finite(value, name: str = "coefficient") -> float:
-    """A weight as a float.  NaN is refused because PauliSum would drop every
-    string of its term (abs(nan) > eps is false), and ±inf because no circuit
-    realizes it."""
-    x = float(value)
-    if not math.isfinite(x):
-        raise FermionError(f"{name} must be finite, got {x!r}")
-    return x
-
-
 @dataclass(frozen=True)
 class ExcitationTerm:
     """A canonical excitation generator with a finite real weight.
 
     sub holds the creation (subscript) modes, sup the annihilation
     (superscript) modes, both strictly ascending; reordering signs are folded
-    into the coefficient by the factory functions below.  Modes are stored as
-    ints and the flag as a bool (numpy integers and bools are converted); any
-    other type is refused.
+    into the coefficient by the factory functions below.  Modes follow the
+    package's index rule and the coefficient its finite-real rule (see
+    pauli._index and pauli._real), and the flag is stored as a bool (numpy
+    bools are converted); any other type is refused.  A NaN coefficient would
+    lose every Pauli string (abs(nan) > eps is false), and ±inf has no circuit.
     """
 
     kind: str
@@ -249,18 +215,17 @@ class ExcitationTerm:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise FermionError(f"unknown excitation kind {self.kind!r}")
-        sub, sup = _modes(self.sub), _modes(self.sup)
+        sub = tuple([_index(m, "mode", FermionError) for m in self.sub])
+        sup = tuple([_index(m, "mode", FermionError) for m in self.sup])
         object.__setattr__(self, "sub", sub)
         object.__setattr__(self, "sup", sup)
-        if self.control is not None and type(self.control) is not int:
-            object.__setattr__(self, "control", _mode(self.control))
-        if type(self.symmetrized) is not bool:
-            object.__setattr__(self, "symmetrized", _bool(self.symmetrized, "symmetrized"))
-        object.__setattr__(self, "coefficient", _finite(self.coefficient))
-        if any(m < 0 for m in sub + sup) or (self.control is not None and self.control < 0):
-            raise FermionError("negative mode index")
-        if sorted(sub) != list(sub) or sorted(sup) != list(sup):
-            raise FermionError("mode lists must be ascending (use the factories)")
+        if self.control is not None:
+            object.__setattr__(self, "control", _index(self.control, "mode", FermionError))
+        object.__setattr__(self, "symmetrized", _bool(self.symmetrized, "symmetrized"))
+        coefficient = _real(self.coefficient, "coefficient", FermionError)
+        object.__setattr__(self, "coefficient", coefficient)
+        if sorted(set(sub)) != list(sub) or sorted(set(sup)) != list(sup):
+            raise FermionError("mode lists must be ascending without repeats (use the factories)")
         if set(sub) & set(sup):
             raise FermionError("creation and annihilation modes must be disjoint")
         if self.kind == "single":
@@ -338,11 +303,14 @@ def _double_order(p: int, q: int, r: int, s: int,
     return (p, q), (r, s), sign
 
 
+# The factories check the coefficient before the reordering sign multiplies
+# it: True * 1.0 is 1.0, which ExcitationTerm could no longer refuse.
 def single(p: int, q: int, coefficient: float = 1.0, symmetrized: bool = False) -> ExcitationTerm:
     if p == q:
         raise FermionError("single excitation needs two distinct modes")
     p, q, sign = _single_order(p, q, symmetrized)
-    return ExcitationTerm("single", (p,), (q,), None, symmetrized, coefficient * sign)
+    coefficient = _real(coefficient, "coefficient", FermionError) * sign
+    return ExcitationTerm("single", (p,), (q,), None, symmetrized, coefficient)
 
 
 def double(p: int, q: int, r: int, s: int, coefficient: float = 1.0,
@@ -351,7 +319,8 @@ def double(p: int, q: int, r: int, s: int, coefficient: float = 1.0,
     if len({p, q, r, s}) != 4:
         raise FermionError("double excitation needs four distinct modes")
     sub, sup, sign = _double_order(p, q, r, s, symmetrized)
-    return ExcitationTerm("double", sub, sup, None, symmetrized, coefficient * sign)
+    coefficient = _real(coefficient, "coefficient", FermionError) * sign
+    return ExcitationTerm("double", sub, sup, None, symmetrized, coefficient)
 
 
 def controlled_single(p: int, q: int, j: int, coefficient: float = 1.0,
@@ -359,7 +328,8 @@ def controlled_single(p: int, q: int, j: int, coefficient: float = 1.0,
     if p == q or j in (p, q):
         raise FermionError("controlled single needs distinct p, q and control")
     p, q, sign = _single_order(p, q, symmetrized)
-    return ExcitationTerm("controlled_single", (p,), (q,), j, symmetrized, coefficient * sign)
+    coefficient = _real(coefficient, "coefficient", FermionError) * sign
+    return ExcitationTerm("controlled_single", (p,), (q,), j, symmetrized, coefficient)
 
 
 def higher_excitation(sub_modes: Iterable[int], sup_modes: Iterable[int],
@@ -368,9 +338,8 @@ def higher_excitation(sub_modes: Iterable[int], sup_modes: Iterable[int],
     sup, sign_sup = _sort_parity(sup_modes)
     if len(set(sub)) != len(sub) or len(set(sup)) != len(sup):
         raise FermionError("repeated mode in excitation list")
-    return ExcitationTerm(
-        "higher", sub, sup, None, symmetrized, coefficient * sign_sub * sign_sup
-    )
+    coefficient = _real(coefficient, "coefficient", FermionError) * sign_sub * sign_sup
+    return ExcitationTerm("higher", sub, sup, None, symmetrized, coefficient)
 
 
 # --- local (diagonal) terms ------------------------------------------------
@@ -388,11 +357,10 @@ class LocalTerm:
     coefficient: float = 1.0
 
     def __post_init__(self) -> None:
-        modes = _modes(self.modes)
+        modes = tuple([_index(m, "mode", FermionError) for m in self.modes])
         object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "coefficient", _finite(self.coefficient))
-        if any(m < 0 for m in modes):
-            raise FermionError("negative mode index")
+        coefficient = _real(self.coefficient, "coefficient", FermionError)
+        object.__setattr__(self, "coefficient", coefficient)
         if self.kind == "density":
             if len(modes) != 1:
                 raise FermionError("density term takes one mode")
@@ -558,13 +526,23 @@ def local_equivalence_conjugate(t: ExcitationTerm, j: int) -> tuple[ExcitationTe
 
 @dataclass(frozen=True)
 class HamiltonianTerms:
-    """Weighted generator decomposition of an electronic Hamiltonian."""
+    """Weighted generator decomposition of an electronic Hamiltonian.
+
+    The mode count, the reality class and the constant are checked here; the
+    terms are not, since every op builds these and assemble checks its terms.
+    """
 
     n_modes: int
     reality: str
     constant: float
     local_terms: tuple[LocalTerm, ...]
     excitation_terms: tuple[ExcitationTerm, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n_modes", _index(self.n_modes, "mode count", FermionError))
+        if self.reality not in ("real", "complex"):
+            raise FermionError(f"unknown reality class {self.reality!r}")
+        object.__setattr__(self, "constant", _real(self.constant, "constant", FermionError))
 
     def pauli_sum(self, n_modes: int | None = None) -> PauliSum:
         n = self.n_modes if n_modes is None else n_modes
@@ -581,9 +559,7 @@ class HamiltonianTerms:
     def assemble(cls, n_modes: int, reality: str, constant: float,
                  local_terms, excitation_terms) -> "HamiltonianTerms":
         """Merge duplicate term keys and apply the canonical ordering."""
-        if reality not in ("real", "complex"):
-            raise FermionError(f"unknown reality class {reality!r}")
-        constant = _finite(constant, "constant")
+        n_modes = _index(n_modes, "mode count", FermionError)
         acc = _Accumulator()
         for lt in local_terms:
             if max(lt.modes) >= n_modes:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .circuit import _unplain
 from .fermion import _DROP_EPS, HamiltonianTerms, _Accumulator, _digit_codes, density_term, single
-from .pauli import _as_index
+from .pauli import _index, _real
 
 __all__ = [
     "IntegralError",
@@ -121,14 +121,12 @@ class IntegralTable:
     def __init__(self, n_modes: int, reality: str, constant: float = 0.0):
         if reality not in ("real", "complex"):
             raise IntegralError(f"unknown reality class {reality!r}")
-        n = _as_index(n_modes)
-        if n is None:
-            raise IntegralError(f"mode count {n_modes!r} is not an integer")
+        n = _index(n_modes, "mode count", IntegralError)
         if n < 1:
             raise IntegralError("need at least one mode")
         self.n_modes = n
         self.reality = reality
-        self.constant = _finite(constant).real
+        self.constant = _real(constant, "constant", IntegralError)
         self._one: dict[tuple, complex] = {}
         self._two: dict[tuple, complex] = {}
         # original input tuple per representative, for conflict messages
@@ -137,13 +135,7 @@ class IntegralTable:
     def _check_modes(self, key) -> tuple[int, ...]:
         """key as ints, each a mode of this table.  A bool or a float is
         refused, not truncated: 2.5 would store or read the entry of mode 2."""
-        modes = tuple(m if type(m) is int else _as_index(m) for m in key)
-        for m, given in zip(modes, key):
-            if m is None:
-                raise IntegralError(f"mode {given!r} is not an integer")
-            if not 0 <= m < self.n_modes:
-                raise IntegralError(f"mode {m} outside table of {self.n_modes} modes")
-        return modes
+        return tuple([_index(m, "mode", IntegralError, self.n_modes) for m in key])
 
     def _set(self, store, key, value, orbit) -> None:
         value = _finite(value)
@@ -379,7 +371,7 @@ def term_list(table: IntegralTable) -> HamiltonianTerms:
         symmetrized = np.tile((False, True), len(p))
     del p, q, r, s
     acc.quartics(n, *calls, weight, symmetrized)
-    return acc.finish(n, table.reality, float(table.constant))
+    return acc.finish(n, table.reality, table.constant)
 
 
 def h3plus_table() -> IntegralTable:

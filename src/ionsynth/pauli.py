@@ -14,9 +14,17 @@ where |m| counts the set bits of m.  Moving Z^(z_a) past X^(x_b) costs
     phase = p_a p_b i^(|x_a & z_a| + |x_b & z_b| - |x & z| + 2 |z_a & x_b|),
 
 and they commute exactly when |x_a & z_b ^ z_a & x_b| is even.  All
-operations track the phase exactly; nothing in this module touches floating
+operations track the phase exactly; nothing in the algebra touches floating
 point.  No other module reads the masks: strings are built from letters and
 read through ``letter``, ``support`` and ``label``.
+
+Input rules
+-----------
+The package checks its inputs by two rules kept here, each raising the error
+class of the module that calls it.  ``_index`` is the rule for every mode,
+qubit and count: an int or a numpy integer, never a bool or a float, and
+never negative.  ``_real`` is the rule for every angle, coefficient and time
+step: a finite float from any real number that is not a bool.
 
 Conjugation conventions
 -----------------------
@@ -38,7 +46,9 @@ images, with Y = iXZ.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 from operator import index
 from typing import Iterable, Mapping
 
@@ -89,25 +99,41 @@ class PauliError(ValueError):
     """Structural error in Pauli-algebra inputs."""
 
 
-def _as_index(value) -> int | None:
-    """value as an int when it is an integer, numpy integers included, or
-    None for a bool, a float or anything else: the rule for every mode, qubit
-    and count index in the package, so none is truncated or read as 0 or 1."""
-    if isinstance(value, bool):
-        return None
-    try:
-        return index(value)
-    except TypeError:
-        return None
+def _index(value, what: str, error: type[Exception], size: int | None = None) -> int:
+    """value as an int, or ``error`` naming ``what``: the rule for every mode,
+    qubit and count in the package.  numpy integers pass; a bool or a float is
+    refused rather than read as 0 or 1 or truncated, and so is a negative
+    value or, when ``size`` is given, one of ``size`` or more."""
+    if type(value) is not int:
+        try:
+            i = None if isinstance(value, bool) else index(value)
+        except TypeError:
+            i = None
+        if i is None:
+            raise error(f"{what} {value!r} is not an integer")
+        value = i
+    if value < 0:
+        raise error(f"negative {what} {value}")
+    if size is not None and value >= size:
+        raise error(f"{what} {value} outside 0..{size - 1}")
+    return value
 
 
-def _index(value, what: str) -> int:
-    """value as an int by the package's index rule (see _as_index), or
-    PauliError naming ``what``."""
-    i = _as_index(value)
-    if i is None:
-        raise PauliError(f"{what} {value!r} is not an integer")
-    return i
+def _real(value, what: str, error: type[Exception]) -> float:
+    """value as a finite float, or ``error`` naming ``what``: the rule for
+    every angle, coefficient and time step in the package.  Any real number
+    passes, numpy floats and ints included; a bool, a string or a complex
+    number is refused, and so are NaN and ±inf."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise error(f"{what} {value!r} is not a real number")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise error(f"{what} must be finite, got {value!r}") from None
+    if not math.isfinite(value):
+        raise error(f"{what} must be finite, got {value!r}")
+    return value
 
 
 def _check_phase(phase: complex) -> complex:
@@ -122,8 +148,8 @@ class PauliString:
 
     Built from ``letters``, a map qubit index -> letter in {I, X, Y, Z};
     identity letters may be given or left out.  The width and the qubits
-    follow the package's index rule (see _as_index): numpy integers are
-    stored as ints, bools and floats are refused.
+    follow the package's index rule (see _index): numpy integers are stored
+    as ints, bools, floats and negative values are refused.
     """
 
     width: int
@@ -134,20 +160,16 @@ class PauliString:
     def __init__(
         self, width: int, letters: Mapping[int, str] | None = None, phase: complex = 1
     ) -> None:
-        if type(width) is not int:
-            width = _index(width, "width")
-        if width < 0:
-            raise PauliError(f"negative width {width}")
+        width = _index(width, "width", PauliError)
         x = z = 0
         for q, letter in (letters or {}).items():
             code = _CODES.get(letter)
             if code is None:
                 raise PauliError(f"invalid Pauli letter {letter!r} on qubit {q}")
-            if type(q) is not int:
-                q = _index(q, "qubit")
+            q = _index(q, "qubit", PauliError)
             if not code:
                 continue
-            if not 0 <= q < width:
+            if q >= width:
                 raise PauliError(f"qubit {q} outside width {width}")
             x |= (code & 1) << q
             z |= (code >> 1) << q
@@ -331,11 +353,18 @@ class PauliSum:
     Terms are keyed by letter content; any phase on an input string is folded
     into its coefficient, so stored strings always have phase +1.  Terms are
     ordered by their (qubit, letter) sequences, and terms with coefficient
-    magnitude below 1e-15 are dropped.
+    magnitude below 1e-15 are dropped.  The width follows the index rule
+    (see _index) and every string must have it.
     """
 
     width: int
     terms: tuple[tuple[complex, PauliString], ...] = ()
+
+    def __post_init__(self) -> None:
+        width = _index(self.width, "width", PauliError)
+        if any(s.width != width for _, s in self.terms):
+            raise PauliError("term width mismatch")
+        object.__setattr__(self, "width", width)
 
     @staticmethod
     def from_terms(

@@ -69,7 +69,6 @@ from .circuit import (
 )
 from .fermion import (
     ExcitationTerm,
-    FermionError,
     controlled_single,
     double,
     generator_pauli,
@@ -78,6 +77,8 @@ from .fermion import (
 from .pauli import (
     CLIFFORD1_NAMES,
     PauliString,
+    _index,
+    _real,
     conjugate_by_clifford,
     conjugate_by_ms,
 )
@@ -650,6 +651,7 @@ def _lower_group(pairs, width: int, *, conjugation_mode: int | None = None,
 def _compiled(op: str, pairs, n_qubits: int | None, **options) -> Circuit:
     """Circuit ``op``: the (term, angle) pairs lowered as one group on
     ``n_qubits`` qubits, or on the smallest register holding their modes."""
+    pairs = [(t, _real(theta, "angle", SynthesisError)) for t, theta in pairs]
     width = 1 + max(t.modes[-1] for t, _ in pairs) if n_qubits is None else n_qubits
     return Circuit(width, _lower_group(pairs, width, **options), {"op": op})
 
@@ -667,7 +669,7 @@ def compile_pauli_rotation(p: PauliString, phi: float) -> Circuit:
         raise SynthesisError("identity rotation is a global phase; use GlobalPhase")
     if p.phase not in (1, -1):
         raise SynthesisError(f"rotation about an anti-Hermitian string (phase {p.phase})")
-    signed_phi = float(phi) * (1 if p.phase == 1 else -1)
+    signed_phi = _real(phi, "angle", SynthesisError) * (1 if p.phase == 1 else -1)
     target = p.with_phase(1)
     requests = [(target.support()[0], _product(0, 0.5), target, None)]
     items = _items(_sandwich(p.width, "xx", requests))
@@ -683,7 +685,7 @@ def compile_single_excitation(
     name = str(axis).lower()
     if name not in ("xx", "yy"):
         raise SynthesisError(f"axis must be 'xx' or 'yy', got {axis!r}")
-    return _compiled("single_excitation", [(t, float(theta))], n_qubits, axis=name)
+    return _compiled("single_excitation", [(t, theta)], n_qubits, axis=name)
 
 
 def compile_double_block(
@@ -696,9 +698,10 @@ def compile_double_block(
     realized with one XX and one YY MS pair regardless of how many pairings
     are active.
     """
-    if not 0 <= p < q < r < s:
+    p, q, r, s = (_index(m, "mode", SynthesisError) for m in (p, q, r, s))
+    if not p < q < r < s:
         raise SynthesisError(f"orbitals must be strictly increasing, got {(p, q, r, s)}")
-    angles = tuple(float(a) for a in angles)
+    angles = tuple(angles)
     if len(angles) != 3:
         raise SynthesisError("double block takes three pairing angles")
     pairs = [double(p, q, r, s), double(p, r, q, s), double(p, s, q, r)]
@@ -709,9 +712,11 @@ def compile_coupled_exchange(
     p: int, q: int, r: int, s: int, theta: float, n_qubits: int | None = None
 ) -> Circuit:
     """exp(-i theta (G_pq^rs + G_ps^rq)); two of the four Rz slots cancel and are dropped."""
-    if not 0 <= p < q < r < s:
+    p, q, r, s = (_index(m, "mode", SynthesisError) for m in (p, q, r, s))
+    if not p < q < r < s:
         raise SynthesisError(f"orbitals must be strictly increasing, got {(p, q, r, s)}")
-    terms = [(double(p, q, r, s), float(theta)), (double(p, s, r, q), float(theta))]
+    theta = _real(theta, "angle", SynthesisError)
+    terms = [(double(p, q, r, s), theta), (double(p, s, r, q), theta)]
     width = 1 + s if n_qubits is None else n_qubits
     gates = [g for g in _lower_group(terms, width) if not (type(g) is Rz and g.angle == 0.0)]
     return Circuit(width, gates, {"op": "coupled_exchange"})
@@ -726,18 +731,16 @@ def compile_controlled_single(
     from the control qubit, which never joins the MS set. Variant "b" spends a
     second MS pair to realize the two commuting halves with plain Rz gates.
     """
-    if not (0 <= p < q) or j < 0:
-        raise SynthesisError(f"need 0 <= p < q and a valid control, got {(p, q, j)}")
+    p, q, j = (_index(m, "mode", SynthesisError) for m in (p, q, j))
+    if not p < q:
+        raise SynthesisError(f"need p < q, got {(p, q)}")
     if j in (p, q):
         raise SynthesisError("control mode coincides with the excitation; that is a density term")
-    try:
-        t = controlled_single(p, q, j)
-    except FermionError as exc:
-        raise SynthesisError(str(exc)) from exc
+    t = controlled_single(p, q, j)
     scheme = {"a": "layers", "b": "halves"}.get(variant)
     if scheme is None:
         raise SynthesisError(f"variant must be 'a' or 'b', got {variant!r}")
-    return _compiled(f"controlled_single_{variant}", [(t, float(theta))], n_qubits, scheme=scheme)
+    return _compiled(f"controlled_single_{variant}", [(t, theta)], n_qubits, scheme=scheme)
 
 
 def higher_order_ms_count(order: int) -> int:
@@ -759,7 +762,7 @@ def compile_higher_excitation(
     spends exactly one MS pair.
     """
     _expect_antisym(t, "higher")
-    c = _compiled("higher_excitation", [(t, float(theta))], n_qubits)
+    c = _compiled("higher_excitation", [(t, theta)], n_qubits)
     budget = higher_order_ms_count(len(t.sub))
     spent = sum(isinstance(g, MS) for g in c.gates)
     if spent != budget:
@@ -782,7 +785,7 @@ def compile_symmetrized(
     """
     if not t.symmetrized:
         raise SynthesisError("term is already antisymmetrized; compile it directly")
-    return _compiled("symmetrized", [(t, float(theta))], n_qubits,
+    return _compiled("symmetrized", [(t, theta)], n_qubits,
                      conjugation_mode=conjugation_mode)
 
 
@@ -790,7 +793,7 @@ def baseline_string_by_string(
     t: ExcitationTerm, theta: float, n_qubits: int | None = None
 ) -> Circuit:
     """Reference compiler: every generator string gets its own MS pair."""
-    return _compiled("baseline", [(t, float(theta))], n_qubits, scheme="strings")
+    return _compiled("baseline", [(t, theta)], n_qubits, scheme="strings")
 
 
 def ms_square_phase_exponent(n: int) -> tuple[int, bool]:
@@ -840,4 +843,4 @@ def compile_mixed_cnot(t: ExcitationTerm, theta: float, n_qubits: int | None = N
     as a CNOT ladder around an Rz.
     """
     _expect_antisym(t, "double")
-    return _compiled("mixed_cnot", [(t, float(theta))], n_qubits, scheme="ladder")
+    return _compiled("mixed_cnot", [(t, theta)], n_qubits, scheme="ladder")

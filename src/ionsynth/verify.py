@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CNOT, MS, Circuit, Clifford1, CRz, Gate, GlobalPhase, Rz, Rzz, gate_qubits
-from .pauli import PauliString, PauliSum
+from .pauli import PauliString, PauliSum, _index, _real
 
 __all__ = [
     "DenseOperator",
@@ -128,9 +128,13 @@ class DenseOperator:
         return float(np.linalg.norm(m.conj().T @ m - np.eye(self.dimension)))
 
 
-def _check_width(width: int) -> None:
+def _check_width(width) -> int:
+    """width as an int by the package's index rule (see pauli._index), at
+    most MAX_QUBITS."""
+    width = _index(width, "width", VerifyError)
     if width > MAX_QUBITS:
         raise VerifyError(f"{width} qubits exceeds the dense cap of {MAX_QUBITS}")
+    return width
 
 
 def _as_matrix(op) -> np.ndarray:
@@ -329,8 +333,9 @@ def ordered_product(factors, width: int) -> DenseOperator:
     strings commute pairwise; the product is composed as signed permutations
     (kernel 3), never by dense matrix products.
     """
-    _check_width(width)
-    factors = [(_hermitian_sum(g, width), angle) for g, angle in factors]
+    width = _check_width(width)
+    factors = [(_hermitian_sum(g, width), _real(angle, "angle", VerifyError))
+               for g, angle in factors]
     if not factors:
         raise VerifyError("ordered product needs at least one factor")
     for k, (g, _) in enumerate(factors):
@@ -347,6 +352,7 @@ def generator_unitary(g: PauliSum | PauliString, angle: float) -> DenseOperator:
     1e-12 and the test suite holds them to that.
     """
     _check_width(g.width)
+    angle = _real(angle, "angle", VerifyError)
     g = _hermitian_sum(g, g.width)
     if g.strings_commute():
         return DenseOperator(_exp_product([(g, angle)], g.width))

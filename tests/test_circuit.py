@@ -157,10 +157,12 @@ def test_cost_square_root_time_model():
         cost(c, tau=0.0)
 
 
-@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf,
+                                 pytest.param(10**400, id="huge-int")])
 def test_cost_rejects_non_finite_tau(tau):
+    """An int too large for a float used to raise OverflowError."""
     c = Circuit(2, (MS("xx", "forward", (0, 1)),))
-    with pytest.raises(CircuitError):
+    with pytest.raises(CircuitError, match="finite"):
         cost(c, tau=tau)
 
 
@@ -175,6 +177,12 @@ def test_cost_refuses_a_tau_that_is_not_a_real_number(tau):
 def test_cost_takes_numpy_and_integer_taus():
     c = Circuit(2, (MS("xx", "forward", (0, 1)),))
     assert cost(c, tau=np.float64(2.0)).total_ms_time == cost(c, tau=2).total_ms_time
+
+
+@pytest.mark.parametrize("angle", [np.float64(0.5), 2], ids=["numpy-float", "int"])
+def test_angles_take_numpy_floats_and_ints_as_floats(angle):
+    for gate in (Rz(0, angle), CRz(0, 1, angle), Rzz(0, 1, angle), GlobalPhase(angle)):
+        assert type(gate.angle) is float and gate.angle == angle
 
 
 def test_depth_greedy_layering():
@@ -378,8 +386,13 @@ def test_out_of_range_qubit_fails_at_its_own_line():
     lambda: Rzz(False, 1, 0.1),
     lambda: Clifford1("0", "h"),
     lambda: CNOT(0, True),
+    lambda: Rz(0, True),
+    lambda: Rz(0, "0.1"),
+    lambda: Rz(0, 1 + 0j),
+    lambda: GlobalPhase(False),
 ], ids=["ms-axis", "ms-direction", "ms-qubit", "rz-float", "rz-bool", "crz-float",
-        "rzz-bool", "cl-str", "cnot-bool"])
+        "rzz-bool", "cl-str", "cnot-bool", "rz-bool-angle", "rz-str-angle", "rz-complex-angle",
+        "phase-bool-angle"])
 def test_gate_operands_that_would_not_read_back_are_refused(make):
     with pytest.raises(CircuitError):
         Circuit(2, (make(),))
@@ -390,6 +403,7 @@ def test_numpy_integer_qubits_are_accepted():
     assert serialize(c) == "ionsynth-circuit v1\nqubits 2\nrz 1 0.1\nms xx forward 0 1\n"
     assert deserialize(serialize(c)) == c
     wide = Circuit(np.int64(2), (Rz(1, 0.1),))
+    assert type(wide.n_qubits) is int
     assert serialize(wide) == "ionsynth-circuit v1\nqubits 2\nrz 1 0.1\n"
     assert deserialize(serialize(wide)) == wide
 

@@ -142,6 +142,21 @@ def test_prepare_reference_refuses_non_integer_modes(occupied):
         prepare_reference(occupied, 3)
 
 
+@pytest.mark.parametrize("value", [True, "0.1", 1 + 0j], ids=["bool", "str", "complex"])
+def test_time_steps_and_parameters_that_are_not_real_numbers_are_refused(value):
+    with pytest.raises(EvolutionError, match="time step .* is not a real number"):
+        TrotterConfig(value)
+    with pytest.raises(EvolutionError, match="parameter .* is not a real number"):
+        AnsatzSpec(6, (0, 1), (2, 3, 4, 5), (value,) + (0.1,) * 7)
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), 2], ids=["numpy-float", "int"])
+def test_time_steps_and_parameters_are_stored_as_floats(value):
+    step = TrotterConfig(value).time_step
+    (parameter, *_) = AnsatzSpec(6, (0, 1), (2, 3, 4, 5), (value,) + (0.1,) * 7).parameters
+    assert type(step) is float and type(parameter) is float and step == parameter == value
+
+
 def test_trotter_config_guards():
     with pytest.raises(EvolutionError):
         TrotterConfig(float("inf"))

@@ -170,10 +170,14 @@ TERM_REFUSALS = {
                      "mode True is not an integer"),
     "string-flag": (lambda: ExcitationTerm("single", (0,), (1,), None, "no"),
                     "symmetrized must be a bool"),
-    "negative-mode": (lambda: ExcitationTerm("single", (-1,), (1,)), "negative mode index"),
+    "negative-mode": (lambda: ExcitationTerm("single", (-1,), (1,)), "negative mode -1"),
     "negative-control": (lambda: ExcitationTerm("controlled_single", (0,), (2,), -1),
-                         "negative mode index"),
+                         "negative mode -1"),
     "descending": (lambda: ExcitationTerm("double", (1, 0), (2, 3)), "must be ascending"),
+    "repeated-sub": (lambda: ExcitationTerm("double", (0, 0), (1, 2)), "ascending without repeats"),
+    "repeated-sup": (lambda: ExcitationTerm("double", (0, 1), (2, 2)), "ascending without repeats"),
+    "higher-repeated": (lambda: ExcitationTerm("higher", (0, 0), (1, 2)),
+                        "ascending without repeats"),
     "overlap": (lambda: ExcitationTerm("double", (0, 1), (1, 2)), "must be disjoint"),
     "single-arity": (lambda: ExcitationTerm("single", (0, 1), (2, 3)),
                      "single takes one creation and one annihilation mode"),
@@ -202,7 +206,7 @@ TERM_REFUSALS = {
     "coulomb-order": (lambda: LocalTerm("coulomb", (2, 1)), "two ascending modes"),
     "local-kind": (lambda: LocalTerm("hopping", (0, 1)), "unknown local kind"),
     "local-float-mode": (lambda: LocalTerm("density", (1.5,)), "mode 1.5 is not an integer"),
-    "local-negative-mode": (lambda: LocalTerm("density", (-1,)), "negative mode index"),
+    "local-negative-mode": (lambda: LocalTerm("density", (-1,)), "negative mode -1"),
     "coulomb-same-mode": (lambda: coulomb_term(1, 1), "two distinct modes"),
     "operator-float-count": (lambda: FermionOperator(2.5), "mode count 2.5 is not an integer"),
     "operator-negative-count": (lambda: FermionOperator(-1), "negative mode count"),
@@ -216,6 +220,10 @@ TERM_REFUSALS = {
     "assemble-excitation-range": (lambda: HamiltonianTerms.assemble(2, "real", 0.0, (),
                                                                     (single(0, 2),)),
                                   "exceeds 2 modes"),
+    "terms-float-count": (lambda: HamiltonianTerms(2.5, "real", 0.0, (), ()),
+                          "mode count 2.5 is not an integer"),
+    "terms-reality": (lambda: HamiltonianTerms(2, "imaginary", 0.0, (), ()),
+                      "unknown reality class 'imaginary'"),
 }
 
 
@@ -304,6 +312,7 @@ NON_FINITE_TERMS = {
     "coulomb": lambda c: coulomb_term(0, 1, c),
     "local-term": lambda c: LocalTerm("density", (0,), c),
     "assemble-constant": lambda c: HamiltonianTerms.assemble(2, "real", c, (), ()),
+    "terms-constant": lambda c: HamiltonianTerms(2, "real", c, (), ()),
 }
 
 
@@ -313,6 +322,23 @@ def test_non_finite_weights_are_refused(make, value):
     """A NaN term would lose every Pauli string and an inf term has no circuit."""
     with pytest.raises(FermionError, match="must be finite"):
         make(value)
+
+
+@pytest.mark.parametrize("value", [True, "0.1", 1 + 0j], ids=["bool", "str", "complex"])
+@pytest.mark.parametrize("make", NON_FINITE_TERMS.values(), ids=NON_FINITE_TERMS.keys())
+def test_weights_that_are_not_real_numbers_are_refused(make, value):
+    """True used to be read as 1.0 and "0.1" as 0.1; 1+0j was read by the
+    factories as a complex weight."""
+    with pytest.raises(FermionError, match="is not a real number"):
+        make(value)
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), 2], ids=["numpy-float", "int"])
+@pytest.mark.parametrize("make", NON_FINITE_TERMS.values(), ids=NON_FINITE_TERMS.keys())
+def test_real_weights_are_stored_as_floats(make, value):
+    made = make(value)
+    weight = made.constant if isinstance(made, HamiltonianTerms) else made.coefficient
+    assert type(weight) is float and abs(weight) == value
 
 
 def test_higher_excitation_sort_parity():

@@ -271,6 +271,20 @@ def test_table_refuses_an_unknown_reality_or_no_modes(n_modes, reality, message)
         IntegralTable(n_modes, reality)
 
 
+@pytest.mark.parametrize("value", [True, "0.1", 1 + 0j, 1 + 2j],
+                         ids=["bool", "str", "complex", "imaginary"])
+def test_table_refuses_a_constant_that_is_not_a_real_number(value):
+    """1+2j used to be stored as 1.0, and True as 1.0."""
+    with pytest.raises(IntegralError, match="constant .* is not a real number"):
+        IntegralTable(2, "real", constant=value)
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), 2], ids=["numpy-float", "int"])
+def test_table_stores_a_real_constant_as_a_float(value):
+    constant = IntegralTable(2, "real", constant=value).constant
+    assert type(constant) is float and constant == value
+
+
 def test_table_mode_count_accepts_numpy_integers():
     table = IntegralTable(np.int64(3), "real")
     assert table.n_modes == 3 and type(table.n_modes) is int

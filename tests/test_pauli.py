@@ -252,8 +252,10 @@ def test_ms_empty_set_rejected():
     (3, {True: "X"}, "qubit True is not an integer"),
     (3, {1.0: "X"}, "qubit 1.0 is not an integer"),
     (3, {np.float64(1): "I"}, "qubit .*1.0.* is not an integer"),
+    (3, {-1: "I"}, "negative qubit -1"),
+    (np.float64(3), {}, "width .*3.0.* is not an integer"),
 ], ids=["float-width", "negative-width", "bool-width", "bool-qubit", "float-qubit",
-        "numpy-float-identity-qubit"])
+        "numpy-float-identity-qubit", "negative-identity-qubit", "numpy-float-width"])
 def test_string_refuses_widths_and_qubits_that_are_not_indices(width, letters, message):
     """2.5 used to be stored and break label(); True read as 1, 1.0 raised TypeError."""
     with pytest.raises(PauliError, match=message):
@@ -265,6 +267,21 @@ def test_string_stores_numpy_integer_width_and_qubits_as_ints():
     assert type(s.width) is int
     assert s == from_label("IXZ")
     assert PauliString(0) == identity_string(0)
+    total = PauliSum(np.int64(3), ((1.0, s),))
+    assert type(total.width) is int and total == PauliSum(3, ((1.0, s),))
+
+
+@pytest.mark.parametrize("width, terms, message", [
+    (2.5, (), "width 2.5 is not an integer"),
+    (True, (), "width True is not an integer"),
+    (-1, (), "negative width -1"),
+    (3, ((1.0, from_label("XZ")),), "term width mismatch"),
+], ids=["float-width", "bool-width", "negative-width", "term-width"])
+def test_sum_refuses_widths_that_are_not_indices(width, terms, message):
+    """PauliSum(2.5, ()) broke dense_sum, PauliSum(True, ()) was a 1-qubit sum
+    and a 2-qubit string in a 3-qubit sum gave an 8x8 matrix."""
+    with pytest.raises(PauliError, match=message):
+        PauliSum(width, terms)
 
 
 def ms_pair_loop(p: PauliString, axis: str, qubits, inverse: bool = False) -> PauliString:

@@ -253,6 +253,12 @@ def test_double_block_input_guards():
         compile_double_block(0, 1, 1, 3, (0.1, 0.1, 0.1))
     with pytest.raises(SynthesisError):
         compile_double_block(0, 1, 2, 3, (0.1, 0.1))
+    with pytest.raises(SynthesisError, match="mode 0.5 is not an integer"):
+        compile_double_block(0.5, 1, 2, 3, (0.1, 0.1, 0.1))
+    with pytest.raises(SynthesisError, match="angle True is not a real number"):
+        compile_double_block(0, 1, 2, 3, (0.1, True, 0.1))
+    with pytest.raises(SynthesisError, match="mode 3.0 is not an integer"):
+        compile_coupled_exchange(0, 1, 2, 3.0, 0.1)
 
 
 # --- coupled exchange ---------------------------------------------------------
@@ -353,6 +359,10 @@ def test_controlled_zero_angle_and_guards():
         compile_controlled_single(0, 2, 3, 0.1, variant="c")
     with pytest.raises(SynthesisError, match="mode 0.5 is not an integer"):
         compile_controlled_single(0.5, 2, 1, 0.1)
+    with pytest.raises(SynthesisError, match="negative mode -1"):
+        compile_controlled_single(0, 2, -1, 0.1)
+    with pytest.raises(SynthesisError, match="angle '0.1' is not a real number"):
+        compile_controlled_single(0, 2, 1, "0.1")
 
 
 # --- higher-order excitations -------------------------------------------------

@@ -571,7 +571,10 @@ def test_ordered_product_matches_the_dense_chain(case):
     ([(from_label("X").with_phase(1j), 0.1)], 1, "not Hermitian"),
     ([(PauliString(MAX_QUBITS + 1, {0: "X"}), 0.1)], MAX_QUBITS + 1, "dense cap"),
     ([], 3, "at least one factor"),
-], ids=["string-width", "sum-width", "complex-coefficient", "string-phase", "cap", "empty"])
+    ([(from_label("XZ"), 0.5)], 2.0, "width 2.0 is not an integer"),
+    ([(from_label("XZ"), True)], 2, "angle True is not a real number"),
+], ids=["string-width", "sum-width", "complex-coefficient", "string-phase", "cap", "empty",
+        "float-width", "bool-angle"])
 def test_ordered_product_refusals(factors, width, named):
     with pytest.raises(VerifyError, match=named):
         ordered_product(factors, width)
