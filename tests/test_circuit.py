@@ -162,7 +162,7 @@ def test_cost_square_root_time_model():
 def test_cost_rejects_non_finite_tau(tau):
     """An int too large for a float used to raise OverflowError."""
     c = Circuit(2, (MS("xx", "forward", (0, 1)),))
-    with pytest.raises(CircuitError, match="finite"):
+    with pytest.raises(CircuitError):
         cost(c, tau=tau)
 
 
