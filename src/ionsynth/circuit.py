@@ -33,6 +33,9 @@ circuit, as every equal Clifford gate of a built step does
 (``ionsynth.synth``).  ``serialize`` formats each distinct gate object once,
 and ``deserialize`` parses each distinct record line of a document once, so
 identical records of one document read back as one shared gate object.
+Qubits are checked once, by the ``Circuit`` that ``deserialize`` returns; the
+line of a record with a qubit outside the register is recovered only when
+reading fails.
 """
 
 from __future__ import annotations
@@ -382,7 +385,10 @@ def cost(c: Circuit, tau: float = 1.0) -> CostReport:
     """MS time model: each MS on n qubits takes tau * sqrt(n).
 
     Depth is greedy disjoint-qubit layering in program order; gates on
-    disjoint qubit sets share a layer, GlobalPhase occupies none.
+    disjoint qubit sets share a layer, GlobalPhase occupies none.  A
+    one-qubit gate (Rz, Clifford1) lands one layer above its qubit's last,
+    so it steps that qubit's frontier by one; every other gate takes the
+    layer above the deepest of its qubits.
     """
     tau = _real(tau, "tau", CircuitError)
     if tau <= 0:
@@ -394,6 +400,9 @@ def cost(c: Circuit, tau: float = 1.0) -> CostReport:
     frontier = [0] * c.n_qubits
     for g in c.gates:
         kind = type(g)
+        if kind is Rz or kind is Clifford1:
+            frontier[g.qubit] += 1
+            continue
         qs = readers[kind](g)
         if kind is MS:
             total += tau * sqrt(len(qs))
@@ -440,56 +449,67 @@ def deserialize(document: str) -> Circuit:
     # The gate each record line parsed to.  The width is fixed before the first
     # record and cannot change, so a copy of a line parses to the same gate.
     parsed: dict[str, Gate] = {}
-    for idx, line in enumerate(lines[1:], start=2):
-        gate = parsed.get(line)
-        if gate is not None:
-            gates.append(gate)
-            continue
-        tokens = line.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        tag, args = tokens[0], tokens[1:]
-        if n_qubits is None and tag != "qubits":
-            raise ParseError(idx, "qubits line must precede gates")
-        record = _RECORDS_BY_TAG.get(tag)
-        if record is not None:
-            parsers, rest = record.parsers, record.rest
-            if len(args) <= len(parsers) if rest else len(args) != len(parsers):
-                raise ParseError(idx, f"{tag} record takes: {record.usage}")
-            # isascii() reads a flag, so a plain line costs one scan for '_'
-            if (not line.isascii() or "_" in line) and (bad := _unplain(args)):
-                raise ParseError(idx, f"{tag} record: field {bad!r} is not plain ASCII without '_'")
-            try:
-                # Each field's type parses its token: type.__call__(int, "3") is int("3").
-                values = map(type.__call__, parsers, args)
-                if rest:
-                    values = (*values, tuple(map(int, args[len(parsers):])))
-                gate = record.kind(*values)
-                for q in record.qubits(gate):
-                    _index(q, "qubit", CircuitError, n_qubits)
-            except ValueError as exc:  # a token that does not parse, or a CircuitError
-                raise ParseError(idx, f"{tag} record: {exc}") from None
-            parsed[line] = gate
-            gates.append(gate)
-        elif tag == "qubits":
-            if n_qubits is not None:
-                raise ParseError(idx, "repeated qubits line")
-            try:
-                if _unplain(args):
-                    raise ValueError
-                (n_qubits,) = map(int, args)
-            except ValueError:
-                n_qubits = -1
-            if n_qubits < 0:
-                raise ParseError(idx, f"qubits line takes one non-negative integer, got {' '.join(args)!r}")
-        elif tag == "meta":
-            if not args:
-                raise ParseError(idx, "meta line needs a key")
-            if args[0] in metadata:
-                raise ParseError(idx, f"repeated meta key {args[0]!r}")
-            metadata[args[0]] = " ".join(args[1:])
-        else:
-            raise SchemaError(idx, f"unknown gate record {tag!r}")
-    if n_qubits is None:
-        raise ParseError(len(lines), "missing qubits line")
-    return Circuit(n_qubits, tuple(gates), metadata)
+    # Qubits are checked once, by the Circuit returned below.  A record with a
+    # qubit outside the register fails before any later line, so when reading
+    # fails the records parsed so far are rescanned for one in line order.
+    try:
+        for idx, line in enumerate(lines[1:], start=2):
+            gate = parsed.get(line)
+            if gate is not None:
+                gates.append(gate)
+                continue
+            tokens = line.split()
+            if not tokens or tokens[0].startswith("#"):
+                continue
+            tag, args = tokens[0], tokens[1:]
+            if n_qubits is None and tag != "qubits":
+                raise ParseError(idx, "qubits line must precede gates")
+            record = _RECORDS_BY_TAG.get(tag)
+            if record is not None:
+                parsers, rest = record.parsers, record.rest
+                if len(args) <= len(parsers) if rest else len(args) != len(parsers):
+                    raise ParseError(idx, f"{tag} record takes: {record.usage}")
+                # isascii() reads a flag, so a plain line costs one scan for '_'
+                if (not line.isascii() or "_" in line) and (bad := _unplain(args)):
+                    raise ParseError(idx, f"{tag} record: field {bad!r} is not plain ASCII without '_'")
+                try:
+                    # Each field's type parses its token: type.__call__(int, "3") is int("3").
+                    values = map(type.__call__, parsers, args)
+                    if rest:
+                        values = (*values, tuple(map(int, args[len(parsers):])))
+                    gate = record.kind(*values)
+                except ValueError as exc:  # a token that does not parse, or a CircuitError
+                    raise ParseError(idx, f"{tag} record: {exc}") from None
+                parsed[line] = gate
+                gates.append(gate)
+            elif tag == "qubits":
+                if n_qubits is not None:
+                    raise ParseError(idx, "repeated qubits line")
+                try:
+                    if _unplain(args):
+                        raise ValueError
+                    (n_qubits,) = map(int, args)
+                except ValueError:
+                    n_qubits = -1
+                if n_qubits < 0:
+                    raise ParseError(idx, f"qubits line takes one non-negative integer, got {' '.join(args)!r}")
+            elif tag == "meta":
+                if not args:
+                    raise ParseError(idx, "meta line needs a key")
+                if args[0] in metadata:
+                    raise ParseError(idx, f"repeated meta key {args[0]!r}")
+                metadata[args[0]] = " ".join(args[1:])
+            else:
+                raise SchemaError(idx, f"unknown gate record {tag!r}")
+        if n_qubits is None:
+            raise ParseError(len(lines), "missing qubits line")
+        return Circuit(n_qubits, tuple(gates), metadata)
+    except (ParseError, CircuitError):
+        for idx, line in enumerate(lines[1:], start=2):
+            if (gate := parsed.get(line)) is not None:
+                try:
+                    for q in gate_qubits(gate):
+                        _index(q, "qubit", CircuitError, n_qubits)
+                except CircuitError as exc:
+                    raise ParseError(idx, f"{line.split()[0]} record: {exc}") from None
+        raise

@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, _index, _real, identity_string, multiply
+from .pauli import PauliString, PauliSum, _complex, _index, _real, identity_string, multiply
 
 __all__ = [
     "FermionError",
@@ -89,11 +89,17 @@ class FermionOperator:
     def __post_init__(self) -> None:
         n_modes = _index(self.n_modes, "mode count", FermionError)
         object.__setattr__(self, "n_modes", n_modes)
+        try:
+            products = [(coeff, [(m, c) for m, c in factors]) for coeff, factors in self.products]
+        except (TypeError, ValueError):
+            raise FermionError("products must be (coefficient, ((mode, creation flag), ...)) "
+                               f"pairs, got {self.products!r}") from None
         merged: dict[tuple[Factor, ...], complex] = {}
-        for coeff, factors in self.products:
+        for coeff, factors in products:
             factors = tuple((_index(m, "mode", FermionError, n_modes), _bool(c, "creation flag"))
                             for m, c in factors)
-            merged[factors] = merged.get(factors, 0) + complex(coeff)
+            coeff = _complex(coeff, "coefficient", FermionError)
+            merged[factors] = merged.get(factors, 0) + coeff
         kept = tuple(
             (c, f) for f, c in sorted(merged.items()) if abs(c) > _MERGE_EPS
         )
@@ -385,7 +391,7 @@ def coulomb_term(p: int, q: int, coefficient: float = 1.0) -> LocalTerm:
 
 
 def local_pauli(t: LocalTerm, n_modes: int | None = None) -> PauliSum:
-    n = (max(t.modes) + 1) if n_modes is None else n_modes
+    n = (max(t.modes) + 1) if n_modes is None else _index(n_modes, "mode count", FermionError)
     c = t.coefficient
     if t.kind == "density":
         (p,) = t.modes
@@ -420,7 +426,10 @@ def _ladder_sequences(t: ExcitationTerm) -> tuple[tuple[int, ...], tuple[int, ..
 def ladder_form(t: ExcitationTerm, n_modes: int | None = None) -> FermionOperator:
     """The generator as an explicit ladder-operator expression."""
     subs, sups = _ladder_sequences(t)
-    n = (max(max(subs), max(sups)) + 1) if n_modes is None else n_modes
+    if n_modes is None:
+        n = max(max(subs), max(sups)) + 1
+    else:
+        n = _index(n_modes, "mode count", FermionError)
     a = identity_op(n)
     for m in subs:
         a = a * creation(m, n)
@@ -487,7 +496,7 @@ def _distinct_mode_generator(
 
 def generator_pauli(t: ExcitationTerm, n_modes: int | None = None) -> PauliSum:
     """Pauli form of an excitation generator, built combinatorially."""
-    n = (max(t.modes) + 1) if n_modes is None else n_modes
+    n = (max(t.modes) + 1) if n_modes is None else _index(n_modes, "mode count", FermionError)
     if max(t.modes) >= n:
         raise FermionError(f"term touches mode {max(t.modes)} outside 0..{n - 1}")
     if t.kind in ("single", "double", "higher"):
@@ -545,7 +554,7 @@ class HamiltonianTerms:
         object.__setattr__(self, "constant", _real(self.constant, "constant", FermionError))
 
     def pauli_sum(self, n_modes: int | None = None) -> PauliSum:
-        n = self.n_modes if n_modes is None else n_modes
+        n = self.n_modes if n_modes is None else _index(n_modes, "mode count", FermionError)
         terms: list[tuple[complex, PauliString]] = [
             (self.constant, identity_string(n))
         ]

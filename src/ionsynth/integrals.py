@@ -28,7 +28,6 @@ in that order.  So every coefficient is the same float sum, operand for
 operand, as the loop's, and the result is bit-identical to it.
 """
 
-import cmath
 import itertools
 from importlib import resources
 
@@ -36,7 +35,7 @@ import numpy as np
 
 from .circuit import _unplain
 from .fermion import _DROP_EPS, HamiltonianTerms, _Accumulator, _digit_codes, density_term, single
-from .pauli import _index, _real
+from .pauli import _complex, _index, _real
 
 __all__ = [
     "IntegralError",
@@ -74,13 +73,6 @@ class SymmetryConflictError(IntegralError):
         )
         self.new_key = new_key
         self.old_key = old_key
-
-
-def _finite(value) -> complex:
-    value = complex(value)
-    if not cmath.isfinite(value):
-        raise IntegralError(f"value {value} is not finite")
-    return value
 
 
 def _one_body_orbit(key, reality):
@@ -138,7 +130,7 @@ class IntegralTable:
         return tuple([_index(m, "mode", IntegralError, self.n_modes) for m in key])
 
     def _set(self, store, key, value, orbit) -> None:
-        value = _finite(value)
+        value = _complex(value, "value", IntegralError)
         key = self._check_modes(key)
         if self.reality == "real" and abs(value.imag) > _CONFLICT_TOL:
             raise IntegralError("real table cannot hold an imaginary part")
@@ -261,7 +253,7 @@ def parse_integrals(document: str) -> IntegralTable:
             )
         try:
             if p == q == r == s == 0:
-                _finite(value)
+                _complex(value, "value", IntegralError)
                 if abs(value.imag) > _CONFLICT_TOL:
                     raise IntegralError("constant shift must be real")
                 if constant_seen and abs(table.constant - value.real) > _CONFLICT_TOL:

@@ -20,11 +20,14 @@ read through ``letter``, ``support`` and ``label``.
 
 Input rules
 -----------
-The package checks its inputs by two rules kept here, each raising the error
-class of the module that calls it.  ``_index`` is the rule for every mode,
-qubit and count: an int or a numpy integer, never a bool or a float, and
+The package checks its inputs by three rules kept here, each raising the
+error class of the module that calls it.  ``_index`` is the rule for every
+mode, qubit and count: an int or a numpy integer, never a bool or a float, and
 never negative.  ``_real`` is the rule for every angle, coefficient and time
-step: a finite float from any real number that is not a bool.
+step: a finite float from any real number that is not a bool.  ``_complex``
+is the rule for every value that may be complex, an integral entry or a
+ladder-operator coefficient: a finite complex from any number that is not a
+bool.
 
 Conjugation conventions
 -----------------------
@@ -46,9 +49,10 @@ images, with Y = iXZ.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Complex, Real
 from operator import index
 from typing import Iterable, Mapping
 
@@ -133,6 +137,23 @@ def _real(value, what: str, error: type[Exception]) -> float:
             raise error(f"{what} must be finite, got {value!r}") from None
     if not math.isfinite(value):
         raise error(f"{what} must be finite, got {value!r}")
+    return value
+
+
+def _complex(value, what: str, error: type[Exception]) -> complex:
+    """value as a finite complex, or ``error`` naming ``what``: the rule for
+    every integral entry and ladder-operator coefficient in the package.  Any
+    number passes, numpy ones included; a bool or a string is refused rather
+    than read as 1 or parsed, and so is a NaN or infinite part."""
+    if type(value) is not complex:
+        if isinstance(value, bool) or not isinstance(value, Complex):
+            raise error(f"{what} {value!r} is not a number")
+        try:
+            value = complex(value)
+        except OverflowError:
+            raise error(f"{what} {value!r} is not finite") from None
+    if not cmath.isfinite(value):
+        raise error(f"{what} {value!r} is not finite")
     return value
 
 

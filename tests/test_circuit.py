@@ -376,6 +376,35 @@ def test_out_of_range_qubit_fails_at_its_own_line():
     assert "outside 0..1" in str(err.value)
 
 
+@pytest.mark.parametrize("later", ["fredkin 0 1", "rz 0"], ids=["unknown-tag", "operand-count"])
+def test_out_of_range_qubit_fails_before_a_later_error(later):
+    doc = f"ionsynth-circuit v1\nqubits 2\nrz 5 0.1\ncl 0 h\n{later}\n"
+    with pytest.raises(ParseError) as err:
+        deserialize(doc)
+    assert type(err.value) is ParseError
+    assert err.value.line_no == 3
+    assert str(err.value) == "line 3: rz record: qubit 5 outside 0..1"
+
+
+@pytest.mark.parametrize("qubits, message", [
+    ("0 9 1 2", "qubit 9 outside 0..3"),
+    ("0 7 1 5", "qubit 5 outside 0..3"),
+    ("3 0 -1 2", "negative qubit -1"),
+])
+def test_ms_record_names_its_first_bad_qubit_in_sorted_order(qubits, message):
+    with pytest.raises(ParseError) as err:
+        deserialize(f"ionsynth-circuit v1\nqubits 4\ncnot 0 1\nms xx forward {qubits}\n")
+    assert str(err.value) == f"line 4: ms record: {message}"
+
+
+def test_bad_record_repeated_after_a_comment_fails_at_its_first_copy():
+    doc = "ionsynth-circuit v1\nqubits 2\ncnot 0 1\ncrz 1 2 0.5\n# note\ncrz 1 2 0.5\n"
+    with pytest.raises(ParseError) as err:
+        deserialize(doc)
+    assert err.value.line_no == 4
+    assert str(err.value) == "line 4: crz record: qubit 2 outside 0..1"
+
+
 @pytest.mark.parametrize("make", [
     lambda: MS(1, "forward", (0, 1)),
     lambda: MS("xx", 2, (0, 1)),

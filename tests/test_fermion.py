@@ -301,6 +301,56 @@ def test_operator_refuses_creation_flags_that_are_not_bools(flag):
         FermionOperator(2, ((1.0, ((0, flag),)),))
 
 
+@pytest.mark.parametrize("coeff, message", [
+    ("0.3", "coefficient '0.3' is not a number"),
+    (True, "coefficient True is not a number"),
+    (float("nan"), "coefficient .* is not finite"),
+    (complex(1, float("inf")), "coefficient .* is not finite"),
+], ids=["str", "bool", "nan", "inf"])
+def test_operator_refuses_coefficients_that_are_not_finite_numbers(coeff, message):
+    """'x' used to raise a bare ValueError, True was read as 1 and a NaN
+    product was dropped as if it were zero."""
+    with pytest.raises(FermionError, match=message):
+        FermionOperator(2, ((coeff, ((0, True),)),))
+
+
+@pytest.mark.parametrize("products", [
+    (("x",),),
+    ((1.0, (0,)),),
+    ((1.0, ((0, True, 1),)),),
+], ids=["no-factors", "bare-mode", "triple"])
+def test_operator_refuses_malformed_products(products):
+    with pytest.raises(FermionError, match="products must be"):
+        FermionOperator(2, products)
+
+
+def test_operator_takes_numpy_and_real_coefficients_as_complex():
+    op = FermionOperator(2, ((np.complex64(0.5j), ((0, True),)), (2, ((1, False),))))
+    assert op.products == ((0.5j, ((0, True),)), (2, ((1, False),)))
+    assert all(type(c) is complex for c, _ in op.products)
+
+
+REGISTER_FORMS = {
+    "generator_pauli": lambda n: generator_pauli(single(0, 1), n),
+    "local_pauli": lambda n: local_pauli(density_term(0), n),
+    "ladder_form": lambda n: ladder_form(single(0, 1), n),
+    "pauli_sum": lambda n: HamiltonianTerms(2, "real", 0.0, (), (single(0, 1),)).pauli_sum(n),
+}
+
+
+@pytest.mark.parametrize("width", [2.5, "3", True, 3.0])
+@pytest.mark.parametrize("form", REGISTER_FORMS.values(), ids=REGISTER_FORMS.keys())
+def test_register_widths_follow_the_index_rule(form, width):
+    """2.5 and '3' used to raise a bare TypeError from deep in the build."""
+    with pytest.raises(FermionError, match="mode count .* is not an integer"):
+        form(width)
+
+
+@pytest.mark.parametrize("form", REGISTER_FORMS.values(), ids=REGISTER_FORMS.keys())
+def test_register_widths_take_numpy_integers(form):
+    assert form(np.int64(3)) == form(3)
+
+
 NON_FINITE_TERMS = {
     "single": lambda c: single(0, 1, c),
     "double": lambda c: double(0, 1, 2, 3, c),

@@ -255,6 +255,34 @@ def test_table_setters_and_constant_reject_non_finite():
     assert table.one_body == {} and table.two_body == {}
 
 
+@pytest.mark.parametrize("value, message", [
+    ("0.3", "value '0.3' is not a number"),
+    (True, "value True is not a number"),
+    (float("nan"), "value .* is not finite"),
+    (complex(float("inf"), 0.0), "value .* is not finite"),
+    (10**400, "value .* is not finite"),
+], ids=["str", "bool", "nan", "inf", "huge-int"])
+@pytest.mark.parametrize("set_entry", [
+    lambda t, v: t.set_one_body(0, 1, v),
+    lambda t, v: t.set_one_body(1, 1, v),
+    lambda t, v: t.set_two_body(0, 1, 2, 0, v),
+], ids=["one-body", "one-body-diagonal", "two-body"])
+def test_table_refuses_entries_that_are_not_finite_numbers(set_entry, value, message):
+    """'0.3' used to be stored as 0.3+0j and True as 1+0j."""
+    table = IntegralTable(3, "complex")
+    with pytest.raises(IntegralError, match=message):
+        set_entry(table, value)
+    assert table.one_body == {} and table.two_body == {}
+
+
+def test_table_takes_numpy_entries_as_complex():
+    table = IntegralTable(3, "complex")
+    table.set_one_body(0, 1, np.float32(0.5))
+    table.set_two_body(0, 1, 2, 0, np.complex128(0.25 - 0.5j))
+    assert table.one_body_value(0, 1) == 0.5 and table.two_body_value(0, 1, 2, 0) == 0.25 - 0.5j
+    assert type(table.one_body_value(0, 1)) is complex
+
+
 @pytest.mark.parametrize("n_modes", [2.5, 3.0, True, "3"])
 def test_table_refuses_non_integer_mode_count(n_modes):
     """2.5 used to build a 2-mode table."""
