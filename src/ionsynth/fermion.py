@@ -169,7 +169,7 @@ def _ladder_pauli(mode: int, is_creation: bool, n: int) -> PauliSum:
     x = PauliString(n, {**prefix, mode: "X"})
     y = PauliString(n, {**prefix, mode: "Y"})
     y_coeff = -0.5j if is_creation else 0.5j
-    return PauliSum.from_terms(n, [(0.5, x), (y_coeff, y)])
+    return PauliSum(n, [(0.5, x), (y_coeff, y)])
 
 
 def _sum_product(a: PauliSum, b: PauliSum) -> PauliSum:
@@ -178,7 +178,7 @@ def _sum_product(a: PauliSum, b: PauliSum) -> PauliSum:
         for ca, sa in a.terms
         for cb, sb in b.terms
     ]
-    return PauliSum.from_terms(a.width, terms)
+    return PauliSum(a.width, terms)
 
 
 def jw_map(op: FermionOperator) -> PauliSum:
@@ -186,11 +186,11 @@ def jw_map(op: FermionOperator) -> PauliSum:
     n = op.n_modes
     out: list[tuple[complex, PauliString]] = []
     for coeff, factors in op.products:
-        acc = PauliSum.from_terms(n, [(1.0, identity_string(n))])
+        acc = PauliSum(n, [(1.0, identity_string(n))])
         for mode, is_creation in factors:
             acc = _sum_product(acc, _ladder_pauli(mode, is_creation, n))
         out.extend((coeff * c, s) for c, s in acc.terms)
-    return PauliSum.from_terms(n, out)
+    return PauliSum(n, out)
 
 
 # --- excitation terms ------------------------------------------------------
@@ -390,8 +390,20 @@ def coulomb_term(p: int, q: int, coefficient: float = 1.0) -> LocalTerm:
     return LocalTerm("coulomb", (min(p, q), max(p, q)), coefficient)
 
 
+def _register(t: LocalTerm | ExcitationTerm, n_modes: int | None) -> int:
+    """The width of t's Pauli form: n_modes, which must hold every mode of t,
+    or just wide enough for t when n_modes is None."""
+    top = max(t.modes)
+    if n_modes is None:
+        return top + 1
+    n = _index(n_modes, "mode count", FermionError)
+    if top >= n:
+        raise FermionError(f"term touches mode {top} outside 0..{n - 1}")
+    return n
+
+
 def local_pauli(t: LocalTerm, n_modes: int | None = None) -> PauliSum:
-    n = (max(t.modes) + 1) if n_modes is None else _index(n_modes, "mode count", FermionError)
+    n = _register(t, n_modes)
     c = t.coefficient
     if t.kind == "density":
         (p,) = t.modes
@@ -404,7 +416,7 @@ def local_pauli(t: LocalTerm, n_modes: int | None = None) -> PauliSum:
             (c / 2, PauliString(n, {q: "Z"})),
             (-c / 2, PauliString(n, {p: "Z", q: "Z"})),
         ]
-    return PauliSum.from_terms(n, terms)
+    return PauliSum(n, terms)
 
 
 def local_ladder_form(t: LocalTerm, n_modes: int) -> FermionOperator:
@@ -496,12 +508,10 @@ def _distinct_mode_generator(
 
 def generator_pauli(t: ExcitationTerm, n_modes: int | None = None) -> PauliSum:
     """Pauli form of an excitation generator, built combinatorially."""
-    n = (max(t.modes) + 1) if n_modes is None else _index(n_modes, "mode count", FermionError)
-    if max(t.modes) >= n:
-        raise FermionError(f"term touches mode {max(t.modes)} outside 0..{n - 1}")
+    n = _register(t, n_modes)
     if t.kind in ("single", "double", "higher"):
         terms = _distinct_mode_generator(t.sub, t.sup, t.symmetrized, t.coefficient, n)
-        return PauliSum.from_terms(n, terms)
+        return PauliSum(n, terms)
     # controlled single: -n_j times the plain generator on (p, q)
     base = _distinct_mode_generator(t.sub, t.sup, t.symmetrized, t.coefficient, n)
     z_control = PauliString(n, {t.control: "Z"})
@@ -509,7 +519,7 @@ def generator_pauli(t: ExcitationTerm, n_modes: int | None = None) -> PauliSum:
     for c, s in base:
         terms.append((-0.5 * c, s))
         terms.append((0.5 * c, multiply(z_control, s)))
-    return PauliSum.from_terms(n, terms)
+    return PauliSum(n, terms)
 
 
 def local_equivalence_conjugate(t: ExcitationTerm, j: int) -> tuple[ExcitationTerm, int]:
@@ -533,12 +543,51 @@ def local_equivalence_conjugate(t: ExcitationTerm, j: int) -> tuple[ExcitationTe
 
 # --- Hamiltonian splitting ---------------------------------------------------
 
+_DROP_EPS = 1e-14
+
+_LOCAL_RANK = {"density": 0, "coulomb": 1}
+_KIND_RANK = {kind: rank for rank, kind in enumerate(_KINDS)}
+
+
+def _local_order(t: LocalTerm) -> tuple:
+    return _LOCAL_RANK[t.kind], t.modes
+
+
+def _excitation_order(t: ExcitationTerm) -> tuple:
+    control = -1 if t.control is None else t.control
+    return t.modes, _KIND_RANK[t.kind], t.sub, t.sup, control, t.symmetrized
+
+
+def _canonical_terms(terms, cls: type, slot: str, n_modes: int, order) -> tuple:
+    """terms as HamiltonianTerms keeps them in ``slot``: each checked to be a
+    cls within n_modes, same-key terms merged into one whose coefficient is
+    their sum in the order given, coefficients of magnitude _DROP_EPS and
+    below dropped, and the rest sorted by order."""
+    merged: dict[tuple, LocalTerm | ExcitationTerm] = {}
+    for t in terms:
+        if not isinstance(t, cls):
+            raise FermionError(f"{slot} takes {cls.__name__} objects, got {t!r}")
+        if max(t.modes) >= n_modes:
+            raise FermionError(f"term {t} exceeds {n_modes} modes")
+        key = t.key()
+        if key in merged:
+            t = replace(t, coefficient=merged[key].coefficient + t.coefficient)
+        merged[key] = t
+    return tuple(sorted((t for t in merged.values() if abs(t.coefficient) > _DROP_EPS), key=order))
+
+
 @dataclass(frozen=True)
 class HamiltonianTerms:
-    """Weighted generator decomposition of an electronic Hamiltonian.
+    """Weighted generator decomposition of an electronic Hamiltonian, in
+    canonical form.
 
-    The mode count, the reality class and the constant are checked here; the
-    terms are not, since every op builds these and assemble checks its terms.
+    The constructor checks the mode count, the reality class and the
+    constant, and every term: local_terms takes LocalTerm objects and
+    excitation_terms ExcitationTerm objects, each within n_modes.  Terms of
+    equal key() are merged, and the terms are put in canonical order (see
+    _canonical_terms): local terms density first, then coulomb, each by
+    modes; excitation terms by modes, then kind, sub, sup, control and flag.
+    A Trotter step applies the excitation terms in this order.
     """
 
     n_modes: int
@@ -548,10 +597,16 @@ class HamiltonianTerms:
     excitation_terms: tuple[ExcitationTerm, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_modes", _index(self.n_modes, "mode count", FermionError))
+        n_modes = _index(self.n_modes, "mode count", FermionError)
+        object.__setattr__(self, "n_modes", n_modes)
         if self.reality not in ("real", "complex"):
             raise FermionError(f"unknown reality class {self.reality!r}")
         object.__setattr__(self, "constant", _real(self.constant, "constant", FermionError))
+        local = _canonical_terms(self.local_terms, LocalTerm, "local_terms", n_modes, _local_order)
+        excitations = _canonical_terms(self.excitation_terms, ExcitationTerm, "excitation_terms",
+                                       n_modes, _excitation_order)
+        object.__setattr__(self, "local_terms", local)
+        object.__setattr__(self, "excitation_terms", excitations)
 
     def pauli_sum(self, n_modes: int | None = None) -> PauliSum:
         n = self.n_modes if n_modes is None else _index(n_modes, "mode count", FermionError)
@@ -562,26 +617,7 @@ class HamiltonianTerms:
             terms.extend(local_pauli(lt, n).terms)
         for et in self.excitation_terms:
             terms.extend(generator_pauli(et, n).terms)
-        return PauliSum.from_terms(n, terms)
-
-    @classmethod
-    def assemble(cls, n_modes: int, reality: str, constant: float,
-                 local_terms, excitation_terms) -> "HamiltonianTerms":
-        """Merge duplicate term keys and apply the canonical ordering."""
-        n_modes = _index(n_modes, "mode count", FermionError)
-        acc = _Accumulator()
-        for lt in local_terms:
-            if max(lt.modes) >= n_modes:
-                raise FermionError(f"local term {lt} exceeds {n_modes} modes")
-            acc.add(lt)
-        for et in excitation_terms:
-            if max(et.modes) >= n_modes:
-                raise FermionError(f"term {et} exceeds {n_modes} modes")
-            acc.add(et)
-        return acc.finish(n_modes, reality, constant)
-
-
-_DROP_EPS = 1e-14
+        return PauliSum(n, terms)
 
 
 def _digit_codes(base: int, dtype, digits):
@@ -654,78 +690,39 @@ def _quartic_codes(n_modes: int, a, b, c, d, weight, symmetrized):
     return codes, weight
 
 
-class _Accumulator:
-    """Sums coefficients per term shape in addition order; terms are built in finish.
+def _quartic_terms(n_modes: int, a, b, c, d, weight, symmetrized):
+    """The local and the excitation terms of weight[i] * (anti)symmetrized
+    generator of a+_a[i] a+_b[i] a_c[i] a_d[i] summed over the calls i, as
+    two lists: coulomb terms, then doubles and controlled singles.
 
-    A key is (term class, term.key()), and term.key() lists the class's
-    fields in order up to the coefficient, so cls(*key, coefficient) rebuilds
-    the term.
+    The arguments are equal-length numpy arrays: unsigned modes below
+    n_modes, float64 weights and bool flags.  np.bincount sums the
+    coefficients into one bin per term key code (_quartic_codes), adding
+    each bin's inputs one after another in call order, so each total is the
+    float sum that adding the calls' terms one by one would give.  Bins that
+    stay exactly zero are skipped; HamiltonianTerms drops the other small ones.
     """
-
-    def __init__(self) -> None:
-        self.weights: dict[tuple, float] = {}
-
-    def add(self, term: LocalTerm | ExcitationTerm) -> None:
-        key = (type(term), term.key())
-        self.weights[key] = self.weights.get(key, 0.0) + term.coefficient
-
-    def quartics(self, n_modes: int, a, b, c, d, weight, symmetrized) -> None:
-        """Accumulate weight[i] * (anti)symmetrized generator of
-        a+_a[i] a+_b[i] a_c[i] a_d[i] over the calls i, in call order.
-
-        The arguments are equal-length numpy arrays: unsigned modes below
-        n_modes, float64 weights and bool flags.  np.bincount sums the
-        coefficients into one bin per term key code (_quartic_codes), adding
-        each bin's inputs one after another in call order, so each total is
-        the float sum that adding the calls' terms one by one would give.
-        Bins that stay exactly zero are skipped, as finish would drop them.
-        Adding a total to its key's running sum keeps that exact where no
-        earlier add used the key, as in term_list, whose one-body pass makes
-        only density and single terms.
-        """
-        codes, coefficients = _quartic_codes(n_modes, a, b, c, d, weight, symmetrized)
-        totals = np.bincount(codes, coefficients)
-        del codes, coefficients
-        codes = np.flatnonzero(totals)
-        totals = totals[codes].tolist()
-        digits = []
-        for _ in range(4):
-            codes, digit = np.divmod(codes, n_modes)
-            digits.insert(0, digit.tolist())
-        for kind_sym, m0, m1, m2, m3, total in zip(codes.tolist(), *digits, totals):
-            kind, sym = divmod(kind_sym, 2)
-            if kind == 0:
-                key = (LocalTerm, ("coulomb", (m0, m1)))
-            elif kind == 1:
-                key = (ExcitationTerm, ("double", (m0, m1), (m2, m3), None, bool(sym)))
-            else:
-                key = (ExcitationTerm, ("controlled_single", (m0,), (m1,), m2, bool(sym)))
-            self.weights[key] = self.weights.get(key, 0.0) + total
-
-    def finish(self, n_modes: int, reality: str, constant: float) -> HamiltonianTerms:
-        terms = [cls(*key, c) for (cls, key), c in self.weights.items() if abs(c) > _DROP_EPS]
-        local_order = {"density": 0, "coulomb": 1}
-        locals_out = tuple(
-            sorted(
-                (t for t in terms if isinstance(t, LocalTerm)),
-                key=lambda t: (local_order[t.kind], t.modes),
-            )
-        )
-        kind_order = {"single": 0, "double": 1, "controlled_single": 2, "higher": 3}
-        exc_out = tuple(
-            sorted(
-                (t for t in terms if isinstance(t, ExcitationTerm)),
-                key=lambda t: (
-                    t.modes,
-                    kind_order[t.kind],
-                    t.sub,
-                    t.sup,
-                    -1 if t.control is None else t.control,
-                    t.symmetrized,
-                ),
-            )
-        )
-        return HamiltonianTerms(n_modes, reality, constant, locals_out, exc_out)
+    codes, coefficients = _quartic_codes(n_modes, a, b, c, d, weight, symmetrized)
+    totals = np.bincount(codes, coefficients)
+    del codes, coefficients
+    codes = np.flatnonzero(totals)
+    totals = totals[codes].tolist()
+    digits = []
+    for _ in range(4):
+        codes, digit = np.divmod(codes, n_modes)
+        digits.insert(0, digit.tolist())
+    local: list[LocalTerm] = []
+    excitations: list[ExcitationTerm] = []
+    for kind_sym, m0, m1, m2, m3, total in zip(codes.tolist(), *digits, totals):
+        kind, sym = divmod(kind_sym, 2)
+        if kind == 0:
+            local.append(LocalTerm("coulomb", (m0, m1), total))
+        elif kind == 1:
+            excitations.append(ExcitationTerm("double", (m0, m1), (m2, m3), None, bool(sym), total))
+        else:
+            excitations.append(
+                ExcitationTerm("controlled_single", (m0,), (m1,), m2, bool(sym), total))
+    return local, excitations
 
 
 def hamiltonian_ladder(table) -> FermionOperator:

@@ -24,8 +24,10 @@ numpy pass over every index tuple in index order.  Each tuple finds its value
 through its orbit representative, the least member code, conjugated as a
 lookup would; its two quartic calls are laid out tuple by tuple, first call
 then second, and np.bincount adds each term's coefficients one after another
-in that order.  So every coefficient is the same float sum, operand for
-operand, as the loop's, and the result is bit-identical to it.
+in that order.  The one-body terms and the quartic totals go to the
+HamiltonianTerms constructor, which merges, drops and orders them.  So every
+coefficient is the same float sum, operand for operand, as the loop's, and
+the result is bit-identical to it.
 """
 
 import itertools
@@ -34,7 +36,7 @@ from importlib import resources
 import numpy as np
 
 from .circuit import _unplain
-from .fermion import _DROP_EPS, HamiltonianTerms, _Accumulator, _digit_codes, density_term, single
+from .fermion import _DROP_EPS, HamiltonianTerms, _digit_codes, _quartic_terms, density_term, single
 from .pauli import _complex, _index, _real
 
 __all__ = [
@@ -332,23 +334,24 @@ def term_list(table: IntegralTable) -> HamiltonianTerms:
     density terms, two-mode-overlap quartics become coulomb terms.
 
     The result is the one an index-order loop over every lookup gives, bit
-    for bit: the one-body pass is that loop over the n^2 pairs, and the
-    two-body pass is one array pass over the n^4 tuples in index order, each
-    tuple's two calls laid out first then second, whose coefficients
-    np.bincount sums per term in that order (_Accumulator.quartics).
+    for bit: the one-body pass is that loop over the n^2 pairs, whose terms
+    the HamiltonianTerms constructor merges in loop order, and the two-body
+    pass is one array pass over the n^4 tuples in index order, each tuple's
+    two calls laid out first then second, whose coefficients np.bincount
+    sums per term in that order (fermion._quartic_terms).
     """
     n = table.n_modes
-    acc = _Accumulator()
+    local, excitations = [], []
     for p, q in itertools.product(range(n), repeat=2):
         h = table.one_body_value(p, q)
         if abs(h) <= _DROP_EPS:
             continue
         if p == q:
-            acc.add(density_term(p, 0.5 * h.real))
+            local.append(density_term(p, 0.5 * h.real))
             continue
         if table.reality == "complex" and abs(h.imag) > _DROP_EPS:
-            acc.add(single(p, q, 0.5 * h.imag, symmetrized=False))
-        acc.add(single(p, q, 0.5 * h.real, symmetrized=True))
+            excitations.append(single(p, q, 0.5 * h.imag, symmetrized=False))
+        excitations.append(single(p, q, 0.5 * h.real, symmetrized=True))
     p, q, r, s, h = _two_body_entries(table)
     if table.reality == "real":
         weight = np.repeat(h / 8.0, 2)
@@ -362,8 +365,9 @@ def term_list(table: IntegralTable) -> HamiltonianTerms:
         calls = tuple(np.repeat(m, 2) for m in (p, q, r, s))
         symmetrized = np.tile((False, True), len(p))
     del p, q, r, s
-    acc.quartics(n, *calls, weight, symmetrized)
-    return acc.finish(n, table.reality, table.constant)
+    coulombs, quartics = _quartic_terms(n, *calls, weight, symmetrized)
+    return HamiltonianTerms(n, table.reality, table.constant,
+                            local + coulombs, excitations + quartics)
 
 
 def h3plus_table() -> IntegralTable:

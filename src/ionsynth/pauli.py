@@ -371,11 +371,12 @@ def conjugate_by_ms(
 class PauliSum:
     """A complex-weighted sum of Pauli strings, canonically merged.
 
-    Terms are keyed by letter content; any phase on an input string is folded
-    into its coefficient, so stored strings always have phase +1.  Terms are
-    ordered by their (qubit, letter) sequences, and terms with coefficient
-    magnitude below 1e-15 are dropped.  The width follows the index rule
-    (see _index) and every string must have it.
+    The constructor puts any iterable of (coefficient, string) pairs in
+    canonical form: the phase of each string is folded into its coefficient,
+    so stored strings always have phase +1, and strings with equal letters
+    are merged.  Terms are ordered by their (qubit, letter) sequences, and
+    terms with coefficient magnitude 1e-15 and below are dropped.  The width
+    follows the index rule (see _index) and every string must have it.
     """
 
     width: int
@@ -383,22 +384,15 @@ class PauliSum:
 
     def __post_init__(self) -> None:
         width = _index(self.width, "width", PauliError)
-        if any(s.width != width for _, s in self.terms):
-            raise PauliError("term width mismatch")
-        object.__setattr__(self, "width", width)
-
-    @staticmethod
-    def from_terms(
-        width: int, items: Iterable[tuple[complex, PauliString]]
-    ) -> "PauliSum":
         acc: dict[PauliString, complex] = {}
-        for coeff, string in items:
+        for coeff, string in self.terms:
             if string.width != width:
                 raise PauliError("term width mismatch")
             key = string if string.phase == 1 else string.with_phase(1)
             acc[key] = acc.get(key, 0) + coeff * string.phase
         merged = [(acc[s], s) for s in sorted(acc, key=_letter_order)]
-        return PauliSum(width, tuple((c, s) for c, s in merged if abs(c) > 1e-15))
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "terms", tuple((c, s) for c, s in merged if abs(c) > 1e-15))
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return all(abs(c.imag) <= tol for c, _ in self.terms)

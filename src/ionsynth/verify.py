@@ -319,7 +319,7 @@ def _hermitian_sum(g: PauliSum | PauliString, width: int) -> PauliSum:
     if g.width != width:
         raise VerifyError(f"generator {g!r} acts on {g.width} qubits, not {width}")
     if isinstance(g, PauliString):
-        g = PauliSum.from_terms(width, [(1.0, g)])
+        g = PauliSum(width, [(1.0, g)])
     if not g.is_hermitian():
         raise VerifyError("generator is not Hermitian (complex coefficients)")
     return g

@@ -26,13 +26,11 @@ from ionsynth.fermion import (
     controlled_single,
     double,
     generator_pauli,
-    hamiltonian_ladder,
     higher_excitation,
-    jw_map,
     local_equivalence_conjugate,
     single,
 )
-from ionsynth.integrals import IntegralTable, h3plus_builtin, h3plus_table, term_list
+from ionsynth.integrals import h3plus_builtin, h3plus_table
 from ionsynth.pauli import PauliString, PauliSum, from_label
 from ionsynth.synth import (
     baseline_string_by_string,
@@ -48,6 +46,8 @@ from ionsynth.synth import (
     ms_square_phase_exponent,
 )
 from ionsynth.verify import circuit_unitary, dense_pauli, dense_sum, generator_unitary, ordered_product
+
+from dense_tables import fill_complex_table, fill_real_table, reconstruction_defect
 
 RNG = np.random.default_rng(20260801)
 
@@ -144,7 +144,7 @@ def _half_flipped(g, j):
     terms = [
         (c if s.letter(j) == "Z" else -c, s) for c, s in g.terms
     ]
-    return PauliSum.from_terms(g.width, terms)
+    return PauliSum(g.width, terms)
 
 
 def test_criterion_03_controlled_single_contract():
@@ -377,48 +377,6 @@ def _conjugation_defect():
     return worst
 
 
-def _fill_real_table(n):
-    table = IntegralTable(n, "real")
-    for p in range(n):
-        for q in range(p, n):
-            table.set_one_body(p, q, round(float(RNG.normal()), 3))
-    seen = set()
-    for key in itertools.product(range(n), repeat=4):
-        p, q, r, s = key
-        orbit = {key, (q, p, s, r), (r, s, p, q), (s, r, q, p),
-                 (r, q, p, s), (s, p, q, r), (p, s, r, q), (q, r, s, p)}
-        rep = min(orbit)
-        if rep not in seen:
-            seen.add(rep)
-            table.set_two_body(*rep, round(float(RNG.normal()), 3))
-    return table
-
-
-def _fill_complex_table(n):
-    table = IntegralTable(n, "complex")
-    for p in range(n):
-        for q in range(p, n):
-            imag = 0.0 if p == q else round(float(RNG.normal()), 3)
-            table.set_one_body(p, q, complex(round(float(RNG.normal()), 3), imag))
-    seen = set()
-    for key in itertools.product(range(n), repeat=4):
-        p, q, r, s = key
-        plain = {key, (q, p, s, r)}
-        conjugated = {(r, s, p, q), (s, r, q, p)}
-        rep = min(plain | conjugated)
-        if rep not in seen:
-            seen.add(rep)
-            imag = 0.0 if plain & conjugated else round(float(RNG.normal()), 3)
-            table.set_two_body(*rep, complex(round(float(RNG.normal()), 3), imag))
-    return table
-
-
-def _reconstruction_defect(table):
-    direct = dense_sum(term_list(table).pauli_sum())
-    via_ladder = dense_sum(jw_map(hamiltonian_ladder(table)))
-    return float(np.abs(direct - via_ladder).max())
-
-
 def _sign_table_defect():
     worst = 0.0
     for n in range(1, 9):
@@ -454,9 +412,9 @@ def _cost_model_defect():
 def test_criterion_10_algebra_suites():
     conj = _conjugation_defect()
     recon = max(
-        _reconstruction_defect(h3plus_table()),
-        _reconstruction_defect(_fill_real_table(4)),
-        _reconstruction_defect(_fill_complex_table(4)),
+        reconstruction_defect(h3plus_table()),
+        reconstruction_defect(fill_real_table(4, RNG)),
+        reconstruction_defect(fill_complex_table(4, RNG)),
     )
     table = _sign_table_defect()
     # the slot-sign resolution: exchange coupling matches (theta, 0, -theta),

@@ -34,6 +34,7 @@ from ionsynth.evolution import (
     uccsd_excitations,
 )
 from ionsynth.fermion import (
+    FermionError,
     HamiltonianTerms,
     controlled_single,
     coulomb_term,
@@ -313,7 +314,7 @@ def fusable_terms(draw):
             for j in draw(st.lists(st.sampled_from(others), min_size=1, max_size=4,
                                    unique=True)):
                 terms.append(controlled_single(p, q, j, draw(coefficient), symmetrized=sym))
-    return HamiltonianTerms.assemble(n, reality, 0.0, (), terms)
+    return HamiltonianTerms(n, reality, 0.0, (), terms)
 
 
 @settings(max_examples=30, deadline=None)
@@ -366,15 +367,28 @@ def test_trotter_rejects_reality_mismatch_and_unknown_kinds():
     fake_complex = HamiltonianTerms(6, "complex", 0.0, H3.local_terms, H3.excitation_terms)
     with pytest.raises(EvolutionError):
         build_trotter_step(fake_complex, TrotterConfig(0.1, orbital_class="real"))
-    exotic = HamiltonianTerms.assemble(
+    exotic = HamiltonianTerms(
         6, "real", 0.0, (), (higher_excitation([0, 1, 2], [3, 4, 5], 0.1),)
     )
     with pytest.raises(EvolutionError):
         build_trotter_step(exotic, TrotterConfig(0.1))
 
 
+@pytest.mark.parametrize("local, excitation, message", [
+    ((single(0, 1, 0.1),), (), "local_terms takes LocalTerm objects"),
+    ((density_term(3, 0.1),), (), "exceeds 3 modes"),
+    ((), (single(0, 3, 0.1),), "exceeds 3 modes"),
+], ids=["single-as-local", "local-range", "excitation-range"])
+def test_trotter_input_is_refused_where_it_is_given(local, excitation, message):
+    """A single in the local slot used to compile as a coulomb term (Rz, Rzz,
+    Rz), and a term outside the register failed deep in the build with
+    PauliError or SynthesisError."""
+    with pytest.raises(FermionError, match=message):
+        build_trotter_step(HamiltonianTerms(3, "real", 0.0, local, excitation), TrotterConfig(0.1))
+
+
 def test_trotter_complex_class_handles_mixed_families():
-    terms = HamiltonianTerms.assemble(
+    terms = HamiltonianTerms(
         4,
         "complex",
         0.1,

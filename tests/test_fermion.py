@@ -5,6 +5,9 @@ expansion (jw_map of ladder_form) on dense matrices; the two code paths are
 independent.
 """
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -212,14 +215,19 @@ TERM_REFUSALS = {
     "operator-negative-count": (lambda: FermionOperator(-1), "negative mode count"),
     "operator-count-mismatch": (lambda: FermionOperator(2) + FermionOperator(3),
                                 "mode count mismatch"),
-    "assemble-reality": (lambda: HamiltonianTerms.assemble(2, "imaginary", 0.0, (), ()),
+    # The constructor assembles its terms: the assemble-* rows give it some.
+    "assemble-reality": (lambda: HamiltonianTerms(2, "imaginary", 0.0, (density_term(0),), ()),
                          "unknown reality class 'imaginary'"),
-    "assemble-local-range": (lambda: HamiltonianTerms.assemble(2, "real", 0.0,
-                                                               (density_term(2),), ()),
+    "assemble-local-range": (lambda: HamiltonianTerms(2, "real", 0.0,
+                                                      (density_term(0), density_term(2)), ()),
                              "exceeds 2 modes"),
-    "assemble-excitation-range": (lambda: HamiltonianTerms.assemble(2, "real", 0.0, (),
-                                                                    (single(0, 2),)),
+    "assemble-excitation-range": (lambda: HamiltonianTerms(2, "real", 0.0, (),
+                                                           (single(0, 1), single(0, 2))),
                                   "exceeds 2 modes"),
+    "terms-local-slot": (lambda: HamiltonianTerms(3, "real", 0.0, (single(0, 1, 0.1),), ()),
+                         "local_terms takes LocalTerm objects, got ExcitationTerm"),
+    "terms-excitation-slot": (lambda: HamiltonianTerms(3, "real", 0.0, (), (density_term(0),)),
+                              "excitation_terms takes ExcitationTerm objects, got LocalTerm"),
     "terms-float-count": (lambda: HamiltonianTerms(2.5, "real", 0.0, (), ()),
                           "mode count 2.5 is not an integer"),
     "terms-reality": (lambda: HamiltonianTerms(2, "imaginary", 0.0, (), ()),
@@ -332,9 +340,10 @@ def test_operator_takes_numpy_and_real_coefficients_as_complex():
 
 REGISTER_FORMS = {
     "generator_pauli": lambda n: generator_pauli(single(0, 1), n),
-    "local_pauli": lambda n: local_pauli(density_term(0), n),
+    "local_pauli": lambda n: local_pauli(density_term(1), n),
     "ladder_form": lambda n: ladder_form(single(0, 1), n),
-    "pauli_sum": lambda n: HamiltonianTerms(2, "real", 0.0, (), (single(0, 1),)).pauli_sum(n),
+    "pauli_sum": lambda n: HamiltonianTerms(2, "real", 0.0, (density_term(1),),
+                                            (single(0, 1),)).pauli_sum(n),
 }
 
 
@@ -351,6 +360,13 @@ def test_register_widths_take_numpy_integers(form):
     assert form(np.int64(3)) == form(3)
 
 
+@pytest.mark.parametrize("form", REGISTER_FORMS.values(), ids=REGISTER_FORMS.keys())
+def test_register_widths_below_a_term_mode_are_refused(form):
+    """local_pauli, and pauli_sum through it, used to raise PauliError."""
+    with pytest.raises(FermionError, match="mode 1 outside 0..0"):
+        form(1)
+
+
 NON_FINITE_TERMS = {
     "single": lambda c: single(0, 1, c),
     "double": lambda c: double(0, 1, 2, 3, c),
@@ -361,7 +377,7 @@ NON_FINITE_TERMS = {
     "density": lambda c: density_term(0, c),
     "coulomb": lambda c: coulomb_term(0, 1, c),
     "local-term": lambda c: LocalTerm("density", (0,), c),
-    "assemble-constant": lambda c: HamiltonianTerms.assemble(2, "real", c, (), ()),
+    "assemble-constant": lambda c: HamiltonianTerms(2, "real", c, (density_term(0),) * 2, ()),
     "terms-constant": lambda c: HamiltonianTerms(2, "real", c, (), ()),
 }
 
@@ -599,3 +615,60 @@ def test_conjugation_dense_invariant_controlled_and_higher():
             lhs = w @ dense(generator_pauli(t, n)) @ w.conj().T
             rhs = sign * dense(generator_pauli(out, n))
             assert np.abs(lhs - rhs).max() < 1e-12, (t.kind, j)
+
+
+# --- Hamiltonian term lists --------------------------------------------------
+
+def _unit_terms():
+    """One unit-weight term of each key on 6 modes: every local and
+    excitation shape, both flags, and one higher excitation."""
+    pairs = list(itertools.combinations(range(6), 2))
+    terms = [density_term(p) for p in range(6)] + [coulomb_term(p, q) for p, q in pairs]
+    for sym in (False, True):
+        terms += [single(p, q, symmetrized=sym) for p, q in pairs]
+        terms += [double(*w, symmetrized=sym) for w in itertools.combinations(range(6), 4)]
+        terms += [controlled_single(p, q, j, symmetrized=sym)
+                  for p, q in pairs for j in range(6) if j not in (p, q)]
+        terms.append(higher_excitation((0, 2, 4), (1, 3, 5), symmetrized=sym))
+    return terms
+
+
+_UNIT_TERMS = _unit_terms()
+# Multiples of 1/16: every sum and split below is exact in floats.
+_sixteenths = st.integers(-64, 64).map(lambda k: k / 16)
+
+
+@st.composite
+def canonical_term_lists(draw):
+    """A HamiltonianTerms on 6 modes with 1 to 12 terms of distinct keys and
+    nonzero weights in sixteenths."""
+    chosen = draw(st.lists(st.sampled_from(_UNIT_TERMS), min_size=1, max_size=12, unique=True))
+    terms = [replace(t, coefficient=draw(_sixteenths.filter(bool))) for t in chosen]
+    local = [t for t in terms if isinstance(t, LocalTerm)]
+    excitations = [t for t in terms if isinstance(t, ExcitationTerm)]
+    return HamiltonianTerms(6, draw(st.sampled_from(("real", "complex"))), 0.25, local, excitations)
+
+
+@given(canonical_term_lists(), st.data())
+def test_term_list_constructor_is_canonical(canonical, data):
+    """Shuffled terms of distinct keys and duplicates split into exactly
+    summable parts build the canonical term list."""
+    local, excitations = canonical.local_terms, canonical.excitation_terms
+    assert len(local) + len(excitations) > 0
+    assert [t.kind for t in local] == sorted((t.kind for t in local),
+                                             key=("density", "coulomb").index)
+    assert [t.modes for t in excitations] == sorted(t.modes for t in excitations)
+
+    def build(local, excitations):
+        return HamiltonianTerms(6, canonical.reality, 0.25, local, excitations)
+
+    def split(terms):
+        parts = [data.draw(_sixteenths) for _ in terms]
+        out = [replace(t, coefficient=part) for t, part in zip(terms, parts)]
+        out += [replace(t, coefficient=t.coefficient - part) for t, part in zip(terms, parts)]
+        return data.draw(st.permutations(out))
+
+    assert build(local, excitations) == canonical
+    shuffled = data.draw(st.permutations(local)), data.draw(st.permutations(excitations))
+    assert build(*shuffled) == canonical
+    assert build(split(local), split(excitations)) == canonical

@@ -36,13 +36,9 @@ from ionsynth.integrals import (
 )
 from ionsynth.verify import dense_sum
 
+from dense_tables import fill_complex_table, fill_real_table, reconstruction_defect
+
 RNG = np.random.default_rng(2718)
-
-
-def reconstruction_defect(table):
-    direct = dense_sum(term_list(table).pauli_sum())
-    via_ladder = dense_sum(jw_map(hamiltonian_ladder(table)))
-    return np.abs(direct - via_ladder).max()
 
 
 # --- symmetry closure ----------------------------------------------------
@@ -356,53 +352,14 @@ def test_zero_table_gives_empty_list():
     assert terms.constant == 0.0
 
 
-def _fill_real_table(n):
-    table = IntegralTable(n, "real")
-    for p in range(n):
-        for q in range(p, n):
-            table.set_one_body(p, q, round(RNG.normal(), 3))
-    seen = set()
-    for key in itertools.product(range(n), repeat=4):
-        p, q, r, s = key
-        orbit = {key, (q, p, s, r), (r, s, p, q), (s, r, q, p),
-                 (r, q, p, s), (s, p, q, r), (p, s, r, q), (q, r, s, p)}
-        rep = min(orbit)
-        if rep in seen:
-            continue
-        seen.add(rep)
-        table.set_two_body(*rep, round(RNG.normal(), 3))
-    return table
-
-
-def _fill_complex_table(n):
-    table = IntegralTable(n, "complex")
-    for p in range(n):
-        for q in range(p, n):
-            imag = 0.0 if p == q else round(RNG.normal(), 3)
-            table.set_one_body(p, q, complex(round(RNG.normal(), 3), imag))
-    seen = set()
-    for key in itertools.product(range(n), repeat=4):
-        p, q, r, s = key
-        plain = {key, (q, p, s, r)}
-        conjugated = {(r, s, p, q), (s, r, q, p)}
-        rep = min(plain | conjugated)
-        if rep in seen:
-            continue
-        seen.add(rep)
-        pinned = bool(plain & conjugated)
-        imag = 0.0 if pinned else round(RNG.normal(), 3)
-        table.set_two_body(*rep, complex(round(RNG.normal(), 3), imag))
-    return table
-
-
 def test_random_real_table_reconstruction():
     for n in (3, 4):
-        table = _fill_real_table(n)
+        table = fill_real_table(n, RNG)
         assert reconstruction_defect(table) < 1e-12
 
 
 def test_random_complex_table_reconstruction():
-    table = _fill_complex_table(4)
+    table = fill_complex_table(4, RNG)
     dense = dense_sum(jw_map(hamiltonian_ladder(table)))
     assert np.abs(dense - dense.conj().T).max() < 1e-12
     terms = term_list(table)
@@ -412,7 +369,7 @@ def test_random_complex_table_reconstruction():
 
 
 def test_real_values_through_complex_path_agree():
-    real = _fill_real_table(4)
+    real = fill_real_table(4, RNG)
     complex_twin = IntegralTable(4, "complex")
     for p in range(4):
         for q in range(4):
@@ -480,7 +437,7 @@ def reference_split(table):
             terms += _reference_quartic(p, q, r, s, h.real / 4.0, True)
     local = [t for t in terms if isinstance(t, LocalTerm)]
     excitations = [t for t in terms if not isinstance(t, LocalTerm)]
-    return HamiltonianTerms.assemble(n, table.reality, table.constant, local, excitations)
+    return HamiltonianTerms(n, table.reality, table.constant, local, excitations)
 
 
 @st.composite

@@ -114,7 +114,7 @@ def test_multiply_width_mismatch():
     with pytest.raises(PauliError, match="width mismatch"):
         identity_string(2).commutes_with(identity_string(3))
     with pytest.raises(PauliError, match="term width mismatch"):
-        PauliSum.from_terms(2, [(1.0, identity_string(3))])
+        PauliSum(2, [(1.0, identity_string(3))])
 
 
 def test_phase_group_closed():
@@ -337,25 +337,59 @@ def test_ms_forward_backward_invert():
 
 def test_pauli_sum_merges_and_drops():
     a = from_label("XY")
-    s = PauliSum.from_terms(2, [(0.5, a), (0.5, a.with_phase(-1)), (2.0, from_label("ZZ"))])
+    s = PauliSum(2, [(0.5, a), (0.5, a.with_phase(-1)), (2.0, from_label("ZZ"))])
     assert len(s) == 1
     assert s.terms[0][0] == pytest.approx(2.0)
 
 
 def test_pauli_sum_phase_folded_into_coefficient():
-    s = PauliSum.from_terms(2, [(2.0, from_label("-iXY"))])
+    s = PauliSum(2, [(2.0, from_label("-iXY"))])
     coeff, string = s.terms[0]
     assert string.phase == 1
     assert coeff == pytest.approx(-2j)
 
 
+# Multiples of 1/16: every sum, split and phase fold below is exact in floats.
+_sixteenths = st.integers(-64, 64).map(lambda k: k / 16)
+
+
+@st.composite
+def canonical_sums(draw):
+    """(width, PauliSum) with 1 to 8 distinct strings and nonzero complex
+    coefficients in sixteenths."""
+    width = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.text("IXYZ", min_size=width, max_size=width),
+                           min_size=1, max_size=8, unique=True))
+    coeffs = [complex(draw(_sixteenths), draw(_sixteenths)) or 1.0 for _ in labels]
+    return width, PauliSum(width, [(c, from_label(label)) for c, label in zip(coeffs, labels)])
+
+
+@given(canonical_sums(), st.data())
+def test_sum_constructor_is_canonical(case, data):
+    """Shuffled terms, strings with their phase spelled out and duplicates
+    split into exactly summable parts all build the canonical sum."""
+    width, canonical = case
+    terms = canonical.terms
+    assert all(s.phase == 1 and abs(c) > 0 for c, s in terms)
+    assert PauliSum(width, terms) == canonical
+    assert PauliSum(width, data.draw(st.permutations(terms))) == canonical
+    phases = data.draw(st.lists(st.sampled_from((1, -1, 1j, -1j)),
+                                min_size=len(terms), max_size=len(terms)))
+    spelled = [(c * complex(ph).conjugate(), s.with_phase(ph)) for (c, s), ph in zip(terms, phases)]
+    assert PauliSum(width, spelled) == canonical
+    parts = [data.draw(_sixteenths) for _ in terms]
+    split = [(part, s) for part, (_, s) in zip(parts, terms)]
+    split += [(c - part, s) for part, (c, s) in zip(parts, terms)]
+    assert PauliSum(width, data.draw(st.permutations(split))) == canonical
+
+
 def test_pauli_sum_hermitian_and_commuting_checks():
-    g = PauliSum.from_terms(2, [(0.5, from_label("YX")), (-0.5, from_label("XY"))])
+    g = PauliSum(2, [(0.5, from_label("YX")), (-0.5, from_label("XY"))])
     assert g.is_hermitian()
     assert g.strings_commute()
-    bad = PauliSum.from_terms(1, [(1j, from_label("X"))])
+    bad = PauliSum(1, [(1j, from_label("X"))])
     assert not bad.is_hermitian()
-    nc = PauliSum.from_terms(1, [(1.0, from_label("X")), (1.0, from_label("Z"))])
+    nc = PauliSum(1, [(1.0, from_label("X")), (1.0, from_label("Z"))])
     assert not nc.strings_commute()
 
 

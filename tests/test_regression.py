@@ -39,7 +39,7 @@ from ionsynth.synth import (
 
 H3_SPEC = AnsatzSpec(6, (0, 1), (2, 3, 4, 5), tuple(0.07 * (i + 1) for i in range(8)))
 
-MIXED_COMPLEX = HamiltonianTerms.assemble(
+MIXED_COMPLEX = HamiltonianTerms(
     4,
     "complex",
     0.1,

@@ -741,7 +741,7 @@ def test_templates_fill_what_a_fresh_derivation_emits(group, data):
 
     exact = _exact_angle_magnitudes(at_a, width, **placed)
     assert all(abs(g.angle) in exact for g in warm if isinstance(g, (Rz, CRz)))
-    generator = PauliSum.from_terms(
+    generator = PauliSum(
         width, [(theta * c, s) for t, theta in at_a for c, s in generator_pauli(t, width).terms])
     report = assert_equivalent(circuit_unitary(warm), generator_unitary(generator, 1.0), tol=1e-9)
     assert report, report.distance
@@ -852,7 +852,7 @@ def test_tiny_coefficients_keep_the_unit_shape_and_the_unitary(group, data):
     gates = _lower_group(list(zip(terms, thetas)), width, **options)
     unit = _lower_group([(_unit(t), theta) for t, theta in zip(terms, thetas)], width, **options)
     assert _without_angles(gates) == _without_angles(unit)
-    generator = PauliSum.from_terms(
+    generator = PauliSum(
         width, [(theta * c, s) for t, theta in zip(terms, thetas)
                 for c, s in generator_pauli(t, width).terms])
     report = assert_equivalent(circuit_unitary(Circuit(width, gates)),

@@ -384,7 +384,7 @@ def test_dense_pauli_random_wide():
 
 
 def test_dense_sum_is_linear():
-    g = PauliSum.from_terms(2, [
+    g = PauliSum(2, [
         (0.5, from_label("YX")),
         (-0.5, from_label("XY")),
     ])
@@ -402,7 +402,7 @@ _sum_terms = st.integers(1, 5).flatmap(lambda width: st.lists(
 def test_dense_sum_adds_every_string_in_order(terms):
     """Strings that share a flip mask add onto the same entries of one matrix."""
     width = len(terms[0][1])
-    g = PauliSum.from_terms(width, [(c, from_label(label)) for c, label in terms])
+    g = PauliSum(width, [(c, from_label(label)) for c, label in terms])
     expected = np.zeros((1 << width, 1 << width), dtype=complex)
     for c, s in g.terms:
         expected += c * kron_pauli(s)
@@ -412,20 +412,20 @@ def test_dense_sum_adds_every_string_in_order(terms):
 # --- generator_unitary -----------------------------------------------------
 
 def test_generator_angle_zero_is_identity():
-    g = PauliSum.from_terms(3, [(1.0, from_label("XYZ"))])
+    g = PauliSum(3, [(1.0, from_label("XYZ"))])
     u = generator_unitary(g, 0.0)
     assert np.abs(u.matrix - np.eye(8)).max() < 1e-15
 
 
 def test_generator_z_matches_rz_circuit():
     for phi in (0.3, -1.2, math.pi / 3):
-        gen = generator_unitary(PauliSum.from_terms(1, [(1.0, from_label("Z"))]), phi)
+        gen = generator_unitary(PauliSum(1, [(1.0, from_label("Z"))]), phi)
         circ = circuit_unitary(Circuit(1, (Rz(0, 2 * phi),)))
         assert np.abs(gen.matrix - circ.matrix).max() < 1e-14
 
 
 def test_single_excitation_generator_is_givens_rotation():
-    g = PauliSum.from_terms(2, [(0.5, from_label("YX")), (-0.5, from_label("XY"))])
+    g = PauliSum(2, [(0.5, from_label("YX")), (-0.5, from_label("XY"))])
     eigenvalues = np.linalg.eigvalsh(dense_sum(g))
     assert np.allclose(sorted(eigenvalues), [-1, 0, 0, 1], atol=1e-12)
     theta = 0.7
@@ -443,7 +443,7 @@ def test_single_excitation_generator_is_givens_rotation():
 def test_generator_additivity():
     strings = [from_label("XZI"), from_label("ZYX"), from_label("IXZ"), from_label("YYY")]
     coeffs = [0.3, -0.7, 0.45, 0.2]
-    g = PauliSum.from_terms(3, list(zip(coeffs, strings)))
+    g = PauliSum(3, list(zip(coeffs, strings)))
     a, b = 0.37, -1.21
     left = generator_unitary(g, a).matrix @ generator_unitary(g, b).matrix
     right = generator_unitary(g, a + b).matrix
@@ -454,7 +454,7 @@ def test_product_route_matches_spectral_route():
     # the eight mutually commuting strings of a four-letter block
     labels = ["XXXY", "XXYX", "XYXX", "YXXX", "XYYY", "YXYY", "YYXY", "YYYX"]
     coeffs = [0.125, 0.125, -0.125, -0.125, 0.2, -0.1, 0.05, 0.3]
-    g = PauliSum.from_terms(4, [(c, from_label(s)) for c, s in zip(coeffs, labels)])
+    g = PauliSum(4, [(c, from_label(s)) for c, s in zip(coeffs, labels)])
     assert g.strings_commute()
     for angle in (0.9, -2.3):
         via_product = ordered_product([(g, angle)], 4).matrix
@@ -494,12 +494,12 @@ def commuting_sums(draw, widths=st.integers(4, 6)):
             kept.append(string)
     sizes = st.floats(0.05, 1.0) | st.floats(-1.0, -0.05)
     coeffs = draw(st.lists(sizes, min_size=len(kept), max_size=len(kept)))
-    g = PauliSum.from_terms(n, list(zip(coeffs, kept)))
+    g = PauliSum(n, list(zip(coeffs, kept)))
     assume(len(_flip_masks(g)) >= 2)
     return g
 
 
-DOUBLE_WITH_Z = PauliSum.from_terms(5, [
+DOUBLE_WITH_Z = PauliSum(5, [
     *generator_pauli(double(0, 1, 3, 4), 5).terms,
     (0.3, PauliString(5, {0: "Z", 1: "Z"})),
     (-0.2, PauliString(5, {2: "Z"})),
@@ -517,7 +517,7 @@ def test_sparse_product_route_matches_spectral(g, angle):
 
 
 def test_product_route_rejects_noncommuting():
-    g = PauliSum.from_terms(1, [(1.0, from_label("X")), (1.0, from_label("Z"))])
+    g = PauliSum(1, [(1.0, from_label("X")), (1.0, from_label("Z"))])
     with pytest.raises(VerifyError, match="do not commute"):
         ordered_product([(g, 0.5)], 1)
     # generator_unitary falls back to spectral and still works
@@ -526,9 +526,20 @@ def test_product_route_rejects_noncommuting():
 
 
 def test_non_hermitian_generator_rejected():
-    g = PauliSum.from_terms(1, [(1j, from_label("X"))])
+    g = PauliSum(1, [(1j, from_label("X"))])
     with pytest.raises(VerifyError):
         generator_unitary(g, 0.1)
+
+
+def test_a_phase_on_a_summed_string_counts_in_the_hermitian_check():
+    """PauliSum used to keep the -i of -iX on the string, so both routes read
+    the sum as Hermitian and built a target with unitarity defect 0.80."""
+    g = PauliSum(1, ((1.0, from_label("-iX")),))
+    assert g.terms == ((-1j, from_label("X")),)
+    with pytest.raises(VerifyError, match="not Hermitian"):
+        ordered_product([(g, 0.3)], 1)
+    with pytest.raises(VerifyError, match="not Hermitian"):
+        generator_unitary(g, 0.3)
 
 
 # --- ordered_product -------------------------------------------------------
@@ -566,8 +577,8 @@ def test_ordered_product_matches_the_dense_chain(case):
 
 @pytest.mark.parametrize("factors, width, named", [
     ([(from_label("XZY"), 0.5)], 2, "XZY"),
-    ([(PauliSum.from_terms(2, [(0.5, from_label("XY"))]), 0.5)], 3, "acts on 2 qubits, not 3"),
-    ([(PauliSum.from_terms(1, [(1j, from_label("X"))]), 0.1)], 1, "not Hermitian"),
+    ([(PauliSum(2, [(0.5, from_label("XY"))]), 0.5)], 3, "acts on 2 qubits, not 3"),
+    ([(PauliSum(1, [(1j, from_label("X"))]), 0.1)], 1, "not Hermitian"),
     ([(from_label("X").with_phase(1j), 0.1)], 1, "not Hermitian"),
     ([(PauliString(MAX_QUBITS + 1, {0: "X"}), 0.1)], MAX_QUBITS + 1, "dense cap"),
     ([], 3, "at least one factor"),
