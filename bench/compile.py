@@ -38,15 +38,15 @@ the 20-mode workload were added lack them), and build_peak_mib, the
 tracemalloc peak in MiB of one untimed warm build_trotter_step (records
 before this field was added lack it).  Block synthesis caches each group
 shape's gates (synth._template) and, in later sources, hands out one shared
-object per Clifford gate value (synth._SHARED); where the measured sources
-have the template cache, the record also holds cold_s, the first
-build_trotter_step and the first build_uccsd_layer each timed right after
-both caches (those the sources have) are cleared, and the number of templates
-the workload's two circuits use.  The record, with
-the environment and the commit of the measured sources (or, outside a git
-work tree, a SHA-256 of them: the rule of bench/oracle.py commit_of), is
-appended to BENCH_compile.json at the root of the checkout holding this
-script.  Only the standard library and numpy are used.
+object per Clifford gate value (synth._gate, or the synth._SHARED dict of
+older sources); where the measured sources have the template cache, the
+record also holds cold_s, the first build_trotter_step and the first
+build_uccsd_layer each timed right after every cache the sources have is
+cleared, and the number of templates the workload's two circuits use.  The
+record, with the environment and the commit of the measured sources (or,
+outside a git work tree, a SHA-256 of them: the rule of bench/oracle.py
+commit_of), is appended to BENCH_compile.json at the root of the checkout
+holding this script.  Only the standard library and numpy are used.
 """
 
 from __future__ import annotations
@@ -145,6 +145,7 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
     best = dict.fromkeys(STAGES, float("inf"))
     spec = AnsatzSpec(*uccsd)
     templates = getattr(synth, "_template", None)
+    gates = getattr(synth, "_gate", None)
     shared = getattr(synth, "_SHARED", {})
     cold = {}
     if hasattr(templates, "cache_clear"):
@@ -154,6 +155,8 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
         for stage, build in (("build_trotter_step", lambda: build_trotter_step(terms, cfg)),
                              ("build_uccsd_layer", lambda: build_uccsd_layer(spec))):
             templates.cache_clear()
+            if gates is not None:
+                gates.cache_clear()
             shared.clear()
             start = time.perf_counter()
             build()

@@ -116,7 +116,9 @@ class MS:
             raise CircuitError(f"MS qubit set has duplicates: {self.qubits}")
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "qubits", qs)
+        # an already sorted tuple is kept, so a cache key shares its gate's window
+        if not (type(self.qubits) is tuple and qs == self.qubits):
+            object.__setattr__(self, "qubits", qs)
 
     @property
     def locality(self) -> int:

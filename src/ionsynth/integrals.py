@@ -258,12 +258,13 @@ def parse_integrals(document: str) -> IntegralTable:
                 _complex(value, "value", IntegralError)
                 if abs(value.imag) > _CONFLICT_TOL:
                     raise IntegralError("constant shift must be real")
-                if constant_seen and abs(table.constant - value.real) > _CONFLICT_TOL:
+                if not constant_seen:
+                    table.constant = value.real
+                    constant_seen = True
+                elif abs(table.constant - value.real) > _CONFLICT_TOL:
                     raise IntegralError(
                         f"conflicting constant {value.real} after {table.constant}"
                     )
-                table.constant = value.real
-                constant_seen = True
             elif r == 0 and s == 0:
                 if p == 0 or q == 0:
                     raise IntegralError(

@@ -31,13 +31,13 @@ directly.  A group's scheme says how its strings are spent:
 The key holds no angle and no coefficient: per member the kind, the sub, sup
 and control modes counted from the group's lowest mode and the symmetrized
 flag, then the relative conjugation mode, the scheme and the star axis.
-``_template`` (a fixed-size LRU cache) derives the gates at offset 0:
+``_template`` derives the gates at offset 0:
 each Clifford1, CNOT and MS gate as the plain tuple (kind, *fields), and each
 Rz / CRz as a slot (qubit, control, factor, zero, ((member, scale), ...))
 whose factor is 2 or 4 times the pullback sign and whose scales are the exact
 generator string weights of unit-coefficient terms.  A call emits one gate
 per item, whatever the angles: the Clifford gates shifted to the group's
-lowest mode, one shared object per gate value (``_SHARED``: gates are frozen
+lowest mode, one shared object per gate value (``_gate``: gates are frozen
 and compare by value, so every fill of every template that emits
 Clifford1(3, "H") emits the same object, built and checked once), and each
 slot as an Rz / CRz of angle factor * weight, with weight summed from
@@ -46,6 +46,11 @@ order: the order in which the string pool always summed them.
 Every scale and factor is a signed power of two, so coefficient_j * scale is
 the string weight the generator itself computes, and the angles keep their
 last bit, subnormal angles included.
+
+Both caches are plain ``functools.cache`` functions: ``_template`` holds one
+entry per group shape and ``_gate`` one per Clifford gate value and offset.
+They grow with the distinct shapes a process compiles, never with fills, and
+``cache_clear()`` empties each.
 """
 
 from __future__ import annotations
@@ -236,8 +241,6 @@ def _reduce_to_z(strings, targets, width: int) -> list[Gate]:
         for qb in cur[i].support():
             if qb != target and cur[i].letter(qb) == "X":
                 emit(CNOT(target, qb))
-        if cur[i].letter(target) == "Y":
-            emit(Clifford1(target, "S"))
         emit(Clifford1(target, "H"))
         for qb in cur[i].support():
             if qb != target and cur[i].letter(qb) == "Z":
@@ -355,16 +358,6 @@ _SHIFT = {
     MS: lambda axis, direction, qubits, k: (axis, direction, tuple(q + k for q in qubits)),
 }
 
-# The one gate object of each template item at each offset, keyed by
-# (item, offset).  An item is a plain tuple (kind, *fields), so equal gates of
-# different templates share a key; an item shifted up by the offset is keyed
-# again at offset 0, so equal gates from different offsets are one object too.
-# The table grows with the distinct gate values a process emits, not with fills.
-# Two threads that miss on one pair at once each build its gate, and
-# setdefault hands both the first object stored.
-_SHARED: dict[tuple, Gate] = {}
-
-
 def _item(gate: Gate) -> tuple:
     """A gate as the plain tuple (kind, *fields)."""
     return (type(gate), *(getattr(gate, f.name) for f in fields(gate)))
@@ -376,15 +369,15 @@ def _items(items) -> tuple:
     return tuple(item if type(item) is _Slot else _item(item) for item in items)
 
 
-def _shared(item: tuple, offset: int) -> Gate:
-    """The gate of a Clifford item shifted up by ``offset`` qubits: built and
-    checked once per (item, offset), and the first object of its value."""
+@functools.cache
+def _gate(item: tuple, offset: int) -> Gate:
+    """The gate of a Clifford item shifted up by ``offset`` qubits, built and
+    checked once.  A shifted item is looked up again at offset 0, so equal
+    gates from any template and any offset are one object."""
     kind, *values = item
-    gate = kind(*_SHIFT[kind](*values, offset))
-    # keyed by the gate's own fields, so an MS window tuple is held once
-    gate = _SHARED.setdefault((_item(gate), 0), gate)
-    _SHARED[item, offset] = gate
-    return gate
+    if offset:
+        return _gate((kind, *_SHIFT[kind](*values, offset)), 0)
+    return kind(*values)
 
 
 def _fill(items, thetas, coefficients, offset: int) -> list[Gate]:
@@ -393,11 +386,10 @@ def _fill(items, thetas, coefficients, offset: int) -> list[Gate]:
     slots made into Rz / CRz gates with angles from the members' ``thetas``
     and ``coefficients``, zero angles included."""
     gates: list[Gate] = []
-    shared = _SHARED
+    gate = _gate
     for item in items:
         if type(item) is not _Slot:
-            gate = shared.get((item, offset))
-            gates.append(_shared(item, offset) if gate is None else gate)
+            gates.append(gate(item, offset))
             continue
         weight = item.zero
         for member, scale in item.terms:
@@ -587,7 +579,7 @@ _SCHEMES = {"layers": _layers, "core_strings": _core_strings, "strings": _string
             "halves": _halves, "ladder": _ladder}
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.cache
 def _template(key) -> tuple:
     """The angle-free gates of one group shape at offset 0 (see _lower_group).
 
@@ -652,7 +644,8 @@ def _compiled(op: str, pairs, n_qubits: int | None, **options) -> Circuit:
     """Circuit ``op``: the (term, angle) pairs lowered as one group on
     ``n_qubits`` qubits, or on the smallest register holding their modes."""
     pairs = [(t, _real(theta, "angle", SynthesisError)) for t, theta in pairs]
-    width = 1 + max(t.modes[-1] for t, _ in pairs) if n_qubits is None else n_qubits
+    width = (1 + max(t.modes[-1] for t, _ in pairs) if n_qubits is None
+             else _index(n_qubits, "qubit count", SynthesisError))
     return Circuit(width, _lower_group(pairs, width, **options), {"op": op})
 
 
@@ -715,11 +708,10 @@ def compile_coupled_exchange(
     p, q, r, s = (_index(m, "mode", SynthesisError) for m in (p, q, r, s))
     if not p < q < r < s:
         raise SynthesisError(f"orbitals must be strictly increasing, got {(p, q, r, s)}")
-    theta = _real(theta, "angle", SynthesisError)
-    terms = [(double(p, q, r, s), theta), (double(p, s, r, q), theta)]
-    width = 1 + s if n_qubits is None else n_qubits
-    gates = [g for g in _lower_group(terms, width) if not (type(g) is Rz and g.angle == 0.0)]
-    return Circuit(width, gates, {"op": "coupled_exchange"})
+    c = _compiled("coupled_exchange", [(double(p, q, r, s), theta), (double(p, s, r, q), theta)],
+                  n_qubits)
+    gates = [g for g in c.gates if not (type(g) is Rz and g.angle == 0.0)]
+    return Circuit(c.n_qubits, gates, c.metadata)
 
 
 def compile_controlled_single(
@@ -785,6 +777,8 @@ def compile_symmetrized(
     """
     if not t.symmetrized:
         raise SynthesisError("term is already antisymmetrized; compile it directly")
+    if conjugation_mode is not None:
+        conjugation_mode = _index(conjugation_mode, "conjugation mode", SynthesisError)
     return _compiled("symmetrized", [(t, theta)], n_qubits,
                      conjugation_mode=conjugation_mode)
 

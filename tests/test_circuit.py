@@ -36,6 +36,9 @@ def test_ms_normalizes_axis_direction_and_sorts_qubits():
     assert g.direction == "forward"
     assert g.qubits == (1, 2, 3)
     assert g.locality == 3
+    assert MS("xx", "forward", [3, 1, 2]).qubits == (1, 2, 3)
+    window = (1, 2, 3)
+    assert MS("xx", "forward", window).qubits is window
 
 
 def test_gate_construction_guards():

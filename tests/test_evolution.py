@@ -479,7 +479,7 @@ SHARED_BUILDS = {
 
 def _cold(build):
     synth._template.cache_clear()
-    synth._SHARED.clear()
+    synth._gate.cache_clear()
     return build()
 
 
@@ -503,7 +503,7 @@ def test_cold_and_warm_builds_serialize_alike(build):
 
 
 def test_shared_gates_outlive_evicted_templates():
-    """The shared table is keyed by gate value, not by template object, so a
+    """The gate cache is keyed by gate value, not by template object, so a
     template derived again after the cache is cleared fills the same objects."""
     before = build_trotter_step(RANDOM8, TrotterConfig(0.1))
     synth._template.cache_clear()
@@ -514,6 +514,18 @@ def test_shared_gates_outlive_evicted_templates():
             assert g is h
         elif type(g) is Rz:
             assert g is not h
+
+
+@pytest.mark.parametrize("build", SHARED_BUILDS.values(), ids=SHARED_BUILDS)
+def test_a_cold_build_derives_each_shape_once(build):
+    """Both caches are unbounded, so no shape is derived twice in a process."""
+    assert synth._template.cache_info().maxsize is None
+    assert synth._gate.cache_info().maxsize is None
+    _cold(build)
+    info = synth._template.cache_info()
+    assert info.misses == info.currsize > 0
+    build()
+    assert synth._template.cache_info().misses == info.misses
 
 
 # --- whole-step oracle checks -------------------------------------------------------

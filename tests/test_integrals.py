@@ -212,6 +212,15 @@ def test_parse_conflicting_lines_rejected():
         parse_integrals("norb 2 reality real\n0.1 0 0 0 0\n0.2 0 0 0 0\n")
 
 
+@pytest.mark.parametrize("first, then", [(0.5, 0.5000000000001), (0.5000000000001, 0.5)])
+def test_parse_keeps_the_first_of_two_agreeing_lines(first, then):
+    # a repeat within the conflict tolerance is accepted and changes nothing,
+    # for the constant as for every other entry
+    table = parse_integrals(f"norb 2 reality real\n{first!r} 0 0 0 0\n{then!r} 0 0 0 0\n"
+                            f"{first!r} 1 1 0 0\n{then!r} 1 1 0 0\n")
+    assert table.constant == first
+    assert table.one_body_value(0, 0) == first
+
 
 def test_parse_rejects_nan_diagonal_entry():
     # abs(nan) compares false against the drop threshold, so a NaN on the

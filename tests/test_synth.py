@@ -32,8 +32,8 @@ from ionsynth.fermion import (
 )
 from ionsynth.pauli import PauliString, PauliSum, from_label
 from ionsynth.synth import (
-    _SHARED,
     SynthesisError,
+    _gate,
     _lower_group,
     _sandwich,
     _template,
@@ -440,6 +440,18 @@ def test_higher_order_rejects_wrong_kind():
         compile_higher_excitation(single(0, 1), 0.1)
 
 
+# ROADMAP item 7 packs orders 4 and 5 on budget; then this becomes an MS-count
+# test of those orders.
+@pytest.mark.parametrize("order, message", [
+    (4, "packing used 36 MS gates, budget is 32"),
+    (5, "packing used 112 MS gates, budget is 104"),
+])
+def test_higher_order_refuses_a_packing_over_budget(order, message):
+    t = higher_excitation(range(order), range(order, 2 * order))
+    with pytest.raises(SynthesisError, match=message):
+        compile_higher_excitation(t, 0.3)
+
+
 # --- symmetrized terms --------------------------------------------------------
 
 
@@ -478,6 +490,53 @@ def test_symmetrized_guards():
         compile_symmetrized(single(0, 1), 0.1)
     with pytest.raises(SynthesisError):
         compile_symmetrized(single(0, 1, symmetrized=True), 0.1, conjugation_mode=4, n_qubits=5)
+
+
+# Neither a bool, a float, a string nor a negative number is an index, whether
+# or not the template of the index it would equal is cached.
+_NOT_INDICES = pytest.mark.parametrize("value, message", [
+    (2.0, "{} 2.0 is not an integer"), (True, "{} True is not an integer"),
+    ("4", "{} '4' is not an integer"), (-1, "negative {} -1"),
+], ids=["float", "bool", "str", "negative"])
+_CACHES = pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+
+
+def _caches(warm, call):
+    _template.cache_clear()
+    _gate.cache_clear()
+    if warm:
+        call()
+
+
+@_CACHES
+@_NOT_INDICES
+def test_symmetrized_refuses_a_conjugation_mode_that_is_not_an_index(warm, value, message):
+    t = single(0, 2, symmetrized=True)
+    _caches(warm, lambda: compile_symmetrized(t, 0.3, conjugation_mode=2))
+    with pytest.raises(SynthesisError, match=message.format("conjugation mode")):
+        compile_symmetrized(t, 0.3, conjugation_mode=value)
+
+
+_REGISTER_CALLS = {
+    "single": lambda n: compile_single_excitation(single(0, 2), 0.3, n_qubits=n),
+    "double_block": lambda n: compile_double_block(0, 1, 2, 3, (0.1, 0.2, 0.3), n_qubits=n),
+    "coupled_exchange": lambda n: compile_coupled_exchange(0, 1, 2, 3, 0.3, n_qubits=n),
+    "controlled": lambda n: compile_controlled_single(0, 2, 3, 0.3, n_qubits=n),
+    "higher": lambda n: compile_higher_excitation(higher_excitation([0], [2]), 0.3, n_qubits=n),
+    "symmetrized": lambda n: compile_symmetrized(single(0, 2, symmetrized=True), 0.3,
+                                                 n_qubits=n),
+    "baseline": lambda n: baseline_string_by_string(single(0, 2), 0.3, n_qubits=n),
+    "mixed_cnot": lambda n: compile_mixed_cnot(double(0, 1, 2, 3), 0.3, n_qubits=n),
+}
+
+
+@_CACHES
+@_NOT_INDICES
+@pytest.mark.parametrize("call", _REGISTER_CALLS.values(), ids=_REGISTER_CALLS)
+def test_compilers_refuse_a_register_width_that_is_not_an_index(call, warm, value, message):
+    _caches(warm, lambda: call(4))
+    with pytest.raises(SynthesisError, match=message.format("qubit count")):
+        call(value)
 
 
 # --- string-by-string baseline ------------------------------------------------
@@ -729,10 +788,10 @@ def test_templates_fill_what_a_fresh_derivation_emits(group, data):
         return pairs, placed, Circuit(width, _lower_group(pairs, width, **placed))
 
     _template.cache_clear()
-    _SHARED.clear()
+    _gate.cache_clear()
     at_a, placed, cold = lower(a, thetas)
     _template.cache_clear()
-    _SHARED.clear()
+    _gate.cache_clear()
     lower(b, others)
     derived = _template.cache_info().misses
     warm = lower(a, thetas)[2]
