@@ -1,8 +1,8 @@
 """ionsynth: fermionic excitations and Hamiltonians on trapped-ion hardware.
 
 The pipeline runs Pauli algebra (pauli) -> gate model and circuit files
-(circuit) -> second-quantized operators under the Jordan-Wigner mapping
-(fermion, integrals) -> MS-native block synthesis (synth) -> ansatz and
+(circuit) -> excitation terms under the Jordan-Wigner mapping (fermion,
+integrals) -> MS-native block synthesis (synth) -> ansatz and
 Trotter assembly (evolution), with every compiled block checkable against a
 dense oracle (verify).  The command-line entry point lives in cli.
 """

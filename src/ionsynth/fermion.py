@@ -1,5 +1,5 @@
-"""Second-quantized operators, the Jordan-Wigner mapping, excitation
-generators and their number-operator symmetrization algebra.
+"""Excitation and local terms, their Jordan-Wigner Pauli forms, the
+number-operator symmetrization algebra and the Hamiltonian term list.
 
 Conventions, fixed package-wide:
   - qubit value 1 means the spin-orbital is occupied, and a creation operator
@@ -15,8 +15,7 @@ Conventions, fixed package-wide:
 
 generator_pauli builds the Pauli form of these generators combinatorially
 (letter words, reordering signs and parity-string coverage computed in closed
-form); jw_map expands ladder products through the symbolic Pauli algebra.
-The two constructions share no code and the test suite holds them equal.
+form); verify.dense_ladder is the independent reference it is tested against.
 """
 
 from __future__ import annotations
@@ -27,16 +26,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, _complex, _index, _real, identity_string, multiply
+from .pauli import PauliString, PauliSum, _index, _real, identity_string, multiply
 
 __all__ = [
     "FermionError",
-    "FermionOperator",
-    "creation",
-    "annihilation",
-    "number",
-    "identity_op",
-    "jw_map",
     "ExcitationTerm",
     "single",
     "double",
@@ -47,21 +40,13 @@ __all__ = [
     "coulomb_term",
     "generator_pauli",
     "local_pauli",
-    "ladder_form",
-    "local_ladder_form",
     "local_equivalence_conjugate",
     "HamiltonianTerms",
-    "hamiltonian_ladder",
 ]
 
 
 class FermionError(ValueError):
-    """Structural error in a fermionic operator or excitation term."""
-
-
-Factor = tuple[int, bool]  # (mode, is_creation)
-
-_MERGE_EPS = 1e-15
+    """Structural error in an excitation term, local term or term list."""
 
 
 def _bool(value, what: str) -> bool:
@@ -72,125 +57,6 @@ def _bool(value, what: str) -> bool:
     if not isinstance(value, np.bool_):
         raise FermionError(f"{what} must be a bool, got {value!r}")
     return bool(value)
-
-
-@dataclass(frozen=True)
-class FermionOperator:
-    """Linear combination of ladder-operator products.
-
-    Each product is (coefficient, factors) with factors applied left to
-    right as written; textually equal factor sequences are merged.  No
-    normal ordering is attempted.
-    """
-
-    n_modes: int
-    products: tuple[tuple[complex, tuple[Factor, ...]], ...] = ()
-
-    def __post_init__(self) -> None:
-        n_modes = _index(self.n_modes, "mode count", FermionError)
-        object.__setattr__(self, "n_modes", n_modes)
-        try:
-            products = [(coeff, [(m, c) for m, c in factors]) for coeff, factors in self.products]
-        except (TypeError, ValueError):
-            raise FermionError("products must be (coefficient, ((mode, creation flag), ...)) "
-                               f"pairs, got {self.products!r}") from None
-        merged: dict[tuple[Factor, ...], complex] = {}
-        for coeff, factors in products:
-            factors = tuple((_index(m, "mode", FermionError, n_modes), _bool(c, "creation flag"))
-                            for m, c in factors)
-            coeff = _complex(coeff, "coefficient", FermionError)
-            merged[factors] = merged.get(factors, 0) + coeff
-        kept = tuple(
-            (c, f) for f, c in sorted(merged.items()) if abs(c) > _MERGE_EPS
-        )
-        object.__setattr__(self, "products", kept)
-
-    def __add__(self, other: "FermionOperator") -> "FermionOperator":
-        if self.n_modes != other.n_modes:
-            raise FermionError("mode count mismatch")
-        return FermionOperator(self.n_modes, (*self.products, *other.products))
-
-    def __sub__(self, other: "FermionOperator") -> "FermionOperator":
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        if isinstance(other, FermionOperator):
-            if self.n_modes != other.n_modes:
-                raise FermionError("mode count mismatch")
-            prods = [
-                (ca * cb, fa + fb)
-                for ca, fa in self.products
-                for cb, fb in other.products
-            ]
-            return FermionOperator(self.n_modes, tuple(prods))
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, factor: complex) -> "FermionOperator":
-        return FermionOperator(
-            self.n_modes, tuple((factor * c, f) for c, f in self.products)
-        )
-
-    def adjoint(self) -> "FermionOperator":
-        prods = []
-        for coeff, factors in self.products:
-            flipped = tuple((m, not c) for m, c in reversed(factors))
-            prods.append((coeff.conjugate(), flipped))
-        return FermionOperator(self.n_modes, tuple(prods))
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        diff = self - self.adjoint()
-        return all(abs(c) <= tol for c, _ in diff.products)
-
-    def is_zero(self) -> bool:
-        return not self.products
-
-
-def identity_op(n_modes: int, coefficient: complex = 1.0) -> FermionOperator:
-    return FermionOperator(n_modes, ((coefficient, ()),))
-
-
-def creation(mode: int, n_modes: int) -> FermionOperator:
-    return FermionOperator(n_modes, ((1.0, ((mode, True),)),))
-
-
-def annihilation(mode: int, n_modes: int) -> FermionOperator:
-    return FermionOperator(n_modes, ((1.0, ((mode, False),)),))
-
-
-def number(mode: int, n_modes: int) -> FermionOperator:
-    return FermionOperator(n_modes, ((1.0, ((mode, True), (mode, False))),))
-
-
-def _ladder_pauli(mode: int, is_creation: bool, n: int) -> PauliSum:
-    prefix = {k: "Z" for k in range(mode)}
-    x = PauliString(n, {**prefix, mode: "X"})
-    y = PauliString(n, {**prefix, mode: "Y"})
-    y_coeff = -0.5j if is_creation else 0.5j
-    return PauliSum(n, [(0.5, x), (y_coeff, y)])
-
-
-def _sum_product(a: PauliSum, b: PauliSum) -> PauliSum:
-    terms = [
-        (ca * cb, multiply(sa, sb))
-        for ca, sa in a.terms
-        for cb, sb in b.terms
-    ]
-    return PauliSum(a.width, terms)
-
-
-def jw_map(op: FermionOperator) -> PauliSum:
-    """Qubit image of a fermionic operator under the parity-string encoding."""
-    n = op.n_modes
-    out: list[tuple[complex, PauliString]] = []
-    for coeff, factors in op.products:
-        acc = PauliSum(n, [(1.0, identity_string(n))])
-        for mode, is_creation in factors:
-            acc = _sum_product(acc, _ladder_pauli(mode, is_creation, n))
-        out.extend((coeff * c, s) for c, s in acc.terms)
-    return PauliSum(n, out)
 
 
 # --- excitation terms ------------------------------------------------------
@@ -419,40 +285,7 @@ def local_pauli(t: LocalTerm, n_modes: int | None = None) -> PauliSum:
     return PauliSum(n, terms)
 
 
-def local_ladder_form(t: LocalTerm, n_modes: int) -> FermionOperator:
-    if t.kind == "density":
-        return number(t.modes[0], n_modes).scale(2 * t.coefficient)
-    p, q = t.modes
-    return (number(p, n_modes) * number(q, n_modes)).scale(-2 * t.coefficient)
-
-
 # --- generator construction ------------------------------------------------
-
-def _ladder_sequences(t: ExcitationTerm) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Literal creation/annihilation mode orderings of the generator."""
-    if t.kind == "controlled_single":
-        return (t.sub[0], t.control), (t.sup[0], t.control)
-    return t.sub, t.sup
-
-
-def ladder_form(t: ExcitationTerm, n_modes: int | None = None) -> FermionOperator:
-    """The generator as an explicit ladder-operator expression."""
-    subs, sups = _ladder_sequences(t)
-    if n_modes is None:
-        n = max(max(subs), max(sups)) + 1
-    else:
-        n = _index(n_modes, "mode count", FermionError)
-    a = identity_op(n)
-    for m in subs:
-        a = a * creation(m, n)
-    for m in sups:
-        a = a * annihilation(m, n)
-    if t.symmetrized:
-        op = a + a.adjoint()
-    else:
-        op = (a - a.adjoint()).scale(1j)
-    return op.scale(t.coefficient)
-
 
 def _distinct_mode_generator(
     sub: tuple[int, ...],
@@ -723,24 +556,3 @@ def _quartic_terms(n_modes: int, a, b, c, d, weight, symmetrized):
             excitations.append(
                 ExcitationTerm("controlled_single", (m0,), (m1,), m2, bool(sym), total))
     return local, excitations
-
-
-def hamiltonian_ladder(table) -> FermionOperator:
-    """The electronic Hamiltonian as raw ladder products (test oracle form):
-    sum_pq h_pq a†_p a_q + 1/2 sum_pqrs h_pqrs a†_p a†_q a_r a_s + shift."""
-    n = table.n_modes
-    products: list[tuple[complex, tuple[Factor, ...]]] = [
-        (complex(table.constant), ())
-    ]
-    for p in range(n):
-        for q in range(n):
-            h = complex(table.one_body_value(p, q))
-            if abs(h) > _DROP_EPS:
-                products.append((h, ((p, True), (q, False))))
-    for p, q, r, s in itertools.product(range(n), repeat=4):
-        h = complex(table.two_body_value(p, q, r, s))
-        if abs(h) > _DROP_EPS:
-            products.append(
-                (0.5 * h, ((p, True), (q, True), (r, False), (s, False)))
-            )
-    return FermionOperator(n, tuple(products))

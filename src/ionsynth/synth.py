@@ -751,7 +751,8 @@ def compile_higher_excitation(
     structures; from order three the string pool no longer packs into local
     star layers (six of them cover at most 30 of the 32 third-order strings),
     so the remaining layers carry CNOT-assisted dressing while each still
-    spends exactly one MS pair.
+    spends exactly one MS pair.  An order whose packing spends more MS gates
+    than the budget is refused with SynthesisError: N = 4 and 5 today.
     """
     _expect_antisym(t, "higher")
     c = _compiled("higher_excitation", [(t, theta)], n_qubits)

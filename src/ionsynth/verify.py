@@ -51,6 +51,15 @@ truncation; the speed comes from doing less arithmetic, not other arithmetic.
      excitation share one flip mask, so its exponential holds two vectors,
      and the three pairings of a double window hold at most two together.
      generator_unitary of a commuting sum is the one-factor case.
+  4. Ladder products as signed partial permutations.  a_p and a_p† flip
+     qubit p of a basis index, take the sign of the occupied modes below p,
+     and vanish on the columns where p is empty (a_p) or full (a_p†), so a
+     product of them is one flip mask with a column-sign vector, scattered
+     into the result matrix (dense_ladder), built from bit masks alone.
+     dense_hamiltonian expands an integral table through it.  The compile
+     package builds the same operators from generator_pauli's closed forms
+     and pauli's algebra; the two constructions share no code, and the test
+     suite holds them equal.
 The dense cap MAX_QUBITS applies to the register width, however few qubits
 a circuit touches.
 """
@@ -76,6 +85,8 @@ __all__ = [
     "assert_equivalent",
     "dense_pauli",
     "dense_sum",
+    "dense_ladder",
+    "dense_hamiltonian",
     "MAX_QUBITS",
 ]
 
@@ -198,6 +209,40 @@ def dense_sum(g: PauliSum) -> np.ndarray:
         flip, phases = _signed_permutation(string, idx)
         m[idx ^ flip, idx] += coeff * phases
     return m
+
+
+def dense_ladder(products, n: int) -> np.ndarray:
+    """Dense matrix of a sum of ladder-operator products on n modes (kernel
+    4).  products holds (coefficient, ((mode, is_creation), ...)) pairs with
+    the factors written left to right, so the rightmost acts first."""
+    n = _check_width(n)
+    dim = 1 << n
+    idx = np.arange(dim)
+    m = np.zeros((dim, dim), dtype=complex)
+    for coeff, factors in products:
+        rows, signs = idx.copy(), np.ones(dim)
+        for mode, is_creation in reversed(factors):
+            bit = 1 << (n - 1 - _index(mode, "mode", VerifyError, n))
+            if not isinstance(is_creation, (bool, np.bool_)):
+                raise VerifyError(f"creation flag must be a bool, got {is_creation!r}")
+            signs[((rows & bit) != 0) == is_creation] = 0.0
+            signs[_parity(rows & (dim - 2 * bit)) == 1] *= -1.0  # modes 0..p-1
+            rows ^= bit
+        m[rows, idx] += coeff * signs
+    return m
+
+
+def dense_hamiltonian(table) -> np.ndarray:
+    """Dense matrix of an integral table's Hamiltonian, sum_pq h_pq a†_p a_q +
+    1/2 sum_pqrs h_pqrs a†_p a†_q a_r a_s + constant, through dense_ladder."""
+    n = _check_width(table.n_modes)
+    products = [(table.constant, ())]
+    for p, q in itertools.product(range(n), repeat=2):
+        products.append((table.one_body_value(p, q), ((p, True), (q, False))))
+    for p, q, r, s in itertools.product(range(n), repeat=4):
+        products.append((0.5 * table.two_body_value(p, q, r, s),
+                         ((p, True), (q, True), (r, False), (s, False))))
+    return dense_ladder(products, n)
 
 
 # --- circuit unitaries -----------------------------------------------------

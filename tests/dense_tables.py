@@ -10,9 +10,8 @@ import itertools
 
 import numpy as np
 
-from ionsynth.fermion import hamiltonian_ladder, jw_map
 from ionsynth.integrals import IntegralTable, term_list
-from ionsynth.verify import dense_sum
+from ionsynth.verify import dense_hamiltonian, dense_sum
 
 
 def _draw(rng) -> float:
@@ -58,7 +57,7 @@ def fill_complex_table(n: int, rng) -> IntegralTable:
 
 def reconstruction_defect(table: IntegralTable) -> float:
     """Largest entry gap between the dense forms of term_list's Pauli sum and
-    of the table's raw ladder Hamiltonian."""
+    of the table's raw ladder Hamiltonian (verify.dense_hamiltonian)."""
     direct = dense_sum(term_list(table).pauli_sum())
-    via_ladder = dense_sum(jw_map(hamiltonian_ladder(table)))
+    via_ladder = dense_hamiltonian(table)
     return float(np.abs(direct - via_ladder).max())

@@ -1,8 +1,10 @@
-"""Fermionic algebra, the occupation-encoding map, and generator forms.
+"""Excitation terms, their closed-form Pauli generators, local terms and
+term lists.
 
-The closed-form generator construction is held against the symbolic ladder
-expansion (jw_map of ladder_form) on dense matrices; the two code paths are
-independent.
+The closed-form generator construction is held against the ladder-operator
+reference verify.dense_ladder on dense matrices: that oracle acts with each
+a_p and a_p† on basis indices by bit masks, and shares no code with pauli or
+generator_pauli.  The first tests below pin the oracle's own conventions.
 """
 
 import itertools
@@ -16,28 +18,20 @@ from hypothesis import strategies as st
 from ionsynth.fermion import (
     ExcitationTerm,
     FermionError,
-    FermionOperator,
     HamiltonianTerms,
     LocalTerm,
-    annihilation,
     controlled_single,
     coulomb_term,
-    creation,
     density_term,
     double,
     generator_pauli,
     higher_excitation,
-    identity_op,
-    jw_map,
-    ladder_form,
     local_equivalence_conjugate,
-    local_ladder_form,
     local_pauli,
-    number,
     single,
 )
-from ionsynth.pauli import PauliSum
-from ionsynth.verify import dense_pauli, dense_sum
+from ionsynth.pauli import PauliString, PauliSum
+from ionsynth.verify import VerifyError, dense_ladder, dense_pauli, dense_sum
 
 RNG = np.random.default_rng(416)
 
@@ -50,66 +44,125 @@ def dense(ps: PauliSum) -> np.ndarray:
     return dense_sum(ps)
 
 
-# --- FermionOperator algebra -------------------------------------------------
+def ladder(n: int, *factors) -> np.ndarray:
+    """dense_ladder of one unit-weight product on n modes."""
+    return dense_ladder([(1.0, factors)], n)
+
+
+def ladder_generator(subs, sups, coefficient: float, symmetrized: bool) -> list:
+    """dense_ladder products of the generator of A = a†_subs... a_sups... in
+    the order given: i(A - A†), or A + A† when symmetrized."""
+    a = tuple((m, True) for m in subs) + tuple((m, False) for m in sups)
+    a_dag = tuple((m, not c) for m, c in reversed(a))
+    if symmetrized:
+        return [(coefficient, a), (coefficient, a_dag)]
+    return [(1j * coefficient, a), (-1j * coefficient, a_dag)]
+
+
+def term_ladder(t: ExcitationTerm) -> list:
+    """The term's literal ladder products; a controlled single's are
+    a†_p a†_j a_q a_j."""
+    if t.kind == "controlled_single":
+        return ladder_generator((t.sub[0], t.control), (t.sup[0], t.control),
+                                t.coefficient, t.symmetrized)
+    return ladder_generator(t.sub, t.sup, t.coefficient, t.symmetrized)
+
+
+def local_ladder(t: LocalTerm) -> list:
+    """dense_ladder products of a local term: 2c n_p, or -2c n_p n_q."""
+    if t.kind == "density":
+        (p,) = t.modes
+        return [(2 * t.coefficient, ((p, True), (p, False)))]
+    p, q = t.modes
+    return [(-2 * t.coefficient, ((p, True), (p, False), (q, True), (q, False)))]
+
+
+# --- the ladder oracle's conventions -------------------------------------------
 
 def test_products_merge_and_drop():
-    op = creation(0, 2) + creation(0, 2)
-    assert len(op.products) == 1
-    coeff, factors = op.products[0]
-    assert coeff == 2.0
-    assert factors == ((0, True),)
-    assert (op - op.scale(1.0)).is_zero()
+    """Every product is added into the one matrix: equal ones add, opposite
+    ones cancel."""
+    once = ladder(2, (0, True))
+    assert np.array_equal(dense_ladder([(1.0, ((0, True),))] * 2, 2), 2 * once)
+    assert not dense_ladder([(1.0, ((0, True),)), (-1.0, ((0, True),))], 2).any()
 
 
 def test_mode_range_checked():
-    with pytest.raises(FermionError):
-        creation(3, 3)
-    with pytest.raises(FermionError):
-        annihilation(0, 2) + annihilation(0, 3)
+    with pytest.raises(VerifyError, match="mode 3 outside 0..2"):
+        ladder(3, (3, True))
+    with pytest.raises(VerifyError, match="negative mode -1"):
+        ladder(3, (-1, False))
 
 
 def test_adjoint_reverses_and_flips():
-    op = creation(0, 3) * annihilation(2, 3)
-    adj = op.adjoint()
-    assert adj.products == ((1.0, ((2, True), (0, False))),)
-    assert not op.is_hermitian()
-    assert (op + adj).is_hermitian()
-    assert identity_op(3, 2.5).is_hermitian()
+    """The product with its factors reversed and its flags flipped is the
+    conjugate transpose."""
+    op = ladder(3, (0, True), (2, False))
+    assert np.array_equal(ladder(3, (2, True), (0, False)), op.conj().T)
+    assert not np.array_equal(op, op.conj().T)
+    assert np.array_equal(dense_ladder([(2.5, ())], 3), 2.5 * np.eye(8))
 
 
 def test_scalar_and_operator_products():
-    op = 2.0 * creation(1, 2)
-    assert op.products[0][0] == 2.0
-    op2 = op * annihilation(0, 2)
-    assert op2.products == ((2.0, ((1, True), (0, False))),)
+    """Factors are written left to right, so the rightmost acts first: a
+    product is the matrix product of its factors, times its coefficient."""
+    got = dense_ladder([(2.0, ((1, True), (0, False)))], 2)
+    assert np.array_equal(got, 2.0 * ladder(2, (1, True)) @ ladder(2, (0, False)))
+    assert not np.array_equal(got, 2.0 * ladder(2, (0, False)) @ ladder(2, (1, True)))
+
+
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True), np.bool_(False)])
+def test_operator_stores_bool_creation_flags(flag):
+    """numpy modes and flags act as the int and bool they equal."""
+    got = dense_ladder([(1.0, ((np.int64(1), flag),))], 2)
+    assert np.array_equal(got, ladder(2, (1, bool(flag))))
+
+
+@pytest.mark.parametrize("flag", ["no", None, 1, 0.0])
+def test_operator_refuses_creation_flags_that_are_not_bools(flag):
+    """Compared with the occupation bits, 1 would read as a creation operator,
+    0.0 as an annihilation one, and "no" or None as neither."""
+    with pytest.raises(VerifyError, match="creation flag must be a bool"):
+        ladder(2, (0, flag))
+
+
+def test_operator_takes_numpy_and_real_coefficients_as_complex():
+    got = dense_ladder([(np.complex64(0.5j), ((0, True),)), (2, ((1, False),))], 2)
+    assert got.dtype == complex
+    assert np.array_equal(got, 0.5j * ladder(2, (0, True)) + 2 * ladder(2, (1, False)))
 
 
 # --- occupation encoding -----------------------------------------------------
 
 def test_number_operator_image():
-    got = as_dict(jw_map(number(0, 1)))
-    assert got == {"+I": pytest.approx(0.5), "+Z": pytest.approx(-0.5)}
+    got = ladder(1, (0, True), (0, False))
+    assert np.array_equal(got, dense(PauliSum(1, [(0.5, PauliString(1, {})),
+                                                  (-0.5, PauliString(1, {0: "Z"}))])))
 
 
 def test_creation_image_single_mode():
-    got = as_dict(jw_map(creation(0, 1)))
-    assert got["+X"] == pytest.approx(0.5)
-    assert got["+Y"] == pytest.approx(-0.5j)
+    """a_p† -> Z_0..Z_{p-1} (X_p - iY_p)/2 and a_p -> Z_0..Z_{p-1} (X_p + iY_p)/2.
+    Number-conserving products cannot tell a parity string below p from one
+    above it, so only these single-mode images pin the side."""
+    n = 3
+    for p in range(n):
+        x, y = (dense_pauli(PauliString(n, {**{k: "Z" for k in range(p)}, p: letter}))
+                for letter in "XY")
+        assert np.array_equal(ladder(n, (p, True)), 0.5 * x - 0.5j * y)
+        assert np.array_equal(ladder(n, (p, False)), 0.5 * x + 0.5j * y)
 
 
 def test_creation_populates_its_qubit():
     # |1> means occupied, so the creation matrix takes |0> to |1>
-    m = dense(jw_map(creation(0, 1)))
+    m = ladder(1, (0, True))
     assert np.allclose(m, [[0, 0], [1, 0]])
 
 
 def test_hopping_image_with_parity_string():
-    op = creation(0, 3) * annihilation(2, 3) + creation(2, 3) * annihilation(0, 3)
-    got = as_dict(jw_map(op))
-    assert got == {
-        "+XZX": pytest.approx(0.5),
-        "+YZY": pytest.approx(0.5),
-    }
+    got = dense_ladder([(1.0, ((0, True), (2, False))), (1.0, ((2, True), (0, False)))], 3)
+    expected = PauliSum(3, [(0.5, PauliString(3, {0: "X", 1: "Z", 2: "X"})),
+                            (0.5, PauliString(3, {0: "Y", 1: "Z", 2: "Y"}))])
+    assert np.array_equal(got, dense(expected))
 
 
 def test_canonical_anticommutation_relations():
@@ -117,12 +170,12 @@ def test_canonical_anticommutation_relations():
     eye = np.eye(2 ** n)
     for p in range(n):
         for q in range(n):
-            a_p = dense(jw_map(annihilation(p, n)))
-            adag_q = dense(jw_map(creation(q, n)))
+            a_p = ladder(n, (p, False))
+            adag_q = ladder(n, (q, True))
             anti = a_p @ adag_q + adag_q @ a_p
             expected = eye if p == q else 0 * eye
             assert np.abs(anti - expected).max() < 1e-14
-            a_q = dense(jw_map(annihilation(q, n)))
+            a_q = ladder(n, (q, False))
             assert np.abs(a_p @ a_q + a_q @ a_p).max() < 1e-14
 
 
@@ -211,10 +264,6 @@ TERM_REFUSALS = {
     "local-float-mode": (lambda: LocalTerm("density", (1.5,)), "mode 1.5 is not an integer"),
     "local-negative-mode": (lambda: LocalTerm("density", (-1,)), "negative mode -1"),
     "coulomb-same-mode": (lambda: coulomb_term(1, 1), "two distinct modes"),
-    "operator-float-count": (lambda: FermionOperator(2.5), "mode count 2.5 is not an integer"),
-    "operator-negative-count": (lambda: FermionOperator(-1), "negative mode count"),
-    "operator-count-mismatch": (lambda: FermionOperator(2) + FermionOperator(3),
-                                "mode count mismatch"),
     # The constructor assembles its terms: the assemble-* rows give it some.
     "assemble-reality": (lambda: HamiltonianTerms(2, "imaginary", 0.0, (density_term(0),), ()),
                          "unknown reality class 'imaginary'"),
@@ -250,9 +299,9 @@ _FLAG_TYPES = {bool: True, np.bool_: True, int: False, str: False}
 @given(st.data())
 def test_terms_store_integer_modes_as_ints_and_refuse_the_rest(data):
     kind = data.draw(st.sampled_from(("single", "double", "controlled", "higher",
-                                      "density", "coulomb", "ladder")))
+                                      "density", "coulomb")))
     size = {"single": 2, "double": 4, "controlled": 3, "higher": 6,
-            "density": 1, "coulomb": 2, "ladder": 1}[kind]
+            "density": 1, "coulomb": 2}[kind]
     modes = data.draw(st.lists(st.integers(0, 9), min_size=size, max_size=size, unique=True))
     types = data.draw(st.lists(st.sampled_from(tuple(_MODE_TYPES)), min_size=size, max_size=size))
     flag = data.draw(st.booleans())
@@ -269,14 +318,12 @@ def test_terms_store_integer_modes_as_ints_and_refuse_the_rest(data):
             return higher_excitation(ms[:3], ms[3:], 0.5, sym)
         if kind == "density":
             return density_term(*ms, 0.5)
-        if kind == "coulomb":
-            return coulomb_term(*ms, 0.5)
-        return creation(*ms, 10)
+        return coulomb_term(*ms, 0.5)
 
     given_modes = [t(m) for t, m in zip(types, modes)]
     given_flag = flag_type(flag)
     accepted = all(_MODE_TYPES[t] for t in types)
-    if kind not in ("density", "coulomb", "ladder"):
+    if kind not in ("density", "coulomb"):
         accepted = accepted and _FLAG_TYPES[flag_type]
     if not accepted:
         with pytest.raises(FermionError):
@@ -284,9 +331,7 @@ def test_terms_store_integer_modes_as_ints_and_refuse_the_rest(data):
         return
     term = build(given_modes, given_flag)
     assert term == build(modes, flag)
-    if isinstance(term, FermionOperator):
-        fields = [m for _, factors in term.products for m, _ in factors]
-    elif isinstance(term, LocalTerm):
+    if isinstance(term, LocalTerm):
         fields = list(term.modes)
     else:
         fields = [*term.sub, *term.sup, *([] if term.control is None else [term.control])]
@@ -295,53 +340,9 @@ def test_terms_store_integer_modes_as_ints_and_refuse_the_rest(data):
     assert all(type(m) is int for m in fields)
 
 
-@pytest.mark.parametrize("flag", [True, False, np.bool_(True), np.bool_(False)])
-def test_operator_stores_bool_creation_flags(flag):
-    op = FermionOperator(2, ((1.0, ((np.int64(1), flag),)),))
-    assert op.products == ((1.0, ((1, bool(flag)),)),)
-    assert type(op.products[0][1][0][1]) is bool
-
-
-@pytest.mark.parametrize("flag", ["no", None, 1, 0.0])
-def test_operator_refuses_creation_flags_that_are_not_bools(flag):
-    """"no" used to read as a creation operator and None as an annihilation one."""
-    with pytest.raises(FermionError, match="creation flag must be a bool"):
-        FermionOperator(2, ((1.0, ((0, flag),)),))
-
-
-@pytest.mark.parametrize("coeff, message", [
-    ("0.3", "coefficient '0.3' is not a number"),
-    (True, "coefficient True is not a number"),
-    (float("nan"), "coefficient .* is not finite"),
-    (complex(1, float("inf")), "coefficient .* is not finite"),
-], ids=["str", "bool", "nan", "inf"])
-def test_operator_refuses_coefficients_that_are_not_finite_numbers(coeff, message):
-    """'x' used to raise a bare ValueError, True was read as 1 and a NaN
-    product was dropped as if it were zero."""
-    with pytest.raises(FermionError, match=message):
-        FermionOperator(2, ((coeff, ((0, True),)),))
-
-
-@pytest.mark.parametrize("products", [
-    (("x",),),
-    ((1.0, (0,)),),
-    ((1.0, ((0, True, 1),)),),
-], ids=["no-factors", "bare-mode", "triple"])
-def test_operator_refuses_malformed_products(products):
-    with pytest.raises(FermionError, match="products must be"):
-        FermionOperator(2, products)
-
-
-def test_operator_takes_numpy_and_real_coefficients_as_complex():
-    op = FermionOperator(2, ((np.complex64(0.5j), ((0, True),)), (2, ((1, False),))))
-    assert op.products == ((0.5j, ((0, True),)), (2, ((1, False),)))
-    assert all(type(c) is complex for c, _ in op.products)
-
-
 REGISTER_FORMS = {
     "generator_pauli": lambda n: generator_pauli(single(0, 1), n),
     "local_pauli": lambda n: local_pauli(density_term(1), n),
-    "ladder_form": lambda n: ladder_form(single(0, 1), n),
     "pauli_sum": lambda n: HamiltonianTerms(2, "real", 0.0, (density_term(1),),
                                             (single(0, 1),)).pauli_sum(n),
 }
@@ -416,13 +417,7 @@ def test_higher_excitation_sort_parity():
     assert higher_excitation((2, 0), (1, 3)).coefficient == -1.0
     # cross-check the folded parity against the raw-order ladder product
     n = 6
-    raw = identity_op(n)
-    for m in (2, 0, 4):
-        raw = raw * creation(m, n)
-    for m in (5, 1, 3):
-        raw = raw * annihilation(m, n)
-    g_raw = 1j * (raw - raw.adjoint())
-    lhs = dense(jw_map(g_raw))
+    lhs = dense_ladder(ladder_generator((2, 0, 4), (5, 1, 3), 1.0, False), n)
     rhs = dense(generator_pauli(t, n))
     assert np.abs(lhs - rhs).max() < 1e-12
 
@@ -519,7 +514,7 @@ def test_generator_matches_ladder_expansion():
     for _ in range(60):
         t = _random_term(n)
         direct = dense(generator_pauli(t, n))
-        via_ladder = dense(jw_map(ladder_form(t, n)))
+        via_ladder = dense_ladder(term_ladder(t), n)
         assert np.abs(direct - via_ladder).max() < 1e-12, t
 
 
@@ -547,7 +542,7 @@ def test_density_term_image():
 def test_coulomb_term_image():
     lt = coulomb_term(0, 1, 1.0)
     direct = dense(local_pauli(lt, 2))
-    via_ladder = dense(jw_map(local_ladder_form(lt, 2)))
+    via_ladder = dense_ladder(local_ladder(lt), 2)
     assert np.abs(direct - via_ladder).max() < 1e-14
     # -2 n_0 n_1 is diagonal with a -2 only on the doubly occupied state
     assert np.allclose(np.diag(direct), [0, 0, 0, -2])
@@ -556,7 +551,7 @@ def test_coulomb_term_image():
 def test_local_ladder_cross_validation_wide():
     for lt in (density_term(2, -0.4), coulomb_term(1, 3, 0.9)):
         direct = dense(local_pauli(lt, 4))
-        via_ladder = dense(jw_map(local_ladder_form(lt, 4)))
+        via_ladder = dense_ladder(local_ladder(lt), 4)
         assert np.abs(direct - via_ladder).max() < 1e-14
 
 

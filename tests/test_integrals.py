@@ -1,7 +1,8 @@
 """Integral tables: symmetry closure, parsing, and Hamiltonian splitting.
 
 Reconstruction tests pit the generator decomposition against a direct
-ladder-operator expansion of the same table on dense matrices.
+ladder-operator expansion of the same table on dense matrices
+(verify.dense_hamiltonian).
 """
 
 import contextlib
@@ -20,8 +21,6 @@ from ionsynth.fermion import (
     coulomb_term,
     density_term,
     double,
-    hamiltonian_ladder,
-    jw_map,
     single,
 )
 from ionsynth.integrals import (
@@ -34,7 +33,7 @@ from ionsynth.integrals import (
     parse_integrals,
     term_list,
 )
-from ionsynth.verify import dense_sum
+from ionsynth.verify import dense_hamiltonian, dense_sum
 
 from dense_tables import fill_complex_table, fill_real_table, reconstruction_defect
 
@@ -369,7 +368,7 @@ def test_random_real_table_reconstruction():
 
 def test_random_complex_table_reconstruction():
     table = fill_complex_table(4, RNG)
-    dense = dense_sum(jw_map(hamiltonian_ladder(table)))
+    dense = dense_hamiltonian(table)
     assert np.abs(dense - dense.conj().T).max() < 1e-12
     terms = term_list(table)
     assert any(not t.symmetrized for t in terms.excitation_terms)

@@ -1,5 +1,6 @@
 """The package's exports: each module's __all__ and their union in ionsynth."""
 
+import ast
 import importlib
 import inspect
 
@@ -35,3 +36,20 @@ def test_package_exports_each_module_name_once_as_its_own_object():
             assert getattr(ionsynth, key) is getattr(module, key)
     assert sorted(ionsynth.__all__) == sorted(["__version__", *owners])
     assert len(ionsynth.__all__) == len(set(ionsynth.__all__))
+
+
+def test_oracle_shares_no_algebra_with_the_compile_package():
+    """verify takes from pauli only the string and sum types it reads and the
+    two input rules, and the ladder-operator algebra lives in verify alone."""
+    source = inspect.getsource(importlib.import_module("ionsynth.verify"))
+    from_pauli = {
+        alias.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "pauli"
+        for alias in node.names
+    }
+    assert from_pauli == {"PauliString", "PauliSum", "_index", "_real"}
+    fermion = importlib.import_module("ionsynth.fermion")
+    ladder = {"FermionOperator", "identity_op", "creation", "annihilation", "number",
+              "jw_map", "ladder_form", "local_ladder_form", "hamiltonian_ladder"}
+    assert not ladder & set(fermion.__all__)
+    assert not ladder & set(vars(fermion))

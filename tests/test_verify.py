@@ -23,6 +23,7 @@ from ionsynth.circuit import (
     Rzz,
 )
 from ionsynth.fermion import controlled_single, double, generator_pauli, single
+from ionsynth.integrals import IntegralTable
 from ionsynth.pauli import PauliString, PauliSum, from_label
 from ionsynth.verify import (
     DenseOperator,
@@ -32,6 +33,8 @@ from ionsynth.verify import (
     _parity,
     assert_equivalent,
     circuit_unitary,
+    dense_hamiltonian,
+    dense_ladder,
     dense_pauli,
     dense_sum,
     generator_unitary,
@@ -344,6 +347,20 @@ def test_qubit_cap_enforced():
         circuit_unitary(Circuit(13, (CNOT(3, 11), Rz(11, 0.2))))
     with pytest.raises(VerifyError):
         DenseOperator(np.eye(2 ** 13))
+
+
+def test_ladder_oracle_cap_enforced():
+    """The cap is checked before a product is built or a table entry read,
+    and widths follow the package's index rule (modes: test_fermion)."""
+    with pytest.raises(VerifyError, match="13 qubits exceeds the dense cap of 12"):
+        dense_hamiltonian(IntegralTable(13, "real"))
+    with pytest.raises(VerifyError, match="13 qubits exceeds the dense cap of 12"):
+        dense_ladder([(1.0, ((0, True),))], 13)
+    for width in (2.5, "3", True):
+        with pytest.raises(VerifyError, match="width .* is not an integer"):
+            dense_ladder([], width)
+    assert np.array_equal(dense_ladder([(1.0, ((0, True),))], np.int64(2)),
+                          dense_ladder([(1.0, ((0, True),))], 2))
 
 
 def test_dense_operator_shape_guards():
