@@ -22,15 +22,17 @@ the modes, angles from the same seed).  Per workload it times eight stages:
   count               circuit.count of the Trotter step
   cost                circuit.cost of the Trotter step
 
-and keeps the best of three runs of each, with the term and fusion group
-counts, the MS, CNOT, single-qubit, gate and depth totals of both circuits
-and a SHA-256 of their serialized text, so two checkouts can be shown to
-emit the same circuits.  It also builds the baseline schedules, the
-build_trotter_step baseline in each orbital class the table allows (real
-tables take both, complex ones only complex) and the build_uccsd_layer
-baseline, keeping the best of three times of each in baseline_best_s and one
-SHA-256 of their text in baseline_sha256 (records before these fields were
-added lack them).  Tables above 14 modes skip the baselines: at 20 modes the
+and keeps the best of three runs of each in best_s.  It also times
+serialize, deserialize, count and cost of the UCCSD layer, keeping the best
+of three of each in uccsd_best_s (records before this field was added lack
+it).  Each record holds the term and fusion group counts, the MS, CNOT,
+single-qubit, gate and depth totals of both circuits and a SHA-256 of their
+serialized text, so two checkouts can be shown to emit the same circuits.
+It also builds the baseline schedules, the build_trotter_step baseline in
+each orbital class the table allows (real tables take both, complex ones
+only complex) and the build_uccsd_layer baseline, keeping the best of three
+times of each in baseline_best_s and one SHA-256 of their text in
+baseline_sha256 (records before these fields were added lack them).  Tables above 14 modes skip the baselines: at 20 modes the
 complex-orbital one alone holds about 2.5 million gates and 780 MB.  Each
 record also holds term_list_peak_mib, the tracemalloc peak in MiB of one
 untimed term_list call on the parsed table (records before this field and
@@ -72,6 +74,7 @@ TIME_STEP = 0.1
 REPEATS = 3
 STAGES = ("parse", "term_list", "build_trotter_step", "build_uccsd_layer", "serialize",
           "deserialize", "count", "cost")
+LAYER_STAGES = ("serialize", "deserialize", "count", "cost")
 
 
 def complex_document(n: int, rng: random.Random) -> str:
@@ -143,6 +146,7 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
     from ionsynth.integrals import parse_integrals, term_list
 
     best = dict.fromkeys(STAGES, float("inf"))
+    layer_best = dict.fromkeys(LAYER_STAGES, float("inf"))
     spec = AnsatzSpec(*uccsd)
     templates = getattr(synth, "_template", None)
     gates = getattr(synth, "_gate", None)
@@ -181,7 +185,18 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
         times.append(time.perf_counter())
         for stage, t0, t1 in zip(STAGES, times, times[1:]):
             best[stage] = min(best[stage], t1 - t0)
-    digest = hashlib.sha256((text + serialize(layer)).encode()).hexdigest()
+        times = [time.perf_counter()]
+        layer_text = serialize(layer)
+        times.append(time.perf_counter())
+        deserialize(layer_text)
+        times.append(time.perf_counter())
+        count(layer)
+        times.append(time.perf_counter())
+        cost(layer)
+        times.append(time.perf_counter())
+        for stage, t0, t1 in zip(LAYER_STAGES, times, times[1:]):
+            layer_best[stage] = min(layer_best[stage], t1 - t0)
+    digest = hashlib.sha256((text + layer_text).encode()).hexdigest()
     circuits = {**totals("trotter", step), "uccsd_excitations": len(spec.parameters),
                 **totals("uccsd", layer)}
     tracemalloc.start()
@@ -202,6 +217,7 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
         **circuits,
         "circuits_sha256": digest,
         "best_s": best,
+        "uccsd_best_s": layer_best,
         "term_list_peak_mib": term_list_peak,
         "build_peak_mib": build_peak,
         **cache,
@@ -243,6 +259,7 @@ def main() -> None:
         print(f"{args.label} {name}: {row['excitation_terms']} terms, {row['groups']} groups, "
               f"{row['trotter_ms']} + {row['uccsd_ms']} MS; "
               + ", ".join(f"{k} {v:.3f}" for k, v in row["best_s"].items())
+              + "".join(f", uccsd {k} {v:.4f}" for k, v in row["uccsd_best_s"].items())
               + f", term_list peak {row['term_list_peak_mib']:.2f} MiB"
               + f", build peak {row['build_peak_mib']:.2f} MiB"
               + "".join(f", baseline {k} {v:.3f}" for k, v in row.get("baseline_best_s", {}).items())

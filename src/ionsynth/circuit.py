@@ -28,14 +28,22 @@ Numeric fields, and the ``qubits`` count, are plain ASCII without '_':
 Python's int() and float() would also read '1_2' or non-ASCII digits, which
 the parser refuses at their line.  Meta values and comments take any text.
 
+Every gate checks its own qubits when it is built: each follows the index
+rule of ``pauli._index`` and is kept as an int, so a bool, float, str or
+negative qubit is refused by the gate, naming it.  A gate also keeps its
+highest qubit outside its fields, so a ``Circuit`` checks its width once,
+against the maximum over its gates, and looks for the first gate past it
+only when that check fails.
+
 Gates are immutable, so one gate object may stand at many positions of a
-circuit, as every equal Clifford gate of a built step does
-(``ionsynth.synth``).  ``serialize`` formats each distinct gate object once,
-and ``deserialize`` parses each distinct record line of a document once, so
-identical records of one document read back as one shared gate object.
-Qubits are checked once, by the ``Circuit`` that ``deserialize`` returns; the
-line of a record with a qubit outside the register is recovered only when
-reading fails.
+circuit, as every equal Clifford gate of a built step and every equal
+rotation of one template fill does (``ionsynth.synth``).  ``serialize``
+formats each distinct gate object once and each distinct MS qubit list once
+(a window's forward and backward MS share it), and ``deserialize`` parses
+each distinct record line of a document once, so identical records of one
+document read back as one shared gate object, and each distinct MS qubit
+list text once.  The line of a record with a qubit outside the register is
+recovered, by the gates' highest qubits, only when reading fails.
 """
 
 from __future__ import annotations
@@ -90,12 +98,32 @@ class SchemaError(ParseError):
     """Unknown gate name or unsupported format version."""
 
 
+_INT = frozenset({int})
+_AXES = ("xx", "yy")
+_DIRECTIONS = ("forward", "backward")
+
+
+def _qubit(value) -> int:
+    """A gate's qubit as an int, by the index rule (``pauli._index``)."""
+    if type(value) is int and value >= 0:
+        return value
+    return _index(value, "qubit", CircuitError)
+
+
+# Every gate checks its own qubits by the index rule, keeping a plain int
+# as it is, and stores its highest qubit as ``_highest`` (GlobalPhase, on no
+# qubit, has -1 on its class).  It lies outside the fields, from which
+# records, synth._item, equality and repr are all derived.  A Circuit checks
+# its width against the maximum of these, once per circuit.
+
 @dataclass(frozen=True)
 class MS:
     """Targeted Moelmer-Soerensen gate on a qubit subset.
 
     Forward means exp(-i pi/4 sum_{j<k in qubits} A_j A_k) with A = X or Y
-    according to ``axis``; backward is the inverse.
+    according to ``axis``; backward is the inverse.  Each qubit follows the
+    index rule before the set is sorted, and the set may not be empty or
+    repeat a qubit.
     """
 
     axis: str
@@ -103,22 +131,37 @@ class MS:
     qubits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        axis = str(self.axis).lower()
-        if axis not in ("xx", "yy"):
-            raise CircuitError(f"MS axis must be 'xx' or 'yy', got {self.axis!r}")
-        direction = str(self.direction).lower()
-        if direction not in ("forward", "backward"):
-            raise CircuitError(f"MS direction must be forward/backward, got {self.direction!r}")
-        qs = tuple(sorted(self.qubits))
+        # a name already in lower case is kept as it is
+        if self.axis not in _AXES:
+            axis = str(self.axis).lower()
+            if axis not in _AXES:
+                raise CircuitError(f"MS axis must be 'xx' or 'yy', got {self.axis!r}")
+            object.__setattr__(self, "axis", axis)
+        if self.direction not in _DIRECTIONS:
+            direction = str(self.direction).lower()
+            if direction not in _DIRECTIONS:
+                raise CircuitError(f"MS direction must be forward/backward, got {self.direction!r}")
+            object.__setattr__(self, "direction", direction)
+        qubits = self.qubits
+        if type(qubits) is not tuple:
+            try:
+                qubits = tuple(qubits)
+            except TypeError:
+                raise CircuitError(f"MS qubit set {qubits!r} is not a collection of qubits") from None
+        # Plain ints, the common case, are sorted as they are and only the
+        # least is checked; any other qubit goes through the index rule first.
+        plain = _INT.issuperset(map(type, qubits))
+        qs = tuple(sorted(qubits if plain else map(_qubit, qubits)))
         if not qs:
             raise CircuitError("MS qubit set is empty")
+        if qs[0] < 0:
+            _qubit(qs[0])  # raises: negative
         if len(set(qs)) != len(qs):
             raise CircuitError(f"MS qubit set has duplicates: {self.qubits}")
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "direction", direction)
-        # an already sorted tuple is kept, so a cache key shares its gate's window
-        if not (type(self.qubits) is tuple and qs == self.qubits):
+        # an already sorted tuple of ints is kept, so a cache key shares its gate's window
+        if not (plain and qs == self.qubits):
             object.__setattr__(self, "qubits", qs)
+        object.__setattr__(self, "_highest", qs[-1])
 
     @property
     def locality(self) -> int:
@@ -127,64 +170,96 @@ class MS:
 
 @dataclass(frozen=True)
 class Rz:
+    """exp(-i angle/2 Z) on ``qubit``."""
+
     qubit: int
     angle: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "angle", _real(self.angle, "angle", CircuitError))
+        qubit, angle = self.qubit, self.angle
+        if type(qubit) is not int or qubit < 0:
+            object.__setattr__(self, "qubit", qubit := _qubit(qubit))
+        if (checked := _real(angle, "angle", CircuitError)) is not angle:
+            object.__setattr__(self, "angle", checked)
+        object.__setattr__(self, "_highest", qubit)
 
 
 @dataclass(frozen=True)
 class CRz:
+    """Rz(angle) on ``target`` when ``control`` is 1; the two qubits differ."""
+
     control: int
     target: int
     angle: float
 
     def __post_init__(self) -> None:
-        if self.control == self.target:
+        control, target = _qubit(self.control), _qubit(self.target)
+        if control == target:
             raise CircuitError("CRz control equals target")
+        object.__setattr__(self, "control", control)
+        object.__setattr__(self, "target", target)
         object.__setattr__(self, "angle", _real(self.angle, "angle", CircuitError))
+        object.__setattr__(self, "_highest", max(control, target))
 
 
 @dataclass(frozen=True)
 class Rzz:
+    """exp(-i angle/2 Z Z) on two distinct qubits."""
+
     qubit_a: int
     qubit_b: int
     angle: float
 
     def __post_init__(self) -> None:
-        if self.qubit_a == self.qubit_b:
+        a, b = _qubit(self.qubit_a), _qubit(self.qubit_b)
+        if a == b:
             raise CircuitError("Rzz qubits coincide")
+        object.__setattr__(self, "qubit_a", a)
+        object.__setattr__(self, "qubit_b", b)
         object.__setattr__(self, "angle", _real(self.angle, "angle", CircuitError))
+        object.__setattr__(self, "_highest", max(a, b))
 
 
 @dataclass(frozen=True)
 class Clifford1:
+    """One of the named single-qubit Cliffords (h s sdg sx sxdg x y z), any case."""
+
     qubit: int
     name: str
 
     def __post_init__(self) -> None:
+        qubit = self.qubit
+        if type(qubit) is not int or qubit < 0:
+            object.__setattr__(self, "qubit", qubit := _qubit(qubit))
         name = str(self.name).upper()
         if name not in CLIFFORD1_NAMES:
             raise CircuitError(f"unknown Clifford name {self.name!r}")
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_highest", qubit)
 
 
 @dataclass(frozen=True)
 class CNOT:
+    """X on ``target`` when ``control`` is 1; the two qubits differ."""
+
     control: int
     target: int
 
     def __post_init__(self) -> None:
-        if self.control == self.target:
+        control, target = _qubit(self.control), _qubit(self.target)
+        if control == target:
             raise CircuitError("CNOT control equals target")
+        object.__setattr__(self, "control", control)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "_highest", max(control, target))
 
 
 @dataclass(frozen=True)
 class GlobalPhase:
-    """Multiplies the state by exp(i * angle)."""
+    """Multiplies the state by exp(i * angle); it acts on no qubit."""
 
     angle: float
+    _highest = -1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "angle", _real(self.angle, "angle", CircuitError))
@@ -199,7 +274,7 @@ class _Record(NamedTuple):
     kind: type
     tag: str
     line: str  # %-template of the record line
-    values: Callable[[Gate], tuple]  # a gate's operands for the template
+    values: Callable[[Gate], tuple]  # a gate's operands before a qubit list
     parsers: tuple[type, ...]  # the type of each field before a qubit list
     rest: str | None  # a trailing qubit-list field, which takes the rest
     usage: str  # the field names, for error messages
@@ -226,8 +301,6 @@ def _record(kind: type, tag: str) -> _Record:
     values = _fields_getter(names)
     if rest:
         qubits = attrgetter(rest)
-        head = values
-        values = lambda gate: (*head(gate), " ".join(map(str, qubits(gate))))
     else:
         qubits = _fields_getter([name for name in names if types[name] is int])
     operands = names + [f"{rest}..."] * bool(rest)
@@ -242,6 +315,7 @@ _RECORDS = {kind: _record(kind, tag) for kind, tag in (
 )}
 _RECORDS_BY_TAG = {record.tag: record for record in _RECORDS.values()}
 _QUBITS = {kind: record.qubits for kind, record in _RECORDS.items()}
+_HIGHEST = attrgetter("_highest")
 
 
 def gate_qubits(gate: Gate) -> tuple[int, ...]:
@@ -249,6 +323,13 @@ def gate_qubits(gate: Gate) -> tuple[int, ...]:
     if qubits is None:
         raise CircuitError(f"not a gate: {gate!r}")
     return qubits(gate)
+
+
+def _outside(gate: Gate, n_qubits: int) -> CircuitError:
+    """The error for the first qubit of ``gate``, in field order (sorted for
+    MS), that a register of ``n_qubits`` does not hold."""
+    q = next(q for q in gate_qubits(gate) if q >= n_qubits)
+    return CircuitError(f"qubit {q} outside 0..{n_qubits - 1}")
 
 
 _CLIFFORD_INVERSE = {
@@ -283,27 +364,29 @@ def _unplain(tokens) -> str | None:
 
 @dataclass(frozen=True)
 class Circuit:
+    """Gates on ``n_qubits`` qubits in time order, with string metadata.
+
+    The width follows the index rule.  Each gate has checked its own qubits,
+    so the circuit refuses a non-gate and then compares the highest qubit of
+    all its gates with the width once; only when that fails does it look for
+    the first gate past the register, naming it and its first such qubit.
+    """
+
     n_qubits: int
     gates: tuple[Gate, ...] = ()
     metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # A bool, a float or a str width or qubit would be written as a record
-        # the v1 parser rejects, so each follows the index rule.
+        # A bool, a float or a str width would be written as a qubits line the
+        # v1 parser rejects, so it follows the index rule, as every gate's
+        # qubits already have.  What is left is one check of their maximum.
         n = _index(self.n_qubits, "qubit count", CircuitError)
         gates = tuple(self.gates)
-        readers = _QUBITS
-        # Gates are immutable, so a gate object that recurs (as every copy of a
-        # parsed record and every shared Clifford gate of a built step does) is
-        # checked at its first position only.
-        for g in dict(zip(map(id, gates), gates)).values():
-            if type(g) not in readers:
-                gate_qubits(g)  # raises: not a gate
-            try:
-                for q in readers[type(g)](g):
-                    _index(q, "qubit", CircuitError, n)
-            except CircuitError as exc:
-                raise CircuitError(f"gate {g!r}: {exc}") from None
+        if not set(map(type, gates)) <= _RECORDS.keys():
+            gate_qubits(next(g for g in gates if type(g) not in _RECORDS))  # raises: not a gate
+        if max(map(_HIGHEST, gates), default=-1) >= n:
+            g = next(g for g in gates if g._highest >= n)
+            raise CircuitError(f"gate {g!r}: {_outside(g, n)}")
         metadata = dict(self.metadata)
         for key, value in metadata.items():
             if not (isinstance(key, str) and isinstance(value, str)):
@@ -417,6 +500,22 @@ def cost(c: Circuit, tau: float = 1.0) -> CostReport:
 
 # --- serialization ---------------------------------------------------------
 
+class _QubitLists(dict):
+    """The record text of each qubit list, formatted at its first lookup."""
+
+    def __missing__(self, qubits: tuple[int, ...]) -> str:
+        text = self[qubits] = " ".join(map(str, qubits))
+        return text
+
+
+class _QubitTexts(dict):
+    """The qubits of each qubit-list record text, parsed at its first lookup."""
+
+    def __missing__(self, text: str) -> tuple[int, ...]:
+        qubits = self[text] = tuple(map(int, text.split()))
+        return qubits
+
+
 def serialize(c: Circuit) -> str:
     lines = [FORMAT_HEADER, f"qubits {c.n_qubits}"]
     for key in sorted(c.metadata):
@@ -429,13 +528,18 @@ def serialize(c: Circuit) -> str:
             raise CircuitError(f"metadata entry not serializable: {key!r}: {value!r}")
         lines.append(f"meta {key} {value}")
     records = _RECORDS
-    # Each distinct gate object is formatted once; the circuit holds every
-    # gate, so no id is reused while this runs.
+    # Each distinct gate object is formatted once, and each distinct qubit
+    # list once (the forward and backward MS of a window share it); the
+    # circuit holds every gate, so no id is reused while this runs.
     gates = c.gates
     text = {}
+    lists = _QubitLists()
     for key, g in dict(zip(map(id, gates), gates)).items():
         record = records[type(g)]
-        text[key] = record.line % record.values(g)
+        if record.rest:
+            text[key] = record.line % (*record.values(g), lists[record.qubits(g)])
+        else:
+            text[key] = record.line % record.values(g)
     return "\n".join(lines) + "\n" + "".join(map(text.__getitem__, map(id, gates))).lower()
 
 
@@ -451,14 +555,18 @@ def deserialize(document: str) -> Circuit:
     # The gate each record line parsed to.  The width is fixed before the first
     # record and cannot change, so a copy of a line parses to the same gate.
     parsed: dict[str, Gate] = {}
-    # Qubits are checked once, by the Circuit returned below.  A record with a
-    # qubit outside the register fails before any later line, so when reading
-    # fails the records parsed so far are rescanned for one in line order.
+    # An MS window's forward and backward records share their qubit-list text.
+    lists = _QubitTexts()
+    # Each gate checks its own qubits; the width is checked once, by the
+    # Circuit returned below.  A record with a qubit outside the register
+    # fails before any later line, so when reading fails the records parsed
+    # so far are rescanned, by their highest qubit, for one in line order.
+    known, append = parsed.get, gates.append
     try:
         for idx, line in enumerate(lines[1:], start=2):
-            gate = parsed.get(line)
+            gate = known(line)
             if gate is not None:
-                gates.append(gate)
+                append(gate)
                 continue
             tokens = line.split()
             if not tokens or tokens[0].startswith("#"):
@@ -478,12 +586,12 @@ def deserialize(document: str) -> Circuit:
                     # Each field's type parses its token: type.__call__(int, "3") is int("3").
                     values = map(type.__call__, parsers, args)
                     if rest:
-                        values = (*values, tuple(map(int, args[len(parsers):])))
+                        values = (*values, lists[line.split(None, len(parsers) + 1)[-1]])
                     gate = record.kind(*values)
                 except ValueError as exc:  # a token that does not parse, or a CircuitError
                     raise ParseError(idx, f"{tag} record: {exc}") from None
                 parsed[line] = gate
-                gates.append(gate)
+                append(gate)
             elif tag == "qubits":
                 if n_qubits is not None:
                     raise ParseError(idx, "repeated qubits line")
@@ -508,10 +616,6 @@ def deserialize(document: str) -> Circuit:
         return Circuit(n_qubits, tuple(gates), metadata)
     except (ParseError, CircuitError):
         for idx, line in enumerate(lines[1:], start=2):
-            if (gate := parsed.get(line)) is not None:
-                try:
-                    for q in gate_qubits(gate):
-                        _index(q, "qubit", CircuitError, n_qubits)
-                except CircuitError as exc:
-                    raise ParseError(idx, f"{line.split()[0]} record: {exc}") from None
+            if (gate := parsed.get(line)) is not None and gate._highest >= n_qubits:
+                raise ParseError(idx, f"{line.split()[0]} record: {_outside(gate, n_qubits)}") from None
         raise

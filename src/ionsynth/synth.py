@@ -384,22 +384,30 @@ def _fill(items, thetas, coefficients, offset: int) -> list[Gate]:
     """Gates of a sandwich or template (see _items), one per item: its Clifford
     items shifted up by ``offset`` qubits, one shared object per value, its
     slots made into Rz / CRz gates with angles from the members' ``thetas``
-    and ``coefficients``, zero angles included."""
+    and ``coefficients``, zero angles included, one shared object per equal
+    rotation of the call."""
     gates: list[Gate] = []
-    gate = _gate
+    append, gate, slot = gates.append, _gate, _Slot
+    rotations: dict[tuple, Gate] = {}
     for item in items:
-        if type(item) is not _Slot:
-            gates.append(gate(item, offset))
+        if type(item) is not slot:
+            append(gate(item, offset))
             continue
         weight = item.zero
         for member, scale in item.terms:
             weight += thetas[member] * (coefficients[member] * scale)
         angle = item.factor * weight
-        qubit = item.qubit + offset
-        if item.control is None:
-            gates.append(Rz(qubit, angle))
-        else:
-            gates.append(CRz(item.control + offset, qubit, angle))
+        control = item.control
+        # -0.0 == 0.0, so a zero angle's key also holds its sign: the two are
+        # written differently
+        key = ((item.qubit, control, angle) if angle
+               else (item.qubit, control, angle, math.copysign(1.0, angle)))
+        rotation = rotations.get(key)
+        if rotation is None:
+            qubit = item.qubit + offset
+            rotation = rotations[key] = (Rz(qubit, angle) if control is None
+                                         else CRz(control + offset, qubit, angle))
+        append(rotation)
     return gates
 
 
@@ -616,15 +624,22 @@ def _lower_group(pairs, width: int, *, conjugation_mode: int | None = None,
     come from the template of the group's shape, one per item (see the module
     docstring); only the angles are computed per call.
     """
-    lo = min(t.modes[0] for t, _ in pairs)
-    hi = max(t.modes[-1] for t, _ in pairs)
+    # sub and sup are ascending, so each term's lowest and highest modes are
+    # ends of them or its control
+    ends = []
+    for t, _ in pairs:
+        ends += t.sub[0], t.sup[0], t.sub[-1], t.sup[-1]
+        if t.control is not None:
+            ends.append(t.control)
+    lo, hi = min(ends), max(ends)
     if hi >= width:
         raise SynthesisError(f"register of {width} qubits cannot hold mode {hi}")
-    members = tuple(
-        (t.kind, tuple(m - lo for m in t.sub), tuple(m - lo for m in t.sup),
+    shift = (-lo).__add__
+    members = tuple([
+        (t.kind, tuple(map(shift, t.sub)), tuple(map(shift, t.sup)),
          None if t.control is None else t.control - lo, t.symmetrized)
         for t, _ in pairs
-    )
+    ])
     head = pairs[0][0]
     j = None
     if head.symmetrized and scheme != "strings":

@@ -408,26 +408,38 @@ def test_bad_record_repeated_after_a_comment_fails_at_its_first_copy():
     assert str(err.value) == "line 4: crz record: qubit 2 outside 0..1"
 
 
-@pytest.mark.parametrize("make", [
-    lambda: MS(1, "forward", (0, 1)),
-    lambda: MS("xx", 2, (0, 1)),
-    lambda: MS("xx", "forward", (0, 0.5)),
-    lambda: Rz(0.5, 0.1),
-    lambda: Rz(True, 0.1),
-    lambda: CRz(0, 1.0, 0.1),
-    lambda: Rzz(False, 1, 0.1),
-    lambda: Clifford1("0", "h"),
-    lambda: CNOT(0, True),
-    lambda: Rz(0, True),
-    lambda: Rz(0, "0.1"),
-    lambda: Rz(0, 1 + 0j),
-    lambda: GlobalPhase(False),
-], ids=["ms-axis", "ms-direction", "ms-qubit", "rz-float", "rz-bool", "crz-float",
-        "rzz-bool", "cl-str", "cnot-bool", "rz-bool-angle", "rz-str-angle", "rz-complex-angle",
-        "phase-bool-angle"])
-def test_gate_operands_that_would_not_read_back_are_refused(make):
-    with pytest.raises(CircuitError):
-        Circuit(2, (make(),))
+@pytest.mark.parametrize("make, message", [
+    (lambda: MS(1, "forward", (0, 1)), "MS axis"),
+    (lambda: MS("xx", 2, (0, 1)), "MS direction"),
+    (lambda: MS("xx", "forward", (0, 0.5)), "qubit 0.5 is not an integer"),
+    (lambda: MS("xx", "forward", (0, "1")), "qubit '1' is not an integer"),
+    (lambda: MS("xx", "forward", 5), "MS qubit set 5 is not a collection of qubits"),
+    (lambda: MS("xx", "forward", (-1, 2)), "negative qubit -1"),
+    (lambda: MS("xx", "forward", (True, 2)), "qubit True is not an integer"),
+    (lambda: Rz(0.5, 0.1), "qubit 0.5 is not an integer"),
+    (lambda: Rz(True, 0.1), "qubit True is not an integer"),
+    (lambda: Rz("3", 0.1), "qubit '3' is not an integer"),
+    (lambda: Rz(-2, 0.1), "negative qubit -2"),
+    (lambda: CRz(0, 1.0, 0.1), "qubit 1.0 is not an integer"),
+    (lambda: CRz(1, 1.0, 0.2), "qubit 1.0 is not an integer"),
+    (lambda: Rzz(False, 1, 0.1), "qubit False is not an integer"),
+    (lambda: Clifford1("0", "h"), "qubit '0' is not an integer"),
+    (lambda: CNOT(0, True), "qubit True is not an integer"),
+    (lambda: CNOT(True, 1), "qubit True is not an integer"),
+    (lambda: Rz(0, True), "angle True is not a real number"),
+    (lambda: Rz(0, "0.1"), "angle '0.1' is not a real number"),
+    (lambda: Rz(0, 1 + 0j), r"angle \(1\+0j\) is not a real number"),
+    (lambda: GlobalPhase(False), "angle False is not a real number"),
+], ids=["ms-axis", "ms-direction", "ms-qubit", "ms-str-qubit", "ms-int-set", "ms-negative",
+        "ms-bool", "rz-float", "rz-bool", "rz-str", "rz-negative", "crz-float", "crz-float-equal",
+        "rzz-bool", "cl-str", "cnot-bool", "cnot-bool-equal", "rz-bool-angle", "rz-str-angle",
+        "rz-complex-angle", "phase-bool-angle"])
+def test_gate_operands_that_would_not_read_back_are_refused(make, message):
+    """Each gate refuses, by itself, an operand the v1 parser would not read
+    back, naming it; a bool or float qubit equal to the other qubit is
+    refused as such, not as a coincidence."""
+    with pytest.raises(CircuitError, match=message):
+        make()
 
 
 def test_numpy_integer_qubits_are_accepted():
@@ -615,3 +627,79 @@ def test_cost_matches_reference_layering(c, tau):
     assert report.sequential_depth == depth
     assert report.total_ms_time == total  # bit-equal: the same sum in the same order
     assert report.tau == tau
+
+
+def _reference_record(g) -> str:
+    """The v1 record of one gate, formatted field by field as the module
+    docstring lays it out, independently of serialize."""
+    if isinstance(g, MS):
+        return f"ms {g.axis} {g.direction} " + " ".join(str(q) for q in g.qubits)
+    if isinstance(g, Rz):
+        return f"rz {g.qubit} {g.angle!r}"
+    if isinstance(g, CRz):
+        return f"crz {g.control} {g.target} {g.angle!r}"
+    if isinstance(g, Rzz):
+        return f"rzz {g.qubit_a} {g.qubit_b} {g.angle!r}"
+    if isinstance(g, Clifford1):
+        return f"cl {g.qubit} {g.name.lower()}"
+    if isinstance(g, CNOT):
+        return f"cnot {g.control} {g.target}"
+    return f"phase {g.angle!r}"
+
+
+def _reference_document(c: Circuit) -> str:
+    lines = ["ionsynth-circuit v1", f"qubits {c.n_qubits}"]
+    lines += [f"meta {key} {c.metadata[key]}" for key in sorted(c.metadata)]
+    lines += [_reference_record(g) for g in c.gates]
+    return "\n".join(lines) + "\n"
+
+
+_signed_angles = st.one_of(st.sampled_from((0.0, -0.0)), _angles)
+
+
+@st.composite
+def _any_gates(draw, n_qubits):
+    """A gate of any of the seven kinds, its angle possibly a signed zero and
+    its qubits possibly numpy integers."""
+    g = draw(_gates(n_qubits))
+    if hasattr(g, "angle"):
+        g = replace(g, angle=draw(_signed_angles))
+    return draw(st.sampled_from((g, _numpy_qubits(g))))
+
+
+@st.composite
+def _pooled_circuits(draw):
+    """Circuits of all seven kinds drawn from a pool, so records repeat, both
+    as one gate object and as equal gates built apart."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    pool = draw(st.lists(_any_gates(n), min_size=1, max_size=10))
+    pool += [replace(g) for g in pool]
+    gates = draw(st.lists(st.sampled_from(pool), max_size=30))
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pooled_circuits(), st.data())
+def test_text_io_matches_a_per_gate_reference(c, data):
+    text = serialize(c)
+    assert text == _reference_document(c)
+    assert all(type(q) is int for g in c.gates for q in gate_qubits(g))
+    again = deserialize(text)
+    assert again == c
+    assert serialize(again) == text
+    # A record with a qubit outside the register, inserted at a drawn place and
+    # maybe repeated later, fails at its first line with the message of the
+    # first such qubit in record order.
+    width = c.n_qubits
+    bad = data.draw(_gates(width + 3).filter(lambda g: max(gate_qubits(g), default=-1) >= width))
+    records = text.splitlines()[2:]
+    at = data.draw(st.integers(0, len(records)))
+    records.insert(at, _reference_record(bad))
+    if data.draw(st.booleans()):
+        records.append(_reference_record(bad))
+    doc = f"ionsynth-circuit v1\nqubits {width}\n" + "\n".join(records) + "\n"
+    with pytest.raises(ParseError) as err:
+        deserialize(doc)
+    first = next(q for q in gate_qubits(bad) if q >= width)
+    tag = _reference_record(bad).split()[0]
+    assert str(err.value) == f"line {at + 3}: {tag} record: qubit {first} outside 0..{width - 1}"

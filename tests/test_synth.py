@@ -20,6 +20,7 @@ from ionsynth.circuit import (
     GlobalPhase,
     Rz,
     count,
+    gate_qubits,
     serialize,
 )
 from ionsynth.fermion import (
@@ -30,6 +31,8 @@ from ionsynth.fermion import (
     local_equivalence_conjugate,
     single,
 )
+from ionsynth.evolution import fusion_groups
+from ionsynth.integrals import h3plus_builtin
 from ionsynth.pauli import PauliString, PauliSum, from_label
 from ionsynth.synth import (
     SynthesisError,
@@ -822,6 +825,38 @@ def test_every_lowering_emits_one_gate_per_template_item(group, data):
     thetas = data.draw(st.lists(angle, min_size=len(terms), max_size=len(terms)))
     gates, template = _lowered_with_template(list(zip(terms, thetas)), width, **options)
     assert len(gates) == len(template)
+
+
+def _rotation_key(g):
+    """A rotation's kind, qubits and angle, the sign of a zero angle included."""
+    return (type(g), gate_qubits(g), g.angle, math.copysign(1.0, g.angle))
+
+
+def test_equal_rotations_of_one_fill_are_one_gate():
+    """Each group of the H3+ step is one fill: its equal Rz values are one
+    object, while an exact -0.0 and 0.0 on one qubit (which serialize
+    differently) stay two gates."""
+    signed_zero_pairs = repeats = 0
+    for group in fusion_groups(h3plus_builtin().excitation_terms):
+        gates, template = _lowered_with_template([(t, 0.1) for t in group], 6)
+        assert len(gates) == len(template)
+        rotations = [g for g in gates if type(g) in (Rz, CRz)]
+        shared = {}
+        for g in rotations:
+            assert shared.setdefault(_rotation_key(g), g) is g
+        assert len({id(g) for g in rotations}) == len(shared)
+        repeats += len(rotations) - len(shared)
+        zeros = {}
+        for g in rotations:
+            if g.angle == 0.0:
+                zeros.setdefault(gate_qubits(g), {})[math.copysign(1.0, g.angle)] = g
+        for by_sign in zeros.values():
+            if len(by_sign) == 2:
+                signed_zero_pairs += 1
+                negative, positive = by_sign[-1.0], by_sign[1.0]
+                assert negative is not positive
+                assert serialize(Circuit(6, (negative,))) != serialize(Circuit(6, (positive,)))
+    assert signed_zero_pairs > 0 and repeats > 0
 
 
 def test_coupled_exchange_group_keeps_its_shape_at_any_coefficient():
