@@ -32,8 +32,8 @@ Every gate checks its own qubits when it is built: each follows the index
 rule of ``pauli._index`` and is kept as an int, so a bool, float, str or
 negative qubit is refused by the gate, naming it.  A gate also keeps its
 highest qubit outside its fields, so a ``Circuit`` checks its width once,
-against the maximum over its gates, and looks for the first gate past it
-only when that check fails.
+against the maximum over its gates, and walks its gates for the first bad
+one only when that check, or the check of their kinds, fails.
 
 Gates are immutable, so one gate object may stand at many positions of a
 circuit, as every equal Clifford gate of a built step and every equal
@@ -99,24 +99,22 @@ class SchemaError(ParseError):
 
 
 _INT = frozenset({int})
-_AXES = ("xx", "yy")
-_DIRECTIONS = ("forward", "backward")
 
 
 def _qubit(value) -> int:
     """A gate's qubit as an int, by the index rule (``pauli._index``)."""
-    if type(value) is int and value >= 0:
-        return value
     return _index(value, "qubit", CircuitError)
 
 
-# Every gate checks its own qubits by the index rule, keeping a plain int
-# as it is, and stores its highest qubit as ``_highest`` (GlobalPhase, on no
-# qubit, has -1 on its class).  It lies outside the fields, from which
-# records, synth._item, equality and repr are all derived.  A Circuit checks
-# its width against the maximum of these, once per circuit.
+# Every gate checks its own operands in its own __init__ and sets each field
+# once: a generated __init__ would set each field and __post_init__ would set
+# the checked values again.  A gate also stores its highest qubit as
+# ``_highest`` (GlobalPhase, on no qubit, has -1 on its class).  It lies
+# outside the fields, from which records, synth._item, equality, hashing and
+# repr are all derived.  A Circuit checks its width against the maximum of
+# these, once per circuit.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MS:
     """Targeted Moelmer-Soerensen gate on a qubit subset.
 
@@ -130,26 +128,20 @@ class MS:
     direction: str
     qubits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        # a name already in lower case is kept as it is
-        if self.axis not in _AXES:
-            axis = str(self.axis).lower()
-            if axis not in _AXES:
-                raise CircuitError(f"MS axis must be 'xx' or 'yy', got {self.axis!r}")
-            object.__setattr__(self, "axis", axis)
-        if self.direction not in _DIRECTIONS:
-            direction = str(self.direction).lower()
-            if direction not in _DIRECTIONS:
-                raise CircuitError(f"MS direction must be forward/backward, got {self.direction!r}")
-            object.__setattr__(self, "direction", direction)
-        qubits = self.qubits
-        if type(qubits) is not tuple:
-            try:
-                qubits = tuple(qubits)
-            except TypeError:
-                raise CircuitError(f"MS qubit set {qubits!r} is not a collection of qubits") from None
-        # Plain ints, the common case, are sorted as they are and only the
-        # least is checked; any other qubit goes through the index rule first.
+    def __init__(self, axis: str, direction: str, qubits: tuple[int, ...]) -> None:
+        lower = str(axis).lower()
+        if lower not in ("xx", "yy"):
+            raise CircuitError(f"MS axis must be 'xx' or 'yy', got {axis!r}")
+        way = str(direction).lower()
+        if way not in ("forward", "backward"):
+            raise CircuitError(f"MS direction must be forward/backward, got {direction!r}")
+        try:
+            qubits = tuple(qubits)
+        except TypeError:
+            raise CircuitError(f"MS qubit set {qubits!r} is not a collection of qubits") from None
+        # A set of plain ints, as every built or parsed MS has, is sorted as it
+        # is and only its least qubit can break the index rule; any other set
+        # takes each qubit through the rule first.
         plain = _INT.issuperset(map(type, qubits))
         qs = tuple(sorted(qubits if plain else map(_qubit, qubits)))
         if not qs:
@@ -157,10 +149,13 @@ class MS:
         if qs[0] < 0:
             _qubit(qs[0])  # raises: negative
         if len(set(qs)) != len(qs):
-            raise CircuitError(f"MS qubit set has duplicates: {self.qubits}")
+            raise CircuitError(f"MS qubit set has duplicates: {qubits}")
+        object.__setattr__(self, "axis", lower)
+        object.__setattr__(self, "direction", way)
         # an already sorted tuple of ints is kept, so a cache key shares its gate's window
-        if not (plain and qs == self.qubits):
-            object.__setattr__(self, "qubits", qs)
+        if plain and qs == qubits:
+            qs = qubits
+        object.__setattr__(self, "qubits", qs)
         object.__setattr__(self, "_highest", qs[-1])
 
     @property
@@ -168,23 +163,21 @@ class MS:
         return len(self.qubits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Rz:
     """exp(-i angle/2 Z) on ``qubit``."""
 
     qubit: int
     angle: float
 
-    def __post_init__(self) -> None:
-        qubit, angle = self.qubit, self.angle
-        if type(qubit) is not int or qubit < 0:
-            object.__setattr__(self, "qubit", qubit := _qubit(qubit))
-        if (checked := _real(angle, "angle", CircuitError)) is not angle:
-            object.__setattr__(self, "angle", checked)
+    def __init__(self, qubit: int, angle: float) -> None:
+        qubit = _qubit(qubit)
+        object.__setattr__(self, "qubit", qubit)
+        object.__setattr__(self, "angle", _real(angle, "angle", CircuitError))
         object.__setattr__(self, "_highest", qubit)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CRz:
     """Rz(angle) on ``target`` when ``control`` is 1; the two qubits differ."""
 
@@ -192,17 +185,17 @@ class CRz:
     target: int
     angle: float
 
-    def __post_init__(self) -> None:
-        control, target = _qubit(self.control), _qubit(self.target)
+    def __init__(self, control: int, target: int, angle: float) -> None:
+        control, target = _qubit(control), _qubit(target)
         if control == target:
             raise CircuitError("CRz control equals target")
         object.__setattr__(self, "control", control)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "angle", _real(self.angle, "angle", CircuitError))
+        object.__setattr__(self, "angle", _real(angle, "angle", CircuitError))
         object.__setattr__(self, "_highest", max(control, target))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Rzz:
     """exp(-i angle/2 Z Z) on two distinct qubits."""
 
@@ -210,43 +203,42 @@ class Rzz:
     qubit_b: int
     angle: float
 
-    def __post_init__(self) -> None:
-        a, b = _qubit(self.qubit_a), _qubit(self.qubit_b)
-        if a == b:
+    def __init__(self, qubit_a: int, qubit_b: int, angle: float) -> None:
+        qubit_a, qubit_b = _qubit(qubit_a), _qubit(qubit_b)
+        if qubit_a == qubit_b:
             raise CircuitError("Rzz qubits coincide")
-        object.__setattr__(self, "qubit_a", a)
-        object.__setattr__(self, "qubit_b", b)
-        object.__setattr__(self, "angle", _real(self.angle, "angle", CircuitError))
-        object.__setattr__(self, "_highest", max(a, b))
+        object.__setattr__(self, "qubit_a", qubit_a)
+        object.__setattr__(self, "qubit_b", qubit_b)
+        object.__setattr__(self, "angle", _real(angle, "angle", CircuitError))
+        object.__setattr__(self, "_highest", max(qubit_a, qubit_b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Clifford1:
     """One of the named single-qubit Cliffords (h s sdg sx sxdg x y z), any case."""
 
     qubit: int
     name: str
 
-    def __post_init__(self) -> None:
-        qubit = self.qubit
-        if type(qubit) is not int or qubit < 0:
-            object.__setattr__(self, "qubit", qubit := _qubit(qubit))
-        name = str(self.name).upper()
-        if name not in CLIFFORD1_NAMES:
-            raise CircuitError(f"unknown Clifford name {self.name!r}")
-        object.__setattr__(self, "name", name)
+    def __init__(self, qubit: int, name: str) -> None:
+        qubit = _qubit(qubit)
+        upper = str(name).upper()
+        if upper not in CLIFFORD1_NAMES:
+            raise CircuitError(f"unknown Clifford name {name!r}")
+        object.__setattr__(self, "qubit", qubit)
+        object.__setattr__(self, "name", upper)
         object.__setattr__(self, "_highest", qubit)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CNOT:
     """X on ``target`` when ``control`` is 1; the two qubits differ."""
 
     control: int
     target: int
 
-    def __post_init__(self) -> None:
-        control, target = _qubit(self.control), _qubit(self.target)
+    def __init__(self, control: int, target: int) -> None:
+        control, target = _qubit(control), _qubit(target)
         if control == target:
             raise CircuitError("CNOT control equals target")
         object.__setattr__(self, "control", control)
@@ -254,15 +246,15 @@ class CNOT:
         object.__setattr__(self, "_highest", max(control, target))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GlobalPhase:
     """Multiplies the state by exp(i * angle); it acts on no qubit."""
 
     angle: float
     _highest = -1
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "angle", _real(self.angle, "angle", CircuitError))
+    def __init__(self, angle: float) -> None:
+        object.__setattr__(self, "angle", _real(angle, "angle", CircuitError))
 
 
 Gate = Union[MS, Rz, CRz, Rzz, Clifford1, CNOT, GlobalPhase]
@@ -367,9 +359,10 @@ class Circuit:
     """Gates on ``n_qubits`` qubits in time order, with string metadata.
 
     The width follows the index rule.  Each gate has checked its own qubits,
-    so the circuit refuses a non-gate and then compares the highest qubit of
-    all its gates with the width once; only when that fails does it look for
-    the first gate past the register, naming it and its first such qubit.
+    so the circuit checks the kinds of its gates with one set and their
+    highest qubit against the width with one maximum; only when either check
+    fails does it walk the gates in order, refusing the first that is not a
+    gate or that has a qubit past the register, naming it and that qubit.
     """
 
     n_qubits: int
@@ -382,11 +375,12 @@ class Circuit:
         # qubits already have.  What is left is one check of their maximum.
         n = _index(self.n_qubits, "qubit count", CircuitError)
         gates = tuple(self.gates)
-        if not set(map(type, gates)) <= _RECORDS.keys():
-            gate_qubits(next(g for g in gates if type(g) not in _RECORDS))  # raises: not a gate
-        if max(map(_HIGHEST, gates), default=-1) >= n:
-            g = next(g for g in gates if g._highest >= n)
-            raise CircuitError(f"gate {g!r}: {_outside(g, n)}")
+        if (not set(map(type, gates)) <= _RECORDS.keys()
+                or max(map(_HIGHEST, gates), default=-1) >= n):
+            for g in gates:  # the first non-gate or gate past the register
+                gate_qubits(g)  # raises: not a gate
+                if g._highest >= n:
+                    raise CircuitError(f"gate {g!r}: {_outside(g, n)}")
         metadata = dict(self.metadata)
         for key, value in metadata.items():
             if not (isinstance(key, str) and isinstance(value, str)):
@@ -561,12 +555,11 @@ def deserialize(document: str) -> Circuit:
     # Circuit returned below.  A record with a qubit outside the register
     # fails before any later line, so when reading fails the records parsed
     # so far are rescanned, by their highest qubit, for one in line order.
-    known, append = parsed.get, gates.append
     try:
         for idx, line in enumerate(lines[1:], start=2):
-            gate = known(line)
+            gate = parsed.get(line)
             if gate is not None:
-                append(gate)
+                gates.append(gate)
                 continue
             tokens = line.split()
             if not tokens or tokens[0].startswith("#"):
@@ -591,7 +584,7 @@ def deserialize(document: str) -> Circuit:
                 except ValueError as exc:  # a token that does not parse, or a CircuitError
                     raise ParseError(idx, f"{tag} record: {exc}") from None
                 parsed[line] = gate
-                append(gate)
+                gates.append(gate)
             elif tag == "qubits":
                 if n_qubits is not None:
                     raise ParseError(idx, "repeated qubits line")

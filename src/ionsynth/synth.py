@@ -387,11 +387,11 @@ def _fill(items, thetas, coefficients, offset: int) -> list[Gate]:
     and ``coefficients``, zero angles included, one shared object per equal
     rotation of the call."""
     gates: list[Gate] = []
-    append, gate, slot = gates.append, _gate, _Slot
+    gate = _gate
     rotations: dict[tuple, Gate] = {}
     for item in items:
-        if type(item) is not slot:
-            append(gate(item, offset))
+        if type(item) is not _Slot:
+            gates.append(gate(item, offset))
             continue
         weight = item.zero
         for member, scale in item.terms:
@@ -407,7 +407,7 @@ def _fill(items, thetas, coefficients, offset: int) -> list[Gate]:
             qubit = item.qubit + offset
             rotation = rotations[key] = (Rz(qubit, angle) if control is None
                                          else CRz(control + offset, qubit, angle))
-        append(rotation)
+        gates.append(rotation)
     return gates
 
 
@@ -634,12 +634,11 @@ def _lower_group(pairs, width: int, *, conjugation_mode: int | None = None,
     lo, hi = min(ends), max(ends)
     if hi >= width:
         raise SynthesisError(f"register of {width} qubits cannot hold mode {hi}")
-    shift = (-lo).__add__
-    members = tuple([
-        (t.kind, tuple(map(shift, t.sub)), tuple(map(shift, t.sup)),
+    members = tuple(
+        (t.kind, tuple([m - lo for m in t.sub]), tuple([m - lo for m in t.sup]),
          None if t.control is None else t.control - lo, t.symmetrized)
         for t, _ in pairs
-    ])
+    )
     head = pairs[0][0]
     j = None
     if head.symmetrized and scheme != "strings":

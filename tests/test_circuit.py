@@ -411,6 +411,8 @@ def test_bad_record_repeated_after_a_comment_fails_at_its_first_copy():
 @pytest.mark.parametrize("make, message", [
     (lambda: MS(1, "forward", (0, 1)), "MS axis"),
     (lambda: MS("xx", 2, (0, 1)), "MS direction"),
+    (lambda: MS(np.array(["xx"]), "forward", (0, 1)), "MS axis"),
+    (lambda: MS("xx", np.array(["forward"]), (0, 1)), "MS direction"),
     (lambda: MS("xx", "forward", (0, 0.5)), "qubit 0.5 is not an integer"),
     (lambda: MS("xx", "forward", (0, "1")), "qubit '1' is not an integer"),
     (lambda: MS("xx", "forward", 5), "MS qubit set 5 is not a collection of qubits"),
@@ -430,8 +432,8 @@ def test_bad_record_repeated_after_a_comment_fails_at_its_first_copy():
     (lambda: Rz(0, "0.1"), "angle '0.1' is not a real number"),
     (lambda: Rz(0, 1 + 0j), r"angle \(1\+0j\) is not a real number"),
     (lambda: GlobalPhase(False), "angle False is not a real number"),
-], ids=["ms-axis", "ms-direction", "ms-qubit", "ms-str-qubit", "ms-int-set", "ms-negative",
-        "ms-bool", "rz-float", "rz-bool", "rz-str", "rz-negative", "crz-float", "crz-float-equal",
+], ids=["ms-axis", "ms-direction", "ms-array-axis", "ms-array-direction", "ms-qubit",
+        "ms-str-qubit", "ms-int-set", "ms-negative", "ms-bool", "rz-float", "rz-bool", "rz-str", "rz-negative", "crz-float", "crz-float-equal",
         "rzz-bool", "cl-str", "cnot-bool", "cnot-bool-equal", "rz-bool-angle", "rz-str-angle",
         "rz-complex-angle", "phase-bool-angle"])
 def test_gate_operands_that_would_not_read_back_are_refused(make, message):
@@ -457,6 +459,14 @@ def test_negative_width_and_non_gates_are_refused():
         Circuit(-1)
     with pytest.raises(CircuitError, match="not a gate: 'rz'"):
         Circuit(2, ("rz",))
+
+
+def test_circuit_refuses_its_first_bad_entry_in_order():
+    """A gate past the register and a non-gate: whichever comes first is named."""
+    with pytest.raises(CircuitError, match=r"^gate Rz\(qubit=5, angle=0.1\): qubit 5 outside 0..1$"):
+        Circuit(2, (Rz(0, 0.1), Rz(5, 0.1), "rz"))
+    with pytest.raises(CircuitError, match="^not a gate: 'rz'$"):
+        Circuit(2, (Rz(0, 0.1), "rz", Rz(5, 0.1)))
 
 
 @pytest.mark.parametrize("width", [2.5, True, 3.0, "3", None])
