@@ -34,7 +34,9 @@ only complex) and the build_uccsd_layer baseline, keeping the best of three
 times of each in baseline_best_s and one SHA-256 of their text in
 baseline_sha256 (records before these fields were added lack them).  Tables above 14 modes skip the baselines: at 20 modes the
 complex-orbital one alone holds about 2.5 million gates and 780 MB.  Each
-record also holds term_list_peak_mib, the tracemalloc peak in MiB of one
+record also holds parse_peak_mib, the tracemalloc peak in MiB of one untimed
+parse_integrals call on the table's text (records before this field was
+added lack it), term_list_peak_mib, the tracemalloc peak in MiB of one
 untimed term_list call on the parsed table (records before this field and
 the 20-mode workload were added lack them), and build_peak_mib, the
 tracemalloc peak in MiB of one untimed warm build_trotter_step (records
@@ -200,6 +202,10 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
     circuits = {**totals("trotter", step), "uccsd_excitations": len(spec.parameters),
                 **totals("uccsd", layer)}
     tracemalloc.start()
+    parse_integrals(document)
+    parse_peak = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
+    tracemalloc.start()
     terms = term_list(table)
     term_list_peak = tracemalloc.get_traced_memory()[1] / 2**20
     tracemalloc.stop()
@@ -218,6 +224,7 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
         "circuits_sha256": digest,
         "best_s": best,
         "uccsd_best_s": layer_best,
+        "parse_peak_mib": parse_peak,
         "term_list_peak_mib": term_list_peak,
         "build_peak_mib": build_peak,
         **cache,
@@ -260,6 +267,7 @@ def main() -> None:
               f"{row['trotter_ms']} + {row['uccsd_ms']} MS; "
               + ", ".join(f"{k} {v:.3f}" for k, v in row["best_s"].items())
               + "".join(f", uccsd {k} {v:.4f}" for k, v in row["uccsd_best_s"].items())
+              + f", parse peak {row['parse_peak_mib']:.2f} MiB"
               + f", term_list peak {row['term_list_peak_mib']:.2f} MiB"
               + f", build peak {row['build_peak_mib']:.2f} MiB"
               + "".join(f", baseline {k} {v:.3f}" for k, v in row.get("baseline_best_s", {}).items())

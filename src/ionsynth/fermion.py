@@ -64,7 +64,7 @@ def _bool(value, what: str) -> bool:
 _KINDS = ("single", "double", "controlled_single", "higher")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExcitationTerm:
     """A canonical excitation generator with a finite real weight.
 
@@ -75,6 +75,12 @@ class ExcitationTerm:
     pauli._index and pauli._real), and the flag is stored as a bool (numpy
     bools are converted); any other type is refused.  A NaN coefficient would
     lose every Pauli string (abs(nan) > eps is false), and ±inf has no circuit.
+
+    The constructor checks and sets each field once.  It also stores, outside
+    the fields, letter_modes (the modes that carry X/Y letters in the Pauli
+    image) and modes (those and the control), each ascending, so sorting,
+    fusion and synthesis read them without sorting again; equality, hashing,
+    repr and dataclasses.replace see only the fields.
     """
 
     kind: str
@@ -84,54 +90,48 @@ class ExcitationTerm:
     symmetrized: bool = False
     coefficient: float = 1.0
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise FermionError(f"unknown excitation kind {self.kind!r}")
-        sub = tuple([_index(m, "mode", FermionError) for m in self.sub])
-        sup = tuple([_index(m, "mode", FermionError) for m in self.sup])
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "sup", sup)
-        if self.control is not None:
-            object.__setattr__(self, "control", _index(self.control, "mode", FermionError))
-        object.__setattr__(self, "symmetrized", _bool(self.symmetrized, "symmetrized"))
-        coefficient = _real(self.coefficient, "coefficient", FermionError)
-        object.__setattr__(self, "coefficient", coefficient)
+    def __init__(self, kind: str, sub: tuple[int, ...], sup: tuple[int, ...],
+                 control: int | None = None, symmetrized: bool = False,
+                 coefficient: float = 1.0) -> None:
+        if kind not in _KINDS:
+            raise FermionError(f"unknown excitation kind {kind!r}")
+        sub = tuple([_index(m, "mode", FermionError) for m in sub])
+        sup = tuple([_index(m, "mode", FermionError) for m in sup])
+        if control is not None:
+            control = _index(control, "mode", FermionError)
+        symmetrized = _bool(symmetrized, "symmetrized")
+        coefficient = _real(coefficient, "coefficient", FermionError)
         if sorted(set(sub)) != list(sub) or sorted(set(sup)) != list(sup):
             raise FermionError("mode lists must be ascending without repeats (use the factories)")
-        if set(sub) & set(sup):
+        letter_modes = tuple(sorted(sub + sup))
+        if len(set(letter_modes)) != len(letter_modes):
             raise FermionError("creation and annihilation modes must be disjoint")
-        if self.kind == "single":
-            if len(sub) != 1 or len(sup) != 1 or self.control is not None:
+        if kind == "single":
+            if len(sub) != 1 or len(sup) != 1 or control is not None:
                 raise FermionError("single takes one creation and one annihilation mode")
             if sub[0] > sup[0]:
                 raise FermionError("single must have its smaller mode in the subscript")
-        elif self.kind == "double":
-            if len(sub) != 2 or len(sup) != 2 or self.control is not None:
+        elif kind == "double":
+            if len(sub) != 2 or len(sup) != 2 or control is not None:
                 raise FermionError("double takes two creation and two annihilation modes")
-            if min(sub) > min(sup):
+            if sub[0] > sup[0]:
                 raise FermionError("double must carry the overall smallest mode in the subscript")
-        elif self.kind == "controlled_single":
-            if len(sub) != 1 or len(sup) != 1 or self.control is None:
+        elif kind == "controlled_single":
+            if len(sub) != 1 or len(sup) != 1 or control is None:
                 raise FermionError("controlled_single takes modes p, q and a control")
-            if self.control in sub + sup:
+            if control in letter_modes:
                 raise FermionError("control mode must differ from p and q")
             if sub[0] > sup[0]:
                 raise FermionError("controlled_single must have p < q")
         else:
             if len(sub) != len(sup) or not sub:
                 raise FermionError("higher excitation needs equal-length non-empty mode lists")
-            if self.control is not None:
+            if control is not None:
                 raise FermionError("higher excitation takes no control")
-
-    @property
-    def letter_modes(self) -> tuple[int, ...]:
-        """Modes that carry X/Y letters in the Pauli image, ascending."""
-        return tuple(sorted(self.sub + self.sup))
-
-    @property
-    def modes(self) -> tuple[int, ...]:
-        extra = (self.control,) if self.control is not None else ()
-        return tuple(sorted(self.sub + self.sup + extra))
+        modes = letter_modes if control is None else tuple(sorted(letter_modes + (control,)))
+        # one update of the instance dict, which a frozen dataclass leaves writable
+        self.__dict__.update(kind=kind, sub=sub, sup=sup, control=control, symmetrized=symmetrized,
+                             coefficient=coefficient, letter_modes=letter_modes, modes=modes)
 
     def key(self) -> tuple:
         """Identity of the generator shape, ignoring the coefficient."""
@@ -216,31 +216,31 @@ def higher_excitation(sub_modes: Iterable[int], sup_modes: Iterable[int],
 
 # --- local (diagonal) terms ------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LocalTerm:
     """Occupation-diagonal Hamiltonian piece.
 
     density(p): generator 2 n_p, Pauli image I - Z_p.
     coulomb(p,q): generator -2 n_p n_q, image -(I - Z_p - Z_q + Z_p Z_q)/2.
+    The constructor checks and sets each field once.
     """
 
     kind: str
     modes: tuple[int, ...]
     coefficient: float = 1.0
 
-    def __post_init__(self) -> None:
-        modes = tuple([_index(m, "mode", FermionError) for m in self.modes])
-        object.__setattr__(self, "modes", modes)
-        coefficient = _real(self.coefficient, "coefficient", FermionError)
-        object.__setattr__(self, "coefficient", coefficient)
-        if self.kind == "density":
+    def __init__(self, kind: str, modes: tuple[int, ...], coefficient: float = 1.0) -> None:
+        modes = tuple([_index(m, "mode", FermionError) for m in modes])
+        coefficient = _real(coefficient, "coefficient", FermionError)
+        if kind == "density":
             if len(modes) != 1:
                 raise FermionError("density term takes one mode")
-        elif self.kind == "coulomb":
+        elif kind == "coulomb":
             if len(modes) != 2 or modes[0] >= modes[1]:
                 raise FermionError("coulomb term takes two ascending modes")
         else:
-            raise FermionError(f"unknown local kind {self.kind!r}")
+            raise FermionError(f"unknown local kind {kind!r}")
+        self.__dict__.update(kind=kind, modes=modes, coefficient=coefficient)
 
     def key(self) -> tuple:
         return (self.kind, self.modes)
@@ -259,7 +259,7 @@ def coulomb_term(p: int, q: int, coefficient: float = 1.0) -> LocalTerm:
 def _register(t: LocalTerm | ExcitationTerm, n_modes: int | None) -> int:
     """The width of t's Pauli form: n_modes, which must hold every mode of t,
     or just wide enough for t when n_modes is None."""
-    top = max(t.modes)
+    top = t.modes[-1]
     if n_modes is None:
         return top + 1
     n = _index(n_modes, "mode count", FermionError)
@@ -400,7 +400,7 @@ def _canonical_terms(terms, cls: type, slot: str, n_modes: int, order) -> tuple:
     for t in terms:
         if not isinstance(t, cls):
             raise FermionError(f"{slot} takes {cls.__name__} objects, got {t!r}")
-        if max(t.modes) >= n_modes:
+        if t.modes[-1] >= n_modes:
             raise FermionError(f"term {t} exceeds {n_modes} modes")
         key = t.key()
         if key in merged:
@@ -464,6 +464,17 @@ def _digit_codes(base: int, dtype, digits):
         codes *= base
         codes += digit
     return codes
+
+
+def _code_digits(base: int, codes, count: int) -> list[list]:
+    """The inverse of _digit_codes: what each code holds above its last count
+    digits in base, then those digits, most significant first, as lists."""
+    digits = []
+    for _ in range(count):
+        # not np.divmod, which refuses the object arrays of codes past 64 bits
+        codes, digit = codes // base, codes % base
+        digits.insert(0, digit.tolist())
+    return [codes.tolist(), *digits]
 
 
 def _key_codes(n_modes: int, kind, symmetrized, modes):
@@ -540,13 +551,9 @@ def _quartic_terms(n_modes: int, a, b, c, d, weight, symmetrized):
     del codes, coefficients
     codes = np.flatnonzero(totals)
     totals = totals[codes].tolist()
-    digits = []
-    for _ in range(4):
-        codes, digit = np.divmod(codes, n_modes)
-        digits.insert(0, digit.tolist())
     local: list[LocalTerm] = []
     excitations: list[ExcitationTerm] = []
-    for kind_sym, m0, m1, m2, m3, total in zip(codes.tolist(), *digits, totals):
+    for kind_sym, m0, m1, m2, m3, total in zip(*_code_digits(n_modes, codes, 4), totals):
         kind, sym = divmod(kind_sym, 2)
         if kind == 0:
             local.append(LocalTerm("coulomb", (m0, m1), total))

@@ -17,6 +17,14 @@ complex tables.  Blank lines and text after '#' are ignored.  The count and
 every value and index are plain ASCII without '_': int() and float() would
 also read '1_2' as 12 and non-ASCII digits as ASCII ones.
 
+parse_integrals checks each line's fields, tokens, indices and value as it
+reads it, then runs the orbit rules of set_one_body and set_two_body (an
+imaginary part on a self-conjugate orbit, a repeat that disagrees with the
+first entry of its orbit) in one array pass over all the entries, through
+_least_codes, the orbit helper term_list uses too.  The first failing line
+wins, refused with the message a line-by-line read gives; the table keeps
+each orbit's first entry, as set_one_body and set_two_body would.
+
 term_list keeps the order of a loop over all n^4 lookups, because float
 addition is not associative: any other order could move a summed coefficient,
 and with it a serialized angle, by its last bit.  Its two-body part is one
@@ -36,7 +44,9 @@ from importlib import resources
 import numpy as np
 
 from .circuit import _unplain
-from .fermion import _DROP_EPS, HamiltonianTerms, _digit_codes, _quartic_terms, density_term, single
+from .fermion import (
+    _DROP_EPS, HamiltonianTerms, _code_digits, _digit_codes, _quartic_terms, density_term, single,
+)
 from .pauli import _complex, _index, _real
 
 __all__ = [
@@ -197,90 +207,129 @@ class IntegralTable:
         return dict(self._two)
 
 
-def parse_integrals(document: str) -> IntegralTable:
-    """Parse the integral text format into a canonical table."""
-    table = None
-    constant_seen = False
-    for line_no, raw in enumerate(document.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if table is None:
-            if (len(tokens) != 4 or tokens[0] != "norb"
-                    or tokens[2] != "reality"):
-                raise IntegralParseError(
-                    line_no, "expected header 'norb <n> reality <real|complex>'"
-                )
-            try:
-                if _unplain(tokens[1:2]):
-                    raise ValueError
-                n = int(tokens[1])
-            except ValueError:
-                raise IntegralParseError(
-                    line_no, f"bad mode count {tokens[1]!r}"
-                ) from None
-            if tokens[3] not in ("real", "complex"):
-                raise IntegralParseError(
-                    line_no, f"bad reality class {tokens[3]!r}"
-                )
-            if n < 1:
-                raise IntegralParseError(line_no, "need at least one mode")
-            table = IntegralTable(n, tokens[3])
-            continue
-        if len(tokens) == 5:
-            value_tokens, index_tokens = tokens[:1], tokens[1:]
-        elif len(tokens) == 6:
-            if table.reality == "real":
-                raise IntegralParseError(
-                    line_no, "imaginary column in a table declared real"
-                )
-            value_tokens, index_tokens = tokens[:2], tokens[2:]
+def _least_codes(n: int, orbit, reality: str, key) -> tuple:
+    """The least code (the digits in base n, fermion._digit_codes) of a plain
+    member and of a conjugating member of each key's orbit, for key a tuple
+    of unsigned index arrays; n ** len(key) where the orbit has no such
+    member.  The lesser is the representative that _canonical gives, and a
+    flag is among its flags where that flag's code reaches it."""
+    none = n ** len(key)
+    code_type = np.min_scalar_type(none)
+    plain = np.full(len(key[0]), none, code_type)
+    conjugating = plain.copy()
+    for member, flag in orbit(key, reality):
+        least = conjugating if flag else plain
+        np.minimum(least, _digit_codes(n, code_type, member), out=least)
+    return plain, conjugating
+
+
+def _header(line_no: int, tokens: list[str]) -> IntegralTable:
+    if len(tokens) != 4 or tokens[0] != "norb" or tokens[2] != "reality":
+        raise IntegralParseError(line_no, "expected header 'norb <n> reality <real|complex>'")
+    try:
+        if _unplain(tokens[1:2]):
+            raise ValueError
+        n = int(tokens[1])
+    except ValueError:
+        raise IntegralParseError(line_no, f"bad mode count {tokens[1]!r}") from None
+    if tokens[3] not in ("real", "complex"):
+        raise IntegralParseError(line_no, f"bad reality class {tokens[3]!r}")
+    if n < 1:
+        raise IntegralParseError(line_no, "need at least one mode")
+    return IntegralTable(n, tokens[3])
+
+
+def _store(table: IntegralTable, store: dict, rows: list, orbit) -> tuple[int, str] | None:
+    """Store the rows (line number, value, 0-based index...) as _set would one
+    by one, keeping the first row of each orbit at its representative, or
+    return the first row that _set would refuse, as (line number, message)."""
+    if not rows:
+        return None
+    n = table.n_modes
+    line_nos, values, *key = zip(*rows)
+    key = tuple(np.array(key, np.min_scalar_type(n - 1)))
+    plain, conjugating = _least_codes(n, orbit, table.reality, key)
+    codes = np.minimum(plain, conjugating)
+    value = np.array(values)
+    stored = np.where(conjugating <= plain, value.conj(), value)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    # an imaginary part on a self-conjugate orbit, which pins the value to the real axis
+    off_axis = (conjugating == plain) & (np.abs(value.imag) > _CONFLICT_TOL)
+    clash = off_axis | (np.abs(stored - stored[first[inverse]]) > _CONFLICT_TOL)
+    if clash.any():
+        i = int(clash.argmax())
+        new, v = rows[i][2:], values[i]
+        if off_axis[i]:
+            old, held = _canonical(orbit(new, table.reality))[0], v.conjugate()
         else:
-            raise IntegralParseError(
-                line_no, f"expected 5 or 6 fields, found {len(tokens)}"
-            )
-        if (not line.isascii() or "_" in line) and (bad := _unplain(tokens)):
-            raise IntegralParseError(line_no, f"field {bad!r} is not plain ASCII without '_'")
+            j = first[inverse[i]]
+            old, held = rows[j][2:], stored[j].item()
+        return line_nos[i], str(SymmetryConflictError(new, old, v, held))
+    first.sort()  # the line order in which _set would store them
+    reps = list(zip(*_code_digits(n, codes[first], len(key))[1:]))
+    store.update(zip(reps, stored[first].tolist()))
+    table._sources.update(zip(reps, [rows[i][2:] for i in first.tolist()]))
+    return None
+
+
+def parse_integrals(document: str) -> IntegralTable:
+    """Parse the integral text format into a canonical table, or refuse the
+    first failing line (see the module docstring)."""
+    table = refusal = None
+    line_no = 0
+    rows = ([], [])  # the one- and two-body (line number, value, index...) rows
+    for line_no, raw in enumerate(document.splitlines(), start=1):
+        line = raw.partition("#")[0]
+        tokens = line.split()
+        if not tokens:
+            continue
+        if table is None:
+            table, constant_seen = _header(line_no, tokens), False
+            n = table.n_modes
+            continue
         try:
-            numbers = [float(t) for t in value_tokens]
-            indices = [int(t) for t in index_tokens]
-        except ValueError as exc:
-            raise IntegralParseError(line_no, str(exc)) from None
-        value = complex(numbers[0], numbers[1] if len(numbers) == 2 else 0.0)
-        p, q, r, s = indices
-        if any(i < 0 or i > table.n_modes for i in indices):
-            raise IntegralParseError(
-                line_no, f"index outside 1..{table.n_modes}"
-            )
-        try:
-            if p == q == r == s == 0:
-                _complex(value, "value", IntegralError)
+            if len(tokens) != 5:
+                if len(tokens) != 6:
+                    raise IntegralError(f"expected 5 or 6 fields, found {len(tokens)}")
+                if table.reality == "real":
+                    raise IntegralError("imaginary column in a table declared real")
+            if (not line.isascii() or "_" in line) and (bad := _unplain(tokens)):
+                raise IntegralError(f"field {bad!r} is not plain ASCII without '_'")
+            try:
+                value = complex(*map(float, tokens[:-4]))
+                p, q, r, s = map(int, tokens[-4:])
+            except ValueError as exc:
+                raise IntegralError(str(exc)) from None
+            if not (0 <= p <= n and 0 <= q <= n and 0 <= r <= n and 0 <= s <= n):
+                raise IntegralError(f"index outside 1..{n}")
+            if r == s == 0:
+                if (p == 0) != (q == 0):
+                    raise IntegralError("one-electron entry needs two positive indices")
+            elif not (p and q and r and s):
+                raise IntegralError("mixed zero and nonzero indices")
+            value = _complex(value, "value", IntegralError)
+            if p == 0:  # the constant: the rules above leave no other entry with p == 0
                 if abs(value.imag) > _CONFLICT_TOL:
                     raise IntegralError("constant shift must be real")
                 if not constant_seen:
-                    table.constant = value.real
-                    constant_seen = True
+                    table.constant, constant_seen = value.real, True
                 elif abs(table.constant - value.real) > _CONFLICT_TOL:
-                    raise IntegralError(
-                        f"conflicting constant {value.real} after {table.constant}"
-                    )
-            elif r == 0 and s == 0:
-                if p == 0 or q == 0:
-                    raise IntegralError(
-                        "one-electron entry needs two positive indices"
-                    )
-                table.set_one_body(p - 1, q - 1, value)
-            elif 0 in indices:
-                raise IntegralError("mixed zero and nonzero indices")
+                    raise IntegralError(f"conflicting constant {value.real} after {table.constant}")
+            elif r == 0:
+                rows[0].append((line_no, value, p - 1, q - 1))
             else:
-                table.set_two_body(p - 1, q - 1, r - 1, s - 1, value)
-        except IntegralParseError:
-            raise
+                rows[1].append((line_no, value, p - 1, q - 1, r - 1, s - 1))
         except IntegralError as exc:
-            raise IntegralParseError(line_no, str(exc)) from None
+            refusal = IntegralParseError(line_no, str(exc))
+            break
     if table is None:
-        raise IntegralParseError(0, "empty document, missing header line")
+        raise IntegralParseError(max(line_no, 1), "empty document, missing header line")
+    # the orbit rules, on the rows before any refusal above: the first failing line wins
+    orbits = zip((table._one, table._two), rows, (_one_body_orbit, _two_body_orbit))
+    if conflicts := [c for store, kind, orbit in orbits if (c := _store(table, store, kind, orbit))]:
+        raise IntegralParseError(*min(conflicts))
+    if refusal:
+        raise refusal
     return table
 
 
@@ -290,18 +339,12 @@ def _two_body_entries(table: IntegralTable):
     p, q, r, s and the values h: real for a real table, complex otherwise.
 
     Each tuple looks its value up as _lookup does: the representative is the
-    least index-order code (the digits p, q, r, s in base n) over its orbit
-    members, and the stored value is conjugated when only conjugating members
-    reach it."""
+    least code over its orbit members (_least_codes), and the stored value is
+    conjugated when only conjugating members reach it."""
     n = table.n_modes
     size = n**4
-    code_type = np.min_scalar_type(size - 1)
     tuples = tuple(np.indices((n,) * 4, dtype=np.min_scalar_type(n - 1)).reshape(4, -1))
-    plain = np.full(size, np.iinfo(code_type).max, code_type)
-    conjugating = plain.copy()
-    for member, flag in _two_body_orbit(tuples, table.reality):
-        least = conjugating if flag else plain
-        np.minimum(least, _digit_codes(n, code_type, member), out=least)
+    plain, conjugating = _least_codes(n, _two_body_orbit, table.reality, tuples)
     conjugated = conjugating < plain
     rep = np.minimum(plain, conjugating, out=plain)
     del conjugating
@@ -314,7 +357,7 @@ def _two_body_entries(table: IntegralTable):
         values = np.zeros(size, complex)
         kept = [v if abs(v) > _DROP_EPS else 0j for v in store.values()]
     stored = np.array(list(store), dtype=tuples[0].dtype).reshape(-1, 4)
-    values[_digit_codes(n, code_type, stored.T)] = kept
+    values[_digit_codes(n, rep.dtype, stored.T)] = kept
     del stored, kept
     h = values[rep]
     del values, rep

@@ -454,6 +454,14 @@ def test_trotter_rejects_non_finite_integrals_with_line(tmp_path, capsys):
     assert str(path) in err and "line 3" in err
 
 
+def test_trotter_rejects_comment_only_integrals_at_their_line(tmp_path, capsys):
+    path = tmp_path / "empty.ints"
+    path.write_text("# nothing\n")
+    assert run(["trotter", "--dt", "0.1", "--integrals", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "line 1: empty document, missing header line" in err and "line 0" not in err
+
+
 def test_demo_uccsd_report_line(capsys):
     assert run(["demo", "h3plus", "--uccsd"]) == 0
     out = capsys.readouterr().out

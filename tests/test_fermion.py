@@ -8,7 +8,7 @@ generator_pauli.  The first tests below pin the oracle's own conventions.
 """
 
 import itertools
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -288,6 +288,152 @@ TERM_REFUSALS = {
 def test_term_refusals_name_their_cause(make, message):
     with pytest.raises(FermionError, match=message):
         make()
+
+
+# Each constructor message, pinned whole, once by a term that breaks only its
+# rule and then by terms that break two rules, which are refused by the first
+# rule in the order the constructors check them: the kind, each mode in sub
+# then sup order, the control, the flag, the coefficient, ascending lists,
+# disjointness, then the kind's shape (a local term: modes, coefficient, kind).
+CONSTRUCTOR_REFUSALS = {
+    "kind": (lambda: ExcitationTerm("triple", (0,), (1,)), "unknown excitation kind 'triple'"),
+    "float-mode": (lambda: ExcitationTerm("single", (0,), (2.0,)), "mode 2.0 is not an integer"),
+    "negative-mode": (lambda: ExcitationTerm("single", (-1,), (1,)), "negative mode -1"),
+    "flag": (lambda: ExcitationTerm("single", (0,), (1,), None, "no"),
+             "symmetrized must be a bool, got 'no'"),
+    "nan-coefficient": (lambda: ExcitationTerm("single", (0,), (1,), None, False, float("nan")),
+                        "coefficient must be finite, got nan"),
+    "descending-pair": (lambda: ExcitationTerm("double", (1, 0), (2, 3)),
+                        "mode lists must be ascending without repeats (use the factories)"),
+    "descending-triple": (lambda: ExcitationTerm("higher", (0, 2, 1), (3, 4, 5)),
+                          "mode lists must be ascending without repeats (use the factories)"),
+    "repeated-triple": (lambda: ExcitationTerm("higher", (0, 1, 2), (3, 4, 4)),
+                        "mode lists must be ascending without repeats (use the factories)"),
+    "overlap": (lambda: ExcitationTerm("double", (0, 1), (1, 2)),
+                "creation and annihilation modes must be disjoint"),
+    "single-arity": (lambda: ExcitationTerm("single", (0, 1), (2, 3)),
+                     "single takes one creation and one annihilation mode"),
+    "single-order": (lambda: ExcitationTerm("single", (2,), (0,)),
+                     "single must have its smaller mode in the subscript"),
+    "double-arity": (lambda: ExcitationTerm("double", (0,), (1,)),
+                     "double takes two creation and two annihilation modes"),
+    "double-order": (lambda: ExcitationTerm("double", (1, 2), (0, 3)),
+                     "double must carry the overall smallest mode in the subscript"),
+    "controlled-arity": (lambda: ExcitationTerm("controlled_single", (0,), (2,)),
+                         "controlled_single takes modes p, q and a control"),
+    "control-on-core": (lambda: ExcitationTerm("controlled_single", (0,), (2,), 2),
+                        "control mode must differ from p and q"),
+    "controlled-order": (lambda: ExcitationTerm("controlled_single", (2,), (0,), 1),
+                         "controlled_single must have p < q"),
+    "higher-arity": (lambda: ExcitationTerm("higher", (0, 1), (2,)),
+                     "higher excitation needs equal-length non-empty mode lists"),
+    "higher-control": (lambda: ExcitationTerm("higher", (0,), (1,), 2),
+                       "higher excitation takes no control"),
+    "density-arity": (lambda: LocalTerm("density", (0, 1)), "density term takes one mode"),
+    "coulomb-order": (lambda: LocalTerm("coulomb", (2, 1)),
+                      "coulomb term takes two ascending modes"),
+    "local-kind": (lambda: LocalTerm("hopping", (0, 1)), "unknown local kind 'hopping'"),
+    "local-negative-mode": (lambda: LocalTerm("density", (-1,)), "negative mode -1"),
+    "kind-before-mode": (lambda: ExcitationTerm("triple", (0.5,), (1,)),
+                         "unknown excitation kind 'triple'"),
+    "sub-before-sup": (lambda: ExcitationTerm("single", (2.0,), (-1,)),
+                       "mode 2.0 is not an integer"),
+    "first-negative-in-order": (lambda: ExcitationTerm("double", (0, -1), (-2, 3)),
+                                "negative mode -1"),
+    "negative-before-float": (lambda: ExcitationTerm("double", (-1, 0), (2.5, 3)),
+                              "negative mode -1"),
+    "numpy-then-negative": (lambda: ExcitationTerm("single", (np.int64(0),), (-3,)),
+                            "negative mode -3"),
+    "mode-before-control": (lambda: ExcitationTerm("controlled_single", (-1,), (2,), 1.5),
+                            "negative mode -1"),
+    "control-before-flag": (lambda: ExcitationTerm("controlled_single", (0,), (2,), True, "no"),
+                            "mode True is not an integer"),
+    "flag-before-coefficient": (lambda: ExcitationTerm("single", (0,), (1,), None, 1, float("nan")),
+                                "symmetrized must be a bool, got 1"),
+    "coefficient-before-order": (lambda: ExcitationTerm("double", (1, 0), (2, 3), None, False, "x"),
+                                 "coefficient 'x' is not a real number"),
+    "order-before-overlap": (lambda: ExcitationTerm("double", (1, 0), (0, 1)),
+                             "mode lists must be ascending without repeats (use the factories)"),
+    "overlap-before-shape": (lambda: ExcitationTerm("single", (0,), (0,), 1),
+                             "creation and annihilation modes must be disjoint"),
+    "arity-before-order": (lambda: ExcitationTerm("single", (3,), (1,), 2),
+                           "single takes one creation and one annihilation mode"),
+    "control-on-core-before-order": (lambda: ExcitationTerm("controlled_single", (2,), (0,), 2),
+                                     "control mode must differ from p and q"),
+    "higher-arity-before-control": (lambda: ExcitationTerm("higher", (0, 1), (2,), 3),
+                                    "higher excitation needs equal-length non-empty mode lists"),
+    "local-mode-before-kind": (lambda: LocalTerm("hopping", (1.5,)), "mode 1.5 is not an integer"),
+    "local-coefficient-before-kind": (lambda: LocalTerm("hopping", (0,), float("inf")),
+                                      "coefficient must be finite, got inf"),
+    "local-coefficient-before-arity": (lambda: LocalTerm("coulomb", (2, 1), True),
+                                       "coefficient True is not a real number"),
+}
+
+
+@pytest.mark.parametrize("make, message", CONSTRUCTOR_REFUSALS.values(),
+                         ids=CONSTRUCTOR_REFUSALS.keys())
+def test_term_constructors_refuse_by_the_first_broken_rule(make, message):
+    with pytest.raises(FermionError) as info:
+        make()
+    assert str(info.value) == message
+
+
+_TERM_FACTORIES = {
+    "single": (2, lambda ms, c, sym: single(*ms, c, sym)),
+    "double": (4, lambda ms, c, sym: double(*ms, c, sym)),
+    "controlled": (3, lambda ms, c, sym: controlled_single(*ms, c, sym)),
+    "higher": (6, lambda ms, c, sym: higher_excitation(ms[:3], ms[3:], c, sym)),
+}
+
+
+@given(st.sampled_from(tuple(_TERM_FACTORIES)), st.data())
+def test_terms_store_their_sorted_modes_outside_their_fields(kind, data):
+    """modes and letter_modes are the sorted recomputation; the fields, and
+    so equality, hashing, repr and dataclasses.replace, are those of a plain
+    dataclass of the six fields."""
+    size, make = _TERM_FACTORIES[kind]
+    modes = data.draw(st.lists(st.integers(0, 12), min_size=size, max_size=size, unique=True))
+    sym = data.draw(st.booleans())
+    t = make(modes, 0.5, sym)
+    extra = () if t.control is None else (t.control,)
+    assert t.letter_modes == tuple(sorted(t.sub + t.sup))
+    assert t.modes == tuple(sorted(t.sub + t.sup + extra)) == tuple(sorted(modes))
+    assert type(t.modes) is tuple and type(t.letter_modes) is tuple
+    assert [f.name for f in fields(t)] == ["kind", "sub", "sup", "control", "symmetrized",
+                                           "coefficient"]
+    assert repr(t) == (f"ExcitationTerm(kind={t.kind!r}, sub={t.sub!r}, sup={t.sup!r}, "
+                       f"control={t.control!r}, symmetrized={t.symmetrized!r}, "
+                       f"coefficient={t.coefficient!r})")
+    twin = ExcitationTerm(t.kind, t.sub, t.sup, t.control, t.symmetrized, t.coefficient)
+    assert twin == t and hash(twin) == hash(t)
+    assert astuple(t) == (t.kind, t.sub, t.sup, t.control, t.symmetrized, t.coefficient)
+    rescaled = replace(t, coefficient=0.25)
+    assert rescaled == ExcitationTerm(t.kind, t.sub, t.sup, t.control, t.symmetrized, 0.25)
+    assert rescaled.modes == t.modes and rescaled.letter_modes == t.letter_modes
+    flipped = replace(t, symmetrized=not sym)
+    assert flipped.modes == t.modes and flipped.letter_modes == t.letter_modes
+    assert flipped != t and flipped.key() != t.key()
+    if kind == "controlled":
+        moved = replace(t, control=13)
+        assert moved.modes == tuple(sorted(t.letter_modes + (13,)))
+        assert moved.letter_modes == t.letter_modes
+    with pytest.raises(FrozenInstanceError):
+        t.coefficient = 1.0
+    with pytest.raises(FermionError, match="ascending"):
+        replace(t, sub=t.sub * 2)
+
+
+def test_local_terms_keep_their_dataclass_fields():
+    t = coulomb_term(3, 1, 0.5)
+    assert [f.name for f in fields(t)] == ["kind", "modes", "coefficient"]
+    assert repr(t) == "LocalTerm(kind='coulomb', modes=(1, 3), coefficient=0.5)"
+    twin = LocalTerm("coulomb", (1, 3), 0.5)
+    assert t == twin and hash(t) == hash(twin)
+    assert replace(t, coefficient=0.25) == LocalTerm("coulomb", (1, 3), 0.25)
+    with pytest.raises(FermionError, match="two ascending modes"):
+        replace(t, modes=(3, 1))
+    with pytest.raises(FrozenInstanceError):
+        t.modes = (0, 1)
 
 
 # Modes as given to a constructor: integers pass as ints, the rest is refused.

@@ -28,6 +28,10 @@ from ionsynth.integrals import (
     IntegralParseError,
     IntegralTable,
     SymmetryConflictError,
+    _canonical,
+    _least_codes,
+    _one_body_orbit,
+    _two_body_orbit,
     h3plus_builtin,
     h3plus_table,
     parse_integrals,
@@ -36,6 +40,7 @@ from ionsynth.integrals import (
 from ionsynth.verify import dense_hamiltonian, dense_sum
 
 from dense_tables import fill_complex_table, fill_real_table, reconstruction_defect
+from integral_reference import orbit as reference_orbit, reference_parse
 
 RNG = np.random.default_rng(2718)
 
@@ -198,8 +203,13 @@ def test_parse_comments_keep_any_text():
 
 
 def test_parse_empty_document_rejected():
-    with pytest.raises(IntegralParseError):
-        parse_integrals("# nothing\n")
+    """An empty or comment-only document is refused at its last line, or at
+    line 1 when it has none, as deserialize refuses a missing qubits line."""
+    for text, line_no in [("", 1), ("\n", 1), ("# nothing\n", 1), ("# nothing", 1),
+                          ("# one\n\n  # three\n", 3)]:
+        with pytest.raises(IntegralParseError, match="empty document, missing header") as info:
+            parse_integrals(text)
+        assert info.value.line_no == line_no, text
 
 
 def test_parse_conflicting_lines_rejected():
@@ -635,3 +645,198 @@ def test_h3plus_dense_reconstruction():
     assert reconstruction_defect(table) < 1e-12
     dense = dense_sum(h3plus_builtin().pauli_sum())
     assert np.abs(dense - dense.conj().T).max() < 1e-12
+
+
+# --- the parser against the per-line reference ---------------------------------
+
+def _outcome(parse, text):
+    """The table's repr and the source line of each stored orbit (which later
+    set_* conflicts name), or the refusal's class, line and message."""
+    try:
+        table = parse(text)
+    except IntegralParseError as exc:
+        return type(exc), exc.line_no, str(exc)
+    return repr(table), table._sources
+
+
+def _number(rng, value):
+    """value as a token: its repr, or another spelling float() reads the same."""
+    return rng.choice((repr(value), repr(value), f"{value:.17e}", f"{value:+.17g}"))
+
+
+class _Document:
+    """A valid integral document drawn from rng: comments, blank lines, five-
+    and six-field lines, repeated constants, and repeats of earlier orbits
+    from any member, conjugated where the member is, each within the conflict
+    tolerance of the first."""
+
+    def __init__(self, rng, n, reality):
+        self.rng, self.n, self.reality = rng, n, reality
+        self.lines = [rng.choice(("", "# integrals", "  # café_1"))
+                      for _ in range(rng.randint(0, 2))]
+        self.lines.append(f"norb {n} reality {reality}" + rng.choice(("", " # ١_")))
+        self.orbits = {}  # representative -> (1-based key of the first line, its value)
+        for _ in range(rng.randint(0, 14)):
+            self.lines.append(self.entry())
+            if rng.random() < 0.2:
+                self.lines.append(rng.choice(("", "   ", "# between", "\t# x_1 é")))
+
+    def line(self, value, indices):
+        rng = self.rng
+        fields = [_number(rng, value.real)]
+        if self.reality == "complex" and (value.imag != 0 or rng.random() < 0.7):
+            fields.append(_number(rng, value.imag))
+        fields += [rng.choice((str(i), f"{i:02d}", f"+{i}")) if rng.random() < 0.1 else str(i)
+                   for i in indices]
+        text = rng.choice((" ", "  ", "\t")).join(fields)
+        return text + rng.choice(("", "", " # note", "  #1_2 é"))
+
+    def entry(self):
+        rng, n = self.rng, self.n
+        kind = rng.choice(("constant", "one", "two", "two", "repeat"))
+        if kind == "constant":
+            value = self.orbits.setdefault("constant", (None, complex(rng.uniform(-1, 1), 0)))[1]
+            tiny = rng.choice((0.0, 1e-13, -4e-13))
+            imaginary = rng.choice((0.0, 9e-13, -9e-13)) if self.reality == "complex" else 0.0
+            return self.line(complex(value.real + tiny, imaginary), (0, 0, 0, 0))
+        if kind == "repeat" and len(self.orbits) > 1:
+            rep = rng.choice([r for r in self.orbits if r != "constant"])
+            key, value = self.orbits[rep]
+            orbit = reference_orbit(tuple(k - 1 for k in key), self.reality)
+            member, conjugating = rng.choice(orbit)
+            value = value.conjugate() if conjugating else value
+            value += rng.choice((0.0, 1e-13, -4e-13))
+            if self.reality == "complex":
+                value += rng.choice((0.0, 2e-13j))
+            indices = tuple(m + 1 for m in member)
+            return self.line(value, indices + (0, 0) * (len(indices) == 2))
+        size = 2 if kind == "one" else 4
+        key = tuple(rng.randint(1, n) for _ in range(size))
+        orbit = reference_orbit(tuple(k - 1 for k in key), self.reality)
+        rep = min(member for member, _ in orbit)
+        flags = {flag for member, flag in orbit if member == rep}
+        if rep in self.orbits:  # a repeat of an earlier orbit, from this member
+            first, value = self.orbits[rep]
+            members = dict(reference_orbit(tuple(k - 1 for k in first), self.reality))
+            value = value.conjugate() if members[tuple(k - 1 for k in key)] else value
+        else:
+            imaginary = 0.0
+            if self.reality == "complex":
+                imaginary = rng.choice((0.0, 1e-13)) if len(flags) == 2 else rng.uniform(-1, 1)
+            value = complex(rng.choice((rng.uniform(-1, 1), 0.0, 1e-14)), imaginary)
+            self.orbits[rep] = (key, value)
+        return self.line(value, key + (0, 0) * (size == 2))
+
+
+def _fault(rng, document, kind):
+    """Text that breaks the parse rule kind, given the document so far."""
+    n, complex_ = document.n, document.reality == "complex"
+    im = " 0.0" if complex_ else ""
+    faults = {
+        "fields": lambda: rng.choice(("0.5 1 2", "0.5 1 1 0 0 0 0", "x", "1 2 3 4 5 6 7 8")),
+        "imaginary-column": lambda: ("0.5 0.1 1 1 0 0" if not complex_ else "0.5 0.1 0.2 1 1 0 0"),
+        "plain": lambda: rng.choice((f"0.5{im} 1_0 1 0 0", f"０.5{im} 1 1 0 0",
+                                     f"0.5{im} ١ 1 0 0", f"1_000.5{im} 1 1 0 0")),
+        "token": lambda: rng.choice((f"x{im} 1 1 0 0", f"0.5{im} 1.0 1 0 0", f"0.5{im} 1 0x1 0 0",
+                                     f"0.5{im} 1 1 0 e", f"0.5{' y' if complex_ else ''} 1 1 z 0")),
+        "range": lambda: rng.choice((f"0.5{im} {n + 1} 1 0 0", f"0.5{im} 1 -1 0 0",
+                                     f"0.5{im} 1 1 1 {n + rng.randint(1, 9)}",
+                                     f"0.5{im} 99999999999999999999999 1 0 0")),
+        "zero-pattern": lambda: rng.choice((f"0.5{im} 0 1 0 0", f"0.5{im} 1 0 0 0",
+                                            f"0.5{im} 1 1 1 0", f"0.5{im} 0 1 1 1")),
+        "finite": lambda: rng.choice((f"nan{im} 1 1 0 0", f"inf{im} 1 1 1 1",
+                                      f"-1e400{im} 0 0 0 0",
+                                      *(["0.5 nan 1 1 0 0", "0.5 -inf 1 1 1 1"] * complex_))),
+        "imaginary-constant": lambda: "0.5 1e-11 0 0 0 0",
+        "self-conjugate": lambda: rng.choice(("0.5 0.1 1 1 0 0", "0.5 -2e-12 1 1 1 1",
+                                              f"0.5 0.3 1 {n} {n} 1")),
+        "conflict": lambda: _conflict(rng, document),
+        "constant": lambda: (f"{document.orbits.get('constant', (None, 0.25))[1].real + 1e-3!r}{im}"
+                             f" 0 0 0 0\n0.25{im} 0 0 0 0"),
+    }
+    return faults[kind]()
+
+
+def _conflict(rng, document):
+    """A line of an earlier orbit, from any member, whose value differs from
+    the first by more than the tolerance; or a fresh orbit's line, twice."""
+    reps = [rep for rep in document.orbits if rep != "constant"]
+    if not reps:
+        return "0.5 1 1 0 0\n0.50001 1 1 0 0"
+    key, value = document.orbits[rng.choice(reps)]
+    member, conjugating = rng.choice(reference_orbit(tuple(k - 1 for k in key), document.reality))
+    shifts = (2e-12, -1.5, 2e-12j) if document.reality == "complex" else (2e-12, -1.5)
+    value = (value.conjugate() if conjugating else value) + rng.choice(shifts)
+    return document.line(value, tuple(m + 1 for m in member) + (0, 0) * (len(member) == 2))
+
+
+FAULT_KINDS = ("fields", "imaginary-column", "plain", "token", "range", "zero-pattern", "finite",
+               "imaginary-constant", "self-conjugate", "conflict", "constant")
+
+
+@st.composite
+def faulty_documents(draw, kinds):
+    """A drawn document with one fault of each of kinds, each at its own line."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    document = _Document(rng, draw(st.integers(1, 4)), draw(st.sampled_from(("real", "complex"))))
+    lines = document.lines
+    header = next(i for i, line in enumerate(lines) if line.startswith("norb"))
+    for kind in kinds:
+        at = rng.randint(header + 1, len(lines))
+        lines.insert(at, _fault(rng, document, kind))
+    return "\n".join(lines) + rng.choice(("", "\n"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_documents(()))
+def test_parse_matches_the_per_line_reference_on_valid_documents(text):
+    assert _outcome(parse_integrals, text) == _outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("kind", FAULT_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_parse_refuses_each_fault_as_the_reference_does(kind, data):
+    text = data.draw(faulty_documents((kind,)))
+    expected = _outcome(reference_parse, text)
+    assert expected[0] is IntegralParseError
+    assert _outcome(parse_integrals, text) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_parse_refuses_the_first_of_two_faults_as_the_reference_does(data):
+    kinds = data.draw(st.lists(st.sampled_from(FAULT_KINDS), min_size=2, max_size=2))
+    text = data.draw(faulty_documents(kinds))
+    expected = _outcome(reference_parse, text)
+    assert expected[0] is IntegralParseError
+    assert _outcome(parse_integrals, text) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "norb 100000 reality real\n0.5 1 2 3 4\n0.5 4 3 2 1\n0.25 99999 1 0 0\n",
+    "norb 100000 reality real\n0.5 1 2 3 4\n0.6 2 1 4 3\n",
+    "norb 100000000000000000000 reality complex\n0.5 0.1 1 2 3 4\n0.5 -0.1 3 4 1 2\n"
+    "0.6 0.1 99999999999999999999 1 0 0\n",
+    "norb 100000000000000000000 reality complex\n0.5 0.1 1 2 3 4\n0.5 0.1 3 4 1 2\n",
+], ids=["wide-codes", "wide-codes-conflict", "huge-indices", "huge-indices-conflict"])
+def test_parse_matches_the_reference_past_64_bit_codes(text):
+    """Mode counts whose orbit codes or indices do not fit 64 bits."""
+    assert _outcome(parse_integrals, text) == _outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("reality", ["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_least_codes_match_the_scalar_canonical_form(n, reality):
+    """The array orbit helper gives, for every one- and two-body index tuple,
+    the representative and the flags that _canonical gives."""
+    for width, orbit in ((2, _one_body_orbit), (4, _two_body_orbit)):
+        keys = list(itertools.product(range(n), repeat=width))
+        plain, conjugating = _least_codes(n, orbit, reality, tuple(np.array(keys, np.uint8).T))
+        for key, least_plain, least_conjugating in zip(keys, plain.tolist(), conjugating.tolist()):
+            rep, flags = _canonical(orbit(key, reality))
+            code = min(least_plain, least_conjugating)
+            assert code == sum(m * n ** (width - 1 - i) for i, m in enumerate(rep)), key
+            reached = {flag for flag, least in ((False, least_plain), (True, least_conjugating))
+                       if least == code}
+            assert flags == reached, key
