@@ -43,8 +43,10 @@ tracemalloc peak in MiB of one untimed warm build_trotter_step (records
 before this field was added lack it).  Block synthesis caches each group
 shape's gates (synth._template) and, in later sources, hands out one shared
 object per Clifford gate value (synth._gate, or the synth._SHARED dict of
-older sources); where the measured sources have the template cache, the
-record also holds cold_s, the first build_trotter_step and the first
+older sources); sources that also cache each template placed at each offset
+and keep the shared gates in circuit.py empty all of these with
+synth._clear_caches.  Where the measured sources have the template cache,
+the record also holds cold_s, the first build_trotter_step and the first
 build_uccsd_layer each timed right after every cache the sources have is
 cleared, and the number of templates the workload's two circuits use.  The
 record, with the environment and the commit of the measured sources (or,
@@ -151,6 +153,7 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
     layer_best = dict.fromkeys(LAYER_STAGES, float("inf"))
     spec = AnsatzSpec(*uccsd)
     templates = getattr(synth, "_template", None)
+    clear = getattr(synth, "_clear_caches", None)
     gates = getattr(synth, "_gate", None)
     shared = getattr(synth, "_SHARED", {})
     cold = {}
@@ -160,10 +163,13 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
         cfg = TrotterConfig(TIME_STEP, orbital_class=table.reality)
         for stage, build in (("build_trotter_step", lambda: build_trotter_step(terms, cfg)),
                              ("build_uccsd_layer", lambda: build_uccsd_layer(spec))):
-            templates.cache_clear()
-            if gates is not None:
-                gates.cache_clear()
-            shared.clear()
+            if clear is not None:
+                clear()
+            else:  # older sources, whose caches are cleared one by one
+                templates.cache_clear()
+                if gates is not None:
+                    gates.cache_clear()
+                shared.clear()
             start = time.perf_counter()
             build()
             cold[stage] = time.perf_counter() - start

@@ -36,14 +36,21 @@ against the maximum over its gates, and walks its gates for the first bad
 one only when that check, or the check of their kinds, fails.
 
 Gates are immutable, so one gate object may stand at many positions of a
-circuit, as every equal Clifford gate of a built step and every equal
-rotation of one template fill does (``ionsynth.synth``).  ``serialize``
-formats each distinct gate object once and each distinct MS qubit list once
-(a window's forward and backward MS share it), and ``deserialize`` parses
-each distinct record line of a document once, so identical records of one
-document read back as one shared gate object, and each distinct MS qubit
-list text once.  The line of a record with a qubit outside the register is
-recovered, by the gates' highest qubits, only when reading fails.
+circuit and in many circuits.  Each angle-free gate value (Clifford1, CNOT,
+MS) has one object per process, kept in ``_SHARED`` by that value (the plain
+tuple (kind, *fields)) and built and checked by its constructor on the
+value's first sight only: every fill of a template (``ionsynth.synth``) and
+every ``cl``, ``cnot`` and ``ms`` record that ``deserialize`` reads hands
+out that object, whatever the record's case, spacing or MS qubit order.  A
+record its constructor refuses, or one past the register, adds nothing, and
+no gate that carries an angle is ever kept.  Each gate object formats its
+lowercased record line once, the first time ``serialize`` writes it, and
+keeps it, so ``serialize`` formats only gate objects it has not written
+before.  ``deserialize`` parses each distinct record line of a document
+once, so identical records of one document read back as one gate object,
+and each distinct MS qubit-list text once.  The line of a record with a
+qubit outside the register is recovered, by the gates' highest qubits, only
+when reading fails.
 """
 
 from __future__ import annotations
@@ -51,7 +58,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from itertools import compress
+from operator import attrgetter, not_
 from typing import Callable, Iterator, Mapping, NamedTuple, Union, get_type_hints
 
 from .pauli import CLIFFORD1_NAMES, _index, _real
@@ -101,21 +109,24 @@ class SchemaError(ParseError):
 _INT = frozenset({int})
 
 
-def _qubit(value) -> int:
-    """A gate's qubit as an int, by the index rule (``pauli._index``)."""
-    return _index(value, "qubit", CircuitError)
+# Every gate checks its own operands in its own __init__, each qubit by the
+# index rule and each angle by the finite-real rule (``pauli._index`` and
+# ``_real``), and writes its fields once, straight into its instance dict,
+# which a frozen dataclass leaves writable.  A gate also stores its highest
+# qubit as ``_highest`` (GlobalPhase, on no qubit, has -1 on its class), and
+# ``serialize`` stores its record line as ``_record`` the first time it writes
+# the gate (None, on the class, until then).  Both lie outside the fields,
+# from which records, _value, equality, hashing and repr are all derived.
+# A Circuit checks its width against the maximum of the highest qubits, once
+# per circuit.
 
+class _GateBase:
+    """What every gate kind shares outside its fields."""
 
-# Every gate checks its own operands in its own __init__ and sets each field
-# once: a generated __init__ would set each field and __post_init__ would set
-# the checked values again.  A gate also stores its highest qubit as
-# ``_highest`` (GlobalPhase, on no qubit, has -1 on its class).  It lies
-# outside the fields, from which records, synth._item, equality, hashing and
-# repr are all derived.  A Circuit checks its width against the maximum of
-# these, once per circuit.
+    _record: str | None = None  # the lowercased v1 record line, once written
 
 @dataclass(frozen=True, init=False)
-class MS:
+class MS(_GateBase):
     """Targeted Moelmer-Soerensen gate on a qubit subset.
 
     Forward means exp(-i pi/4 sum_{j<k in qubits} A_j A_k) with A = X or Y
@@ -143,20 +154,17 @@ class MS:
         # is and only its least qubit can break the index rule; any other set
         # takes each qubit through the rule first.
         plain = _INT.issuperset(map(type, qubits))
-        qs = tuple(sorted(qubits if plain else map(_qubit, qubits)))
+        qs = tuple(sorted(qubits if plain else [_index(q, "qubit", CircuitError) for q in qubits]))
         if not qs:
             raise CircuitError("MS qubit set is empty")
         if qs[0] < 0:
-            _qubit(qs[0])  # raises: negative
+            _index(qs[0], "qubit", CircuitError)  # raises: negative
         if len(set(qs)) != len(qs):
             raise CircuitError(f"MS qubit set has duplicates: {qubits}")
-        object.__setattr__(self, "axis", lower)
-        object.__setattr__(self, "direction", way)
         # an already sorted tuple of ints is kept, so a cache key shares its gate's window
         if plain and qs == qubits:
             qs = qubits
-        object.__setattr__(self, "qubits", qs)
-        object.__setattr__(self, "_highest", qs[-1])
+        self.__dict__.update(axis=lower, direction=way, qubits=qs, _highest=qs[-1])
 
     @property
     def locality(self) -> int:
@@ -164,21 +172,20 @@ class MS:
 
 
 @dataclass(frozen=True, init=False)
-class Rz:
+class Rz(_GateBase):
     """exp(-i angle/2 Z) on ``qubit``."""
 
     qubit: int
     angle: float
 
     def __init__(self, qubit: int, angle: float) -> None:
-        qubit = _qubit(qubit)
-        object.__setattr__(self, "qubit", qubit)
-        object.__setattr__(self, "angle", _real(angle, "angle", CircuitError))
-        object.__setattr__(self, "_highest", qubit)
+        qubit = _index(qubit, "qubit", CircuitError)
+        self.__dict__.update(qubit=qubit, angle=_real(angle, "angle", CircuitError),
+                             _highest=qubit)
 
 
 @dataclass(frozen=True, init=False)
-class CRz:
+class CRz(_GateBase):
     """Rz(angle) on ``target`` when ``control`` is 1; the two qubits differ."""
 
     control: int
@@ -186,17 +193,17 @@ class CRz:
     angle: float
 
     def __init__(self, control: int, target: int, angle: float) -> None:
-        control, target = _qubit(control), _qubit(target)
+        control = _index(control, "qubit", CircuitError)
+        target = _index(target, "qubit", CircuitError)
         if control == target:
             raise CircuitError("CRz control equals target")
-        object.__setattr__(self, "control", control)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "angle", _real(angle, "angle", CircuitError))
-        object.__setattr__(self, "_highest", max(control, target))
+        self.__dict__.update(control=control, target=target,
+                             angle=_real(angle, "angle", CircuitError),
+                             _highest=max(control, target))
 
 
 @dataclass(frozen=True, init=False)
-class Rzz:
+class Rzz(_GateBase):
     """exp(-i angle/2 Z Z) on two distinct qubits."""
 
     qubit_a: int
@@ -204,57 +211,54 @@ class Rzz:
     angle: float
 
     def __init__(self, qubit_a: int, qubit_b: int, angle: float) -> None:
-        qubit_a, qubit_b = _qubit(qubit_a), _qubit(qubit_b)
+        qubit_a = _index(qubit_a, "qubit", CircuitError)
+        qubit_b = _index(qubit_b, "qubit", CircuitError)
         if qubit_a == qubit_b:
             raise CircuitError("Rzz qubits coincide")
-        object.__setattr__(self, "qubit_a", qubit_a)
-        object.__setattr__(self, "qubit_b", qubit_b)
-        object.__setattr__(self, "angle", _real(angle, "angle", CircuitError))
-        object.__setattr__(self, "_highest", max(qubit_a, qubit_b))
+        self.__dict__.update(qubit_a=qubit_a, qubit_b=qubit_b,
+                             angle=_real(angle, "angle", CircuitError),
+                             _highest=max(qubit_a, qubit_b))
 
 
 @dataclass(frozen=True, init=False)
-class Clifford1:
+class Clifford1(_GateBase):
     """One of the named single-qubit Cliffords (h s sdg sx sxdg x y z), any case."""
 
     qubit: int
     name: str
 
     def __init__(self, qubit: int, name: str) -> None:
-        qubit = _qubit(qubit)
+        qubit = _index(qubit, "qubit", CircuitError)
         upper = str(name).upper()
         if upper not in CLIFFORD1_NAMES:
             raise CircuitError(f"unknown Clifford name {name!r}")
-        object.__setattr__(self, "qubit", qubit)
-        object.__setattr__(self, "name", upper)
-        object.__setattr__(self, "_highest", qubit)
+        self.__dict__.update(qubit=qubit, name=upper, _highest=qubit)
 
 
 @dataclass(frozen=True, init=False)
-class CNOT:
+class CNOT(_GateBase):
     """X on ``target`` when ``control`` is 1; the two qubits differ."""
 
     control: int
     target: int
 
     def __init__(self, control: int, target: int) -> None:
-        control, target = _qubit(control), _qubit(target)
+        control = _index(control, "qubit", CircuitError)
+        target = _index(target, "qubit", CircuitError)
         if control == target:
             raise CircuitError("CNOT control equals target")
-        object.__setattr__(self, "control", control)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "_highest", max(control, target))
+        self.__dict__.update(control=control, target=target, _highest=max(control, target))
 
 
 @dataclass(frozen=True, init=False)
-class GlobalPhase:
+class GlobalPhase(_GateBase):
     """Multiplies the state by exp(i * angle); it acts on no qubit."""
 
     angle: float
     _highest = -1
 
     def __init__(self, angle: float) -> None:
-        object.__setattr__(self, "angle", _real(angle, "angle", CircuitError))
+        self.__dict__["angle"] = _real(angle, "angle", CircuitError)
 
 
 Gate = Union[MS, Rz, CRz, Rzz, Clifford1, CNOT, GlobalPhase]
@@ -308,6 +312,42 @@ _RECORDS = {kind: _record(kind, tag) for kind, tag in (
 _RECORDS_BY_TAG = {record.tag: record for record in _RECORDS.values()}
 _QUBITS = {kind: record.qubits for kind, record in _RECORDS.items()}
 _HIGHEST = attrgetter("_highest")
+_RECORD_LINE = attrgetter("_record")
+
+
+# --- one object per angle-free gate value ----------------------------------
+
+# The value (kind, *fields) of a Clifford1, CNOT or MS gate, from operands as
+# a record or a template spells them (ints for qubits, a name, axis or
+# direction in any case, an MS qubit list in any order), before any check.
+_VALUES = {
+    Clifford1: lambda qubit, name: (Clifford1, qubit, name.upper()),
+    CNOT: lambda control, target: (CNOT, control, target),
+    MS: lambda axis, direction, qubits: (MS, axis.lower(), direction.lower(),
+                                         tuple(sorted(qubits))),
+}
+# The one object of each angle-free gate value built so far in this process,
+# by that value.  A gate that carries an angle never enters it.
+_SHARED: dict[tuple, Gate] = {}
+
+
+def _value(gate: Gate) -> tuple:
+    """A gate's value as the plain tuple (kind, *fields)."""
+    return (type(gate), *(getattr(gate, f.name) for f in fields(gate)))
+
+
+def _shared(kind: type, values: tuple, n_qubits: int | None = None) -> Gate:
+    """The one object of the Clifford1, CNOT or MS gate of operands ``values``
+    (spelled as ``_VALUES`` takes them), which the kind's constructor builds
+    and checks on the value's first sight only.  A gate the constructor
+    refuses, or one with a qubit of ``n_qubits`` or more, is not kept."""
+    gate = _SHARED.get(_VALUES[kind](*values))
+    if gate is None:
+        gate = kind(*values)
+        if n_qubits is None or gate._highest < n_qubits:
+            # keyed by the gate's own fields, so the key shares their objects
+            _SHARED[_value(gate)] = gate
+    return gate
 
 
 def gate_qubits(gate: Gate) -> tuple[int, ...]:
@@ -494,20 +534,23 @@ def cost(c: Circuit, tau: float = 1.0) -> CostReport:
 
 # --- serialization ---------------------------------------------------------
 
-class _QubitLists(dict):
-    """The record text of each qubit list, formatted at its first lookup."""
-
-    def __missing__(self, qubits: tuple[int, ...]) -> str:
-        text = self[qubits] = " ".join(map(str, qubits))
-        return text
-
-
 class _QubitTexts(dict):
     """The qubits of each qubit-list record text, parsed at its first lookup."""
 
     def __missing__(self, text: str) -> tuple[int, ...]:
         qubits = self[text] = tuple(map(int, text.split()))
         return qubits
+
+
+def _write(g: Gate) -> str:
+    """The record line of ``g``, lowercased, formatted and kept on the gate."""
+    record = _RECORDS[type(g)]
+    if record.rest:
+        line = record.line % (*record.values(g), " ".join(map(str, record.qubits(g))))
+    else:
+        line = record.line % record.values(g)
+    line = g.__dict__["_record"] = line.lower()
+    return line
 
 
 def serialize(c: Circuit) -> str:
@@ -521,20 +564,14 @@ def serialize(c: Circuit) -> str:
         if key.split() != [key] or " ".join(value.split()) != value:
             raise CircuitError(f"metadata entry not serializable: {key!r}: {value!r}")
         lines.append(f"meta {key} {value}")
-    records = _RECORDS
-    # Each distinct gate object is formatted once, and each distinct qubit
-    # list once (the forward and backward MS of a window share it); the
-    # circuit holds every gate, so no id is reused while this runs.
+    # Each gate object keeps its record line from the first time it is
+    # written, so only the positions of gates not written before are filled
+    # here, a gate repeated among them once.
     gates = c.gates
-    text = {}
-    lists = _QubitLists()
-    for key, g in dict(zip(map(id, gates), gates)).items():
-        record = records[type(g)]
-        if record.rest:
-            text[key] = record.line % (*record.values(g), lists[record.qubits(g)])
-        else:
-            text[key] = record.line % record.values(g)
-    return "\n".join(lines) + "\n" + "".join(map(text.__getitem__, map(id, gates))).lower()
+    records = list(map(_RECORD_LINE, gates))
+    for i in compress(range(len(gates)), map(not_, records)):
+        records[i] = gates[i]._record or _write(gates[i])
+    return "\n".join(lines) + "\n" + "".join(records)
 
 
 def deserialize(document: str) -> Circuit:
@@ -561,31 +598,38 @@ def deserialize(document: str) -> Circuit:
             if gate is not None:
                 gates.append(gate)
                 continue
-            tokens = line.split()
-            if not tokens or tokens[0].startswith("#"):
+            head = line.split(None, 1)
+            if not head or head[0].startswith("#"):
                 continue
-            tag, args = tokens[0], tokens[1:]
+            tag = head[0]
+            operands = head[1] if len(head) == 2 else ""
             if n_qubits is None and tag != "qubits":
                 raise ParseError(idx, "qubits line must precede gates")
             record = _RECORDS_BY_TAG.get(tag)
             if record is not None:
                 parsers, rest = record.parsers, record.rest
+                # a trailing qubit list stays one text, the last of the args
+                args = operands.split(None, len(parsers)) if rest else operands.split()
                 if len(args) <= len(parsers) if rest else len(args) != len(parsers):
                     raise ParseError(idx, f"{tag} record takes: {record.usage}")
                 # isascii() reads a flag, so a plain line costs one scan for '_'
-                if (not line.isascii() or "_" in line) and (bad := _unplain(args)):
+                if (not line.isascii() or "_" in line) and (bad := _unplain(operands.split())):
                     raise ParseError(idx, f"{tag} record: field {bad!r} is not plain ASCII without '_'")
                 try:
                     # Each field's type parses its token: type.__call__(int, "3") is int("3").
-                    values = map(type.__call__, parsers, args)
+                    values = tuple(map(type.__call__, parsers, args))
                     if rest:
-                        values = (*values, lists[line.split(None, len(parsers) + 1)[-1]])
-                    gate = record.kind(*values)
+                        values += (lists[args[-1]],)
+                    if record.kind in _VALUES:  # angle-free: the one object of its value
+                        gate = _shared(record.kind, values, n_qubits)
+                    else:
+                        gate = record.kind(*values)
                 except ValueError as exc:  # a token that does not parse, or a CircuitError
                     raise ParseError(idx, f"{tag} record: {exc}") from None
                 parsed[line] = gate
                 gates.append(gate)
             elif tag == "qubits":
+                args = operands.split()
                 if n_qubits is not None:
                     raise ParseError(idx, "repeated qubits line")
                 try:
@@ -597,6 +641,7 @@ def deserialize(document: str) -> Circuit:
                 if n_qubits < 0:
                     raise ParseError(idx, f"qubits line takes one non-negative integer, got {' '.join(args)!r}")
             elif tag == "meta":
+                args = operands.split()
                 if not args:
                     raise ParseError(idx, "meta line needs a key")
                 if args[0] in metadata:

@@ -101,10 +101,14 @@ class ExcitationTerm:
             control = _index(control, "mode", FermionError)
         symmetrized = _bool(symmetrized, "symmetrized")
         coefficient = _real(coefficient, "coefficient", FermionError)
-        if sorted(set(sub)) != list(sub) or sorted(set(sup)) != list(sup):
-            raise FermionError("mode lists must be ascending without repeats (use the factories)")
+        # Both lists in order and no mode twice among all of them is each
+        # list ascending without repeats and the two disjoint: one test for a
+        # canonical term, and only a failing one asks which rule it broke.
         letter_modes = tuple(sorted(sub + sup))
-        if len(set(letter_modes)) != len(letter_modes):
+        if (len(set(letter_modes)) != len(letter_modes)
+                or sub != tuple(sorted(sub)) or sup != tuple(sorted(sup))):
+            if sorted(set(sub)) != list(sub) or sorted(set(sup)) != list(sup):
+                raise FermionError("mode lists must be ascending without repeats (use the factories)")
             raise FermionError("creation and annihilation modes must be disjoint")
         if kind == "single":
             if len(sub) != 1 or len(sup) != 1 or control is not None:

@@ -39,6 +39,7 @@ the result is bit-identical to it.
 """
 
 import itertools
+from array import array
 from importlib import resources
 
 import numpy as np
@@ -239,18 +240,29 @@ def _header(line_no: int, tokens: list[str]) -> IntegralTable:
     return IntegralTable(n, tokens[3])
 
 
-def _store(table: IntegralTable, store: dict, rows: list, orbit) -> tuple[int, str] | None:
-    """Store the rows (line number, value, 0-based index...) as _set would one
-    by one, keeping the first row of each orbit at its representative, or
-    return the first row that _set would refuse, as (line number, message)."""
-    if not rows:
+def _columns(n: int) -> tuple:
+    """Empty columns for the entries of a table of ``n`` modes: the line
+    number and 0-based indices of each entry, flat (an array of unsigned
+    64-bit ints where every index fits one, a list otherwise), and the real
+    and imaginary part of its value, flat."""
+    return array("Q") if n <= 2**64 else [], array("d")
+
+
+def _store(table: IntegralTable, store: dict, columns: tuple, orbit,
+           width: int) -> tuple[int, str] | None:
+    """Store the entries of ``width`` indices in ``columns`` (see _columns) as
+    _set would one by one, keeping the first entry of each orbit at its
+    representative, or return the first entry that _set would refuse, as
+    (line number, message)."""
+    numbers, parts = columns
+    if not parts:
         return None
     n = table.n_modes
-    line_nos, values, *key = zip(*rows)
-    key = tuple(np.array(key, np.min_scalar_type(n - 1)))
+    rows = np.asarray(numbers).reshape(-1, 1 + width)
+    key = tuple(rows[:, 1:].T.astype(np.min_scalar_type(n - 1)))
     plain, conjugating = _least_codes(n, orbit, table.reality, key)
     codes = np.minimum(plain, conjugating)
-    value = np.array(values)
+    value = np.frombuffer(parts, complex)
     stored = np.where(conjugating <= plain, value.conj(), value)
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     # an imaginary part on a self-conjugate orbit, which pins the value to the real axis
@@ -258,17 +270,18 @@ def _store(table: IntegralTable, store: dict, rows: list, orbit) -> tuple[int, s
     clash = off_axis | (np.abs(stored - stored[first[inverse]]) > _CONFLICT_TOL)
     if clash.any():
         i = int(clash.argmax())
-        new, v = rows[i][2:], values[i]
+        line_no, *new = rows[i].tolist()
+        new, v = tuple(new), value[i].item()
         if off_axis[i]:
             old, held = _canonical(orbit(new, table.reality))[0], v.conjugate()
         else:
             j = first[inverse[i]]
-            old, held = rows[j][2:], stored[j].item()
-        return line_nos[i], str(SymmetryConflictError(new, old, v, held))
+            old, held = tuple(rows[j, 1:].tolist()), stored[j].item()
+        return line_no, str(SymmetryConflictError(new, old, v, held))
     first.sort()  # the line order in which _set would store them
-    reps = list(zip(*_code_digits(n, codes[first], len(key))[1:]))
+    reps = list(zip(*_code_digits(n, codes[first], width)[1:]))
     store.update(zip(reps, stored[first].tolist()))
-    table._sources.update(zip(reps, [rows[i][2:] for i in first.tolist()]))
+    table._sources.update(zip(reps, zip(*(column.tolist() for column in rows[first, 1:].T))))
     return None
 
 
@@ -277,7 +290,6 @@ def parse_integrals(document: str) -> IntegralTable:
     first failing line (see the module docstring)."""
     table = refusal = None
     line_no = 0
-    rows = ([], [])  # the one- and two-body (line number, value, index...) rows
     for line_no, raw in enumerate(document.splitlines(), start=1):
         line = raw.partition("#")[0]
         tokens = line.split()
@@ -286,6 +298,7 @@ def parse_integrals(document: str) -> IntegralTable:
         if table is None:
             table, constant_seen = _header(line_no, tokens), False
             n = table.n_modes
+            one, two = _columns(n), _columns(n)  # the one- and two-body entries
             continue
         try:
             if len(tokens) != 5:
@@ -316,17 +329,19 @@ def parse_integrals(document: str) -> IntegralTable:
                 elif abs(table.constant - value.real) > _CONFLICT_TOL:
                     raise IntegralError(f"conflicting constant {value.real} after {table.constant}")
             elif r == 0:
-                rows[0].append((line_no, value, p - 1, q - 1))
+                one[0].extend((line_no, p - 1, q - 1))
+                one[1].extend((value.real, value.imag))
             else:
-                rows[1].append((line_no, value, p - 1, q - 1, r - 1, s - 1))
+                two[0].extend((line_no, p - 1, q - 1, r - 1, s - 1))
+                two[1].extend((value.real, value.imag))
         except IntegralError as exc:
             refusal = IntegralParseError(line_no, str(exc))
             break
     if table is None:
         raise IntegralParseError(max(line_no, 1), "empty document, missing header line")
-    # the orbit rules, on the rows before any refusal above: the first failing line wins
-    orbits = zip((table._one, table._two), rows, (_one_body_orbit, _two_body_orbit))
-    if conflicts := [c for store, kind, orbit in orbits if (c := _store(table, store, kind, orbit))]:
+    # the orbit rules, on the entries before any refusal above: the first failing line wins
+    kinds = ((table._one, one, _one_body_orbit, 2), (table._two, two, _two_body_orbit, 4))
+    if conflicts := [c for kind in kinds if (c := _store(table, *kind))]:
         raise IntegralParseError(*min(conflicts))
     if refusal:
         raise refusal

@@ -32,25 +32,32 @@ The key holds no angle and no coefficient: per member the kind, the sub, sup
 and control modes counted from the group's lowest mode and the symmetrized
 flag, then the relative conjugation mode, the scheme and the star axis.
 ``_template`` derives the gates at offset 0:
-each Clifford1, CNOT and MS gate as the plain tuple (kind, *fields), and each
-Rz / CRz as a slot (qubit, control, factor, zero, ((member, scale), ...))
-whose factor is 2 or 4 times the pullback sign and whose scales are the exact
-generator string weights of unit-coefficient terms.  A call emits one gate
-per item, whatever the angles: the Clifford gates shifted to the group's
-lowest mode, one shared object per gate value (``_gate``: gates are frozen
-and compare by value, so every fill of every template that emits
-Clifford1(3, "H") emits the same object, built and checked once), and each
-slot as an Rz / CRz of angle factor * weight, with weight summed from
-``zero`` over theta_j * (coefficient_j * scale) in member order, then string
-order: the order in which the string pool always summed them.
+each Clifford1, CNOT and MS gate as its value, the plain tuple
+(kind, *fields), and each Rz / CRz as a slot (qubit, control, factor, zero,
+((member, scale), ...)) whose factor is 2 or 4 times the pullback sign and
+whose scales are the exact generator string weights of unit-coefficient
+terms.  ``_placed`` puts a template at a group's lowest mode once: each
+Clifford item becomes the one shared object of its shifted value
+(``circuit._shared``: gates are frozen and compare by value, so every fill
+of every template that emits Clifford1(3, "H") emits the same object, built
+and checked once per process), each slot stays as it is, and the positions
+of the slots are noted.  A call copies the placed items and fills in only
+the slots, one gate per item whatever the angles: each slot as an Rz / CRz
+on its qubits shifted up, of angle factor * weight (one shared object per
+equal rotation of the fill), with weight summed from ``zero`` over
+theta_j * (coefficient_j * scale) in member order, then string order: the
+order in which the string pool always summed them.
 Every scale and factor is a signed power of two, so coefficient_j * scale is
 the string weight the generator itself computes, and the angles keep their
 last bit, subnormal angles included.
 
-Both caches are plain ``functools.cache`` functions: ``_template`` holds one
-entry per group shape and ``_gate`` one per Clifford gate value and offset.
-They grow with the distinct shapes a process compiles, never with fills, and
-``cache_clear()`` empties each.
+Three caches hold that work: ``_template``, a ``functools.cache`` with one
+entry per group shape; ``_placed``, a ``functools.cache`` keyed by the
+template key and the offset, not by the template tuple; and
+``circuit._SHARED``, one gate object per Clifford1, CNOT and MS value, which
+``deserialize`` shares.  They grow with the distinct shapes, offsets and
+gate values a process compiles, never with fills or angles, and
+``_clear_caches()`` empties all three.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 from typing import NamedTuple
 
 from .circuit import (
@@ -70,6 +77,9 @@ from .circuit import (
     GlobalPhase,
     MS,
     Rz,
+    _SHARED,
+    _shared,
+    _value,
     inverse,
 )
 from .fermion import (
@@ -358,41 +368,39 @@ _SHIFT = {
     MS: lambda axis, direction, qubits, k: (axis, direction, tuple(q + k for q in qubits)),
 }
 
-def _item(gate: Gate) -> tuple:
-    """A gate as the plain tuple (kind, *fields)."""
-    return (type(gate), *(getattr(gate, f.name) for f in fields(gate)))
-
-
 def _items(items) -> tuple:
-    """A sandwich's items as _fill takes them: each gate as its plain tuple,
-    each slot as it is."""
-    return tuple(item if type(item) is _Slot else _item(item) for item in items)
+    """A sandwich's items as a template holds them: each gate as its value,
+    the plain tuple (kind, *fields), each slot as it is."""
+    return tuple(item if type(item) is _Slot else _value(item) for item in items)
+
+
+def _place(items, offset: int) -> tuple[tuple, tuple[int, ...]]:
+    """Template items with each Clifford item placed ``offset`` qubits up, as
+    the one shared gate of its shifted value (circuit._shared), each slot as
+    it is, and the positions of the slots."""
+    placed = tuple(item if type(item) is _Slot
+                   else _shared(item[0], _SHIFT[item[0]](*item[1:], offset))
+                   for item in items)
+    return placed, tuple(i for i, item in enumerate(items) if type(item) is _Slot)
 
 
 @functools.cache
-def _gate(item: tuple, offset: int) -> Gate:
-    """The gate of a Clifford item shifted up by ``offset`` qubits, built and
-    checked once.  A shifted item is looked up again at offset 0, so equal
-    gates from any template and any offset are one object."""
-    kind, *values = item
-    if offset:
-        return _gate((kind, *_SHIFT[kind](*values, offset)), 0)
-    return kind(*values)
+def _placed(key, offset: int) -> tuple[tuple, tuple[int, ...]]:
+    """The template of group shape ``key`` placed at ``offset`` (see _place)."""
+    return _place(_template(key), offset)
 
 
-def _fill(items, thetas, coefficients, offset: int) -> list[Gate]:
-    """Gates of a sandwich or template (see _items), one per item: its Clifford
-    items shifted up by ``offset`` qubits, one shared object per value, its
-    slots made into Rz / CRz gates with angles from the members' ``thetas``
-    and ``coefficients``, zero angles included, one shared object per equal
+def _fill(placed, thetas, coefficients, offset: int) -> list[Gate]:
+    """Gates of items placed at ``offset`` (see _place), one per item: the
+    placed gates as they are, and each slot made into an Rz / CRz gate
+    ``offset`` qubits up, with its angle from the members' ``thetas`` and
+    ``coefficients``, zero angles included, one shared object per equal
     rotation of the call."""
-    gates: list[Gate] = []
-    gate = _gate
+    items, slots = placed
+    gates = list(items)
     rotations: dict[tuple, Gate] = {}
-    for item in items:
-        if type(item) is not _Slot:
-            gates.append(gate(item, offset))
-            continue
+    for i in slots:
+        item = items[i]
         weight = item.zero
         for member, scale in item.terms:
             weight += thetas[member] * (coefficients[member] * scale)
@@ -407,7 +415,7 @@ def _fill(items, thetas, coefficients, offset: int) -> list[Gate]:
             qubit = item.qubit + offset
             rotation = rotations[key] = (Rz(qubit, angle) if control is None
                                          else CRz(control + offset, qubit, angle))
-        gates.append(rotation)
+        gates[i] = rotation
     return gates
 
 
@@ -587,6 +595,14 @@ _SCHEMES = {"layers": _layers, "core_strings": _core_strings, "strings": _string
             "halves": _halves, "ladder": _ladder}
 
 
+def _clear_caches() -> None:
+    """Empty every cache of synthesis: the templates, the placed templates and
+    the shared angle-free gates (circuit._SHARED)."""
+    _template.cache_clear()
+    _placed.cache_clear()
+    _SHARED.clear()
+
+
 @functools.cache
 def _template(key) -> tuple:
     """The angle-free gates of one group shape at offset 0 (see _lower_group).
@@ -644,12 +660,12 @@ def _lower_group(pairs, width: int, *, conjugation_mode: int | None = None,
     if head.symmetrized and scheme != "strings":
         j = (head.sub[0] if conjugation_mode is None else conjugation_mode) - lo
     try:
-        template = _template((members, j, scheme, axis))
+        placed = _placed((members, j, scheme, axis), lo)
     except SynthesisError as exc:
         raise SynthesisError(f"{exc} (qubits counted from {lo})") from None
     thetas = [theta for _, theta in pairs]
     coefficients = [t.coefficient for t, _ in pairs]
-    return _fill(template, thetas, coefficients, lo)
+    return _fill(placed, thetas, coefficients, lo)
 
 
 # --- public compilers -----------------------------------------------------------
@@ -679,8 +695,8 @@ def compile_pauli_rotation(p: PauliString, phi: float) -> Circuit:
     signed_phi = _real(phi, "angle", SynthesisError) * (1 if p.phase == 1 else -1)
     target = p.with_phase(1)
     requests = [(target.support()[0], _product(0, 0.5), target, None)]
-    items = _items(_sandwich(p.width, "xx", requests))
-    gates = _fill(items, (signed_phi,), (1.0,), 0)
+    placed = _place(_items(_sandwich(p.width, "xx", requests)), 0)
+    gates = _fill(placed, (signed_phi,), (1.0,), 0)
     return Circuit(p.width, gates, {"op": "pauli_rotation"})
 
 

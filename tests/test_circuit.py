@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ionsynth import circuit, synth
 from ionsynth.circuit import (
     CNOT,
     MS,
@@ -713,3 +714,72 @@ def test_text_io_matches_a_per_gate_reference(c, data):
     first = next(q for q in gate_qubits(bad) if q >= width)
     tag = _reference_record(bad).split()[0]
     assert str(err.value) == f"line {at + 3}: {tag} record: qubit {first} outside 0..{width - 1}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pooled_circuits(), st.data())
+def test_serialize_matches_the_reference_when_its_gates_were_written_before(c, data):
+    """A gate keeps the record line of its first write, so a circuit whose
+    gate objects were already written inside another circuit, on a wider
+    register, with metadata and among other gates, still reads as the
+    reference formats it, the second time too."""
+    extra = data.draw(st.integers(0, 3))
+    earlier = data.draw(st.lists(st.sampled_from(c.gates), max_size=10)) if c.gates else []
+    others = data.draw(st.lists(_any_gates(c.n_qubits + extra), max_size=5))
+    mixed = data.draw(st.permutations(earlier + others))
+    other = Circuit(c.n_qubits + extra, tuple(mixed), {"op": "earlier"})
+    assert serialize(other) == _reference_document(other)
+    assert serialize(c) == _reference_document(c)
+    assert serialize(c) == _reference_document(c)
+    assert serialize(other) == _reference_document(other)
+
+
+_SPELLINGS = {
+    "ms": ["ms XX Forward 3 1 2", "ms xx forward 1 2 3", "  ms\txx  FORWARD 2   3 1  "],
+    "cl": ["cl 0 h", "cl 0 H", " cl   0\th "],
+    "cnot": ["cnot 3 0", "\tcnot  3   0 "],
+}
+
+
+@pytest.mark.parametrize("records", _SPELLINGS.values(), ids=_SPELLINGS)
+def test_spellings_of_one_angle_free_value_read_back_as_one_shared_object(records):
+    synth._clear_caches()
+    gates = []
+    for record in records:
+        gates += deserialize(f"ionsynth-circuit v1\nqubits 4\n{record}\n").gates
+    gates += deserialize("ionsynth-circuit v1\nqubits 5\n" + "\n".join(records) + "\n").gates
+    assert len(gates) == 2 * len(records)
+    assert all(g is gates[0] for g in gates)
+    assert list(circuit._SHARED.items()) == [(circuit._value(gates[0]), gates[0])]
+
+
+@pytest.mark.parametrize("record, message", [
+    ("ms xx forward 1 3 1", "MS qubit set has duplicates: (1, 3, 1)"),
+    ("ms zz forward 1 2", "MS axis must be 'xx' or 'yy', got 'zz'"),
+    ("ms xx sideways 1 2", "MS direction must be forward/backward, got 'sideways'"),
+    ("ms xx forward 2 -1", "negative qubit -1"),
+    ("cl 0 q", "unknown Clifford name 'q'"),
+    ("cnot 2 2", "CNOT control equals target"),
+    ("cl 4 h", "qubit 4 outside 0..3"),
+    ("ms xx forward 3 1 7", "qubit 7 outside 0..3"),
+    ("cnot 5 1", "qubit 5 outside 0..3"),
+])
+def test_a_refused_angle_free_record_adds_no_shared_gate(record, message):
+    synth._clear_caches()
+    deserialize("ionsynth-circuit v1\nqubits 4\ncl 1 x\n")
+    before = dict(circuit._SHARED)
+    with pytest.raises(ParseError) as err:
+        deserialize(f"ionsynth-circuit v1\nqubits 4\ncl 1 x\n{record}\n")
+    assert str(err.value) == f"line 4: {record.split()[0]} record: {message}"
+    assert circuit._SHARED == before
+
+
+def test_no_gate_that_carries_an_angle_is_shared():
+    synth._clear_caches()
+    text = ("ionsynth-circuit v1\nqubits 3\nrz 0 0.5\ncrz 0 1 0.25\nrzz 1 2 -0.5\nphase 0.125\n"
+            "rz 0 0.5\n")
+    first, again = deserialize(text), deserialize(text)
+    assert first == again
+    assert not any(g is h for g, h in zip(first.gates, again.gates))
+    assert first.gates[0] is first.gates[-1]  # one document parses a repeated line once
+    assert circuit._SHARED == {}

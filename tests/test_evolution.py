@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionsynth import synth
+from ionsynth import circuit, synth
 from ionsynth.circuit import (
     CNOT,
     MS,
@@ -478,8 +478,7 @@ SHARED_BUILDS = {
 
 
 def _cold(build):
-    synth._template.cache_clear()
-    synth._gate.cache_clear()
+    synth._clear_caches()
     return build()
 
 
@@ -492,6 +491,23 @@ def test_equal_clifford_gates_are_one_object(build, cold):
     assert len(set(cliffords)) < len(cliffords)
     for g in cliffords:
         assert first.setdefault(g, g) is g, g
+        assert circuit._SHARED[circuit._value(g)] is g
+
+
+@pytest.mark.parametrize("build", SHARED_BUILDS.values(), ids=SHARED_BUILDS)
+@pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+def test_angle_free_gates_read_back_as_the_built_objects(build, cold):
+    """A built step's Clifford1, CNOT and MS gates are the shared objects that
+    deserialize hands out, and a rotation reads back as a new, equal gate."""
+    c = _cold(build) if cold else build()
+    again = deserialize(serialize(c))
+    assert again == c
+    for g, h in zip(c.gates, again.gates):
+        if type(g) in (Clifford1, CNOT, MS):
+            assert h is g
+        else:
+            assert h is not g
+    assert {type(g) for g in circuit._SHARED.values()} <= {Clifford1, CNOT, MS}
 
 
 @pytest.mark.parametrize("build", SHARED_BUILDS.values(), ids=SHARED_BUILDS)
@@ -504,9 +520,11 @@ def test_cold_and_warm_builds_serialize_alike(build):
 
 def test_shared_gates_outlive_evicted_templates():
     """The gate cache is keyed by gate value, not by template object, so a
-    template derived again after the cache is cleared fills the same objects."""
+    template derived and placed again after both template caches are cleared
+    fills the same objects."""
     before = build_trotter_step(RANDOM8, TrotterConfig(0.1))
     synth._template.cache_clear()
+    synth._placed.cache_clear()
     after = build_trotter_step(RANDOM8, TrotterConfig(0.1))
     assert after == before
     for g, h in zip(before, after):
@@ -518,14 +536,22 @@ def test_shared_gates_outlive_evicted_templates():
 
 @pytest.mark.parametrize("build", SHARED_BUILDS.values(), ids=SHARED_BUILDS)
 def test_a_cold_build_derives_each_shape_once(build):
-    """Both caches are unbounded, so no shape is derived twice in a process."""
+    """Every cache is unbounded, so no shape is derived twice in a process, no
+    shape is placed twice at one offset and no gate value is built twice."""
     assert synth._template.cache_info().maxsize is None
-    assert synth._gate.cache_info().maxsize is None
+    assert synth._placed.cache_info().maxsize is None
     _cold(build)
     info = synth._template.cache_info()
     assert info.misses == info.currsize > 0
+    placed = synth._placed.cache_info()
+    assert placed.misses == placed.currsize >= info.currsize
+    shared = dict(circuit._SHARED)
+    assert shared
     build()
     assert synth._template.cache_info().misses == info.misses
+    assert synth._placed.cache_info().misses == placed.misses
+    assert circuit._SHARED == shared
+    assert all(circuit._SHARED[key] is g for key, g in shared.items())
 
 
 # --- whole-step oracle checks -------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionsynth import synth
+from ionsynth import circuit, synth
 from ionsynth.circuit import (
     CNOT,
     MS,
@@ -36,7 +36,8 @@ from ionsynth.integrals import h3plus_builtin
 from ionsynth.pauli import PauliString, PauliSum, from_label
 from ionsynth.synth import (
     SynthesisError,
-    _gate,
+    _Slot,
+    _clear_caches,
     _lower_group,
     _sandwich,
     _template,
@@ -505,8 +506,7 @@ _CACHES = pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 
 
 def _caches(warm, call):
-    _template.cache_clear()
-    _gate.cache_clear()
+    _clear_caches()
     if warm:
         call()
 
@@ -790,11 +790,9 @@ def test_templates_fill_what_a_fresh_derivation_emits(group, data):
         pairs = [(_shifted(t, offset), theta) for t, theta in zip(terms, angles)]
         return pairs, placed, Circuit(width, _lower_group(pairs, width, **placed))
 
-    _template.cache_clear()
-    _gate.cache_clear()
+    _clear_caches()
     at_a, placed, cold = lower(a, thetas)
-    _template.cache_clear()
-    _gate.cache_clear()
+    _clear_caches()
     lower(b, others)
     derived = _template.cache_info().misses
     warm = lower(a, thetas)[2]
@@ -810,21 +808,42 @@ def test_templates_fill_what_a_fresh_derivation_emits(group, data):
 
 
 def _lowered_with_template(pairs, width, **options):
-    """(gates, template items) of one _lower_group call."""
-    with mock.patch.object(synth, "_fill", wraps=synth._fill) as fill:
+    """(gates, template items, offset of the template, placed items) of one
+    _lower_group call."""
+    with mock.patch.object(synth, "_placed", wraps=synth._placed) as placed:
         gates = _lower_group(pairs, width, **options)
-    return gates, fill.call_args.args[0]
+    key, offset = placed.call_args.args
+    return gates, _template(key), offset, synth._placed(key, offset)[0]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_template_groups(), _template_groups(_tiny_coefficients)), st.data())
 def test_every_lowering_emits_one_gate_per_template_item(group, data):
+    """Each Clifford1, CNOT and MS gate of a fill is the placed template's
+    object, the one shared object of the item's value shifted up, and each
+    slot is filled with a rotation on the slot's shifted qubits."""
     terms, options = group
+    shift = data.draw(st.integers(0, 3))
+    if options.get("conjugation_mode") is not None:
+        options["conjugation_mode"] += shift
+    terms = [_shifted(t, shift) for t in terms]
     width = 1 + max(m for t in terms for m in t.modes)
     angle = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-2.0, 2.0))
     thetas = data.draw(st.lists(angle, min_size=len(terms), max_size=len(terms)))
-    gates, template = _lowered_with_template(list(zip(terms, thetas)), width, **options)
-    assert len(gates) == len(template)
+    gates, template, offset, placed = _lowered_with_template(
+        list(zip(terms, thetas)), width, **options)
+    assert len(gates) == len(template) == len(placed)
+    assert offset == shift
+    for gate, item, at in zip(gates, template, placed):
+        if type(item) is _Slot:
+            assert type(gate) is (Rz if item.control is None else CRz)
+            expected = (item.qubit + shift,) if item.control is None else (
+                item.control + shift, item.qubit + shift)
+            assert gate_qubits(gate) == expected
+        else:
+            assert gate is at is circuit._SHARED[circuit._value(gate)]
+            shifted = (item[0], *synth._SHIFT[item[0]](*item[1:], shift))
+            assert circuit._value(gate) == shifted
 
 
 def _rotation_key(g):
@@ -838,7 +857,7 @@ def test_equal_rotations_of_one_fill_are_one_gate():
     differently) stay two gates."""
     signed_zero_pairs = repeats = 0
     for group in fusion_groups(h3plus_builtin().excitation_terms):
-        gates, template = _lowered_with_template([(t, 0.1) for t in group], 6)
+        gates, template, _, _ = _lowered_with_template([(t, 0.1) for t in group], 6)
         assert len(gates) == len(template)
         rotations = [g for g in gates if type(g) in (Rz, CRz)]
         shared = {}
@@ -864,7 +883,7 @@ def test_coupled_exchange_group_keeps_its_shape_at_any_coefficient():
     shapes = []
     for c in (0.1, 1e-300, 1.0):
         pairs = [(double(0, 1, 2, 3, c), 0.1), (double(0, 3, 2, 1, c), 0.10000000000000002)]
-        gates, template = _lowered_with_template(pairs, 4)
+        gates, template, _, _ = _lowered_with_template(pairs, 4)
         assert len(gates) == len(template) == 12
         shapes.append(_without_angles(gates))
     assert shapes[0] == shapes[1] == shapes[2]
@@ -927,7 +946,7 @@ def test_tiny_symmetrized_controlled_single_compiles():
 
 def test_zero_coefficient_fills_the_unit_template_with_zero_angles():
     t = double(1, 3, 4, 6)
-    _template.cache_clear()
+    _clear_caches()
     unit = _lower_group([(t, 0.4)], 7)
     derived = _template.cache_info().misses
     zero = _lower_group([(replace(t, coefficient=0.0), 0.4)], 7)
