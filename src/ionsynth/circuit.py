@@ -164,7 +164,9 @@ class MS(_GateBase):
         # an already sorted tuple of ints is kept, so a cache key shares its gate's window
         if plain and qs == qubits:
             qs = qubits
-        self.__dict__.update(axis=lower, direction=way, qubits=qs, _highest=qs[-1])
+        state = self.__dict__
+        state["axis"], state["direction"], state["qubits"] = lower, way, qs
+        state["_highest"] = qs[-1]
 
     @property
     def locality(self) -> int:
@@ -179,9 +181,9 @@ class Rz(_GateBase):
     angle: float
 
     def __init__(self, qubit: int, angle: float) -> None:
-        qubit = _index(qubit, "qubit", CircuitError)
-        self.__dict__.update(qubit=qubit, angle=_real(angle, "angle", CircuitError),
-                             _highest=qubit)
+        state = self.__dict__
+        state["qubit"] = state["_highest"] = _index(qubit, "qubit", CircuitError)
+        state["angle"] = _real(angle, "angle", CircuitError)
 
 
 @dataclass(frozen=True, init=False)
@@ -197,9 +199,10 @@ class CRz(_GateBase):
         target = _index(target, "qubit", CircuitError)
         if control == target:
             raise CircuitError("CRz control equals target")
-        self.__dict__.update(control=control, target=target,
-                             angle=_real(angle, "angle", CircuitError),
-                             _highest=max(control, target))
+        state = self.__dict__
+        state["control"], state["target"] = control, target
+        state["angle"] = _real(angle, "angle", CircuitError)
+        state["_highest"] = max(control, target)
 
 
 @dataclass(frozen=True, init=False)
@@ -215,9 +218,10 @@ class Rzz(_GateBase):
         qubit_b = _index(qubit_b, "qubit", CircuitError)
         if qubit_a == qubit_b:
             raise CircuitError("Rzz qubits coincide")
-        self.__dict__.update(qubit_a=qubit_a, qubit_b=qubit_b,
-                             angle=_real(angle, "angle", CircuitError),
-                             _highest=max(qubit_a, qubit_b))
+        state = self.__dict__
+        state["qubit_a"], state["qubit_b"] = qubit_a, qubit_b
+        state["angle"] = _real(angle, "angle", CircuitError)
+        state["_highest"] = max(qubit_a, qubit_b)
 
 
 @dataclass(frozen=True, init=False)
@@ -232,7 +236,8 @@ class Clifford1(_GateBase):
         upper = str(name).upper()
         if upper not in CLIFFORD1_NAMES:
             raise CircuitError(f"unknown Clifford name {name!r}")
-        self.__dict__.update(qubit=qubit, name=upper, _highest=qubit)
+        state = self.__dict__
+        state["qubit"], state["name"], state["_highest"] = qubit, upper, qubit
 
 
 @dataclass(frozen=True, init=False)
@@ -247,7 +252,9 @@ class CNOT(_GateBase):
         target = _index(target, "qubit", CircuitError)
         if control == target:
             raise CircuitError("CNOT control equals target")
-        self.__dict__.update(control=control, target=target, _highest=max(control, target))
+        state = self.__dict__
+        state["control"], state["target"] = control, target
+        state["_highest"] = max(control, target)
 
 
 @dataclass(frozen=True, init=False)
@@ -542,7 +549,7 @@ class _QubitTexts(dict):
         return qubits
 
 
-def _write(g: Gate) -> str:
+def _format(g: Gate) -> str:
     """The record line of ``g``, lowercased, formatted and kept on the gate."""
     record = _RECORDS[type(g)]
     if record.rest:
@@ -570,7 +577,7 @@ def serialize(c: Circuit) -> str:
     gates = c.gates
     records = list(map(_RECORD_LINE, gates))
     for i in compress(range(len(gates)), map(not_, records)):
-        records[i] = gates[i]._record or _write(gates[i])
+        records[i] = gates[i]._record or _format(gates[i])
     return "\n".join(lines) + "\n" + "".join(records)
 
 

@@ -18,10 +18,12 @@ every value and index are plain ASCII without '_': int() and float() would
 also read '1_2' as 12 and non-ASCII digits as ASCII ones.
 
 parse_integrals checks each line's fields, tokens, indices and value as it
-reads it, then runs the orbit rules of set_one_body and set_two_body (an
-imaginary part on a self-conjugate orbit, a repeat that disagrees with the
-first entry of its orbit) in one array pass over all the entries, through
-_least_codes, the orbit helper term_list uses too.  The first failing line
+reads it and keeps each entry's line number, indices and value in flat array
+columns, one set for one-body and one for two-body entries.  It then runs
+the orbit rules of set_one_body and set_two_body (an imaginary part on a
+self-conjugate orbit, a repeat that disagrees with the first entry of its
+orbit) in one array pass over all the entries, through _least_codes, the
+orbit helper term_list uses too.  The first failing line
 wins, refused with the message a line-by-line read gives; the table keeps
 each orbit's first entry, as set_one_body and set_two_body would.
 
