@@ -23,9 +23,9 @@ columns, one set for one-body and one for two-body entries.  It then runs
 the orbit rules of set_one_body and set_two_body (an imaginary part on a
 self-conjugate orbit, a repeat that disagrees with the first entry of its
 orbit) in one array pass over all the entries, through _least_codes, the
-orbit helper term_list uses too.  The first failing line
-wins, refused with the message a line-by-line read gives; the table keeps
-each orbit's first entry, as set_one_body and set_two_body would.
+orbit helper term_list uses too.  The first failing line wins, refused with
+the message a line-by-line read gives; the table keeps each orbit's first
+entry, as set_one_body and set_two_body would.
 
 term_list keeps the order of a loop over all n^4 lookups, because float
 addition is not associative: any other order could move a summed coefficient,
