@@ -36,21 +36,21 @@ against the maximum over its gates, and walks its gates for the first bad
 one only when that check, or the check of their kinds, fails.
 
 Gates are immutable, so one gate object may stand at many positions of a
-circuit and in many circuits.  Each angle-free gate value (Clifford1, CNOT,
-MS) has one object per process, kept in ``_SHARED`` by that value (the plain
-tuple (kind, *fields)) and built and checked by its constructor on the
-value's first sight only: every fill of a template (``ionsynth.synth``) and
-every ``cl``, ``cnot`` and ``ms`` record that ``deserialize`` reads hands
-out that object, whatever the record's case, spacing or MS qubit order.  A
-record its constructor refuses, or one past the register, adds nothing, and
-no gate that carries an angle is ever kept.  Each gate object formats its
-lowercased record line once, the first time ``serialize`` writes it, and
-keeps it, so ``serialize`` formats only gate objects it has not written
-before.  ``deserialize`` parses each distinct record line of a document
-once, so identical records of one document read back as one gate object,
-and each distinct MS qubit-list text once.  The line of a record with a
-qubit outside the register is recovered, by the gates' highest qubits, only
-when reading fails.
+circuit and in many circuits.  Each gate object formats its lowercased record
+line once and keeps it, so ``serialize`` formats only gate objects it has not
+written before.  That line is also the one identity of an angle-free gate
+(Clifford1, CNOT, MS): ``_SHARED`` keeps one object per line per process.
+Every fill of a template (``ionsynth.synth``) hands out that object, and
+``deserialize``, once it has read the ``qubits`` line, looks each record line
+up there before it splits it, so a written angle-free gate reads back as its
+object and is not built again.  A record spelled otherwise (case, spacing, MS
+qubit order) is parsed and built, then exchanged for the object of its line.
+A record its constructor refuses, or one past the register, adds nothing,
+and no gate that carries an angle is ever kept.  ``deserialize`` parses each
+distinct record line of a document once, so identical records of one
+document read back as one gate object.  The line of a record with a qubit
+outside the register is recovered, by the gates' highest qubits, only when
+reading fails.
 """
 
 from __future__ import annotations
@@ -106,17 +106,14 @@ class SchemaError(ParseError):
     """Unknown gate name or unsupported format version."""
 
 
-_INT = frozenset({int})
-
-
 # Every gate checks its own operands in its own __init__, each qubit by the
 # index rule and each angle by the finite-real rule (``pauli._index`` and
 # ``_real``), and writes its fields once, straight into its instance dict,
 # which a frozen dataclass leaves writable.  A gate also stores its highest
 # qubit as ``_highest`` (GlobalPhase, on no qubit, has -1 on its class), and
-# ``serialize`` stores its record line as ``_record`` the first time it writes
-# the gate (None, on the class, until then).  Both lie outside the fields,
-# from which records, _value, equality, hashing and repr are all derived.
+# its record line is kept as ``_record`` once formatted (None, on the class,
+# until then).  Both lie outside the fields, from which records, equality,
+# hashing and repr are all derived.
 # A Circuit checks its width against the maximum of the highest qubits, once
 # per circuit.
 
@@ -150,20 +147,11 @@ class MS(_GateBase):
             qubits = tuple(qubits)
         except TypeError:
             raise CircuitError(f"MS qubit set {qubits!r} is not a collection of qubits") from None
-        # A set of plain ints, as every built or parsed MS has, is sorted as it
-        # is and only its least qubit can break the index rule; any other set
-        # takes each qubit through the rule first.
-        plain = _INT.issuperset(map(type, qubits))
-        qs = tuple(sorted(qubits if plain else [_index(q, "qubit", CircuitError) for q in qubits]))
+        qs = tuple(sorted([_index(q, "qubit", CircuitError) for q in qubits]))
         if not qs:
             raise CircuitError("MS qubit set is empty")
-        if qs[0] < 0:
-            _index(qs[0], "qubit", CircuitError)  # raises: negative
         if len(set(qs)) != len(qs):
             raise CircuitError(f"MS qubit set has duplicates: {qubits}")
-        # an already sorted tuple of ints is kept, so a cache key shares its gate's window
-        if plain and qs == qubits:
-            qs = qubits
         state = self.__dict__
         state["axis"], state["direction"], state["qubits"] = lower, way, qs
         state["_highest"] = qs[-1]
@@ -282,6 +270,7 @@ class _Record(NamedTuple):
     rest: str | None  # a trailing qubit-list field, which takes the rest
     usage: str  # the field names, for error messages
     qubits: Callable[[Gate], tuple[int, ...]]
+    shared: bool  # angle-free: one object per record line (_SHARED)
 
 
 def _fields_getter(names: list[str]) -> Callable[[Gate], tuple]:
@@ -307,8 +296,9 @@ def _record(kind: type, tag: str) -> _Record:
     else:
         qubits = _fields_getter([name for name in names if types[name] is int])
     operands = names + [f"{rest}..."] * bool(rest)
-    return _Record(kind, tag, tag + " %s" * len(operands) + "\n", values,
-                   tuple(types[name] for name in names), rest, " ".join(operands), qubits)
+    return _Record(kind, tag, tag + " %s" * len(operands), values,
+                   tuple(types[name] for name in names), rest, " ".join(operands), qubits,
+                   float not in types.values())
 
 
 # The seven gate kinds, each with the tag that starts its record.
@@ -322,39 +312,25 @@ _HIGHEST = attrgetter("_highest")
 _RECORD_LINE = attrgetter("_record")
 
 
-# --- one object per angle-free gate value ----------------------------------
+# --- one object per angle-free gate ----------------------------------------
 
-# The value (kind, *fields) of a Clifford1, CNOT or MS gate, from operands as
-# a record or a template spells them (ints for qubits, a name, axis or
-# direction in any case, an MS qubit list in any order), before any check.
-_VALUES = {
-    Clifford1: lambda qubit, name: (Clifford1, qubit, name.upper()),
-    CNOT: lambda control, target: (CNOT, control, target),
-    MS: lambda axis, direction, qubits: (MS, axis.lower(), direction.lower(),
-                                         tuple(sorted(qubits))),
-}
-# The one object of each angle-free gate value built so far in this process,
-# by that value.  A gate that carries an angle never enters it.
-_SHARED: dict[tuple, Gate] = {}
+# The one object of each angle-free gate (Clifford1, CNOT, MS) kept so far in
+# this process, by the record line ``serialize`` writes for it.  A gate that
+# carries an angle never enters it.
+_SHARED: dict[str, Gate] = {}
 
 
-def _value(gate: Gate) -> tuple:
-    """A gate's value as the plain tuple (kind, *fields)."""
-    return (type(gate), *(getattr(gate, f.name) for f in fields(gate)))
-
-
-def _shared(kind: type, values: tuple, n_qubits: int | None = None) -> Gate:
-    """The one object of the Clifford1, CNOT or MS gate of operands ``values``
-    (spelled as ``_VALUES`` takes them), which the kind's constructor builds
-    and checks on the value's first sight only.  A gate the constructor
-    refuses, or one with a qubit of ``n_qubits`` or more, is not kept."""
-    gate = _SHARED.get(_VALUES[kind](*values))
-    if gate is None:
-        gate = kind(*values)
+def _shared(gate: Gate, n_qubits: int | None = None) -> Gate:
+    """The one object of the Clifford1, CNOT or MS ``gate``: the gate already
+    kept for its record line, or else ``gate`` itself, kept unless it has a
+    qubit of ``n_qubits`` or more."""
+    line = gate._record or _format(gate)
+    kept = _SHARED.get(line)
+    if kept is None:
+        kept = gate
         if n_qubits is None or gate._highest < n_qubits:
-            # keyed by the gate's own fields, so the key shares their objects
-            _SHARED[_value(gate)] = gate
-    return gate
+            _SHARED[line] = gate
+    return kept
 
 
 def gate_qubits(gate: Gate) -> tuple[int, ...]:
@@ -541,14 +517,6 @@ def cost(c: Circuit, tau: float = 1.0) -> CostReport:
 
 # --- serialization ---------------------------------------------------------
 
-class _QubitTexts(dict):
-    """The qubits of each qubit-list record text, parsed at its first lookup."""
-
-    def __missing__(self, text: str) -> tuple[int, ...]:
-        qubits = self[text] = tuple(map(int, text.split()))
-        return qubits
-
-
 def _format(g: Gate) -> str:
     """The record line of ``g``, lowercased, formatted and kept on the gate."""
     record = _RECORDS[type(g)]
@@ -578,7 +546,9 @@ def serialize(c: Circuit) -> str:
     records = list(map(_RECORD_LINE, gates))
     for i in compress(range(len(gates)), map(not_, records)):
         records[i] = gates[i]._record or _format(gates[i])
-    return "\n".join(lines) + "\n" + "".join(records)
+    lines += records
+    lines.append("")
+    return "\n".join(lines)
 
 
 def deserialize(document: str) -> Circuit:
@@ -593,8 +563,6 @@ def deserialize(document: str) -> Circuit:
     # The gate each record line parsed to.  The width is fixed before the first
     # record and cannot change, so a copy of a line parses to the same gate.
     parsed: dict[str, Gate] = {}
-    # An MS window's forward and backward records share their qubit-list text.
-    lists = _QubitTexts()
     # Each gate checks its own qubits; the width is checked once, by the
     # Circuit returned below.  A record with a qubit outside the register
     # fails before any later line, so when reading fails the records parsed
@@ -602,6 +570,11 @@ def deserialize(document: str) -> Circuit:
     try:
         for idx, line in enumerate(lines[1:], start=2):
             gate = parsed.get(line)
+            # once the width is known, a line written for a shared gate is that gate
+            if gate is None and n_qubits is not None:
+                gate = _SHARED.get(line)
+                if gate is not None:
+                    parsed[line] = gate
             if gate is not None:
                 gates.append(gate)
                 continue
@@ -626,11 +599,10 @@ def deserialize(document: str) -> Circuit:
                     # Each field's type parses its token: type.__call__(int, "3") is int("3").
                     values = tuple(map(type.__call__, parsers, args))
                     if rest:
-                        values += (lists[args[-1]],)
-                    if record.kind in _VALUES:  # angle-free: the one object of its value
-                        gate = _shared(record.kind, values, n_qubits)
-                    else:
-                        gate = record.kind(*values)
+                        values += (tuple(map(int, args[-1].split())),)
+                    gate = record.kind(*values)
+                    if record.shared:  # another spelling of a shared gate's line
+                        gate = _shared(gate, n_qubits)
                 except ValueError as exc:  # a token that does not parse, or a CircuitError
                     raise ParseError(idx, f"{tag} record: {exc}") from None
                 parsed[line] = gate

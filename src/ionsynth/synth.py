@@ -32,16 +32,15 @@ The key holds no angle and no coefficient: per member the kind, the sub, sup
 and control modes counted from the group's lowest mode and the symmetrized
 flag, then the relative conjugation mode, the scheme and the star axis.
 ``_template`` derives the gates at offset 0:
-each Clifford1, CNOT and MS gate as its value, the plain tuple
-(kind, *fields), and each Rz / CRz as a slot (qubit, control, factor, zero,
-((member, scale), ...)) whose factor is 2 or 4 times the pullback sign and
-whose scales are the exact generator string weights of unit-coefficient
-terms.  ``_placed`` puts a template at a group's lowest mode once: each
-Clifford item becomes the one shared object of its shifted value
-(``circuit._shared``: gates are frozen and compare by value, so every fill
-of every template that emits Clifford1(3, "H") emits the same object, built
-and checked once per process), each slot stays as it is, and the positions
-of the slots are noted.  A call copies the placed items and fills in only
+each Clifford1, CNOT and MS gate as a gate, and each Rz / CRz as a slot
+(qubit, control, factor, zero, ((member, scale), ...)) whose factor is 2 or 4
+times the pullback sign and whose scales are the exact generator string
+weights of unit-coefficient terms.  ``_placed`` puts a template at a group's
+lowest mode once: each gate is shifted up and exchanged for the one shared
+object of its record line (``circuit._shared``, so every fill of every
+template that emits Clifford1(3, "H") emits the same object, the one
+``deserialize`` reads ``cl 3 h`` as), each slot stays as it is, and the
+positions of the slots are noted.  A call copies the placed items and fills in only
 the slots, one gate per item whatever the angles: each slot as an Rz / CRz
 on its qubits shifted up, of angle factor * weight (one shared object per
 equal rotation of the fill), with weight summed from ``zero`` over
@@ -54,9 +53,9 @@ last bit, subnormal angles included.
 Three caches hold that work: ``_template``, a ``functools.cache`` with one
 entry per group shape; ``_placed``, a ``functools.cache`` keyed by the
 template key and the offset, not by the template tuple; and
-``circuit._SHARED``, one gate object per Clifford1, CNOT and MS value, which
-``deserialize`` shares.  They grow with the distinct shapes, offsets and
-gate values a process compiles, never with fills or angles, and
+``circuit._SHARED``, one gate object per Clifford1, CNOT and MS record line,
+which ``deserialize`` shares.  They grow with the distinct shapes, offsets
+and angle-free gates a process compiles, never with fills or angles, and
 ``_clear_caches()`` empties all three.
 """
 
@@ -79,7 +78,6 @@ from .circuit import (
     Rz,
     _SHARED,
     _shared,
-    _value,
     inverse,
 )
 from .fermion import (
@@ -361,25 +359,19 @@ def _sandwich(width: int, axis: str, requests, dressing=_local_dressing, zz_requ
     return items
 
 
-# Each Clifford kind's fields shifted up by k qubits.
+# Each angle-free gate kind's gate shifted up by k qubits.
 _SHIFT = {
-    Clifford1: lambda qubit, name, k: (qubit + k, name),
-    CNOT: lambda control, target, k: (control + k, target + k),
-    MS: lambda axis, direction, qubits, k: (axis, direction, tuple(q + k for q in qubits)),
+    Clifford1: lambda g, k: Clifford1(g.qubit + k, g.name),
+    CNOT: lambda g, k: CNOT(g.control + k, g.target + k),
+    MS: lambda g, k: MS(g.axis, g.direction, tuple([q + k for q in g.qubits])),
 }
-
-def _items(items) -> tuple:
-    """A sandwich's items as a template holds them: each gate as its value,
-    the plain tuple (kind, *fields), each slot as it is."""
-    return tuple(item if type(item) is _Slot else _value(item) for item in items)
 
 
 def _place(items, offset: int) -> tuple[tuple, tuple[int, ...]]:
-    """Template items with each Clifford item placed ``offset`` qubits up, as
-    the one shared gate of its shifted value (circuit._shared), each slot as
-    it is, and the positions of the slots."""
-    placed = tuple(item if type(item) is _Slot
-                   else _shared(item[0], _SHIFT[item[0]](*item[1:], offset))
+    """Template items with each gate placed ``offset`` qubits up, as the one
+    shared object of the shifted gate (circuit._shared), each slot as it is,
+    and the positions of the slots."""
+    placed = tuple(item if type(item) is _Slot else _shared(_SHIFT[type(item)](item, offset))
                    for item in items)
     return placed, tuple(i for i, item in enumerate(items) if type(item) is _Slot)
 
@@ -626,7 +618,7 @@ def _template(key) -> tuple:
     items = _SCHEMES[scheme](terms, width, axis)
     if j is not None:
         items = [Clifford1(j, "S"), *items, Clifford1(j, "SDG")]
-    return _items(items)
+    return tuple(items)
 
 
 def _lower_group(pairs, width: int, *, conjugation_mode: int | None = None,
@@ -695,7 +687,7 @@ def compile_pauli_rotation(p: PauliString, phi: float) -> Circuit:
     signed_phi = _real(phi, "angle", SynthesisError) * (1 if p.phase == 1 else -1)
     target = p.with_phase(1)
     requests = [(target.support()[0], _product(0, 0.5), target, None)]
-    placed = _place(_items(_sandwich(p.width, "xx", requests)), 0)
+    placed = _place(_sandwich(p.width, "xx", requests), 0)
     gates = _fill(placed, (signed_phi,), (1.0,), 0)
     return Circuit(p.width, gates, {"op": "pauli_rotation"})
 

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from ionsynth.circuit import (
     inverse,
     serialize,
 )
+from ionsynth.fermion import double
 
 
 def test_ms_normalizes_axis_direction_and_sorts_qubits():
@@ -38,8 +40,8 @@ def test_ms_normalizes_axis_direction_and_sorts_qubits():
     assert g.qubits == (1, 2, 3)
     assert g.locality == 3
     assert MS("xx", "forward", [3, 1, 2]).qubits == (1, 2, 3)
-    window = (1, 2, 3)
-    assert MS("xx", "forward", window).qubits is window
+    qubits = MS("xx", "forward", (np.int64(2), 1, np.int64(3))).qubits
+    assert qubits == (1, 2, 3) and set(map(type, qubits)) == {int}
 
 
 def test_gate_construction_guards():
@@ -750,7 +752,9 @@ def test_spellings_of_one_angle_free_value_read_back_as_one_shared_object(record
     gates += deserialize("ionsynth-circuit v1\nqubits 5\n" + "\n".join(records) + "\n").gates
     assert len(gates) == 2 * len(records)
     assert all(g is gates[0] for g in gates)
-    assert list(circuit._SHARED.items()) == [(circuit._value(gates[0]), gates[0])]
+    line = serialize(Circuit(4, gates[:1])).splitlines()[-1]
+    assert line in records
+    assert list(circuit._SHARED.items()) == [(line, gates[0])]
 
 
 @pytest.mark.parametrize("record, message", [
@@ -783,3 +787,70 @@ def test_no_gate_that_carries_an_angle_is_shared():
     assert not any(g is h for g, h in zip(first.gates, again.gates))
     assert first.gates[0] is first.gates[-1]  # one document parses a repeated line once
     assert circuit._SHARED == {}
+
+
+def test_a_written_circuit_reads_back_without_building_an_angle_free_gate():
+    """Every angle-free record line of a built circuit is already shared, so
+    reading its text back looks each one up and constructs none of them."""
+    synth._clear_caches()
+    c = Circuit(6, (*synth.compile_double_block(0, 1, 3, 5, (0.1, 0.2, 0.3)).gates,
+                    *synth.compile_mixed_cnot(double(1, 2, 4, 5), 0.4).gates))
+    assert {CNOT, Clifford1, MS} <= set(map(type, c.gates))
+    text = serialize(c)
+    patches = [mock.patch.object(kind, "__init__", autospec=True, side_effect=kind.__init__)
+               for kind in (Clifford1, CNOT, MS)]
+    with patches[0] as cl, patches[1] as cnot, patches[2] as ms:
+        again = deserialize(text)
+    assert (cl.call_count, cnot.call_count, ms.call_count) == (0, 0, 0)
+    assert again == c
+    assert all(g is h for g, h in zip(c.gates, again.gates) if type(g) in (Clifford1, CNOT, MS))
+
+
+def test_a_shared_line_before_the_qubits_line_is_refused():
+    synth._clear_caches()
+    deserialize("ionsynth-circuit v1\nqubits 4\ncl 1 x\n")
+    assert "cl 1 x" in circuit._SHARED
+    with pytest.raises(ParseError) as err:
+        deserialize("ionsynth-circuit v1\n# note\ncl 1 x\nqubits 4\n")
+    assert type(err.value) is ParseError
+    assert str(err.value) == "line 3: qubits line must precede gates"
+
+
+@pytest.mark.parametrize("record, message", [
+    ("cl 15 h", "qubit 15 outside 0..3"),
+    ("cnot 2 9", "qubit 9 outside 0..3"),
+    ("ms yy backward 1 3 7", "qubit 7 outside 0..3"),
+])
+@pytest.mark.parametrize("later", ["", "fredkin 0 1\n"], ids=["last", "before-an-error"])
+def test_a_shared_line_past_the_register_fails_as_on_first_sight(record, message, later):
+    """A record line that a wider document shared reads, in a narrower one,
+    as the same ParseError at the same line as before it was shared."""
+    synth._clear_caches()
+    doc = f"ionsynth-circuit v1\nqubits 4\ncl 1 x\n{record}\ncl 1 x\n{later}"
+    with pytest.raises(ParseError) as first:
+        deserialize(doc)
+    assert record not in circuit._SHARED
+    deserialize(f"ionsynth-circuit v1\nqubits 16\n{record}\n")
+    assert record in circuit._SHARED
+    with pytest.raises(ParseError) as again:
+        deserialize(doc)
+    for err in (first, again):
+        assert type(err.value) is ParseError
+        assert err.value.line_no == 4
+        assert str(err.value) == f"line 4: {record.split()[0]} record: {message}"
+
+
+@pytest.mark.parametrize("record", [
+    "ms xx forward 1 3 1", "ms zz forward 1 2", "cl 0 q", "cnot 2 2",
+    "cl 14 h", "CL 15 H", "cnot 9 2", "ms xx forward 7 3 1",
+])
+def test_a_refused_or_outside_record_adds_no_entry_to_a_filled_cache(record):
+    synth._clear_caches()
+    deserialize("ionsynth-circuit v1\nqubits 16\ncl 15 h\ncnot 2 9\nms xx forward 1 3 7\n")
+    before = dict(circuit._SHARED)
+    assert len(before) == 3
+    with pytest.raises(ParseError) as err:
+        deserialize(f"ionsynth-circuit v1\nqubits 4\ncl 1 x\n{record}\n")
+    assert err.value.line_no == 4
+    assert circuit._SHARED.keys() == before.keys() | {"cl 1 x"}
+    assert all(circuit._SHARED[line] is g for line, g in before.items())

@@ -807,6 +807,11 @@ def test_templates_fill_what_a_fresh_derivation_emits(group, data):
     assert report, report.distance
 
 
+def _record_line(g):
+    """The record line serialize writes for ``g``."""
+    return serialize(Circuit(1 + g._highest, (g,))).splitlines()[-1]
+
+
 def _lowered_with_template(pairs, width, **options):
     """(gates, template items, offset of the template, placed items) of one
     _lower_group call."""
@@ -820,7 +825,7 @@ def _lowered_with_template(pairs, width, **options):
 @given(st.one_of(_template_groups(), _template_groups(_tiny_coefficients)), st.data())
 def test_every_lowering_emits_one_gate_per_template_item(group, data):
     """Each Clifford1, CNOT and MS gate of a fill is the placed template's
-    object, the one shared object of the item's value shifted up, and each
+    object, the one shared object of the item's gate shifted up, and each
     slot is filled with a rotation on the slot's shifted qubits."""
     terms, options = group
     shift = data.draw(st.integers(0, 3))
@@ -841,9 +846,10 @@ def test_every_lowering_emits_one_gate_per_template_item(group, data):
                 item.control + shift, item.qubit + shift)
             assert gate_qubits(gate) == expected
         else:
-            assert gate is at is circuit._SHARED[circuit._value(gate)]
-            shifted = (item[0], *synth._SHIFT[item[0]](*item[1:], shift))
-            assert circuit._value(gate) == shifted
+            assert gate is at is circuit._SHARED[_record_line(gate)]
+            shifted = synth._SHIFT[type(item)](item, shift)
+            assert gate == shifted
+            assert _record_line(gate) == _record_line(shifted)
 
 
 def _rotation_key(g):
