@@ -601,7 +601,7 @@ def deserialize(document: str) -> Circuit:
                     if rest:
                         values += (tuple(map(int, args[-1].split())),)
                     gate = record.kind(*values)
-                    if record.shared:  # another spelling of a shared gate's line
+                    if record.shared:  # the one object of its line, however spelled
                         gate = _shared(gate, n_qubits)
                 except ValueError as exc:  # a token that does not parse, or a CircuitError
                     raise ParseError(idx, f"{tag} record: {exc}") from None
