@@ -849,7 +849,6 @@ def test_every_lowering_emits_one_gate_per_template_item(group, data):
             assert gate is at is circuit._SHARED[_record_line(gate)]
             shifted = synth._SHIFT[type(item)](item, shift)
             assert gate == shifted
-            assert _record_line(gate) == _record_line(shifted)
 
 
 def _rotation_key(g):
