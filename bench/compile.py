@@ -46,9 +46,13 @@ object per Clifford gate value (synth._gate, or the synth._SHARED dict of
 older sources); sources that also cache each template placed at each offset
 and keep the shared gates in circuit.py empty all of these with
 synth._clear_caches.  Where the measured sources have the template cache,
-the record also holds cold_s, the first build_trotter_step and the first
-build_uccsd_layer each timed right after every cache the sources have is
-cleared, and the number of templates the workload's two circuits use.  The
+the record also holds cold_s, the median of five cold builds of each of
+build_trotter_step and build_uccsd_layer, each timed right after every
+cache the sources have is cleared and a full garbage collection, their
+range [fastest, slowest] in cold_range_s, and the number of templates the
+workload's two circuits use.  Records before cold_range_s was added hold
+one cold build per stage in cold_s, so a comparison of cold_s across that
+change must say so.  The
 record, with the environment and the commit of the measured sources (or,
 outside a git work tree, a SHA-256 of them: the rule of bench/oracle.py
 commit_of), is appended to BENCH_compile.json at the root of the checkout
@@ -58,6 +62,7 @@ holding this script.  Only the standard library and numpy are used.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import itertools
 import json
@@ -76,6 +81,7 @@ BASELINE_MODES = 14
 COMPLEX_MODES = 10
 TIME_STEP = 0.1
 REPEATS = 3
+COLD_BUILDS = 5
 STAGES = ("parse", "term_list", "build_trotter_step", "build_uccsd_layer", "serialize",
           "deserialize", "count", "cost")
 LAYER_STAGES = ("serialize", "deserialize", "count", "cost")
@@ -156,23 +162,29 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
     clear = getattr(synth, "_clear_caches", None)
     gates = getattr(synth, "_gate", None)
     shared = getattr(synth, "_SHARED", {})
-    cold = {}
+    cold, cold_range = {}, {}
     if hasattr(templates, "cache_clear"):
         table = parse_integrals(document)
         terms = term_list(table)
         cfg = TrotterConfig(TIME_STEP, orbital_class=table.reality)
         for stage, build in (("build_trotter_step", lambda: build_trotter_step(terms, cfg)),
                              ("build_uccsd_layer", lambda: build_uccsd_layer(spec))):
-            if clear is not None:
-                clear()
-            else:  # older sources, whose caches are cleared one by one
-                templates.cache_clear()
-                if gates is not None:
-                    gates.cache_clear()
-                shared.clear()
-            start = time.perf_counter()
-            build()
-            cold[stage] = time.perf_counter() - start
+            runs = []
+            for _ in range(COLD_BUILDS):
+                if clear is not None:
+                    clear()
+                else:  # older sources, whose caches are cleared one by one
+                    templates.cache_clear()
+                    if gates is not None:
+                        gates.cache_clear()
+                    shared.clear()
+                gc.collect()
+                start = time.perf_counter()
+                build()
+                runs.append(time.perf_counter() - start)
+            runs.sort()
+            cold[stage] = runs[COLD_BUILDS // 2]
+            cold_range[stage] = [runs[0], runs[-1]]
     for _ in range(REPEATS):
         times = [time.perf_counter()]
         table = parse_integrals(document)
@@ -219,7 +231,8 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
     step = build_trotter_step(terms, TrotterConfig(TIME_STEP, orbital_class=table.reality))
     build_peak = tracemalloc.get_traced_memory()[1] / 2**20
     tracemalloc.stop()
-    cache = {"cold_s": cold, "templates": templates.cache_info().currsize} if cold else {}
+    cache = {"cold_s": cold, "cold_range_s": cold_range,
+             "templates": templates.cache_info().currsize} if cold else {}
     row = {
         "workload": name,
         "n_modes": table.n_modes,
@@ -277,7 +290,9 @@ def main() -> None:
               + f", term_list peak {row['term_list_peak_mib']:.2f} MiB"
               + f", build peak {row['build_peak_mib']:.2f} MiB"
               + "".join(f", baseline {k} {v:.3f}" for k, v in row.get("baseline_best_s", {}).items())
-              + "".join(f", cold {k} {v:.3f}" for k, v in row.get("cold_s", {}).items())
+              + "".join(f", cold {k} {v:.3f} ({lo:.3f}-{hi:.3f})"
+                        for (k, v), (lo, hi) in zip(row.get("cold_s", {}).items(),
+                                                    row.get("cold_range_s", {}).values()))
               + (f", {row['templates']} templates" if "templates" in row else ""), flush=True)
 
     document = json.loads(OUT.read_text()) if OUT.exists() else {

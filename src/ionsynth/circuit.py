@@ -584,7 +584,8 @@ def deserialize(document: str) -> Circuit:
             tag = head[0]
             operands = head[1] if len(head) == 2 else ""
             if n_qubits is None and tag != "qubits":
-                raise ParseError(idx, "qubits line must precede gates")
+                raise ParseError(idx, "qubits line must precede "
+                                 + ("meta lines" if tag == "meta" else "gates"))
             record = _RECORDS_BY_TAG.get(tag)
             if record is not None:
                 parsers, rest = record.parsers, record.rest

@@ -35,28 +35,28 @@ flag, then the relative conjugation mode, the scheme and the star axis.
 each Clifford1, CNOT and MS gate as a gate, and each Rz / CRz as a slot
 (qubit, control, factor, zero, ((member, scale), ...)) whose factor is 2 or 4
 times the pullback sign and whose scales are the exact generator string
-weights of unit-coefficient terms.  ``_placed`` puts a template at a group's
-lowest mode once: each gate is shifted up and exchanged for the one shared
-object of its record line (``circuit._shared``, so every fill of every
-template that emits Clifford1(3, "H") emits the same object, the one
-``deserialize`` reads ``cl 3 h`` as), each slot stays as it is, and the
-positions of the slots are noted.  A call copies the placed items and fills in only
-the slots, one gate per item whatever the angles: each slot as an Rz / CRz
-on its qubits shifted up, of angle factor * weight (one shared object per
-equal rotation of the fill), with weight summed from ``zero`` over
+weights of unit-coefficient terms.  ``_lower_group`` places a template at a
+group's lowest mode the first time the shape lands there (``_place``): each
+gate is shifted up and exchanged for the one shared object of its record
+line (``circuit._shared``, so every fill of every template that emits
+Clifford1(3, "H") emits the same object, the one ``deserialize`` reads
+``cl 3 h`` as), each slot stays as it is, and the positions of the slots
+are noted.  A call copies the placed items and fills in only the slots,
+one gate per item whatever the angles: each slot as an Rz / CRz on its
+qubits shifted up, of angle factor * weight (one shared object per equal
+rotation of the fill), with weight summed from ``zero`` over
 theta_j * (coefficient_j * scale) in member order, then string order: the
 order in which the string pool always summed them.
 Every scale and factor is a signed power of two, so coefficient_j * scale is
 the string weight the generator itself computes, and the angles keep their
 last bit, subnormal angles included.
 
-Three caches hold that work: ``_template``, a ``functools.cache`` with one
-entry per group shape; ``_placed``, a ``functools.cache`` keyed by the
-template key and the offset, not by the template tuple; and
-``circuit._SHARED``, one gate object per Clifford1, CNOT and MS record line,
-which ``deserialize`` shares.  They grow with the distinct shapes, offsets
-and angle-free gates a process compiles, never with fills or angles, and
-``_clear_caches()`` empties all three.
+Two caches hold that work: ``_template``, a ``functools.cache`` with one
+entry per group shape, the template's items and a dict of its placements by
+offset; and ``circuit._SHARED``, one gate object per Clifford1, CNOT and MS
+record line, which ``deserialize`` shares.  They grow with the distinct
+shapes, offsets and angle-free gates a process compiles, never with fills
+or angles, and ``_clear_caches()`` empties both.
 """
 
 from __future__ import annotations
@@ -144,13 +144,6 @@ def _push(gate: Gate, s: PauliString) -> PauliString:
     if isinstance(gate, MS):
         return conjugate_by_ms(s, gate.axis, gate.qubits, inverse=gate.direction == "backward")
     raise SynthesisError(f"cannot transport a Pauli through {gate!r}")
-
-
-def _pullback(s: PauliString, gates) -> PauliString:
-    """V&dagger; s V for the circuit prefix ``gates`` (time order)."""
-    for gate in reversed(tuple(gates)):
-        s = _push(inverse(gate), s)
-    return s
 
 
 def _sign_against(e: PauliString, target: PauliString) -> float:
@@ -320,42 +313,45 @@ def _zz_ladder(qubits: tuple[int, ...], rotation: _Slot) -> list:
 
 
 def _sandwich(width: int, axis: str, requests, dressing=_local_dressing, zz_requests=()) -> list:
-    """One dressed MS pair realizing exp(-i sum_t 2 w_t S_t) rotations.
+    """One dressed MS pair V ... V&dagger; realizing exp(-i sum_t 2 w_t S_t)
+    rotations, V the dressing followed by the forward MS gate.
 
     ``requests`` is a sequence of (rotation qubit, weight, target string,
     control), with the weight a (zero, ((member, scale), ...)) pair (see
     ``_Slot``); the emitted Rz slot carries factor 2 * sign with the sign
-    read off the exact pullback, i.e. exp(-i angle/2 E_t) == exp(-i w_t S_t)
-    per rotation.  A request with a control qubit becomes a CRz slot that
-    contributes the (S_t - Z_control S_t)/2 pair at twice the angle.
-    The MS window is the support of the targets, read off the first one;
-    ``dressing`` is the solver (``_local_dressing`` or
+    read off the exact pullback V&dagger; Z_t V, i.e. exp(-i angle/2 E_t) ==
+    exp(-i w_t S_t) per rotation.  A request with a control qubit becomes a
+    CRz slot that contributes the (S_t - Z_control S_t)/2 pair at twice the
+    angle.  The MS window is the support of the targets, read off the first
+    one; ``dressing`` is the solver (``_local_dressing`` or
     ``_entangled_dressing``) that picks the Clifford layer on that window.
-    Rotations are emitted in request order; ``_fill`` turns the slots into
-    gates.
+    V&dagger; is built once, the backward MS gate and then the dressing
+    inverted in reverse order: each pullback pushes its Z string through
+    those gates in time order, and they close the sandwich.  Rotations are
+    emitted in request order; ``_fill`` turns the slots into gates.
     """
     window = requests[0][2].support()
-    dressing = dressing(width, window, axis, requests)
-    prefix: list[Gate] = list(dressing)
+    items: list = dressing(width, window, axis, requests)
+    closing: list[Gate] = [inverse(g) for g in reversed(items)]
     if len(window) > 1:
-        prefix.append(MS(axis, "forward", window))
+        items.append(MS(axis, "forward", window))
+        closing.insert(0, MS(axis, "backward", window))
 
-    rotations: list[_Slot] = []
+    def sign(qubits, target: PauliString) -> float:
+        e = PauliString(width, dict.fromkeys(qubits, "Z"))
+        for gate in closing:
+            e = _push(gate, e)
+        return _sign_against(e, target)
+
     for t, weight, target, control in requests:
         if control in window:
             raise SynthesisError(f"control qubit {control} sits inside the MS window {window}")
-        e = _pullback(PauliString(width, {t: "Z"}), prefix)
         factor = 4.0 if control is not None else 2.0
-        rotations.append(_Slot(t, control, factor * _sign_against(e, target), *weight))
-
-    items: list = [*prefix, *rotations]
+        items.append(_Slot(t, control, factor * sign((t,), target), *weight))
     for qs, weight, target in zz_requests:
         qs = tuple(sorted(qs))
-        e = _pullback(PauliString(width, {q: "Z" for q in qs}), prefix)
-        items.extend(_zz_ladder(qs, _Slot(qs[-1], None, 2.0 * _sign_against(e, target), *weight)))
-    if len(window) > 1:
-        items.append(MS(axis, "backward", window))
-    items.extend(inverse(g) for g in reversed(dressing))
+        items.extend(_zz_ladder(qs, _Slot(qs[-1], None, 2.0 * sign(qs, target), *weight)))
+    items.extend(closing)
     return items
 
 
@@ -374,12 +370,6 @@ def _place(items, offset: int) -> tuple[tuple, tuple[int, ...]]:
     placed = tuple(item if type(item) is _Slot else _shared(_SHIFT[type(item)](item, offset))
                    for item in items)
     return placed, tuple(i for i, item in enumerate(items) if type(item) is _Slot)
-
-
-@functools.cache
-def _placed(key, offset: int) -> tuple[tuple, tuple[int, ...]]:
-    """The template of group shape ``key`` placed at ``offset`` (see _place)."""
-    return _place(_template(key), offset)
 
 
 def _fill(placed, thetas, coefficients, offset: int) -> list[Gate]:
@@ -588,16 +578,17 @@ _SCHEMES = {"layers": _layers, "core_strings": _core_strings, "strings": _string
 
 
 def _clear_caches() -> None:
-    """Empty every cache of synthesis: the templates, the placed templates and
-    the shared angle-free gates (circuit._SHARED)."""
+    """Empty every cache of synthesis: the templates with their placements
+    and the shared angle-free gates (circuit._SHARED)."""
     _template.cache_clear()
-    _placed.cache_clear()
     _SHARED.clear()
 
 
 @functools.cache
-def _template(key) -> tuple:
-    """The angle-free gates of one group shape at offset 0 (see _lower_group).
+def _template(key) -> tuple[tuple, dict[int, tuple[tuple, tuple[int, ...]]]]:
+    """The angle-free gates of one group shape at offset 0 (see _lower_group),
+    and a dict, empty here, of the template placed at each offset it is
+    lowered at, which _lower_group fills through _place.
 
     Derived from unit-coefficient terms, with the sign of the symmetrized
     conjugation folded into each member's coefficient, so every slot scale is
@@ -618,7 +609,7 @@ def _template(key) -> tuple:
     items = _SCHEMES[scheme](terms, width, axis)
     if j is not None:
         items = [Clifford1(j, "S"), *items, Clifford1(j, "SDG")]
-    return tuple(items)
+    return tuple(items), {}
 
 
 def _lower_group(pairs, width: int, *, conjugation_mode: int | None = None,
@@ -652,9 +643,12 @@ def _lower_group(pairs, width: int, *, conjugation_mode: int | None = None,
     if head.symmetrized and scheme != "strings":
         j = (head.sub[0] if conjugation_mode is None else conjugation_mode) - lo
     try:
-        placed = _placed((members, j, scheme, axis), lo)
+        items, placements = _template((members, j, scheme, axis))
     except SynthesisError as exc:
         raise SynthesisError(f"{exc} (qubits counted from {lo})") from None
+    placed = placements.get(lo)
+    if placed is None:
+        placed = placements[lo] = _place(items, lo)
     thetas = [theta for _, theta in pairs]
     coefficients = [t.coefficient for t, _ in pairs]
     return _fill(placed, thetas, coefficients, lo)

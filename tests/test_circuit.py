@@ -351,10 +351,13 @@ def test_wrong_header_version_rejected():
 
 
 def test_gate_before_qubits_line_rejected():
-    doc = "ionsynth-circuit v1\nrz 0 0.5\nqubits 2\n"
-    with pytest.raises(ParseError) as err:
-        deserialize(doc)
-    assert err.value.line_no == 2
+    """A gate or a meta line before the qubits line is refused at its line,
+    and the message names which of the two it is."""
+    for line, named in (("rz 0 0.5", "gates"), ("meta a b", "meta lines")):
+        with pytest.raises(ParseError) as err:
+            deserialize(f"ionsynth-circuit v1\n{line}\nqubits 2\n")
+        assert err.value.line_no == 2
+        assert str(err.value) == f"line 2: qubits line must precede {named}"
 
 
 def test_structural_errors_surface_as_parse_errors_with_line():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -525,11 +526,10 @@ def test_cold_and_warm_builds_serialize_alike(build):
 
 def test_shared_gates_outlive_evicted_templates():
     """The gate cache is keyed by gate value, not by template object, so a
-    template derived and placed again after both template caches are cleared
-    fills the same objects."""
+    template derived and placed again after the template cache, placements
+    included, is cleared fills the same objects."""
     before = build_trotter_step(RANDOM8, TrotterConfig(0.1))
     synth._template.cache_clear()
-    synth._placed.cache_clear()
     after = build_trotter_step(RANDOM8, TrotterConfig(0.1))
     assert after == before
     for g, h in zip(before, after):
@@ -544,17 +544,19 @@ def test_a_cold_build_derives_each_shape_once(build):
     """Every cache is unbounded, so no shape is derived twice in a process, no
     shape is placed twice at one offset and no gate value is built twice."""
     assert synth._template.cache_info().maxsize is None
-    assert synth._placed.cache_info().maxsize is None
-    _cold(build)
-    info = synth._template.cache_info()
-    assert info.misses == info.currsize > 0
-    placed = synth._placed.cache_info()
-    assert placed.misses == placed.currsize >= info.currsize
-    shared = dict(circuit._SHARED)
-    assert shared
-    build()
-    assert synth._template.cache_info().misses == info.misses
-    assert synth._placed.cache_info().misses == placed.misses
+    with mock.patch.object(synth, "_place", wraps=synth._place) as place:
+        _cold(build)
+        info = synth._template.cache_info()
+        assert info.misses == info.currsize > 0
+        # the template items are cached, so their ids name the shapes
+        placements = {(id(call.args[0]), call.args[1]) for call in place.call_args_list}
+        assert len(placements) == place.call_count >= info.currsize
+        shared = dict(circuit._SHARED)
+        assert shared
+        place.reset_mock()
+        build()
+        assert synth._template.cache_info().misses == info.misses
+        assert place.call_count == 0
     assert circuit._SHARED == shared
     assert all(circuit._SHARED[key] is g for key, g in shared.items())
 

@@ -814,11 +814,14 @@ def _record_line(g):
 
 def _lowered_with_template(pairs, width, **options):
     """(gates, template items, offset of the template, placed items) of one
-    _lower_group call."""
-    with mock.patch.object(synth, "_placed", wraps=synth._placed) as placed:
+    _lower_group call: the placement is the one of the template's placements
+    whose gate objects the call emitted, and there must be exactly one."""
+    with mock.patch.object(synth, "_template", wraps=synth._template) as template:
         gates = _lower_group(pairs, width, **options)
-    key, offset = placed.call_args.args
-    return gates, _template(key), offset, synth._placed(key, offset)[0]
+    items, placements = _template(*template.call_args.args)
+    (offset,) = [o for o, (placed, _) in placements.items()
+                 if all(g is at for g, at in zip(gates, placed) if type(at) is not _Slot)]
+    return gates, items, offset, placements[offset][0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -892,6 +895,29 @@ def test_coupled_exchange_group_keeps_its_shape_at_any_coefficient():
         assert len(gates) == len(template) == 12
         shapes.append(_without_angles(gates))
     assert shapes[0] == shapes[1] == shapes[2]
+
+
+@pytest.mark.parametrize("pairs", [
+    [(single(1, 4), 0.3)],
+    [(double(0, 2, 3, 5), 0.1), (double(0, 3, 2, 5), 0.2), (double(0, 5, 2, 3), 0.3)],
+    [(controlled_single(0, 3, 5), 0.4)],
+], ids=["single", "double", "controlled_single"])
+def test_a_template_derivation_builds_only_the_gates_it_keeps(pairs):
+    """A local-dressing sandwich builds its closing gates once and reads every
+    pullback sign through them, so deriving a template constructs each of its
+    Clifford1 and MS gates once and no other."""
+    width = 1 + max(t.modes[-1] for t, _ in pairs)
+    with mock.patch.object(synth, "_template", wraps=synth._template) as template:
+        _lower_group(pairs, width)
+    (key,) = template.call_args.args
+    _clear_caches()
+    patches = [mock.patch.object(kind, "__init__", autospec=True, side_effect=kind.__init__)
+               for kind in (Clifford1, MS)]
+    with patches[0] as cl, patches[1] as ms:
+        items, _ = _template(key)
+    assert not any(type(item) is CNOT for item in items)
+    assert cl.call_count == sum(type(item) is Clifford1 for item in items) > 0
+    assert ms.call_count == sum(type(item) is MS for item in items) > 0
 
 
 def test_template_angles_sum_in_member_order_to_the_last_bit():
