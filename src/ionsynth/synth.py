@@ -10,10 +10,12 @@ it targets (under Jordan-Wigner their parity qubits included), read off the
 targets by ``_sandwich`` and nowhere else; its dressing comes from the solver
 it is given, per-qubit Clifford words (``_local_dressing``, the star layers)
 or a CNOT-assisted reduction (``_entangled_dressing``), so a layer's kind is
-its solver.  Signs are never tabulated by hand here: the pullback is
-computed exactly over the Pauli group, the resulting +-1 is folded into the
-rotation angle, and the dense-matrix oracle in the test suite checks the
-product phase-exactly.
+its solver.  Signs are never tabulated by hand here: ``_sandwich``
+computes each request's image MS&dagger; Z_t MS once, the solver only picks
+the Clifford gates that map it onto the target, and the sign is read
+exactly over the Pauli group by pushing the image through the inverted
+dressing; the resulting +-1 is folded into the rotation angle, and the
+dense-matrix oracle in the test suite checks the product phase-exactly.
 
 None of that depends on the angles, so the one group lowering
 (``_lower_group``) derives it once per group shape.  Every excitation compiler
@@ -120,29 +122,15 @@ class SynthesisError(ValueError):
 _AXIS_LETTER = {"xx": "X", "yy": "Y"}
 
 
-def _pull_perm(name: str) -> dict[str, str]:
-    """Sign-free letter action of the inverse of a one-qubit Clifford, the
-    action a dressing word applies under pullback."""
-    out = {}
-    for letter in "XYZ":
-        image = conjugate_by_clifford(PauliString(1, {0: letter}), name, (0,))
-        out[image.letter(0)] = letter
-    return out
-
-
-_PULL_PERM = {name: _pull_perm(name) for name in CLIFFORD1_NAMES}
-
-
 # --- exact Heisenberg transport ----------------------------------------------
 
 def _push(gate: Gate, s: PauliString) -> PauliString:
-    """Image g s g&dagger; for the Clifford gates synthesis emits."""
+    """Image g s g&dagger; for the gates a dressing solver emits, Clifford1
+    and CNOT; only ``_sandwich`` conjugates by an MS gate."""
     if isinstance(gate, Clifford1):
         return conjugate_by_clifford(s, gate.name, (gate.qubit,))
     if isinstance(gate, CNOT):
         return conjugate_by_clifford(s, "CNOT", (gate.control, gate.target))
-    if isinstance(gate, MS):
-        return conjugate_by_ms(s, gate.axis, gate.qubits, inverse=gate.direction == "backward")
     raise SynthesisError(f"cannot transport a Pauli through {gate!r}")
 
 
@@ -161,34 +149,42 @@ def _sign_against(e: PauliString, target: PauliString) -> float:
 
 # --- local dressing search -----------------------------------------------------
 
+def _letter_words() -> dict[str, tuple[str, ...]]:
+    """Each sign-free letter map a dressing word's pullback applies, keyed by
+    the images of X, Y and Z, to the first word that realizes it: words
+    shortest first, CLIFFORD1_NAMES in order, so compiled circuits are
+    reproducible gate for gate.  A one-qubit Clifford permutes the three
+    letters, so the search stops at the sixth map."""
+    words: dict[str, tuple[str, ...]] = {}
+    for length in itertools.count():
+        for word in itertools.product(CLIFFORD1_NAMES, repeat=length):
+            images = ""
+            for letter in "XYZ":
+                e = PauliString(1, {0: letter})
+                for name in reversed(word):
+                    e = _push(inverse(Clifford1(0, name)), e)
+                images += e.letter(0)
+            words.setdefault(images, word)
+            if len(words) == 6:
+                return words
+
+
+_LETTER_WORDS = _letter_words()
+
+
 def _solve_letter_word(rows: dict[str, str]) -> tuple[str, ...]:
     """Shortest Clifford word whose pullback maps each base letter as asked."""
-    for length in range(4):
-        # CLIFFORD1_NAMES in order, shortest words first, so compiled circuits
-        # are reproducible gate for gate
-        for word in itertools.product(CLIFFORD1_NAMES, repeat=length):
-            mapping = {letter: letter for letter in "XYZ"}
-            for name in word:
-                pull = _PULL_PERM[name]
-                mapping = {L: mapping[pull[L]] for L in "XYZ"}
-            if all(mapping[b] == t for b, t in rows.items()):
-                return word
+    for images, word in _LETTER_WORDS.items():
+        if all(images["XYZ".index(b)] == t for b, t in rows.items()):
+            return word
     raise SynthesisError(f"no dressing word of length <= 3 realizes {rows}")
 
 
-def _local_dressing(
-    width: int,
-    window: tuple[int, ...],
-    axis: str,
-    requests,
-) -> list[Gate]:
-    """Per-qubit Clifford words turning MS-conjugated Z's into the targets."""
-    bases = {}
-    for t, _, _, _ in requests:
-        bases[t] = conjugate_by_ms(PauliString(width, {t: "Z"}), axis, window, inverse=True)
+def _local_dressing(width: int, window: tuple[int, ...], images, requests) -> list[Gate]:
+    """Per-qubit Clifford words mapping each request's image, MS&dagger; Z_t MS
+    as ``_sandwich`` computed it, letter by letter onto its target."""
     rows: dict[int, dict[str, str]] = {k: {} for k in window}
-    for t, _, target, _ in requests:
-        base = bases[t]
+    for base, (_, _, target, _) in zip(images, requests):
         for k in window:
             b, want = base.letter(k), target.letter(k)
             if want == "I":
@@ -254,27 +250,19 @@ def _reduce_to_z(strings, targets, width: int) -> list[Gate]:
     return gates
 
 
-def _entangled_dressing(
-    width: int,
-    window: tuple[int, ...],
-    axis: str,
-    requests,
-) -> list[Gate]:
+def _entangled_dressing(width: int, window: tuple[int, ...], images, requests) -> list[Gate]:
     """Joint Clifford dressing for a layer local words cannot realize.
 
-    Builds D with D s_i D&dagger; = +-(MS&dagger; Z_{t_i} MS), so the pullback
-    of Z_{t_i} through [D, MS] lands on +-s_i.  Composed from two reductions
+    Builds D with D s_i D&dagger; = +-e_i, e_i the request's image
+    MS&dagger; Z_{t_i} MS as ``_sandwich`` computed it, so the pullback of
+    Z_{t_i} through [D, MS] lands on +-s_i.  Composed from two reductions
     onto the same Z targets.
     """
     targets = [t for t, _, _, _ in requests]
     layer = [s for _, _, s, _ in requests]
-    bases = [
-        conjugate_by_ms(PauliString(width, {t: "Z"}), axis, window, inverse=True)
-        for t in targets
-    ]
     to_z_from_layer = _reduce_to_z(layer, targets, width)
-    to_z_from_bases = _reduce_to_z(bases, targets, width)
-    return to_z_from_layer + [inverse(g) for g in reversed(to_z_from_bases)]
+    to_z_from_images = _reduce_to_z(images, targets, width)
+    return to_z_from_layer + [inverse(g) for g in reversed(to_z_from_images)]
 
 
 # --- the sandwich assembler ----------------------------------------------------
@@ -325,33 +313,41 @@ def _sandwich(width: int, axis: str, requests, dressing=_local_dressing, zz_requ
     angle.  The MS window is the support of the targets, read off the first
     one; ``dressing`` is the solver (``_local_dressing`` or
     ``_entangled_dressing``) that picks the Clifford layer on that window.
-    V&dagger; is built once, the backward MS gate and then the dressing
-    inverted in reverse order: each pullback pushes its Z string through
-    those gates in time order, and they close the sandwich.  Rotations are
-    emitted in request order; ``_fill`` turns the slots into gates.
+    This is the one place synthesis conjugates by an MS gate: each request's
+    image MS&dagger; Z_t MS (Z_qs for a ZZ request) is computed once, the
+    solver maps the rotation images onto their targets, and each sign is
+    read by pushing the image through the inverted dressing, which closes
+    the sandwich after the backward MS gate.  Rotations are emitted in
+    request order; ``_fill`` turns the slots into gates.
     """
     window = requests[0][2].support()
-    items: list = dressing(width, window, axis, requests)
-    closing: list[Gate] = [inverse(g) for g in reversed(items)]
-    if len(window) > 1:
-        items.append(MS(axis, "forward", window))
-        closing.insert(0, MS(axis, "backward", window))
 
-    def sign(qubits, target: PauliString) -> float:
-        e = PauliString(width, dict.fromkeys(qubits, "Z"))
-        for gate in closing:
+    def image(qubits) -> PauliString:
+        z = PauliString(width, dict.fromkeys(qubits, "Z"))
+        return conjugate_by_ms(z, axis, window, inverse=True)
+
+    images = [image((t,)) for t, _, _, _ in requests]
+    items: list = dressing(width, window, images, requests)
+    undress: list[Gate] = [inverse(g) for g in reversed(items)]
+
+    def sign(e: PauliString, target: PauliString) -> float:
+        for gate in undress:
             e = _push(gate, e)
         return _sign_against(e, target)
 
-    for t, weight, target, control in requests:
+    if len(window) > 1:
+        items.append(MS(axis, "forward", window))
+    for (t, weight, target, control), e in zip(requests, images):
         if control in window:
             raise SynthesisError(f"control qubit {control} sits inside the MS window {window}")
         factor = 4.0 if control is not None else 2.0
-        items.append(_Slot(t, control, factor * sign((t,), target), *weight))
+        items.append(_Slot(t, control, factor * sign(e, target), *weight))
     for qs, weight, target in zz_requests:
         qs = tuple(sorted(qs))
-        items.extend(_zz_ladder(qs, _Slot(qs[-1], None, 2.0 * sign(qs, target), *weight)))
-    items.extend(closing)
+        items.extend(_zz_ladder(qs, _Slot(qs[-1], None, 2.0 * sign(image(qs), target), *weight)))
+    if len(window) > 1:
+        items.append(MS(axis, "backward", window))
+    items.extend(undress)
     return items
 
 
@@ -623,14 +619,15 @@ def _lower_group(pairs, width: int, *, conjugation_mode: int | None = None,
     come from the template of the group's shape, one per item (see the module
     docstring); only the angles are computed per call.
     """
-    # sub and sup are ascending, so each term's lowest and highest modes are
-    # ends of them or its control
-    ends = []
+    # each term's modes are ascending, control included; fused controlled
+    # singles differ in their controls, so the ends are taken over all members
+    lo, hi = pairs[0][0].modes[0], pairs[0][0].modes[-1]
     for t, _ in pairs:
-        ends += t.sub[0], t.sup[0], t.sub[-1], t.sup[-1]
-        if t.control is not None:
-            ends.append(t.control)
-    lo, hi = min(ends), max(ends)
+        modes = t.modes
+        if modes[0] < lo:
+            lo = modes[0]
+        if modes[-1] > hi:
+            hi = modes[-1]
     if hi >= width:
         raise SynthesisError(f"register of {width} qubits cannot hold mode {hi}")
     members = tuple(

@@ -33,7 +33,13 @@ from ionsynth.fermion import (
 )
 from ionsynth.evolution import fusion_groups
 from ionsynth.integrals import h3plus_builtin
-from ionsynth.pauli import PauliString, PauliSum, from_label
+from ionsynth.pauli import (
+    CLIFFORD1_NAMES,
+    PauliString,
+    PauliSum,
+    conjugate_by_clifford,
+    from_label,
+)
 from ionsynth.synth import (
     SynthesisError,
     _Slot,
@@ -897,27 +903,86 @@ def test_coupled_exchange_group_keeps_its_shape_at_any_coefficient():
     assert shapes[0] == shapes[1] == shapes[2]
 
 
+def _derived_key(pairs, **options):
+    """The template key _lower_group derives for ``pairs``, every cache
+    emptied afterwards so the next _template call derives it afresh."""
+    width = 1 + max(t.modes[-1] for t, _ in pairs)
+    with mock.patch.object(synth, "_template", wraps=synth._template) as template:
+        _lower_group(pairs, width, **options)
+    (key,) = template.call_args.args
+    _clear_caches()
+    return key
+
+
 @pytest.mark.parametrize("pairs", [
     [(single(1, 4), 0.3)],
     [(double(0, 2, 3, 5), 0.1), (double(0, 3, 2, 5), 0.2), (double(0, 5, 2, 3), 0.3)],
     [(controlled_single(0, 3, 5), 0.4)],
 ], ids=["single", "double", "controlled_single"])
 def test_a_template_derivation_builds_only_the_gates_it_keeps(pairs):
-    """A local-dressing sandwich builds its closing gates once and reads every
-    pullback sign through them, so deriving a template constructs each of its
-    Clifford1 and MS gates once and no other."""
-    width = 1 + max(t.modes[-1] for t, _ in pairs)
-    with mock.patch.object(synth, "_template", wraps=synth._template) as template:
-        _lower_group(pairs, width)
-    (key,) = template.call_args.args
-    _clear_caches()
+    """A local-dressing sandwich builds its closing gates once and conjugates
+    each request's Z string by the MS gate once, so deriving a template
+    constructs each of its Clifford1 and MS gates once and no other, and
+    calls conjugate_by_ms once per rotation slot."""
+    key = _derived_key(pairs)
     patches = [mock.patch.object(kind, "__init__", autospec=True, side_effect=kind.__init__)
                for kind in (Clifford1, MS)]
-    with patches[0] as cl, patches[1] as ms:
+    conjugations = mock.patch.object(synth, "conjugate_by_ms", wraps=synth.conjugate_by_ms)
+    with patches[0] as cl, patches[1] as ms, conjugations as conj:
         items, _ = _template(key)
     assert not any(type(item) is CNOT for item in items)
     assert cl.call_count == sum(type(item) is Clifford1 for item in items) > 0
     assert ms.call_count == sum(type(item) is MS for item in items) > 0
+    assert conj.call_count == sum(type(item) is _Slot for item in items) > 0
+
+
+@pytest.mark.parametrize("pairs, scheme", [
+    ([(double(0, 1, 2, 3), 0.37)], "ladder"),
+    ([(higher_excitation([0, 1, 2], [3, 4, 5]), 0.23)], "layers"),
+], ids=["mixed_cnot", "order_three"])
+def test_a_template_derivation_conjugates_each_request_by_ms_once(pairs, scheme):
+    """The ZZ requests of the CNOT-ladder scheme and the CNOT-assisted layers
+    of order three also cost one conjugate_by_ms call per rotation slot."""
+    key = _derived_key(pairs, scheme=scheme)
+    with mock.patch.object(synth, "conjugate_by_ms", wraps=synth.conjugate_by_ms) as conj:
+        items, _ = _template(key)
+    assert any(type(item) is CNOT for item in items)
+    assert conj.call_count == sum(type(item) is _Slot for item in items) > 0
+
+
+def _reference_letter_word(rows):
+    """The search the letter-word table replaces: every word of at most three
+    CLIFFORD1_NAMES gates, shortest first, the first whose pullback maps each
+    base letter as ``rows`` asks, or None.  The pullback inverts the word's
+    forward letter map, computed through conjugate_by_clifford."""
+    for length in range(4):
+        for word in itertools.product(CLIFFORD1_NAMES, repeat=length):
+            pull = {}
+            for letter in "XYZ":
+                e = PauliString(1, {0: letter})
+                for name in word:
+                    e = conjugate_by_clifford(e, name, (0,))
+                pull[e.letter(0)] = letter
+            if all(pull[b] == t for b, t in rows.items()):
+                return word
+    return None
+
+
+def test_letter_words_match_the_search_they_replace():
+    assert len(synth._LETTER_WORDS) == 6
+    found = 0
+    # every partial map from {X, Y, Z} into {X, Y, Z}
+    for images in itertools.product((None, "X", "Y", "Z"), repeat=3):
+        rows = {b: t for b, t in zip("XYZ", images) if t is not None}
+        want = _reference_letter_word(rows)
+        if want is None:
+            with pytest.raises(SynthesisError, match="no dressing word"):
+                synth._solve_letter_word(rows)
+        else:
+            assert synth._solve_letter_word(rows) == want
+            found += 1
+    # the empty map, 9 one-letter maps, 18 two-letter and 6 full ones
+    assert found == 34
 
 
 def test_template_angles_sum_in_member_order_to_the_last_bit():
