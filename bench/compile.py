@@ -45,7 +45,10 @@ shape's gates (synth._template) and, in later sources, hands out one shared
 object per Clifford gate value (synth._gate, or the synth._SHARED dict of
 older sources); sources that also cache each template placed at each offset
 and keep the shared gates in circuit.py empty all of these with
-synth._clear_caches.  Where the measured sources have the template cache,
+synth._clear_caches, which in sources that plan UCCSD layers also empties
+evolution's cached excitation lists and layer plans, so cold_s of
+build_uccsd_layer derives and places every excitation's template again.
+Where the measured sources have the template cache,
 the record also holds cold_s, the median of five cold builds of each of
 build_trotter_step and build_uccsd_layer, each timed right after every
 cache the sources have is cleared and a full garbage collection, their

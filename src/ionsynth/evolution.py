@@ -12,7 +12,12 @@ double-excitation block, controlled singles with the same core and effective
 MS window share one sandwich.  The baseline schedule makes every term its own
 group and keeps two differences: controlled terms spend one CRz sandwich per
 core string, and the complex orbital class goes string by string.  A UCCSD
-layer lowers each excitation as a group of one.
+layer lowers each excitation as a group of one through a plan kept per layer
+shape (register, occupied and virtual lists, scheme; never the angles): the
+placed template, offset and coefficient of each excitation, looked up once
+through synth's ``_placement``, so a rebuild with new angles only runs
+``_fill`` per excitation.  ``synth._clear_caches()`` empties the plans and
+the excitation lists under them.
 
 First-order Trotter semantics make the term order part of the contract, so
 everything here is deterministic: excitation terms keep their canonical
@@ -21,6 +26,7 @@ ordering and fused groups sit at the position of their first member.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +34,7 @@ import numpy as np
 from .circuit import Circuit, Clifford1, Gate, GlobalPhase, Rz, Rzz
 from .fermion import ExcitationTerm, HamiltonianTerms, double, local_pauli, single
 from .pauli import _index, _real
-from .synth import _lower_group
+from .synth import _PLAN_CLEARS, _fill, _lower_group, _placement
 from .verify import circuit_unitary, dense_sum
 
 __all__ = [
@@ -46,6 +52,13 @@ __all__ = [
 
 class EvolutionError(ValueError):
     """Raised for invalid ansatz or Trotter configurations."""
+
+
+def _collection(values, what: str, items: str) -> tuple:
+    try:
+        return tuple(values)
+    except TypeError:
+        raise EvolutionError(f"{what} {values!r} is not a collection of {items}") from None
 
 
 # --- domain types ---------------------------------------------------------------
@@ -66,9 +79,12 @@ class AnsatzSpec:
 
     def __post_init__(self) -> None:
         n_modes = _index(self.n_modes, "mode count", EvolutionError)
-        occ = tuple(_index(m, "mode", EvolutionError, n_modes) for m in self.occupied)
-        vir = tuple(_index(m, "mode", EvolutionError, n_modes) for m in self.virtual)
-        parameters = tuple(_real(x, "parameter", EvolutionError) for x in self.parameters)
+        occ = tuple([_index(m, "mode", EvolutionError, n_modes)
+                     for m in _collection(self.occupied, "occupied list", "modes")])
+        vir = tuple([_index(m, "mode", EvolutionError, n_modes)
+                     for m in _collection(self.virtual, "virtual list", "modes")])
+        parameters = tuple([_real(x, "parameter", EvolutionError)
+                            for x in _collection(self.parameters, "parameter list", "angles")])
         object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "occupied", occ)
         object.__setattr__(self, "virtual", vir)
@@ -77,7 +93,7 @@ class AnsatzSpec:
             raise EvolutionError("repeated mode in occupied or virtual list")
         if set(occ) & set(vir):
             raise EvolutionError("occupied and virtual lists overlap")
-        expected = len(_single_pairs(occ, vir)) + len(_double_quads(occ, vir))
+        expected = len(_excitations(occ, vir))
         if len(self.parameters) != expected:
             raise EvolutionError(
                 f"{len(self.parameters)} parameters for {expected} excitations"
@@ -125,13 +141,33 @@ def _double_quads(occupied, virtual) -> list[tuple[int, int, int, int]]:
     return out
 
 
+@functools.cache
+def _excitations(occupied, virtual) -> tuple[ExcitationTerm, ...]:
+    """The excitation terms of checked mode lists, in parameter order; terms
+    are frozen, so every spec and plan with these lists shares them."""
+    singles = [single(i, a) for i, a in _single_pairs(occupied, virtual)]
+    doubles = [double(a, b, i, j) for i, j, a, b in _double_quads(occupied, virtual)]
+    return tuple(singles + doubles)
+
+
+@functools.cache
+def _layer_plan(n_modes: int, occupied, virtual, scheme: str) -> tuple:
+    """One (placed template, offset, coefficients) per excitation of a layer
+    shape: what synth's ``_lower_group`` looks up for the excitation as a
+    group of one, found once, so a build only fills in the angles."""
+    plan = []
+    for t in _excitations(occupied, virtual):
+        placed, lo = _placement((t,), n_modes, scheme=scheme)
+        plan.append((placed, lo, (t.coefficient,)))
+    return tuple(plan)
+
+
+_PLAN_CLEARS.extend((_excitations.cache_clear, _layer_plan.cache_clear))
+
+
 def uccsd_excitations(spec: AnsatzSpec) -> tuple[ExcitationTerm, ...]:
     """The generated excitation terms in parameter order."""
-    singles = [single(i, a) for i, a in _single_pairs(spec.occupied, spec.virtual)]
-    doubles = [
-        double(a, b, i, j) for i, j, a, b in _double_quads(spec.occupied, spec.virtual)
-    ]
-    return tuple(singles + doubles)
+    return _excitations(spec.occupied, spec.virtual)
 
 
 def build_uccsd_layer(spec: AnsatzSpec, scheduling: str = "parallelized") -> Circuit:
@@ -144,16 +180,18 @@ def build_uccsd_layer(spec: AnsatzSpec, scheduling: str = "parallelized") -> Cir
     if scheduling not in ("parallelized", "baseline"):
         raise EvolutionError(f"unknown scheduling {scheduling!r}")
     scheme = "strings" if scheduling == "baseline" else "layers"
+    plan = _layer_plan(spec.n_modes, spec.occupied, spec.virtual, scheme)
     gates: list[Gate] = []
-    for t, theta in zip(uccsd_excitations(spec), spec.parameters):
-        gates.extend(_lower_group([(t, theta)], spec.n_modes, scheme=scheme))
+    for (placed, lo, coefficients), theta in zip(plan, spec.parameters):
+        gates.extend(_fill(placed, (theta,), coefficients, lo))
     return Circuit(spec.n_modes, tuple(gates), {"op": f"uccsd_{scheduling}"})
 
 
 def prepare_reference(occupied, n_modes: int) -> Circuit:
     """X gates writing the occupation bitstring onto |0...0>."""
     n_modes = _index(n_modes, "mode count", EvolutionError)
-    occ = sorted(_index(m, "mode", EvolutionError, n_modes) for m in occupied)
+    occ = sorted([_index(m, "mode", EvolutionError, n_modes)
+                  for m in _collection(occupied, "occupied list", "modes")])
     if len(set(occ)) != len(occ):
         raise EvolutionError("repeated mode in occupied list")
     gates = tuple(Clifford1(m, "X") for m in occ)

@@ -37,15 +37,16 @@ flag, then the relative conjugation mode, the scheme and the star axis.
 each Clifford1, CNOT and MS gate as a gate, and each Rz / CRz as a slot
 (qubit, control, factor, zero, ((member, scale), ...)) whose factor is 2 or 4
 times the pullback sign and whose scales are the exact generator string
-weights of unit-coefficient terms.  ``_lower_group`` places a template at a
-group's lowest mode the first time the shape lands there (``_place``): each
-gate is shifted up and exchanged for the one shared object of its record
-line (``circuit._shared``, so every fill of every template that emits
-Clifford1(3, "H") emits the same object, the one ``deserialize`` reads
-``cl 3 h`` as), each slot stays as it is, and the positions of the slots
-are noted.  A call copies the placed items and fills in only the slots,
-one gate per item whatever the angles: each slot as an Rz / CRz on its
-qubits shifted up, of angle factor * weight (one shared object per equal
+weights of unit-coefficient terms.  ``_lower_group`` looks up its group's
+placed template (``_placement``) and fills it (``_fill``).  ``_placement``
+places a template at a group's lowest mode the first time the shape lands
+there (``_place``): each gate is shifted up and exchanged for the one
+shared object of its record line (``circuit._shared``, so every fill of
+every template that emits Clifford1(3, "H") emits the same object, the one
+``deserialize`` reads ``cl 3 h`` as), each slot stays as it is, and the
+positions of the slots are noted.  A fill copies the placed items and
+fills in only the slots, one gate per item whatever the angles: each slot
+as an Rz / CRz on its qubits shifted up, of angle factor * weight (one shared object per equal
 rotation of the fill), with weight summed from ``zero`` over
 theta_j * (coefficient_j * scale) in member order, then string order: the
 order in which the string pool always summed them.
@@ -53,12 +54,16 @@ Every scale and factor is a signed power of two, so coefficient_j * scale is
 the string weight the generator itself computes, and the angles keep their
 last bit, subnormal angles included.
 
-Two caches hold that work: ``_template``, a ``functools.cache`` with one
-entry per group shape, the template's items and a dict of its placements by
-offset; and ``circuit._SHARED``, one gate object per Clifford1, CNOT and MS
-record line, which ``deserialize`` shares.  They grow with the distinct
-shapes, offsets and angle-free gates a process compiles, never with fills
-or angles, and ``_clear_caches()`` empties both.
+Caches hold that work: ``_template``, a ``functools.cache`` with one entry
+per group shape, the template's items and a dict of its placements by
+offset; ``circuit._SHARED``, one gate object per Clifford1, CNOT and MS
+record line, which ``deserialize`` shares; and, registered in
+``_PLAN_CLEARS`` when evolution is imported, its UCCSD excitation lists and
+layer plans, one placed template per excitation of a layer shape found
+through ``_placement``, so a layer rebuilt with new angles only fills.  They
+grow with the distinct shapes, offsets, layer shapes and angle-free gates a
+process compiles, never with fills or angles, and ``_clear_caches()``
+empties them all.
 """
 
 from __future__ import annotations
@@ -573,11 +578,19 @@ _SCHEMES = {"layers": _layers, "core_strings": _core_strings, "strings": _string
             "halves": _halves, "ladder": _ladder}
 
 
+# cache_clear of each cache that holds placed templates outside this module
+# (evolution's UCCSD layer plans), added by its module at import
+_PLAN_CLEARS: list = []
+
+
 def _clear_caches() -> None:
-    """Empty every cache of synthesis: the templates with their placements
-    and the shared angle-free gates (circuit._SHARED)."""
+    """Empty every cache of compilation: the templates with their placements,
+    the shared angle-free gates (circuit._SHARED) and each cache in
+    ``_PLAN_CLEARS``, so the next build derives everything cold."""
     _template.cache_clear()
     _SHARED.clear()
+    for clear in _PLAN_CLEARS:
+        clear()
 
 
 @functools.cache
@@ -608,21 +621,15 @@ def _template(key) -> tuple[tuple, dict[int, tuple[tuple, tuple[int, ...]]]]:
     return tuple(items), {}
 
 
-def _lower_group(pairs, width: int, *, conjugation_mode: int | None = None,
-                 scheme: str = "layers", axis: str = "xx") -> list[Gate]:
-    """Gates for one fusion group: commuting same-shape (term, angle) pairs,
-    spent by ``scheme`` with the first star layer on ``axis``.
-
-    Except under ``strings``, symmetrized terms become their antisymmetrized
-    twins wrapped in S_j ... S_j&dagger;; j is the first creation mode, where
-    every sign is +1, unless ``conjugation_mode`` names another.  The gates
-    come from the template of the group's shape, one per item (see the module
-    docstring); only the angles are computed per call.
-    """
+def _placement(terms, width: int, *, conjugation_mode: int | None = None,
+               scheme: str = "layers", axis: str = "xx") -> tuple[tuple, int]:
+    """The template of one fusion group's shape placed at the group's lowest
+    mode, and that mode: the angle-free half of ``_lower_group``, which
+    evolution's UCCSD layer plans keep per excitation."""
     # each term's modes are ascending, control included; fused controlled
     # singles differ in their controls, so the ends are taken over all members
-    lo, hi = pairs[0][0].modes[0], pairs[0][0].modes[-1]
-    for t, _ in pairs:
+    lo, hi = terms[0].modes[0], terms[0].modes[-1]
+    for t in terms:
         modes = t.modes
         if modes[0] < lo:
             lo = modes[0]
@@ -633,9 +640,9 @@ def _lower_group(pairs, width: int, *, conjugation_mode: int | None = None,
     members = tuple(
         (t.kind, tuple([m - lo for m in t.sub]), tuple([m - lo for m in t.sup]),
          None if t.control is None else t.control - lo, t.symmetrized)
-        for t, _ in pairs
+        for t in terms
     )
-    head = pairs[0][0]
+    head = terms[0]
     j = None
     if head.symmetrized and scheme != "strings":
         j = (head.sub[0] if conjugation_mode is None else conjugation_mode) - lo
@@ -646,6 +653,21 @@ def _lower_group(pairs, width: int, *, conjugation_mode: int | None = None,
     placed = placements.get(lo)
     if placed is None:
         placed = placements[lo] = _place(items, lo)
+    return placed, lo
+
+
+def _lower_group(pairs, width: int, **options) -> list[Gate]:
+    """Gates for one fusion group: commuting same-shape (term, angle) pairs,
+    spent by ``scheme`` with the first star layer on ``axis`` (the keyword
+    options of ``_placement``).
+
+    Except under ``strings``, symmetrized terms become their antisymmetrized
+    twins wrapped in S_j ... S_j&dagger;; j is the first creation mode, where
+    every sign is +1, unless ``conjugation_mode`` names another.  The gates
+    come from the template of the group's shape, one per item (see the module
+    docstring); only the angles are computed per call.
+    """
+    placed, lo = _placement([t for t, _ in pairs], width, **options)
     thetas = [theta for _, theta in pairs]
     coefficients = [t.coefficient for t, _ in pairs]
     return _fill(placed, thetas, coefficients, lo)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionsynth import circuit, synth
+from ionsynth import circuit, evolution, synth
 from ionsynth.circuit import (
     CNOT,
     MS,
@@ -35,6 +35,7 @@ from ionsynth.evolution import (
     uccsd_excitations,
 )
 from ionsynth.fermion import (
+    ExcitationTerm,
     FermionError,
     HamiltonianTerms,
     controlled_single,
@@ -98,6 +99,12 @@ def test_ansatz_spec_guards():
         AnsatzSpec(4, (0, 1), (2, 5), ())
     with pytest.raises(EvolutionError):
         AnsatzSpec(6, (0, 1), (2, 3, 4, 5), (0.1,))
+    with pytest.raises(EvolutionError, match="parameter list None is not a collection of angles"):
+        AnsatzSpec(6, (0, 1), (2, 3, 4, 5), None)
+    with pytest.raises(EvolutionError, match="occupied list 3 is not a collection of modes"):
+        AnsatzSpec(6, 3, (2, 3, 4, 5), ())
+    with pytest.raises(EvolutionError, match="virtual list 2 is not a collection of modes"):
+        AnsatzSpec(6, (0, 1), 2, ())
 
 
 @pytest.mark.parametrize("occupied, virtual", [
@@ -215,6 +222,77 @@ def test_uccsd_degenerate_specs_give_empty_circuits():
         build_uccsd_layer(H3_SPEC, scheduling="eager")
 
 
+def test_a_warm_layer_build_only_fills_in_angles():
+    """A rebuild of a layer shape with fresh angles builds no excitation term,
+    derives no template and places none: it only fills the plan's slots."""
+    occupied, virtual = (0, 1, 2), (3, 4, 5, 6, 7)
+    count = _excitation_count(occupied, virtual)
+    rng = random.Random(33)
+    warm, fresh = (AnsatzSpec(8, occupied, virtual,
+                              tuple(rng.uniform(-1.0, 1.0) for _ in range(count)))
+                   for _ in range(2))
+    schedulings = ("parallelized", "baseline")
+    before = [build_uccsd_layer(warm, scheduling) for scheduling in schedulings]
+    misses = synth._template.cache_info().misses
+    with mock.patch.object(ExcitationTerm, "__init__", autospec=True,
+                           side_effect=ExcitationTerm.__init__) as made, \
+            mock.patch.object(synth, "_place", wraps=synth._place) as place:
+        after = [build_uccsd_layer(fresh, scheduling) for scheduling in schedulings]
+    assert made.call_count == 0
+    assert place.call_count == 0
+    assert synth._template.cache_info().misses == misses
+    for old, new in zip(before, after):
+        assert len(new.gates) == len(old.gates)
+        assert new != old
+
+
+def _excitation_count(occupied, virtual) -> int:
+    """Spin-preserving singles and doubles, counted over the alpha (even) and
+    beta (odd) halves rather than enumerated."""
+    oa, ob = (sum(int(m) % 2 == parity for m in occupied) for parity in (0, 1))
+    va, vb = (sum(int(m) % 2 == parity for m in virtual) for parity in (0, 1))
+    return (oa * va + ob * vb + math.comb(oa, 2) * math.comb(va, 2)
+            + math.comb(ob, 2) * math.comb(vb, 2) + oa * ob * va * vb)
+
+
+_ANGLES = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308]),
+)
+
+
+@st.composite
+def uccsd_specs(draw):
+    """Specs of up to 8 modes: occupied and virtual lists in shuffled order,
+    some modes in neither, numpy integers mixed in, angles with signed zeros
+    and subnormals."""
+    n = draw(st.integers(2, 8))
+    modes = draw(st.permutations(range(n)))
+    k = draw(st.integers(1, n - 1))
+    end = n - draw(st.integers(0, min(2, n - k - 1)))
+    modes = [np.int64(m) if draw(st.booleans()) else m for m in modes]
+    occupied, virtual = tuple(modes[:k]), tuple(modes[k:end])
+    angles = draw(st.lists(_ANGLES, min_size=_excitation_count(occupied, virtual),
+                           max_size=_excitation_count(occupied, virtual)))
+    return AnsatzSpec(n, occupied, virtual, tuple(angles))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=uccsd_specs(), scheduling=st.sampled_from(["parallelized", "baseline"]))
+def test_a_planned_layer_is_its_excitations_lowered_one_by_one(spec, scheduling):
+    layer = build_uccsd_layer(spec, scheduling)
+    scheme = "strings" if scheduling == "baseline" else "layers"
+    terms = uccsd_excitations(spec)
+    gates = [g for t, theta in zip(terms, spec.parameters)
+             for g in synth._lower_group([(t, theta)], spec.n_modes, scheme=scheme)]
+    expected = Circuit(spec.n_modes, tuple(gates), {"op": f"uccsd_{scheduling}"})
+    assert serialize(layer) == serialize(expected)
+    if terms:
+        v = ordered_product([(generator_pauli(t, spec.n_modes), theta)
+                             for t, theta in zip(terms, spec.parameters)], spec.n_modes)
+        assert np.linalg.norm(circuit_unitary(layer).matrix - v.matrix) < 1e-9
+
+
 def test_prepare_reference_places_x_gates():
     c = prepare_reference((0, 1), 6)
     state = circuit_unitary(c).matrix[:, 0]
@@ -226,6 +304,8 @@ def test_prepare_reference_places_x_gates():
         prepare_reference((6,), 6)
     with pytest.raises(EvolutionError):
         prepare_reference((2, 2), 6)
+    with pytest.raises(EvolutionError, match="occupied list 2 is not a collection of modes"):
+        prepare_reference(2, 6)
 
 
 # --- fusion groups --------------------------------------------------------------
@@ -522,6 +602,14 @@ def test_cold_and_warm_builds_serialize_alike(build):
     warm = build()
     assert serialize(warm) == text
     assert serialize(deserialize(text)) == text
+
+
+def test_clearing_the_caches_empties_the_layer_plans():
+    build_uccsd_layer(H3_SPEC)
+    assert evolution._layer_plan.cache_info().currsize > 0
+    synth._clear_caches()
+    assert evolution._layer_plan.cache_info().currsize == 0
+    assert evolution._excitations.cache_info().currsize == 0
 
 
 def test_shared_gates_outlive_evicted_templates():

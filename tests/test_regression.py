@@ -7,6 +7,7 @@ says why and the hash is updated with it.
 
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -73,6 +74,24 @@ def _dense_real_terms(n: int, seed: int) -> HamiltonianTerms:
     return term_list(table)
 
 
+def _wide_spec(n_modes: int, n_electrons: int) -> AnsatzSpec:
+    """A UCCSD spec over the lowest ``n_electrons`` modes, seeded parameters;
+    the excitation count comes from combinatorics over the alpha (even) and
+    beta (odd) halves."""
+    occ_a, occ_b = (n_electrons + 1) // 2, n_electrons // 2
+    vir_a, vir_b = (n_modes + 1) // 2 - occ_a, n_modes // 2 - occ_b
+    count = (occ_a * vir_a + occ_b * vir_b
+             + math.comb(occ_a, 2) * math.comb(vir_a, 2)
+             + math.comb(occ_b, 2) * math.comb(vir_b, 2)
+             + occ_a * occ_b * vir_a * vir_b)
+    rng = random.Random(f"wide/{n_modes}/{n_electrons}")
+    return AnsatzSpec(n_modes, tuple(range(n_electrons)), tuple(range(n_electrons, n_modes)),
+                      tuple(rng.uniform(-1.0, 1.0) for _ in range(count)))
+
+
+# the perfbench uccsd_wide registers: long parity strings, many offsets
+WIDE_SPECS = {f"{n}_{e}": _wide_spec(n, e) for n, e in ((16, 4), (16, 6), (20, 4))}
+
 H3 = h3plus_builtin()
 DENSE6 = _dense_real_terms(6, 2024)
 
@@ -84,6 +103,9 @@ def _trotter(terms, orbital_class, scheduling, dt):
 CIRCUITS = {
     "h3_uccsd_parallelized": lambda: build_uccsd_layer(H3_SPEC, "parallelized"),
     "h3_uccsd_baseline": lambda: build_uccsd_layer(H3_SPEC, "baseline"),
+    **{f"wide_uccsd_{name}_{scheduling}": (
+        lambda spec=spec, scheduling=scheduling: build_uccsd_layer(spec, scheduling))
+       for name, spec in WIDE_SPECS.items() for scheduling in ("parallelized", "baseline")},
     "h3_trotter_real_parallelized": _trotter(H3, "real", "parallelized", 0.1),
     "h3_trotter_real_baseline": _trotter(H3, "real", "baseline", 0.1),
     "h3_trotter_complex_baseline": _trotter(H3, "complex", "baseline", 0.1),
@@ -161,6 +183,12 @@ EXPECTED = {
     "symmetrized_double": "8a90f5d9137c8d942b3f85975932a49706b05468f09f67480c64ad0fd3b8e1e2",
     "symmetrized_higher": "75358143b96d87d2939014b525a83a85c1db2cea895b37a644a7b25d05a55436",
     "symmetrized_single": "62ca4df3e8b1e8c3b0a00137ddbc2077bc44c4a28367a64bac6742047c5557a8",
+    "wide_uccsd_16_4_baseline": "68ef177ef41f83157cc138957ea469e2308133671ffa86ab98e7838b3a41b792",
+    "wide_uccsd_16_4_parallelized": "bd9c98c61894616ae24dc27ab57b7a0b0e1820f1e85cddb62445c95c87f73eb1",
+    "wide_uccsd_16_6_baseline": "a9bed0553eb6a5c3907005412a0578a3cf583321bc03e9c5b3922e0c3a105194",
+    "wide_uccsd_16_6_parallelized": "efe7a95f2b0f201fb2f7405463d8fe465951a0b8df47992826688e9bcae6b4c0",
+    "wide_uccsd_20_4_baseline": "52a414d0766901ef67469dd826c134bcaf6d320ed20433ec7200312c464f962a",
+    "wide_uccsd_20_4_parallelized": "63b31541ec211ba65d996fb6811c77d5a82ca194945efd487d39db707ba8be26",
 }
 
 
