@@ -40,22 +40,15 @@ added lack it), term_list_peak_mib, the tracemalloc peak in MiB of one
 untimed term_list call on the parsed table (records before this field and
 the 20-mode workload were added lack them), and build_peak_mib, the
 tracemalloc peak in MiB of one untimed warm build_trotter_step (records
-before this field was added lack it).  Block synthesis caches each group
-shape's gates (synth._template) and, in later sources, hands out one shared
-object per Clifford gate value (synth._gate, or the synth._SHARED dict of
-older sources); sources that also cache each template placed at each offset
-and keep the shared gates in circuit.py empty all of these with
-synth._clear_caches, which in sources that plan UCCSD layers also empties
-evolution's cached excitation lists and layer plans, so cold_s of
-build_uccsd_layer derives and places every excitation's template again.
-Where the measured sources have the template cache,
-the record also holds cold_s, the median of five cold builds of each of
-build_trotter_step and build_uccsd_layer, each timed right after every
-cache the sources have is cleared and a full garbage collection, their
-range [fastest, slowest] in cold_range_s, and the number of templates the
-workload's two circuits use.  Records before cold_range_s was added hold
-one cold build per stage in cold_s, so a comparison of cold_s across that
-change must say so.  The
+before this field was added lack it).  The record also holds cold_s, the
+median of five cold builds of each of build_trotter_step and
+build_uccsd_layer, each timed right after synth._clear_caches (which empties
+the group templates with their placements, the shared angle-free gates and,
+in sources that plan UCCSD layers, evolution's cached excitation lists and
+layer plans) and a full garbage collection, their range [fastest, slowest]
+in cold_range_s, and the number of templates the workload's two circuits
+use.  Records before cold_range_s was added hold one cold build per stage
+in cold_s, so a comparison of cold_s across that change must say so.  The
 record, with the environment and the commit of the measured sources (or,
 outside a git work tree, a SHA-256 of them: the rule of bench/oracle.py
 commit_of), is appended to BENCH_compile.json at the root of the checkout
@@ -122,15 +115,20 @@ def uccsd_half(n: int, rng: random.Random) -> tuple:
     return (n, tuple(range(n // 2)), tuple(range(n // 2, n)), angles)
 
 
-def workloads() -> list[tuple[str, str, tuple]]:
-    """(name, integral document, UCCSD (modes, occupied, virtual, angles)) per workload."""
+def h3plus() -> tuple[str, str, tuple]:
+    """The packaged H3+ table and its UCCSD layer, as a workloads() entry."""
     from importlib import resources
 
+    h3 = resources.files("ionsynth").joinpath("data/h3plus.ints").read_text()
+    return "h3plus", h3, (6, (0, 1), (2, 3, 4, 5), tuple(0.05 * (i + 1) for i in range(8)))
+
+
+def workloads() -> list[tuple[str, str, tuple]]:
+    """(name, integral document, UCCSD (modes, occupied, virtual, angles)) per workload."""
     sys.path.append(str(ROOT))  # after the measured sources
     from perfbench.inputs import integral_document
 
-    h3 = resources.files("ionsynth").joinpath("data/h3plus.ints").read_text()
-    out = [("h3plus", h3, (6, (0, 1), (2, 3, 4, 5), tuple(0.05 * (i + 1) for i in range(8))))]
+    out = [h3plus()]
     for n in RANDOM_MODES:
         rng = random.Random(f"profile/{n}")
         out.append((f"random_{n}", integral_document(n, rng), uccsd_half(n, rng)))
@@ -161,33 +159,22 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
     best = dict.fromkeys(STAGES, float("inf"))
     layer_best = dict.fromkeys(LAYER_STAGES, float("inf"))
     spec = AnsatzSpec(*uccsd)
-    templates = getattr(synth, "_template", None)
-    clear = getattr(synth, "_clear_caches", None)
-    gates = getattr(synth, "_gate", None)
-    shared = getattr(synth, "_SHARED", {})
     cold, cold_range = {}, {}
-    if hasattr(templates, "cache_clear"):
-        table = parse_integrals(document)
-        terms = term_list(table)
-        cfg = TrotterConfig(TIME_STEP, orbital_class=table.reality)
-        for stage, build in (("build_trotter_step", lambda: build_trotter_step(terms, cfg)),
-                             ("build_uccsd_layer", lambda: build_uccsd_layer(spec))):
-            runs = []
-            for _ in range(COLD_BUILDS):
-                if clear is not None:
-                    clear()
-                else:  # older sources, whose caches are cleared one by one
-                    templates.cache_clear()
-                    if gates is not None:
-                        gates.cache_clear()
-                    shared.clear()
-                gc.collect()
-                start = time.perf_counter()
-                build()
-                runs.append(time.perf_counter() - start)
-            runs.sort()
-            cold[stage] = runs[COLD_BUILDS // 2]
-            cold_range[stage] = [runs[0], runs[-1]]
+    table = parse_integrals(document)
+    terms = term_list(table)
+    cfg = TrotterConfig(TIME_STEP, orbital_class=table.reality)
+    for stage, build in (("build_trotter_step", lambda: build_trotter_step(terms, cfg)),
+                         ("build_uccsd_layer", lambda: build_uccsd_layer(spec))):
+        runs = []
+        for _ in range(COLD_BUILDS):
+            synth._clear_caches()
+            gc.collect()
+            start = time.perf_counter()
+            build()
+            runs.append(time.perf_counter() - start)
+        runs.sort()
+        cold[stage] = runs[COLD_BUILDS // 2]
+        cold_range[stage] = [runs[0], runs[-1]]
     for _ in range(REPEATS):
         times = [time.perf_counter()]
         table = parse_integrals(document)
@@ -234,8 +221,6 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
     step = build_trotter_step(terms, TrotterConfig(TIME_STEP, orbital_class=table.reality))
     build_peak = tracemalloc.get_traced_memory()[1] / 2**20
     tracemalloc.stop()
-    cache = {"cold_s": cold, "cold_range_s": cold_range,
-             "templates": templates.cache_info().currsize} if cold else {}
     row = {
         "workload": name,
         "n_modes": table.n_modes,
@@ -249,7 +234,9 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
         "parse_peak_mib": parse_peak,
         "term_list_peak_mib": term_list_peak,
         "build_peak_mib": build_peak,
-        **cache,
+        "cold_s": cold,
+        "cold_range_s": cold_range,
+        "templates": synth._template.cache_info().currsize,
     }
     if table.n_modes > BASELINE_MODES:
         return row
@@ -294,9 +281,9 @@ def main() -> None:
               + f", build peak {row['build_peak_mib']:.2f} MiB"
               + "".join(f", baseline {k} {v:.3f}" for k, v in row.get("baseline_best_s", {}).items())
               + "".join(f", cold {k} {v:.3f} ({lo:.3f}-{hi:.3f})"
-                        for (k, v), (lo, hi) in zip(row.get("cold_s", {}).items(),
-                                                    row.get("cold_range_s", {}).values()))
-              + (f", {row['templates']} templates" if "templates" in row else ""), flush=True)
+                        for (k, v), (lo, hi) in zip(row["cold_s"].items(),
+                                                    row["cold_range_s"].values()))
+              + f", {row['templates']} templates", flush=True)
 
     document = json.loads(OUT.read_text()) if OUT.exists() else {
         "benchmark": "compile stages, integral table to circuit text", "runs": []}

@@ -39,15 +39,15 @@ Gates are immutable, so one gate object may stand at many positions of a
 circuit and in many circuits.  Each gate object formats its lowercased record
 line once and keeps it, so ``serialize`` formats only gate objects it has not
 written before.  That line is also the one identity of an angle-free gate
-(Clifford1, CNOT, MS): ``_SHARED`` keeps one object per line per process.
-Every fill of a template (``ionsynth.synth``) hands out that object, and
-``deserialize``, once it has read the ``qubits`` line, looks each record line
-up there before it splits it, so a written angle-free gate reads back as its
-object and is not built again.  A record spelled otherwise (case, spacing, MS
-qubit order) is parsed and built, then exchanged for the object of its line.
-A record its constructor refuses, or one past the register, adds nothing,
-and no gate that carries an angle is ever kept.  ``deserialize`` parses each
-distinct record line of a document once, so identical records of one
+(Clifford1, CNOT, MS), and only placement shares it: ``_shared(gate, offset)``
+hands out the object ``_SHARED`` keeps for the line of a template gate moved
+``offset`` qubits up, built and kept the first time the process places it.
+No gate that carries an angle is kept.  ``deserialize``, once it has read the
+``qubits`` line, looks each record line up in ``_SHARED`` before it splits
+it, so a placed gate reads back as its object, and adds no line: any other
+record (spelled otherwise, or never placed) is parsed and built as an equal
+new gate, and reading leaves ``_SHARED`` as it was.  ``deserialize`` parses
+each distinct record line of a document once, so identical records of one
 document read back as one gate object.  The line of a record with a qubit
 outside the register is recovered, by the gates' highest qubits, only when
 reading fails.
@@ -270,7 +270,6 @@ class _Record(NamedTuple):
     rest: str | None  # a trailing qubit-list field, which takes the rest
     usage: str  # the field names, for error messages
     qubits: Callable[[Gate], tuple[int, ...]]
-    shared: bool  # angle-free: one object per record line (_SHARED)
 
 
 def _fields_getter(names: list[str]) -> Callable[[Gate], tuple]:
@@ -297,8 +296,7 @@ def _record(kind: type, tag: str) -> _Record:
         qubits = _fields_getter([name for name in names if types[name] is int])
     operands = names + [f"{rest}..."] * bool(rest)
     return _Record(kind, tag, tag + " %s" * len(operands), values,
-                   tuple(types[name] for name in names), rest, " ".join(operands), qubits,
-                   float not in types.values())
+                   tuple(types[name] for name in names), rest, " ".join(operands), qubits)
 
 
 # The seven gate kinds, each with the tag that starts its record.
@@ -314,22 +312,32 @@ _RECORD_LINE = attrgetter("_record")
 
 # --- one object per angle-free gate ----------------------------------------
 
-# The one object of each angle-free gate (Clifford1, CNOT, MS) kept so far in
-# this process, by the record line ``serialize`` writes for it.  A gate that
-# carries an angle never enters it.
+# The one object of each angle-free gate (Clifford1, CNOT, MS) placed so far
+# in this process, by the record line ``serialize`` writes for it.  Only
+# ``_shared`` adds to it; a gate that carries an angle never enters it.
 _SHARED: dict[str, Gate] = {}
 
 
-def _shared(gate: Gate, n_qubits: int | None = None) -> Gate:
-    """The one object of the Clifford1, CNOT or MS ``gate``: the gate already
-    kept for its record line, or else ``gate`` itself, kept unless it has a
-    qubit of ``n_qubits`` or more."""
-    line = gate._record or _format(gate)
+def _shared(gate: Gate, offset: int) -> Gate:
+    """The one object of the Clifford1, CNOT or MS ``gate`` moved ``offset``
+    qubits up: the record line ``_format`` would write for the moved gate,
+    written from the template's fields (int fields and a trailing qubit list
+    are its qubits), then the object kept for that line, or else the moved
+    gate, built (so checked by its constructor) and kept with that line."""
+    record = _RECORDS[type(gate)]
+    args = [value + offset if parse is int else value
+            for value, parse in zip(record.values(gate), record.parsers)]
+    if record.rest:
+        qubits = [q + offset for q in record.qubits(gate)]
+        line = record.line % (*args, " ".join(map(str, qubits)))
+        args.append(qubits)
+    else:
+        line = record.line % tuple(args)
+    line = line.lower()
     kept = _SHARED.get(line)
     if kept is None:
-        kept = gate
-        if n_qubits is None or gate._highest < n_qubits:
-            _SHARED[line] = gate
+        kept = _SHARED[line] = record.kind(*args)
+        kept.__dict__["_record"] = line
     return kept
 
 
@@ -397,14 +405,20 @@ class Circuit:
         # v1 parser rejects, so it follows the index rule, as every gate's
         # qubits already have.  What is left is one check of their maximum.
         n = _index(self.n_qubits, "qubit count", CircuitError)
-        gates = tuple(self.gates)
+        try:
+            gates = tuple(self.gates)
+        except TypeError:
+            raise CircuitError(f"gate list {self.gates!r} is not a collection of gates") from None
         if (not set(map(type, gates)) <= _RECORDS.keys()
                 or max(map(_HIGHEST, gates), default=-1) >= n):
             for g in gates:  # the first non-gate or gate past the register
                 gate_qubits(g)  # raises: not a gate
                 if g._highest >= n:
                     raise CircuitError(f"gate {g!r}: {_outside(g, n)}")
-        metadata = dict(self.metadata)
+        try:
+            metadata = dict(self.metadata)
+        except (TypeError, ValueError):
+            raise CircuitError(f"metadata {self.metadata!r} is not a mapping") from None
         for key, value in metadata.items():
             if not (isinstance(key, str) and isinstance(value, str)):
                 raise CircuitError(f"metadata entry {key!r}: {value!r} is not a pair of strings")
@@ -570,7 +584,7 @@ def deserialize(document: str) -> Circuit:
     try:
         for idx, line in enumerate(lines[1:], start=2):
             gate = parsed.get(line)
-            # once the width is known, a line written for a shared gate is that gate
+            # once the width is known, the line of a placed gate is that gate
             if gate is None and n_qubits is not None:
                 gate = _SHARED.get(line)
                 if gate is not None:
@@ -602,8 +616,6 @@ def deserialize(document: str) -> Circuit:
                     if rest:
                         values += (tuple(map(int, args[-1].split())),)
                     gate = record.kind(*values)
-                    if record.shared:  # the one object of its line, however spelled
-                        gate = _shared(gate, n_qubits)
                 except ValueError as exc:  # a token that does not parse, or a CircuitError
                     raise ParseError(idx, f"{tag} record: {exc}") from None
                 parsed[line] = gate

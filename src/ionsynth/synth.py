@@ -17,11 +17,11 @@ exactly over the Pauli group by pushing the image through the inverted
 dressing; the resulting +-1 is folded into the rotation angle, and the
 dense-matrix oracle in the test suite checks the product phase-exactly.
 
-None of that depends on the angles, so the one group lowering
-(``_lower_group``) derives it once per group shape.  Every excitation compiler
-and both evolution builders lower their blocks through it; only
-compile_pauli_rotation, which takes a bare Pauli string, builds its sandwich
-directly.  A group's scheme says how its strings are spent:
+None of that depends on the angles, so it is derived once per group shape
+and placed once per offset, and every block is one fill of a placed template
+(``_fill``): through ``_lower_group`` for the excitation compilers and the
+Trotter step, a cached plan for UCCSD layers, and directly for
+compile_pauli_rotation.  A group's scheme says how its strings are spent:
 
 - ``layers``: star and CNOT-assisted layers of the combined string pool, or
   one shared CRz sandwich for controlled singles;
@@ -40,8 +40,8 @@ times the pullback sign and whose scales are the exact generator string
 weights of unit-coefficient terms.  ``_lower_group`` looks up its group's
 placed template (``_placement``) and fills it (``_fill``).  ``_placement``
 places a template at a group's lowest mode the first time the shape lands
-there (``_place``): each gate is shifted up and exchanged for the one
-shared object of its record line (``circuit._shared``, so every fill of
+there (``_place``): each gate becomes the one shared object of its line
+moved up (``circuit._shared(gate, offset)``, so every fill of
 every template that emits Clifford1(3, "H") emits the same object, the one
 ``deserialize`` reads ``cl 3 h`` as), each slot stays as it is, and the
 positions of the slots are noted.  A fill copies the placed items and
@@ -56,8 +56,8 @@ last bit, subnormal angles included.
 
 Caches hold that work: ``_template``, a ``functools.cache`` with one entry
 per group shape, the template's items and a dict of its placements by
-offset; ``circuit._SHARED``, one gate object per Clifford1, CNOT and MS
-record line, which ``deserialize`` shares; and, registered in
+offset; ``circuit._SHARED``, one gate object per placed Clifford1, CNOT and
+MS record line, which ``deserialize`` only reads; and, registered in
 ``_PLAN_CLEARS`` when evolution is imported, its UCCSD excitation lists and
 layer plans, one placed template per excitation of a layer shape found
 through ``_placement``, so a layer rebuilt with new angles only fills.  They
@@ -356,20 +356,11 @@ def _sandwich(width: int, axis: str, requests, dressing=_local_dressing, zz_requ
     return items
 
 
-# Each angle-free gate kind's gate shifted up by k qubits.
-_SHIFT = {
-    Clifford1: lambda g, k: Clifford1(g.qubit + k, g.name),
-    CNOT: lambda g, k: CNOT(g.control + k, g.target + k),
-    MS: lambda g, k: MS(g.axis, g.direction, tuple([q + k for q in g.qubits])),
-}
-
-
 def _place(items, offset: int) -> tuple[tuple, tuple[int, ...]]:
     """Template items with each gate placed ``offset`` qubits up, as the one
-    shared object of the shifted gate (circuit._shared), each slot as it is,
+    shared object of the moved gate (circuit._shared), each slot as it is,
     and the positions of the slots."""
-    placed = tuple(item if type(item) is _Slot else _shared(_SHIFT[type(item)](item, offset))
-                   for item in items)
+    placed = tuple(item if type(item) is _Slot else _shared(item, offset) for item in items)
     return placed, tuple(i for i, item in enumerate(items) if type(item) is _Slot)
 
 
@@ -729,7 +720,10 @@ def compile_double_block(
     p, q, r, s = (_index(m, "mode", SynthesisError) for m in (p, q, r, s))
     if not p < q < r < s:
         raise SynthesisError(f"orbitals must be strictly increasing, got {(p, q, r, s)}")
-    angles = tuple(angles)
+    try:
+        angles = tuple(angles)
+    except TypeError:
+        raise SynthesisError(f"double block takes three pairing angles, got {angles!r}") from None
     if len(angles) != 3:
         raise SynthesisError("double block takes three pairing angles")
     pairs = [double(p, q, r, s), double(p, r, q, s), double(p, s, q, r)]
@@ -764,10 +758,10 @@ def compile_controlled_single(
     if j in (p, q):
         raise SynthesisError("control mode coincides with the excitation; that is a density term")
     t = controlled_single(p, q, j)
-    scheme = {"a": "layers", "b": "halves"}.get(variant)
-    if scheme is None:
+    if not isinstance(variant, str) or variant not in ("a", "b"):
         raise SynthesisError(f"variant must be 'a' or 'b', got {variant!r}")
-    return _compiled(f"controlled_single_{variant}", [(t, theta)], n_qubits, scheme=scheme)
+    return _compiled(f"controlled_single_{variant}", [(t, theta)], n_qubits,
+                     scheme="layers" if variant == "a" else "halves")
 
 
 def higher_order_ms_count(order: int) -> int:

@@ -1,6 +1,7 @@
 """Circuit IR: construction guards, counting, cost model, serialization."""
 
 import math
+import re
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -315,10 +316,13 @@ def test_repeated_lines_and_negative_width_fail_at_their_line(doc, line_no):
     assert err.value.line_no == line_no
 
 
-@pytest.mark.parametrize("metadata", [{"k": 1}, {1: "v"}, {"k": None}])
+@pytest.mark.parametrize("metadata", [{"k": 1}, {1: "v"}, {"k": None}, None, 5, [("k", "v", "w")]])
 def test_circuit_refuses_metadata_that_is_not_strings(metadata):
-    """Such an entry used to be built and then break serialize with an AttributeError."""
-    with pytest.raises(CircuitError, match="not a pair of strings"):
+    """Such an entry used to be built and then break serialize with an
+    AttributeError, and metadata that is no mapping raised a bare TypeError."""
+    message = ("not a pair of strings" if isinstance(metadata, dict)
+               else re.escape(f"metadata {metadata!r} is not a mapping"))
+    with pytest.raises(CircuitError, match=message):
         Circuit(1, (), metadata)
 
 
@@ -465,6 +469,9 @@ def test_negative_width_and_non_gates_are_refused():
         Circuit(-1)
     with pytest.raises(CircuitError, match="not a gate: 'rz'"):
         Circuit(2, ("rz",))
+    for gates in (None, 5):
+        with pytest.raises(CircuitError, match=f"^gate list {gates} is not a collection of gates$"):
+            Circuit(2, gates)
 
 
 def test_circuit_refuses_its_first_bad_entry_in_order():
@@ -748,16 +755,26 @@ _SPELLINGS = {
 
 @pytest.mark.parametrize("records", _SPELLINGS.values(), ids=_SPELLINGS)
 def test_spellings_of_one_angle_free_value_read_back_as_one_shared_object(records):
+    """Every spelling of one angle-free value reads back as an equal gate; once
+    placement shares the value, its canonical line reads back as the shared
+    object; and no read adds to _SHARED."""
     synth._clear_caches()
     gates = []
     for record in records:
         gates += deserialize(f"ionsynth-circuit v1\nqubits 4\n{record}\n").gates
     gates += deserialize("ionsynth-circuit v1\nqubits 5\n" + "\n".join(records) + "\n").gates
     assert len(gates) == 2 * len(records)
-    assert all(g is gates[0] for g in gates)
-    line = serialize(Circuit(4, gates[:1])).splitlines()[-1]
+    assert all(g == gates[0] for g in gates)
+    assert circuit._SHARED == {}
+    placed = circuit._shared(gates[0], 0)
+    line = serialize(Circuit(4, (placed,))).splitlines()[-1]
     assert line in records
-    assert list(circuit._SHARED.items()) == [(line, gates[0])]
+    assert list(circuit._SHARED.items()) == [(line, placed)]
+    (again,) = deserialize(f"ionsynth-circuit v1\nqubits 4\n{line}\n").gates
+    assert again is placed
+    for record in records:
+        assert deserialize(f"ionsynth-circuit v1\nqubits 4\n{record}\n").gates == (placed,)
+    assert list(circuit._SHARED.items()) == [(line, placed)]
 
 
 @pytest.mark.parametrize("record, message", [
@@ -770,7 +787,7 @@ def test_spellings_of_one_angle_free_value_read_back_as_one_shared_object(record
     ("cl 4 h", "qubit 4 outside 0..3"),
     ("ms xx forward 3 1 7", "qubit 7 outside 0..3"),
     ("cnot 5 1", "qubit 5 outside 0..3"),
-    # lines, and other spellings of lines, that a wider document shared
+    # lines, and other spellings of lines, that placement on a wider register shared
     ("cl 15 h", "qubit 15 outside 0..3"),
     ("cl 15 H", "qubit 15 outside 0..3"),
     ("cnot 2 9", "qubit 9 outside 0..3"),
@@ -779,8 +796,8 @@ def test_spellings_of_one_angle_free_value_read_back_as_one_shared_object(record
 ])
 def test_a_refused_angle_free_record_adds_no_shared_gate(record, message):
     synth._clear_caches()
-    deserialize("ionsynth-circuit v1\nqubits 16\ncl 15 h\ncnot 2 9\nms xx forward 1 3 8\n")
-    deserialize("ionsynth-circuit v1\nqubits 4\ncl 1 x\n")
+    for gate in (Clifford1(15, "h"), CNOT(2, 9), MS("xx", "forward", (1, 3, 8)), Clifford1(1, "x")):
+        circuit._shared(gate, 0)
     before = dict(circuit._SHARED)
     assert len(before) == 4
     with pytest.raises(ParseError) as err:
@@ -788,6 +805,61 @@ def test_a_refused_angle_free_record_adds_no_shared_gate(record, message):
     assert str(err.value) == f"line 4: {record.split()[0]} record: {message}"
     assert circuit._SHARED == before
     assert all(circuit._SHARED[line] is g for line, g in before.items())
+
+
+_REFUSED = ("ms xx forward 1 3 1", "ms zz forward 1 2", "cl 0 q", "cnot 2 2", "rz 0 x",
+            "cl 1", "fredkin 0 1", "qubits 3", "cl 1 ٣")
+
+
+@st.composite
+def _respelled(draw, line):
+    """``line`` with its fields in drawn case, runs of spaces and tabs around
+    its tokens and, for an MS record, its qubits in drawn order."""
+    tag, *operands = line.split()
+    if tag == "ms":
+        operands[2:] = draw(st.permutations(operands[2:]))
+    operands = [draw(st.sampled_from((o, o.upper()))) for o in operands]
+    gaps = draw(st.lists(st.sampled_from(("", " ", "  ", "\t")), min_size=2 + len(operands),
+                         max_size=2 + len(operands)))
+    gaps[1:-1] = [gap or " " for gap in gaps[1:-1]]
+    return "".join(gap + token for gap, token in zip(gaps, (tag, *operands, "")))
+
+
+def _assert_reading_keeps_shared(text):
+    """Reads ``text``, refused or not, and checks that ``_SHARED`` holds the
+    same objects under the same lines as before."""
+    before = dict(circuit._SHARED)
+    try:
+        deserialize(text)
+    except ParseError:
+        pass
+    assert circuit._SHARED.keys() == before.keys()
+    assert all(circuit._SHARED[line] is g for line, g in before.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_reading_any_document_leaves_the_shared_gates_as_they_were(data):
+    """Once compiling has shared its lines, reading the text of the built
+    circuits, other spellings of their lines, refused records, records past
+    the register and records before the qubits line adds, drops and
+    exchanges no shared gate."""
+    synth._clear_caches()
+    built = Circuit(6, (*synth.compile_double_block(0, 1, 3, 5, (0.1, 0.2, 0.3)).gates,
+                        *synth.compile_mixed_cnot(double(1, 2, 4, 5), 0.4).gates,
+                        *synth.compile_controlled_single(0, 4, 2, 0.5).gates))
+    assert circuit._SHARED
+    text = serialize(built)
+    _assert_reading_keeps_shared(text)
+    lines = text.splitlines()[2:]
+    others = [_reference_record(g) for g in data.draw(st.lists(_any_gates(10), min_size=1,
+                                                                 max_size=4))]
+    pool = st.one_of(st.sampled_from(lines), st.sampled_from(others), st.sampled_from(_REFUSED))
+    records = data.draw(st.lists(st.one_of(pool, pool.flatmap(_respelled)), max_size=12))
+    early = data.draw(st.lists(pool, max_size=2))
+    width = data.draw(st.integers(0, 10))
+    document = ["ionsynth-circuit v1", *early, f"qubits {width}", *records, ""]
+    _assert_reading_keeps_shared("\n".join(document))
 
 
 def test_no_gate_that_carries_an_angle_is_shared():
@@ -820,7 +892,7 @@ def test_a_written_circuit_reads_back_without_building_an_angle_free_gate():
 
 def test_a_shared_line_before_the_qubits_line_is_refused():
     synth._clear_caches()
-    deserialize("ionsynth-circuit v1\nqubits 4\ncl 1 x\n")
+    circuit._shared(Clifford1(1, "X"), 0)
     assert "cl 1 x" in circuit._SHARED
     with pytest.raises(ParseError) as err:
         deserialize("ionsynth-circuit v1\n# note\ncl 1 x\nqubits 4\n")
@@ -835,15 +907,17 @@ def test_a_shared_line_before_the_qubits_line_is_refused():
 ])
 @pytest.mark.parametrize("later", ["", "fredkin 0 1\n"], ids=["last", "before-an-error"])
 def test_a_shared_line_past_the_register_fails_as_on_first_sight(record, message, later):
-    """A record line that a wider document shared reads, in a narrower one,
-    as the same ParseError at the same line as before it was shared."""
+    """A record line that placement on a wider register shared reads, in a
+    narrower document, as the same ParseError at the same line as before it
+    was shared."""
     synth._clear_caches()
     doc = f"ionsynth-circuit v1\nqubits 4\ncl 1 x\n{record}\ncl 1 x\n{later}"
     with pytest.raises(ParseError) as first:
         deserialize(doc)
     assert record not in circuit._SHARED
-    deserialize(f"ionsynth-circuit v1\nqubits 16\n{record}\n")
-    assert record in circuit._SHARED
+    wide = deserialize(f"ionsynth-circuit v1\nqubits 16\n{record}\n").gates[0]
+    placed = circuit._shared(wide, 0)
+    assert circuit._SHARED[record] is placed
     with pytest.raises(ParseError) as again:
         deserialize(doc)
     for err in (first, again):

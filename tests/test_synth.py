@@ -1,8 +1,12 @@
 """Circuit synthesis: sandwich structure, MS budgets, dense-oracle exactness."""
 
+import importlib.util
 import itertools
 import math
+import random
+import sys
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -31,8 +35,8 @@ from ionsynth.fermion import (
     local_equivalence_conjugate,
     single,
 )
-from ionsynth.evolution import fusion_groups
-from ionsynth.integrals import h3plus_builtin
+from ionsynth.evolution import TrotterConfig, build_trotter_step, fusion_groups
+from ionsynth.integrals import h3plus_builtin, parse_integrals, term_list
 from ionsynth.pauli import (
     CLIFFORD1_NAMES,
     PauliString,
@@ -263,6 +267,8 @@ def test_double_block_input_guards():
         compile_double_block(0, 1, 1, 3, (0.1, 0.1, 0.1))
     with pytest.raises(SynthesisError):
         compile_double_block(0, 1, 2, 3, (0.1, 0.1))
+    with pytest.raises(SynthesisError, match="^double block takes three pairing angles, got 5$"):
+        compile_double_block(0, 1, 2, 3, 5)
     with pytest.raises(SynthesisError, match="mode 0.5 is not an integer"):
         compile_double_block(0.5, 1, 2, 3, (0.1, 0.1, 0.1))
     with pytest.raises(SynthesisError, match="angle True is not a real number"):
@@ -367,6 +373,10 @@ def test_controlled_zero_angle_and_guards():
         compile_controlled_single(2, 0, 1, 0.1)
     with pytest.raises(SynthesisError):
         compile_controlled_single(0, 2, 3, 0.1, variant="c")
+    with pytest.raises(SynthesisError, match=r"^variant must be 'a' or 'b', got \['a'\]$"):
+        compile_controlled_single(0, 2, 1, 0.1, variant=["a"])
+    with pytest.raises(SynthesisError, match="^variant must be 'a' or 'b', got array"):
+        compile_controlled_single(0, 2, 1, 0.1, variant=np.array(["a", "b"]))
     with pytest.raises(SynthesisError, match="mode 0.5 is not an integer"):
         compile_controlled_single(0.5, 2, 1, 0.1)
     with pytest.raises(SynthesisError, match="negative mode -1"):
@@ -818,6 +828,16 @@ def _record_line(g):
     return serialize(Circuit(1 + g._highest, (g,))).splitlines()[-1]
 
 
+def _moved(gate, k):
+    """A new gate equal to the Clifford1, CNOT or MS ``gate`` moved ``k``
+    qubits up, built by its own constructor."""
+    if type(gate) is Clifford1:
+        return Clifford1(gate.qubit + k, gate.name)
+    if type(gate) is CNOT:
+        return CNOT(gate.control + k, gate.target + k)
+    return MS(gate.axis, gate.direction, [q + k for q in gate.qubits])
+
+
 def _lowered_with_template(pairs, width, **options):
     """(gates, template items, offset of the template, placed items) of one
     _lower_group call: the placement is the one of the template's placements
@@ -834,8 +854,9 @@ def _lowered_with_template(pairs, width, **options):
 @given(st.one_of(_template_groups(), _template_groups(_tiny_coefficients)), st.data())
 def test_every_lowering_emits_one_gate_per_template_item(group, data):
     """Each Clifford1, CNOT and MS gate of a fill is the placed template's
-    object, the one shared object of the item's gate shifted up, and each
-    slot is filled with a rotation on the slot's shifted qubits."""
+    object, the one shared object of the item's gate shifted up, whose kept
+    record line is the one a freshly built equal gate formats, and each slot
+    is filled with a rotation on the slot's shifted qubits."""
     terms, options = group
     shift = data.draw(st.integers(0, 3))
     if options.get("conjugation_mode") is not None:
@@ -856,8 +877,36 @@ def test_every_lowering_emits_one_gate_per_template_item(group, data):
             assert gate_qubits(gate) == expected
         else:
             assert gate is at is circuit._SHARED[_record_line(gate)]
-            shifted = synth._SHIFT[type(item)](item, shift)
+            shifted = _moved(item, shift)
             assert gate == shifted
+            assert gate._record == circuit._format(shifted)
+
+
+def test_placing_shared_lines_again_builds_no_gate(monkeypatch):
+    """Every (template items, offset) a cold dense 12-mode Trotter step
+    places, placed again while its lines are shared, hands out the shared
+    objects and constructs no Clifford1, CNOT or MS gate."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look their module up
+    spec.loader.exec_module(inputs)
+    table = parse_integrals(inputs.integral_document(12, random.Random("profile/12")))
+    terms = term_list(table)
+    _clear_caches()
+    with mock.patch.object(synth, "_place", wraps=synth._place) as place:
+        build_trotter_step(terms, TrotterConfig(0.1, orbital_class=table.reality))
+    calls = [c.args for c in place.call_args_list]
+    assert len(calls) == 846
+    assert sum(type(item) is not _Slot for items, _ in calls for item in items) == 18070
+    shared = dict(circuit._SHARED)
+    patches = [mock.patch.object(kind, "__init__", autospec=True, side_effect=kind.__init__)
+               for kind in (Clifford1, CNOT, MS)]
+    with patches[0] as cl, patches[1] as cnot, patches[2] as ms:
+        again = [synth._place(items, offset) for items, offset in calls]
+    assert (cl.call_count, cnot.call_count, ms.call_count) == (0, 0, 0)
+    assert all(g is shared[g._record] for placed, _ in again for g in placed if type(g) is not _Slot)
+    assert circuit._SHARED == shared
 
 
 def _rotation_key(g):
