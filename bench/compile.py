@@ -10,49 +10,60 @@ and four virtual spin orbitals), the dense random real tables of 8, 10,
 12, 14 and 20 modes that perfbench.inputs.integral_document draws from the
 seed "profile/<modes>", and one dense random complex table of 10 modes drawn here
 from the seed "complex/10" (each with a UCCSD layer over the lowest half of
-the modes, angles from the same seed).  Per workload it times eight stages:
+the modes, angles from the same seed).  Every stage is timed by one rule,
+``timed``: RUNS calls, each after its reset (if any) and one gc.collect(),
+with the collector left enabled; a stage keeps the median and the range
+[fastest, slowest] of its calls.  Each workload's row holds:
 
-  parse               integrals.parse_integrals of the table's text
-  term_list           integrals.term_list of the parsed table
-  build_trotter_step  evolution.build_trotter_step, parallelized, in the
-                      orbital class of the table (real or complex)
-  build_uccsd_layer   evolution.build_uccsd_layer, parallelized
-  serialize           circuit.serialize of the Trotter step
-  deserialize         circuit.deserialize of that text
-  count               circuit.count of the Trotter step
-  cost                circuit.cost of the Trotter step
+  workload, n_modes   the workload's name and its mode count
+  local_terms, excitation_terms, groups
+                      term_list's term counts and the excitation fusion groups
+  trotter_*, uccsd_*  MS, CNOT, single-qubit, gate and depth totals of the
+                      Trotter step and the UCCSD layer; uccsd_excitations
+  circuits_sha256     a SHA-256 of both circuits' serialized text, so two
+                      checkouts can be shown to emit the same circuits
+  median_s, range_s   per stage, the median and range of its warm calls (each
+                      build runs once untimed first, so that no timed call
+                      derives a template):
+      parse, term_list    integrals.parse_integrals of the table's text and
+                          integrals.term_list of the parsed table
+      build_trotter_step  evolution.build_trotter_step, parallelized, in the
+                          orbital class of the table (real or complex)
+      build_uccsd_layer   evolution.build_uccsd_layer, parallelized
+      serialize, deserialize, count, cost
+                          circuit.serialize of a Trotter step built anew
+                          before each call, deserialize of that text, count
+                          and cost of the step; uccsd_ before each name, the
+                          same of the UCCSD layer
+      baseline_build_trotter_step_<class>, baseline_build_uccsd_layer
+                          the baseline schedules, in each orbital class the
+                          table allows (real tables take both, complex ones
+                          only complex); tables above 14 modes skip them (at
+                          20 modes the complex one alone holds about 2.5
+                          million gates and 780 MB)
+  cold_s, cold_range_s  the same of build_trotter_step and build_uccsd_layer,
+                      each call after synth._clear_caches (which empties the
+                      templates with their placements, the shared
+                      angle-free gates and, in sources that plan UCCSD
+                      layers, evolution's excitation lists and layer plans)
+  parse_peak_mib, term_list_peak_mib, build_peak_mib
+                      the tracemalloc peak in MiB of one untimed
+                      parse_integrals, term_list and warm build_trotter_step
+  templates           the number of templates the workload's two circuits use
+  baseline_sha256     a SHA-256 of the baselines' text, up to 14 modes
 
-and keeps the best of three runs of each in best_s.  It also times
-serialize, deserialize, count and cost of the UCCSD layer, keeping the best
-of three of each in uccsd_best_s (records before this field was added lack
-it).  Each record holds the term and fusion group counts, the MS, CNOT,
-single-qubit, gate and depth totals of both circuits and a SHA-256 of their
-serialized text, so two checkouts can be shown to emit the same circuits.
-It also builds the baseline schedules, the build_trotter_step baseline in
-each orbital class the table allows (real tables take both, complex ones
-only complex) and the build_uccsd_layer baseline, keeping the best of three
-times of each in baseline_best_s and one SHA-256 of their text in
-baseline_sha256 (records before these fields were added lack them).  Tables above 14 modes skip the baselines: at 20 modes the
-complex-orbital one alone holds about 2.5 million gates and 780 MB.  Each
-record also holds parse_peak_mib, the tracemalloc peak in MiB of one untimed
-parse_integrals call on the table's text (records before this field was
-added lack it), term_list_peak_mib, the tracemalloc peak in MiB of one
-untimed term_list call on the parsed table (records before this field and
-the 20-mode workload were added lack them), and build_peak_mib, the
-tracemalloc peak in MiB of one untimed warm build_trotter_step (records
-before this field was added lack it).  The record also holds cold_s, the
-median of five cold builds of each of build_trotter_step and
-build_uccsd_layer, each timed right after synth._clear_caches (which empties
-the group templates with their placements, the shared angle-free gates and,
-in sources that plan UCCSD layers, evolution's cached excitation lists and
-layer plans) and a full garbage collection, their range [fastest, slowest]
-in cold_range_s, and the number of templates the workload's two circuits
-use.  Records before cold_range_s was added hold one cold build per stage
-in cold_s, so a comparison of cold_s across that change must say so.  The
-record, with the environment and the commit of the measured sources (or,
-outside a git work tree, a SHA-256 of them: the rule of bench/oracle.py
-commit_of), is appended to BENCH_compile.json at the root of the checkout
-holding this script.  Only the standard library and numpy are used.
+The record holds the label, the commit of the measured sources (or, outside
+a git work tree, a SHA-256 of them: the rule of bench/oracle.py commit_of),
+runs, time_step, the start time, the environment and the rows, and is
+appended to BENCH_compile.json at the root of the checkout holding this
+script.  Only the standard library and numpy are used.
+
+Record boundaries: records are never rewritten, so a comparison across a
+change of this script must say so.  Records that hold repeats instead of
+runs kept the best of three back-to-back warm repeats in best_s,
+uccsd_best_s and baseline_best_s, of which the first could rebuild
+templates cold, and records without cold_range_s hold one cold build per
+stage in cold_s.  Older records lack the fields added after them.
 """
 
 from __future__ import annotations
@@ -76,11 +87,22 @@ RANDOM_MODES = (8, 10, 12, 14, 20)
 BASELINE_MODES = 14
 COMPLEX_MODES = 10
 TIME_STEP = 0.1
-REPEATS = 3
-COLD_BUILDS = 5
-STAGES = ("parse", "term_list", "build_trotter_step", "build_uccsd_layer", "serialize",
-          "deserialize", "count", "cost")
-LAYER_STAGES = ("serialize", "deserialize", "count", "cost")
+RUNS = 5
+
+
+def timed(run, reset=None) -> tuple:
+    """run()'s last result, then the median and the range [fastest, slowest]
+    of RUNS timed calls, each after reset() (when given) and one gc.collect()."""
+    times = []
+    for _ in range(RUNS):
+        if reset is not None:
+            reset()
+        gc.collect()
+        start = time.perf_counter()
+        result = run()
+        times.append(time.perf_counter() - start)
+    times.sort()
+    return result, times[RUNS // 2], [times[0], times[-1]]
 
 
 def complex_document(n: int, rng: random.Random) -> str:
@@ -156,105 +178,79 @@ def measure(name: str, document: str, uccsd: tuple) -> dict:
     )
     from ionsynth.integrals import parse_integrals, term_list
 
-    best = dict.fromkeys(STAGES, float("inf"))
-    layer_best = dict.fromkeys(LAYER_STAGES, float("inf"))
     spec = AnsatzSpec(*uccsd)
-    cold, cold_range = {}, {}
     table = parse_integrals(document)
     terms = term_list(table)
     cfg = TrotterConfig(TIME_STEP, orbital_class=table.reality)
-    for stage, build in (("build_trotter_step", lambda: build_trotter_step(terms, cfg)),
-                         ("build_uccsd_layer", lambda: build_uccsd_layer(spec))):
-        runs = []
-        for _ in range(COLD_BUILDS):
-            synth._clear_caches()
-            gc.collect()
-            start = time.perf_counter()
-            build()
-            runs.append(time.perf_counter() - start)
-        runs.sort()
-        cold[stage] = runs[COLD_BUILDS // 2]
-        cold_range[stage] = [runs[0], runs[-1]]
-    for _ in range(REPEATS):
-        times = [time.perf_counter()]
-        table = parse_integrals(document)
-        times.append(time.perf_counter())
-        terms = term_list(table)
-        times.append(time.perf_counter())
-        step = build_trotter_step(terms, TrotterConfig(TIME_STEP, orbital_class=table.reality))
-        times.append(time.perf_counter())
-        layer = build_uccsd_layer(spec)
-        times.append(time.perf_counter())
-        text = serialize(step)
-        times.append(time.perf_counter())
-        deserialize(text)
-        times.append(time.perf_counter())
-        count(step)
-        times.append(time.perf_counter())
-        cost(step)
-        times.append(time.perf_counter())
-        for stage, t0, t1 in zip(STAGES, times, times[1:]):
-            best[stage] = min(best[stage], t1 - t0)
-        times = [time.perf_counter()]
-        layer_text = serialize(layer)
-        times.append(time.perf_counter())
-        deserialize(layer_text)
-        times.append(time.perf_counter())
-        count(layer)
-        times.append(time.perf_counter())
-        cost(layer)
-        times.append(time.perf_counter())
-        for stage, t0, t1 in zip(LAYER_STAGES, times, times[1:]):
-            layer_best[stage] = min(layer_best[stage], t1 - t0)
-    digest = hashlib.sha256((text + layer_text).encode()).hexdigest()
-    circuits = {**totals("trotter", step), "uccsd_excitations": len(spec.parameters),
-                **totals("uccsd", layer)}
-    tracemalloc.start()
-    parse_integrals(document)
-    parse_peak = tracemalloc.get_traced_memory()[1] / 2**20
-    tracemalloc.stop()
-    tracemalloc.start()
-    terms = term_list(table)
-    term_list_peak = tracemalloc.get_traced_memory()[1] / 2**20
-    tracemalloc.stop()
-    tracemalloc.start()
-    step = build_trotter_step(terms, TrotterConfig(TIME_STEP, orbital_class=table.reality))
-    build_peak = tracemalloc.get_traced_memory()[1] / 2**20
-    tracemalloc.stop()
-    row = {
+    builds = {"build_trotter_step": lambda: build_trotter_step(terms, cfg),
+              "build_uccsd_layer": lambda: build_uccsd_layer(spec)}
+    cold, cold_range = {}, {}
+    for key, build in builds.items():
+        _, cold[key], cold_range[key] = timed(build, synth._clear_caches)
+    for build in builds.values():  # warm, so that no timed warm call derives a template
+        build()
+    median, spread = {}, {}
+
+    def stage(key: str, run, reset=None):
+        result, median[key], spread[key] = timed(run, reset)
+        return result
+
+    table = stage("parse", lambda: parse_integrals(document))
+    terms = stage("term_list", lambda: term_list(table))
+    step = stage("build_trotter_step", lambda: build_trotter_step(terms, cfg))
+    layer = stage("build_uccsd_layer", lambda: build_uccsd_layer(spec))
+    texts = []
+    for prefix, circuit, build in (("", step, builds["build_trotter_step"]),
+                                   ("uccsd_", layer, builds["build_uccsd_layer"])):
+        # A gate keeps its record line once written, so each serialize call
+        # writes a newly built circuit, as the first one after a build does.
+        fresh = []
+        text = stage(f"{prefix}serialize", lambda: serialize(fresh.pop()),
+                     lambda: fresh.append(build()))
+        stage(f"{prefix}deserialize", lambda: deserialize(text))
+        stage(f"{prefix}count", lambda: count(circuit))
+        stage(f"{prefix}cost", lambda: cost(circuit))
+        texts.append(text)
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    peaks = {}
+    for field, run in (("parse_peak_mib", lambda: parse_integrals(document)),
+                       ("term_list_peak_mib", lambda: term_list(table)),
+                       ("build_peak_mib", lambda: build_trotter_step(terms, cfg))):
+        tracemalloc.start()
+        run()
+        peaks[field] = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.stop()
+    templates = synth._template.cache_info().currsize
+    baseline = {}
+    if table.n_modes <= BASELINE_MODES:
+        realities = ("real", "complex") if table.reality == "real" else ("complex",)
+        baselines = [(f"build_trotter_step_{reality}", build_trotter_step,
+                      (terms, TrotterConfig(TIME_STEP, orbital_class=reality, scheduling="baseline")))
+                     for reality in realities]
+        baselines.append(("build_uccsd_layer", build_uccsd_layer, (spec, "baseline")))
+        texts = []
+        for key, build, arguments in baselines:
+            texts.append(serialize(build(*arguments)))  # warm, and the text of baseline_sha256
+            stage(f"baseline_{key}", lambda: build(*arguments))
+        baseline["baseline_sha256"] = hashlib.sha256("".join(texts).encode()).hexdigest()
+    return {
         "workload": name,
         "n_modes": table.n_modes,
         "local_terms": len(terms.local_terms),
         "excitation_terms": len(terms.excitation_terms),
         "groups": len(fusion_groups(terms.excitation_terms)),
-        **circuits,
+        **totals("trotter", step),
+        "uccsd_excitations": len(spec.parameters),
+        **totals("uccsd", layer),
         "circuits_sha256": digest,
-        "best_s": best,
-        "uccsd_best_s": layer_best,
-        "parse_peak_mib": parse_peak,
-        "term_list_peak_mib": term_list_peak,
-        "build_peak_mib": build_peak,
+        "median_s": median,
+        "range_s": spread,
+        **peaks,
         "cold_s": cold,
         "cold_range_s": cold_range,
-        "templates": synth._template.cache_info().currsize,
+        "templates": templates,
+        **baseline,
     }
-    if table.n_modes > BASELINE_MODES:
-        return row
-    realities = ("real", "complex") if table.reality == "real" else ("complex",)
-    baselines = [(f"build_trotter_step_{reality}", build_trotter_step,
-                  (terms, TrotterConfig(TIME_STEP, orbital_class=reality, scheduling="baseline")))
-                 for reality in realities]
-    baselines.append(("build_uccsd_layer", build_uccsd_layer, (spec, "baseline")))
-    baseline_best = {stage: float("inf") for stage, _, _ in baselines}
-    for _ in range(REPEATS):
-        texts = []
-        for stage, build, arguments in baselines:
-            start = time.perf_counter()
-            circuit = build(*arguments)
-            baseline_best[stage] = min(baseline_best[stage], time.perf_counter() - start)
-            texts.append(serialize(circuit))
-    baseline_digest = hashlib.sha256("".join(texts).encode()).hexdigest()
-    return {**row, "baseline_sha256": baseline_digest, "baseline_best_s": baseline_best}
 
 
 def main() -> None:
@@ -265,7 +261,7 @@ def main() -> None:
 
     src = args.src.resolve()
     sys.path.insert(0, str(src))
-    record = {"label": args.label, "commit": commit_of(src.parent), "repeats": REPEATS,
+    record = {"label": args.label, "commit": commit_of(src.parent), "runs": RUNS,
               "time_step": TIME_STEP,
               "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
               "environment": environment(), "workloads": []}
@@ -273,17 +269,13 @@ def main() -> None:
         row = measure(name, document, uccsd)
         record["workloads"].append(row)
         print(f"{args.label} {name}: {row['excitation_terms']} terms, {row['groups']} groups, "
-              f"{row['trotter_ms']} + {row['uccsd_ms']} MS; "
-              + ", ".join(f"{k} {v:.3f}" for k, v in row["best_s"].items())
-              + "".join(f", uccsd {k} {v:.4f}" for k, v in row["uccsd_best_s"].items())
-              + f", parse peak {row['parse_peak_mib']:.2f} MiB"
-              + f", term_list peak {row['term_list_peak_mib']:.2f} MiB"
-              + f", build peak {row['build_peak_mib']:.2f} MiB"
-              + "".join(f", baseline {k} {v:.3f}" for k, v in row.get("baseline_best_s", {}).items())
+              f"{row['trotter_ms']} + {row['uccsd_ms']} MS; median "
+              + ", ".join(f"{k} {v:.4f}" for k, v in row["median_s"].items())
               + "".join(f", cold {k} {v:.3f} ({lo:.3f}-{hi:.3f})"
                         for (k, v), (lo, hi) in zip(row["cold_s"].items(),
                                                     row["cold_range_s"].values()))
-              + f", {row['templates']} templates", flush=True)
+              + f"; peaks {row['parse_peak_mib']:.2f} / {row['term_list_peak_mib']:.2f}"
+              + f" / {row['build_peak_mib']:.2f} MiB, {row['templates']} templates", flush=True)
 
     document = json.loads(OUT.read_text()) if OUT.exists() else {
         "benchmark": "compile stages, integral table to circuit text", "runs": []}

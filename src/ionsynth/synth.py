@@ -675,7 +675,14 @@ def _compiled(op: str, pairs, n_qubits: int | None, **options) -> Circuit:
     return Circuit(width, _lower_group(pairs, width, **options), {"op": op})
 
 
+def _expect(value, kind: type, what: str) -> None:
+    """SynthesisError naming ``value`` when it is not a ``kind``."""
+    if not isinstance(value, kind):
+        raise SynthesisError(f"{what} must be {kind.__name__}, got {value!r}")
+
+
 def _expect_antisym(t: ExcitationTerm, kind: str) -> None:
+    _expect(t, ExcitationTerm, "term")
     if t.kind != kind:
         raise SynthesisError(f"expected a {kind} term, got {t.kind}")
     if t.symmetrized:
@@ -684,6 +691,7 @@ def _expect_antisym(t: ExcitationTerm, kind: str) -> None:
 
 def compile_pauli_rotation(p: PauliString, phi: float) -> Circuit:
     """exp(-i phi/2 p) as one dressed MS pair (none when p is one-local)."""
+    _expect(p, PauliString, "string")
     if p.is_identity():
         raise SynthesisError("identity rotation is a global phase; use GlobalPhase")
     if p.phase not in (1, -1):
@@ -766,6 +774,7 @@ def compile_controlled_single(
 
 def higher_order_ms_count(order: int) -> int:
     """MS budget for an order-N excitation: 2 * ceil(2^(2N-2) / N)."""
+    order = _index(order, "excitation order", SynthesisError)
     if order < 1:
         raise SynthesisError("excitation order must be at least 1")
     return 2 * math.ceil(4 ** (order - 1) / order)
@@ -805,6 +814,7 @@ def compile_symmetrized(
     dagger with the angle sign set by whether j is a creation or annihilation
     mode (``conjugation_mode`` picks j; default is the first creation mode).
     """
+    _expect(t, ExcitationTerm, "term")
     if not t.symmetrized:
         raise SynthesisError("term is already antisymmetrized; compile it directly")
     if conjugation_mode is not None:
@@ -817,12 +827,14 @@ def baseline_string_by_string(
     t: ExcitationTerm, theta: float, n_qubits: int | None = None
 ) -> Circuit:
     """Reference compiler: every generator string gets its own MS pair."""
+    _expect(t, ExcitationTerm, "term")
     return _compiled("baseline", [(t, theta)], n_qubits, scheme="strings")
 
 
 def ms_square_phase_exponent(n: int) -> tuple[int, bool]:
     """(k, pauli) with the squared n-qubit forward MS equal to i^k times
     the all-axis-letter word (pauli True) or the identity (pauli False)."""
+    n = _index(n, "MS window size", SynthesisError)
     m = n // 2
     if n % 2 == 0:
         return (-m) % 4, True
@@ -837,6 +849,7 @@ def eliminate_backward_ms(c: Circuit) -> Circuit:
     GlobalPhase is counted; MS totals are preserved and the pass is a no-op
     on forward-only circuits.
     """
+    _expect(c, Circuit, "circuit")
     gates: list[Gate] = []
     changed = False
     for gate in c.gates:

@@ -390,8 +390,12 @@ def test_controlled_zero_angle_and_guards():
 
 def test_higher_order_ms_budget():
     assert [higher_order_ms_count(n) for n in (1, 2, 3, 4)] == [2, 4, 12, 32]
-    with pytest.raises(SynthesisError):
+    with pytest.raises(SynthesisError, match="excitation order must be at least 1"):
         higher_order_ms_count(0)
+    for value, message in (("3", "'3' is not an integer"), (2.0, "2.0 is not an integer"),
+                           (True, "True is not an integer"), (-1, "negative excitation order -1")):
+        with pytest.raises(SynthesisError, match=message):
+            higher_order_ms_count(value)
 
 
 def test_higher_order_one_reduces_to_the_single_layer():
@@ -558,6 +562,28 @@ def test_compilers_refuse_a_register_width_that_is_not_an_index(call, warm, valu
         call(value)
 
 
+_WRONG_OPERANDS = {
+    "pauli_rotation": (lambda: compile_pauli_rotation("XX", 0.1),
+                       "string must be PauliString, got 'XX'"),
+    "single": (lambda: compile_single_excitation((0, 1), 0.1),
+               r"term must be ExcitationTerm, got \(0, 1\)"),
+    "symmetrized": (lambda: compile_symmetrized("x", 0.1), "term must be ExcitationTerm, got 'x'"),
+    "baseline": (lambda: baseline_string_by_string(5, 0.1), "term must be ExcitationTerm, got 5"),
+    "mixed_cnot": (lambda: compile_mixed_cnot([1], 0.1),
+                   r"term must be ExcitationTerm, got \[1\]"),
+    "higher": (lambda: compile_higher_excitation(None, 0.1),
+               "term must be ExcitationTerm, got None"),
+    "eliminate_backward": (lambda: eliminate_backward_ms([1]),
+                           r"circuit must be Circuit, got \[1\]"),
+}
+
+
+@pytest.mark.parametrize("call, message", _WRONG_OPERANDS.values(), ids=_WRONG_OPERANDS)
+def test_compilers_refuse_an_operand_of_the_wrong_type(call, message):
+    with pytest.raises(SynthesisError, match=message):
+        call()
+
+
 # --- string-by-string baseline ------------------------------------------------
 
 
@@ -597,6 +623,15 @@ def test_ms_square_table_regenerates_from_dense_matrices():
             word = from_label(letter * n) if pauli else PauliString(n, {})
             expected = (1j**k) * dense_pauli(word)
             assert np.linalg.norm(u @ u - expected) < 1e-12
+
+
+@pytest.mark.parametrize("value, message", [
+    (2.5, "MS window size 2.5 is not an integer"), (-2, "negative MS window size -2"),
+    ("3", "MS window size '3' is not an integer"), (True, "MS window size True is not an integer"),
+], ids=["float", "negative", "str", "bool"])
+def test_ms_square_phase_exponent_refuses_a_size_that_is_not_an_index(value, message):
+    with pytest.raises(SynthesisError, match=message):
+        ms_square_phase_exponent(value)
 
 
 def test_eliminate_backward_is_exact_for_every_window_size():
